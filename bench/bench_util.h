@@ -15,11 +15,7 @@
 //
 // Shared flags, parsed by ParseBenchFlags:
 //   --threads=N       worker threads (0 = auto: WSC_THREADS, else cores)
-//   --exec=MODE       "simulated" (default; deterministic discrete-event
-//                     oracle) or "real-threads" (OS threads race one
-//                     shared allocator; see tcmalloc/real_threads.h).
-//                     Only benches that document it honor the flag.
-//   --mt-threads=N    real-threads mode: top of the 1..N thread sweep
+//   --mt-threads=N    fig_mt_scaling: top of the 1..N real-thread sweep
 //                     (0 = auto: min(8, hardware concurrency))
 //   --machines=N      override every fleet's machine count (CI smoke: 2)
 //   --duration=S      override per-process simulated run length, seconds
@@ -98,11 +94,6 @@ inline constexpr int kBenchJsonSchemaVersion = 2;
 // Thread count requested via --threads=N (0 = auto: WSC_THREADS env var,
 // else hardware concurrency).
 inline int g_bench_threads = 0;
-// Execution mode requested via --exec= ("" = the bench's own default,
-// which is "simulated" everywhere except fig_mt_scaling). The simulated
-// mode is the CI-gated oracle; "real-threads" trades determinism for real
-// contention measurements.
-inline std::string g_bench_exec;
 // Real-threads sweep ceiling via --mt-threads=N (0 = auto).
 inline int g_bench_mt_threads = 0;
 // Fleet-shape overrides (0 = keep the bench's own defaults).
@@ -163,7 +154,6 @@ struct BenchFlag {
 
 inline constexpr BenchFlag kBenchFlags[] = {
     {"--threads=", [](const char* v) { g_bench_threads = std::atoi(v); }},
-    {"--exec=", [](const char* v) { g_bench_exec = v; }},
     {"--mt-threads=",
      [](const char* v) { g_bench_mt_threads = std::atoi(v); }},
     {"--machines=", [](const char* v) { g_bench_machines = std::atoi(v); }},

@@ -1,10 +1,10 @@
 // Fig. MT: allocation-throughput scaling under real concurrency.
 //
 // Every other bench drives the deterministic discrete-event simulator;
-// this one (by default --exec=real-threads) drives the real-concurrency
-// allocator in tcmalloc/real_threads.h with a pool of OS threads and
-// sweeps 1 -> --mt-threads, reporting per-point throughput, speedup over
-// the single-thread point, and a hardware-normalized scaling efficiency:
+// this one drives the real-concurrency allocator in tcmalloc/real_threads.h
+// on real memory with a pool of OS threads and sweeps 1 -> --mt-threads,
+// reporting per-point throughput, speedup over the single-thread point,
+// and a hardware-normalized scaling efficiency:
 //
 //   efficiency(N) = (ops_per_sec(N) / ops_per_sec(1)) / min(N, cores)
 //
@@ -20,11 +20,6 @@
 // per-thread live window with randomized lifetimes, and a lock-free SPSC
 // handoff ring to the neighbor thread so a steady fraction of frees are
 // remote — the pattern that makes unsharded middle ends collapse.
-//
-// --exec=simulated runs the same storm shape through the simulated
-// Allocator (the oracle): single OS thread, virtual threads round-robin,
-// full REQUIRED_TIERS telemetry. Useful for apples-to-apples footprint
-// comparisons; its "scaling" is the simulator's, not the machine's.
 
 #include <algorithm>
 #include <array>
@@ -32,14 +27,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <memory>
-#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "tcmalloc/allocator.h"
 #include "tcmalloc/real_threads.h"
 
 namespace {
@@ -50,6 +43,9 @@ using wsc::tcmalloc::RealThreadCache;
 using wsc::tcmalloc::RealThreadsAllocator;
 
 constexpr char kBench[] = "fig_mt_scaling";
+// Every line's "exec" field: check_bench_json.py validates real-threads
+// telemetry against the contention component.
+constexpr char kExec[] = "real-threads";
 
 // Live-window objects per thread; randomized replacement gives mixed
 // lifetimes within and across size classes.
@@ -65,10 +61,7 @@ constexpr uint64_t kHandoffPeriod = 16;
 constexpr int kRepetitions = 3;
 
 AllocatorConfig StormConfig() {
-  return AllocatorConfig::Builder()
-      .WithVcpus(8)
-      .WithArena(uintptr_t{1} << 44, size_t{64} << 30)
-      .Build();
+  return AllocatorConfig::Builder().WithVcpus(8).WithRealMemory().Build();
 }
 
 // Cheap deterministic size mix: mostly sub-KiB, a mid and a large small
@@ -161,7 +154,7 @@ struct SweepPoint {
 
 // Runs one sweep point against a fresh allocator; returns the quiescent
 // telemetry so the last point's contention profile can be reported.
-SweepPoint RunRealPoint(int nthreads, uint64_t ops_per_thread,
+SweepPoint RunPoint(int nthreads, uint64_t ops_per_thread,
                         wsc::telemetry::Snapshot* telemetry) {
   AllocatorConfig config = StormConfig();
   RealThreadsAllocator alloc(config, nthreads);
@@ -216,82 +209,9 @@ SweepPoint RunRealPoint(int nthreads, uint64_t ops_per_thread,
   return point;
 }
 
-// The oracle arm: same storm shape, virtual threads round-robin on the
-// deterministic simulator. One OS thread; "now" advances a fixed 100 ns
-// per operation.
-SweepPoint RunSimulatedPoint(int nthreads, uint64_t ops_per_thread,
-                             wsc::telemetry::Snapshot* telemetry) {
-  AllocatorConfig config = StormConfig();
-  wsc::tcmalloc::Allocator alloc(config);
-  struct VThread {
-    Rng rng;
-    std::vector<std::pair<uintptr_t, uint32_t>> window;
-    explicit VThread(int tid)
-        : rng(0x5ca11ab1eULL ^ (0x9e3779b97f4a7c15ULL * (tid + 1))) {}
-  };
-  std::vector<VThread> vthreads;
-  vthreads.reserve(nthreads);
-  for (int tid = 0; tid < nthreads; ++tid) vthreads.emplace_back(tid);
-
-  // One profiler for the whole point: the oracle arm is single-threaded
-  // and deterministic, so this profile is byte-stable run to run.
-  std::unique_ptr<wsc::prof::SelfProfiler> profiler;
-  if (!wsc::bench::g_selfprof_path.empty()) {
-    profiler = std::make_unique<wsc::prof::SelfProfiler>(
-        wsc::bench::kBenchSelfProfInterval);
-  }
-  wsc::prof::ScopedInstall install(profiler.get());
-  WSC_PROF_SCOPE("mt/SimLoop");
-
-  auto start = std::chrono::steady_clock::now();
-  wsc::SimTime now = 0;
-  for (uint64_t op = 0; op < ops_per_thread; ++op) {
-    for (int tid = 0; tid < nthreads; ++tid) {
-      VThread& vt = vthreads[tid];
-      int vcpu = tid % config.num_vcpus;
-      uint32_t size = SampleSize(vt.rng);
-      uintptr_t addr = alloc.Allocate(size, vcpu, now);
-      now += 100;
-      if (vt.window.size() < kWindow) {
-        vt.window.emplace_back(addr, size);
-      } else {
-        size_t slot = vt.rng.UniformInt(kWindow);
-        // Cross-thread free: the neighbor's vcpu frees the evicted object.
-        alloc.Free(vt.window[slot].first, (vcpu + 1) % config.num_vcpus,
-                   now);
-        now += 100;
-        vt.window[slot] = {addr, size};
-      }
-    }
-  }
-  for (int tid = 0; tid < nthreads; ++tid) {
-    for (const auto& [addr, size] : vthreads[tid].window) {
-      alloc.Free(addr, tid % config.num_vcpus, now);
-      now += 100;
-    }
-  }
-  double wall = std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-
-  if (profiler != nullptr) {
-    wsc::bench::ReportSelfProfile(profiler->Folded());
-  }
-
-  *telemetry = alloc.TelemetrySnapshot();
-  SweepPoint point;
-  point.threads = nthreads;
-  point.ops = ops_per_thread * static_cast<uint64_t>(nthreads);
-  point.wall_seconds = wall;
-  point.ops_per_sec =
-      wall > 0 ? static_cast<double>(point.ops) / wall : 0.0;
-  return point;
-}
-
-void ReportTelemetryLine(const wsc::telemetry::Snapshot& snapshot,
-                         const std::string& exec) {
+void ReportTelemetryLine(const wsc::telemetry::Snapshot& snapshot) {
   wsc::bench::BenchJson line(kBench, "telemetry");
-  line.Field("exec", exec);
+  line.Field("exec", kExec);
   line.Field("schema_telemetry",
              static_cast<uint64_t>(snapshot.schema_version));
   line.Metrics(snapshot);
@@ -307,14 +227,6 @@ void ReportTelemetryLine(const wsc::telemetry::Snapshot& snapshot,
 
 int main(int argc, char** argv) {
   wsc::bench::ParseBenchFlags(argc, argv);
-  const std::string exec =
-      wsc::bench::g_bench_exec.empty() ? "real-threads"
-                                       : wsc::bench::g_bench_exec;
-  if (exec != "real-threads" && exec != "simulated") {
-    std::fprintf(stderr, "fig_mt_scaling: unknown --exec=%s\n",
-                 exec.c_str());
-    return 2;
-  }
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
   const int max_threads =
       wsc::bench::g_bench_mt_threads > 0
@@ -326,9 +238,9 @@ int main(int argc, char** argv) {
   for (int n = 1; n < max_threads; n *= 2) sweep.push_back(n);
   sweep.push_back(max_threads);
 
-  std::printf("Allocation throughput scaling, --exec=%s "
+  std::printf("Allocation throughput scaling, real threads "
               "(%d hardware thread(s))\n",
-              exec.c_str(), hw);
+              hw);
 
   std::vector<SweepPoint> points;
   wsc::telemetry::Snapshot telemetry;
@@ -337,10 +249,7 @@ int main(int argc, char** argv) {
   for (int n : sweep) {
     SweepPoint best;
     for (int rep = 0; rep < kRepetitions; ++rep) {
-      SweepPoint point = exec == "real-threads"
-                             ? RunRealPoint(n, ops_per_thread, &telemetry)
-                             : RunSimulatedPoint(n, ops_per_thread,
-                                                 &telemetry);
+      SweepPoint point = RunPoint(n, ops_per_thread, &telemetry);
       if (rep == 0 || point.ops_per_sec > best.ops_per_sec) best = point;
     }
     points.push_back(best);
@@ -357,7 +266,7 @@ int main(int argc, char** argv) {
                 "efficiency %.3f\n",
                 point.threads, point.ops_per_sec, speedup, efficiency);
     wsc::bench::BenchJson(kBench, "throughput")
-        .Field("exec", exec)
+        .Field("exec", kExec)
         .Field("mt_threads", static_cast<uint64_t>(point.threads))
         .Field("sim_requests", point.ops)
         .Field("wall_seconds", point.wall_seconds)
@@ -376,7 +285,7 @@ int main(int argc, char** argv) {
   double top_efficiency =
       top_speedup / std::min<double>(top.threads, static_cast<double>(hw));
   wsc::bench::BenchJson(kBench, "throughput")
-      .Field("exec", exec)
+      .Field("exec", kExec)
       .Field("mt_threads", static_cast<uint64_t>(top.threads))
       .Field("hw_concurrency", static_cast<uint64_t>(hw))
       .Field("sim_requests", total_ops)
@@ -388,20 +297,18 @@ int main(int argc, char** argv) {
       .Field("scaling_efficiency", top_efficiency)
       .Emit();
 
-  ReportTelemetryLine(telemetry, exec);
+  ReportTelemetryLine(telemetry);
 
-  if (exec == "real-threads") {
-    const wsc::telemetry::MetricSample* stalls =
-        telemetry.Find("contention", "refill_stalls");
-    const wsc::telemetry::MetricSample* steals =
-        telemetry.Find("contention", "work_steals");
-    std::printf("  contention @ %d thread(s): refill stalls %llu, "
-                "work steals %llu\n",
-                top.threads,
-                static_cast<unsigned long long>(
-                    stalls != nullptr ? stalls->counter : 0),
-                static_cast<unsigned long long>(
-                    steals != nullptr ? steals->counter : 0));
-  }
+  const wsc::telemetry::MetricSample* stalls =
+      telemetry.Find("contention", "refill_stalls");
+  const wsc::telemetry::MetricSample* steals =
+      telemetry.Find("contention", "work_steals");
+  std::printf("  contention @ %d thread(s): refill stalls %llu, "
+              "work steals %llu\n",
+              top.threads,
+              static_cast<unsigned long long>(
+                  stalls != nullptr ? stalls->counter : 0),
+              static_cast<unsigned long long>(
+                  steals != nullptr ? steals->counter : 0));
   return 0;
 }

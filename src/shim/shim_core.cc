@@ -16,7 +16,6 @@
 #include <new>
 
 #include "tcmalloc/config.h"
-#include "tcmalloc/memory_backing.h"
 #include "tcmalloc/pages.h"
 #include "tcmalloc/real_threads.h"
 #include "telemetry/registry.h"
@@ -525,7 +524,7 @@ bool ShimIsActive() {
 
 const char* ShimBackendName() {
   if (!ShimIsActive()) return "bootstrap";
-  return tcmalloc::BackendKindName(g_alloc->backend_kind());
+  return "real-memory";
 }
 
 size_t ShimReleaseMemory(size_t bytes) {

@@ -14,10 +14,16 @@ namespace {
 
 // Fails loudly (with the actionable message, not just an expression dump)
 // on configs that would silently misbehave — e.g. the kTopologyDerived
-// sentinel reaching a raw Allocator, or NUCA left with one LLC domain by
-// an explicit setting.
+// sentinel reaching a raw Allocator, NUCA left with one LLC domain by an
+// explicit setting, or a real-memory config meant for the malloc.
 const AllocatorConfig& ValidatedOrDie(const AllocatorConfig& config) {
   std::string error = config.ValidationError();
+  if (error.empty() && config.real_memory) {
+    error =
+        "real_memory is set: the simulated Allocator runs only on its "
+        "virtual arena; construct a RealThreadsAllocator for real memory, "
+        "or drop WithRealMemory()";
+  }
   if (!error.empty()) {
     std::fprintf(stderr, "Invalid AllocatorConfig: %s\n", error.c_str());
     std::abort();
@@ -27,50 +33,11 @@ const AllocatorConfig& ValidatedOrDie(const AllocatorConfig& config) {
 
 }  // namespace
 
-namespace {
-
-// Creates the real-memory reservation before config_ is initialized (see
-// the real_backing_ declaration-order note in allocator.h).
-std::unique_ptr<MemoryBacking> MakeRealBacking(
-    const AllocatorConfig& config) {
-  if (!config.real_memory) return nullptr;
-  // Cap the reservation: the 4 TiB virtual default is address-space
-  // bookkeeping, but a real NORESERVE mapping this large per simulated
-  // process would exhaust VA space in multi-process fleets.
-  constexpr size_t kMaxRealReserve = size_t{64} << 30;  // 64 GiB
-  size_t reserve = config.real_memory_reserve_bytes != 0
-                       ? config.real_memory_reserve_bytes
-                       : std::min(config.arena_bytes, kMaxRealReserve);
-  auto backing = std::make_unique<RealMemoryBacking>(reserve);
-  if (!backing->ok()) {
-    std::fprintf(stderr,
-                 "wsc-tcmalloc: failed to reserve real-memory arena\n");
-    std::abort();
-  }
-  return backing;
-}
-
-// Rewrites the arena range to the kernel-chosen reservation.
-AllocatorConfig PatchArena(const AllocatorConfig& config,
-                           const MemoryBacking* backing) {
-  AllocatorConfig patched = config;
-  if (backing != nullptr) {
-    patched.arena_base = backing->base();
-    patched.arena_bytes = backing->reserved_bytes();
-  }
-  return patched;
-}
-
-}  // namespace
-
 Allocator::NodeBackend::NodeBackend(const AllocatorConfig& config,
                                     const SizeClasses* size_classes,
                                     uintptr_t base, size_t bytes,
-                                    PageMap* pagemap,
-                                    MemoryBacking* real_backing)
-    : system(real_backing != nullptr
-                 ? SystemAllocator(real_backing, config.costs.mmap_ns)
-                 : SystemAllocator(base, bytes, config.costs.mmap_ns)),
+                                    PageMap* pagemap)
+    : system(base, bytes, config.costs.mmap_ns),
       page_heap(size_classes, config, &system, pagemap),
       transfer_cache(size_classes, config) {
   int n = size_classes->num_classes();
@@ -84,16 +51,14 @@ Allocator::NodeBackend::NodeBackend(const AllocatorConfig& config,
 
 Allocator::Allocator(const AllocatorConfig& config,
                      const SizeClasses* size_classes)
-    : real_backing_(MakeRealBacking(ValidatedOrDie(config))),
-      config_(PatchArena(config, real_backing_.get())),
+    : config_(ValidatedOrDie(config)),
       size_classes_(size_classes),
       pagemap_(PageIdContaining(config_.arena_base),
                config_.arena_bytes >> kPageShift),
       cpu_caches_(size_classes, config),
       sampler_(config.sample_interval_bytes) {
   int num_nodes = config.numa_aware ? std::max(1, config.num_numa_nodes) : 1;
-  // Split the arena into hugepage-aligned node slices. (Real-memory mode
-  // is single-node by validation, so the whole reservation is the slice.)
+  // Split the arena into hugepage-aligned node slices.
   node_arena_bytes_ = config_.arena_bytes / static_cast<size_t>(num_nodes);
   node_arena_bytes_ &= ~(kHugePageSize - 1);
   WSC_CHECK_GT(node_arena_bytes_, 0u);
@@ -101,7 +66,7 @@ Allocator::Allocator(const AllocatorConfig& config,
     nodes_.push_back(std::make_unique<NodeBackend>(
         config, size_classes,
         config_.arena_base + static_cast<uintptr_t>(node) * node_arena_bytes_,
-        node_arena_bytes_, &pagemap_, real_backing_.get()));
+        node_arena_bytes_, &pagemap_));
   }
 
   int n = size_classes_->num_classes();

@@ -239,10 +239,6 @@ class Allocator {
   const SizeClasses& size_classes() const { return *size_classes_; }
   const AllocatorConfig& config() const { return config_; }
 
-  // Which memory backing this allocator runs on (virtual arena by
-  // default; real memory via Builder::WithRealMemory()).
-  BackendKind backend_kind() const { return nodes_[0]->system.kind(); }
-
   CpuCacheSet& cpu_caches() { return cpu_caches_; }
   const CpuCacheSet& cpu_caches() const { return cpu_caches_; }
 
@@ -292,12 +288,9 @@ class Allocator {
   // One per-NUMA-node middle/back end: its own arena slice, page heap,
   // central free lists, and transfer cache.
   struct NodeBackend {
-    // `real_backing` non-null switches the node's SystemAllocator onto the
-    // shared real-memory reservation instead of a virtual arena slice.
     NodeBackend(const AllocatorConfig& config,
                 const SizeClasses* size_classes, uintptr_t base,
-                size_t bytes, PageMap* pagemap,
-                MemoryBacking* real_backing);
+                size_t bytes, PageMap* pagemap);
 
     SystemAllocator system;
     PageHeap page_heap;
@@ -319,12 +312,6 @@ class Allocator {
 
   double MmapNsTotal() const;
 
-  // Declared (and thus initialized) before config_: with
-  // config.real_memory set, the reservation is created first and config_'s
-  // arena_base/arena_bytes are rewritten to the kernel-chosen range, so
-  // everything downstream (pagemap_, node slices, NodeOfAddr) sees the
-  // real addresses. Null in virtual-arena mode.
-  std::unique_ptr<MemoryBacking> real_backing_;
   AllocatorConfig config_;
   const SizeClasses* size_classes_;
 

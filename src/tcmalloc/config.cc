@@ -326,21 +326,7 @@ std::optional<AllocatorConfig> AllocatorConfig::Builder::TryBuild(
         "WithNumaNodes(n >= 2), or use WithNumaAware() to derive the count "
         "from the machine topology"));
   }
-  // Real-memory mode combination checks: TryBuild reports, never aborts.
-  if (config_.real_memory && config_.numa_aware) {
-    return fail(BadKnob(
-        "real_memory is incompatible with numa_aware",
-        "real-memory mode manages one contiguous kernel reservation, while "
-        "NUMA mode slices the arena per node; drop WithNumaAware()/"
-        "WithNumaNodes() or run the virtual arena"));
-  }
-  if (config_.real_memory && config_.guarded_sampling) {
-    return fail(BadKnob(
-        "real_memory is incompatible with guarded_sampling",
-        "guarded sampling leaves tombstones on never-reused virtual "
-        "addresses; real memory reuses and madvises them, so drop "
-        "WithGuardedSampling() or run the virtual arena"));
-  }
+  // Real-memory combination checks: TryBuild reports, never aborts.
   if (!config_.real_memory && config_.real_memory_reserve_bytes != 0) {
     return fail(BadKnob(
         "real_memory_reserve_bytes requires real_memory",
@@ -350,9 +336,9 @@ std::optional<AllocatorConfig> AllocatorConfig::Builder::TryBuild(
   if (config_.real_memory && explicit_arena_) {
     return fail(BadKnob(
         "real_memory ignores an explicit WithArena()",
-        "the kernel chooses the reservation base in real-memory mode; drop "
-        "WithArena() (the reservation is sized to min(arena_bytes default, "
-        "64 GiB)) or run the virtual arena"));
+        "the kernel chooses the base of the real-memory reservation; drop "
+        "WithArena() (size the reservation with WithRealMemoryReserve()) "
+        "or drop WithRealMemory() to configure the simulator's arena"));
   }
 
   AllocatorConfig config = config_;

@@ -122,25 +122,23 @@ struct AllocatorConfig {
   double pressure_cache_floor_fraction = 0.25;
 
   // ---- Arena ----
-  // The arena is purely virtual (addresses, not memory), so it is sized
-  // generously: a bump allocator plus hugepage-run reuse can churn through
-  // a lot of address space, exactly like a long-lived production process.
+  // The simulated Allocator's arena is purely virtual (addresses, not
+  // memory), so it is sized generously: a bump allocator plus hugepage-run
+  // reuse can churn through a lot of address space, exactly like a
+  // long-lived production process.
   uintptr_t arena_base = uintptr_t{1} << 44;
   size_t arena_bytes = size_t{4} << 40;  // 4 TiB of virtual space
 
   // ---- Memory backing ----
-  // Real-memory mode: the allocator maps one contiguous anonymous
-  // reservation (mmap + MADV_HUGEPAGE) and the arena becomes real,
-  // dereferenceable memory — releases madvise, freelists may thread
-  // through object storage. The arena base/size above are replaced by the
-  // kernel-chosen reservation at construction. Opt in exclusively through
-  // Builder::WithRealMemory(); defaults to the deterministic virtual
-  // arena.
+  // Which allocator this config is for. Each runs on one kind of memory:
+  // the simulated Allocator on the virtual arena above (it rejects a
+  // real_memory config), RealThreadsAllocator — the malloc behind the
+  // shim — on one mmap'd MADV_HUGEPAGE reservation (it requires
+  // real_memory). Set only through Builder::WithRealMemory().
   bool real_memory = false;
-  // Size of the real-memory reservation; 0 derives it from arena_bytes
-  // (capped by the backend). The malloc shim sets this from
-  // WSC_SHIM_RESERVE_MB so OOM behavior is testable without exhausting
-  // terabytes of address space.
+  // Size of RealThreadsAllocator's reservation; 0 = its 256 GiB default.
+  // The malloc shim sets this from WSC_SHIM_RESERVE_MB so OOM behavior is
+  // testable without exhausting terabytes of address space.
   size_t real_memory_reserve_bytes = 0;
 
   CostModel costs;
@@ -226,10 +224,9 @@ class AllocatorConfig::Builder {
   Builder& WithCostModel(const CostModel& costs);
 
   // ---- Memory backing ----
-  // Back the allocator with real memory (mmap/madvise) instead of the
-  // deterministic virtual arena. The sole opt-in path for real-memory
-  // mode; incompatible with NUMA mode, guarded sampling, and an explicit
-  // WithArena() base (TryBuild explains each).
+  // Marks the config as RealThreadsAllocator's, which runs on real memory
+  // (mmap/madvise); the simulated Allocator refuses such a config.
+  // Incompatible with an explicit WithArena() base (TryBuild explains).
   Builder& WithRealMemory(bool on = true);
   // Bounds the real-memory reservation (implies nothing by itself:
   // TryBuild rejects it without WithRealMemory()).

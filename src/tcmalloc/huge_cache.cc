@@ -33,8 +33,8 @@ HugePageId HugeCache::Allocate(int n) {
       if (it != released_.end()) {
         released_.erase(it);
         --stats_.released_hugepages;
-        // Tell the backing this hugepage is in use again (real memory
-        // refaults on touch; the virtual arena clears its released mark).
+        // Tell the system allocator this hugepage is in use again (it
+        // clears its released mark).
         system_->Commit(HugePageId{i}.Addr(), kHugePageSize);
       } else {
         --stats_.cached_hugepages;

@@ -342,10 +342,9 @@ Length HugePageFiller::ReleaseSparsest(Length need) {
     ++stats_.released_hugepages;
     ++stats_.subrelease_events;
     released += t->free_pages();
-    // Hand the exact free ranges to the backing (madvise in real-memory
-    // mode). Victims are intact trackers, whose free pages are always
-    // committed, so in virtual mode confirmed == marked and the return
-    // value is unchanged by this plumbing.
+    // Hand the exact free ranges to the backing. Victims are intact
+    // trackers, whose free pages are always committed, so confirmed ==
+    // marked and the return value is unchanged by this plumbing.
     t->ForEachFreeRun([&](int offset, Length len) {
       confirmed_bytes += backing_->ReleasePageRange(t->hugepage(), offset,
                                                     len);

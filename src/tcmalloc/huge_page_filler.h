@@ -67,8 +67,8 @@ class PageTracker {
   void set_lifetime_set(int s) { lifetime_set_ = s; }
 
   // Invokes fn(offset, len) for every maximal run of contiguous free
-  // pages. Used by subrelease to hand the exact free ranges to the memory
-  // backing (madvise in real-memory mode).
+  // pages. Used by subrelease to hand the exact free ranges to the
+  // backing's release bookkeeping.
   template <typename Fn>
   void ForEachFreeRun(Fn&& fn) const {
     int run_start = -1;
@@ -140,9 +140,9 @@ class HugePageBacking {
   // whether it left THP-intact.
   virtual void PutHugePage(HugePageId hp, bool intact) = 0;
 
-  // Returns pages [offset, offset+n) of `hp` to the OS (madvise in
-  // real-memory mode). Returns the bytes the backing confirmed as *newly*
-  // released; the default (test harnesses) confirms everything.
+  // Returns pages [offset, offset+n) of `hp` to the (simulated) OS.
+  // Returns the bytes the backing confirmed as *newly* released; the
+  // default (test harnesses) confirms everything.
   virtual size_t ReleasePageRange(HugePageId hp, int offset, Length n) {
     (void)hp;
     (void)offset;

@@ -55,18 +55,6 @@ const LogHistogram& MallocExtension::GetAllocBytesHistogram() const {
   return allocator_->alloc_bytes_hist();
 }
 
-BackendKind MallocExtension::GetBackendKind() const {
-  return allocator_->backend_kind();
-}
-
-std::optional<std::string> MallocExtension::GetStringProperty(
-    std::string_view name) const {
-  if (name == "generic.backend") {
-    return std::string(BackendKindName(allocator_->backend_kind()));
-  }
-  return std::nullopt;
-}
-
 void MallocExtension::SetMemoryLimit(MemoryLimitKind kind, size_t bytes) {
   allocator_->reclaimer().SetLimit(kind, bytes);
 }

@@ -45,11 +45,6 @@ class MallocExtension {
   const LogHistogram& GetAllocCountHistogram() const;
   const LogHistogram& GetAllocBytesHistogram() const;
 
-  // ---- Backend ----
-  // Which memory backing the allocator runs on (production TCMalloc's
-  // closest analogue is the "generic.*" property namespace).
-  BackendKind GetBackendKind() const;
-
   // ---- Memory limits & release (background.h control plane) ----
   void SetMemoryLimit(MemoryLimitKind kind, size_t bytes);
   size_t GetMemoryLimit(MemoryLimitKind kind) const;
@@ -75,9 +70,6 @@ class MallocExtension {
   // (counter count, gauge value, or histogram sum), or nullopt when the
   // property does not exist.
   std::optional<double> GetProperty(std::string_view name);
-  // String-valued properties. Today: "generic.backend" ->
-  // "virtual-arena" | "real-memory". Returns nullopt for anything else.
-  std::optional<std::string> GetStringProperty(std::string_view name) const;
 
   // Escape hatch for callers that need operations the facade does not
   // cover (Allocate/Free themselves, vCPU placement).

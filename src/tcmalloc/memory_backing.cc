@@ -5,19 +5,9 @@
 #include <algorithm>
 #include <cerrno>
 
-#include "common/logging.h"
+#include "tcmalloc/pages.h"
 
 namespace wsc::tcmalloc {
-
-const char* BackendKindName(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kVirtualArena:
-      return "virtual-arena";
-    case BackendKind::kRealMemory:
-      return "real-memory";
-  }
-  return "unknown";
-}
 
 size_t ReleasedRangeSet::Add(uintptr_t addr, size_t bytes) {
   if (bytes == 0) return 0;
@@ -71,38 +61,6 @@ size_t ReleasedRangeSet::Remove(uintptr_t addr, size_t bytes) {
   return removed;
 }
 
-VirtualArenaBacking::VirtualArenaBacking(uintptr_t base, size_t bytes) {
-  WSC_CHECK(base % kHugePageSize == 0);
-  WSC_CHECK(bytes % kHugePageSize == 0);
-  WSC_CHECK_GT(bytes, 0u);
-  base_ = base;
-  reserved_bytes_ = bytes;
-  next_ = base;
-}
-
-uintptr_t VirtualArenaBacking::MapHugePages(int n) {
-  WSC_CHECK_GT(n, 0);
-  const size_t bytes = static_cast<size_t>(n) * kHugePageSize;
-  if (next_ + bytes > base_ + reserved_bytes_) return 0;
-  const uintptr_t addr = next_;
-  next_ += bytes;
-  ++stats_.map_calls;
-  stats_.mapped_bytes += bytes;
-  return addr;
-}
-
-size_t VirtualArenaBacking::Release(uintptr_t addr, size_t bytes) {
-  ++stats_.release_calls;
-  const size_t fresh = released_.Add(addr, bytes);
-  stats_.released_bytes += fresh;
-  return fresh;
-}
-
-void VirtualArenaBacking::Commit(uintptr_t addr, size_t bytes) {
-  ++stats_.commit_calls;
-  stats_.recommitted_bytes += released_.Remove(addr, bytes);
-}
-
 RealMemoryBacking::RealMemoryBacking(size_t reserve_bytes) {
   size_t want = std::max(reserve_bytes, kMinReserveBytes);
   want = (want + kHugePageSize - 1) & ~(kHugePageSize - 1);
@@ -116,7 +74,6 @@ RealMemoryBacking::RealMemoryBacking(size_t reserve_bytes) {
       raw_bytes_ = want + kHugePageSize;
       base_ = (raw_base_ + kHugePageSize - 1) & ~(kHugePageSize - 1);
       reserved_bytes_ = want;
-      next_ = base_;
 #ifdef MADV_HUGEPAGE
       // Best-effort: ask for transparent hugepages across the heap. THP
       // may be disabled system-wide; the allocator works either way.
@@ -133,18 +90,6 @@ RealMemoryBacking::~RealMemoryBacking() {
   if (raw_base_ != 0) {
     (void)munmap(reinterpret_cast<void*>(raw_base_), raw_bytes_);
   }
-}
-
-uintptr_t RealMemoryBacking::MapHugePages(int n) {
-  WSC_CHECK_GT(n, 0);
-  const size_t bytes = static_cast<size_t>(n) * kHugePageSize;
-  std::lock_guard<std::mutex> lock(mu_);
-  if (next_ + bytes > base_ + reserved_bytes_) return 0;
-  const uintptr_t addr = next_;
-  next_ += bytes;
-  ++stats_.map_calls;
-  stats_.mapped_bytes += bytes;
-  return addr;
 }
 
 size_t RealMemoryBacking::Release(uintptr_t addr, size_t bytes) {
@@ -174,7 +119,6 @@ size_t RealMemoryBacking::Release(uintptr_t addr, size_t bytes) {
 
 void RealMemoryBacking::Commit(uintptr_t addr, size_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.commit_calls;
   // No syscall: MADV_DONTNEED'd pages refault zero-filled on first touch.
   stats_.recommitted_bytes += released_.Remove(addr, bytes);
 }

@@ -13,19 +13,8 @@ constexpr int kMaxShards = 16;
 // Stack-buffer bound for batch moves; size-class batch sizes top out at 32.
 constexpr int kMaxBatch = 64;
 
-// Pops up to `want` objects from the back of `from` into `out`.
-int TakeBack(std::vector<uintptr_t>& from, uintptr_t* out, int want) {
-  int take = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(want), from.size()));
-  for (int i = 0; i < take; ++i) {
-    out[i] = from.back();
-    from.pop_back();
-  }
-  return take;
-}
-
-// Real-mode counterparts of TakeBack / insert over an intrusive freelist
-// whose link is the object's first word.
+// Pop / push over an intrusive freelist whose link is the object's first
+// word. TakeIntrusive pops up to `want` objects into `out`.
 int TakeIntrusive(uintptr_t& head, uint32_t& count, uintptr_t* out,
                   int want) {
   int take = std::min(want, static_cast<int>(count));
@@ -46,10 +35,18 @@ void PutIntrusive(uintptr_t& head, uint32_t& count, const uintptr_t* objs,
   count += static_cast<uint32_t>(n);
 }
 
-// The real-memory reservation is capped below the simulator's default
-// 4 TiB arena: virtual address space is nearly free, but the page
-// directory costs 4 bytes per 8 KiB page of reservation.
-constexpr size_t kMaxRealReserveBytes = size_t{256} << 30;  // 256 GiB
+// Default reservation. Untouched address space is nearly free, but the
+// page directory costs 4 bytes per 8 KiB page of reservation.
+constexpr size_t kDefaultReserveBytes = size_t{256} << 30;  // 256 GiB
+
+// The reservation size for `config`. A config without real_memory is the
+// simulated Allocator's, so reaching here with one is a caller bug.
+size_t ReserveBytes(const AllocatorConfig& config) {
+  WSC_CHECK(config.real_memory);
+  return config.real_memory_reserve_bytes != 0
+             ? config.real_memory_reserve_bytes
+             : kDefaultReserveBytes;
+}
 
 }  // namespace
 
@@ -59,7 +56,7 @@ RealThreadsAllocator::RealThreadsAllocator(const AllocatorConfig& config,
                                            int num_shards)
     : size_classes_(size_classes),
       num_classes_(size_classes->num_classes()),
-      real_(config.real_memory) {
+      backing_(ReserveBytes(config)) {
   num_shards_ = num_shards > 0 ? std::min(num_shards, kMaxShards)
                                : std::clamp(expected_threads, 1, kMaxShards);
 
@@ -86,35 +83,24 @@ RealThreadsAllocator::RealThreadsAllocator(const AllocatorConfig& config,
     }
   }
 
-  if (real_) {
-    size_t reserve = config.real_memory_reserve_bytes != 0
-                         ? config.real_memory_reserve_bytes
-                         : std::min(config.arena_bytes, kMaxRealReserveBytes);
-    backing_ = std::make_unique<RealMemoryBacking>(reserve);
-    WSC_CHECK(backing_->ok());
-    arena_base_ = backing_->base();
-    arena_end_ = backing_->end();
-    dir_entries_ = backing_->reserved_bytes() >> kPageShift;
-    dir_ = reinterpret_cast<std::atomic<uint32_t>*>(
-        RealMemoryBacking::MapMetadata(dir_entries_ * sizeof(uint32_t)));
-    WSC_CHECK(dir_ != nullptr);
-    static_assert(sizeof(LargeRange) <= kPageSize,
-                  "large-range header must fit in its own first page");
-    // The object's first word doubles as the freelist link, so every
-    // class must hold one.
-    WSC_CHECK_GE(size_classes_->class_size(0), sizeof(uintptr_t));
-  } else {
-    arena_base_ = config.arena_base;
-    arena_end_ = config.arena_base + config.arena_bytes;
-  }
+  WSC_CHECK(backing_.ok());
+  arena_base_ = backing_.base();
+  arena_end_ = backing_.end();
   arena_next_.store(arena_base_, std::memory_order_relaxed);
+  dir_entries_ = backing_.reserved_bytes() >> kPageShift;
+  dir_ = reinterpret_cast<std::atomic<uint32_t>*>(
+      RealMemoryBacking::MapMetadata(dir_entries_ * sizeof(uint32_t)));
+  WSC_CHECK(dir_ != nullptr);
+  static_assert(sizeof(LargeRange) <= kPageSize,
+                "large-range header must fit in its own first page");
+  // The object's first word doubles as the freelist link, so every class
+  // must hold one.
+  WSC_CHECK_GE(size_classes_->class_size(0), sizeof(uintptr_t));
 }
 
 RealThreadsAllocator::~RealThreadsAllocator() {
-  if (dir_ != nullptr) {
-    RealMemoryBacking::UnmapMetadata(reinterpret_cast<uintptr_t>(dir_),
-                                     dir_entries_ * sizeof(uint32_t));
-  }
+  RealMemoryBacking::UnmapMetadata(reinterpret_cast<uintptr_t>(dir_),
+                                   dir_entries_ * sizeof(uint32_t));
 }
 
 RealThreadCache* RealThreadsAllocator::RegisterThread() {
@@ -140,18 +126,10 @@ void RealThreadsAllocator::FlushThreadCache(RealThreadCache* tc) {
   uintptr_t buf[kMaxBatch];
   for (int cls = 0; cls < num_classes_; ++cls) {
     RealThreadCache::ClassList& list = tc->lists[cls];
-    if (real_) {
-      while (list.count > 0) {
-        int moved = TakeIntrusive(list.head, list.count, buf, kMaxBatch);
-        ReturnToCfl(cls, tc->shard, buf, moved);
-      }
-      continue;
+    while (list.count > 0) {
+      int moved = TakeIntrusive(list.head, list.count, buf, kMaxBatch);
+      ReturnToCfl(cls, tc->shard, buf, moved);
     }
-    std::vector<uintptr_t>& slots = list.slots;
-    if (slots.empty()) continue;
-    ReturnToCfl(cls, tc->shard, slots.data(),
-                static_cast<int>(slots.size()));
-    slots.clear();
   }
 }
 
@@ -164,8 +142,7 @@ uintptr_t RealThreadsAllocator::SlowAllocate(RealThreadCache* tc, int cls) {
   TransferShard& ts = transfer_shard(cls, tc->shard);
   ts.lock.Lock();
   ++ts.removes;
-  int got = real_ ? TakeIntrusive(ts.head, ts.count, buf, batch)
-                  : TakeBack(ts.objects, buf, batch);
+  int got = TakeIntrusive(ts.head, ts.count, buf, batch);
   ts.removed_objects += static_cast<uint64_t>(got);
   if (got == 0) ++ts.remove_misses;
   ts.lock.Unlock();
@@ -173,23 +150,12 @@ uintptr_t RealThreadsAllocator::SlowAllocate(RealThreadCache* tc, int cls) {
   if (got < batch) {
     got += RefillFromCfl(cls, tc->shard, buf + got, batch - got);
   }
-  if (got == 0) {
-    // Only the real backing can run dry; the virtual arena CHECKs in
-    // CarveSpan long before.
-    WSC_CHECK(real_);
-    return 0;
-  }
+  if (got == 0) return 0;  // reservation exhausted
 
   // Keep one, cache the rest. The slow path only runs when the list is
   // empty and caps are >= two batches, so the remainder always fits.
   RealThreadCache::ClassList& list = tc->lists[cls];
-  if (real_) {
-    PutIntrusive(list.head, list.count, buf + 1, got - 1);
-  } else {
-    WSC_DCHECK_LE(static_cast<size_t>(got - 1),
-                  list.cap - list.slots.size());
-    list.slots.insert(list.slots.end(), buf + 1, buf + got);
-  }
+  PutIntrusive(list.head, list.count, buf + 1, got - 1);
   return buf[0];
 }
 
@@ -201,20 +167,14 @@ void RealThreadsAllocator::SlowFree(RealThreadCache* tc, int cls,
   const int batch = size_classes_->batch_size(cls);
   uintptr_t buf[kMaxBatch];
   RealThreadCache::ClassList& list = tc->lists[cls];
-  int moved = real_ ? TakeIntrusive(list.head, list.count, buf, batch)
-                    : TakeBack(list.slots, buf, batch);
+  int moved = TakeIntrusive(list.head, list.count, buf, batch);
 
   TransferShard& ts = transfer_shard(cls, tc->shard);
   ts.lock.Lock();
   ++ts.inserts;
-  int room = static_cast<int>(ts.capacity) -
-             static_cast<int>(real_ ? ts.count : ts.objects.size());
+  int room = static_cast<int>(ts.capacity) - static_cast<int>(ts.count);
   int put = std::clamp(room, 0, moved);
-  if (real_) {
-    PutIntrusive(ts.head, ts.count, buf, put);
-  } else {
-    ts.objects.insert(ts.objects.end(), buf, buf + put);
-  }
+  PutIntrusive(ts.head, ts.count, buf, put);
   ts.inserted_objects += static_cast<uint64_t>(put);
   if (put < moved) ++ts.insert_overflows;
   ts.lock.Unlock();
@@ -222,11 +182,7 @@ void RealThreadsAllocator::SlowFree(RealThreadCache* tc, int cls,
   if (put < moved) {
     ReturnToCfl(cls, tc->shard, buf + put, moved - put);
   }
-  if (real_) {
-    PutIntrusive(list.head, list.count, &obj, 1);
-  } else {
-    list.slots.push_back(obj);
-  }
+  PutIntrusive(list.head, list.count, &obj, 1);
 }
 
 int RealThreadsAllocator::RefillFromCfl(int cls, int shard, uintptr_t* out,
@@ -235,8 +191,7 @@ int RealThreadsAllocator::RefillFromCfl(int cls, int shard, uintptr_t* out,
   CflShard& home = cfl_shard(cls, shard);
   home.lock.Lock();
   ++home.refills;
-  int got = real_ ? TakeIntrusive(home.head, home.count, out, want)
-                  : TakeBack(home.free_objects, out, want);
+  int got = TakeIntrusive(home.head, home.count, out, want);
   if (got < want) {
     ++home.refill_stalls;
     // Work-steal from sibling shards before carving fresh address space:
@@ -250,7 +205,7 @@ int RealThreadsAllocator::RefillFromCfl(int cls, int shard, uintptr_t* out,
       CflShard& victim = cfl_shard(cls, (shard + probe) % num_shards_);
       ++home.steal_probes;
       if (!victim.lock.TryLock()) continue;
-      size_t avail = real_ ? victim.count : victim.free_objects.size();
+      size_t avail = victim.count;
       if (avail > 0) {
         // Take what the batch still needs plus half the surplus, so one
         // steal rebalances the pair instead of ping-ponging per object.
@@ -260,28 +215,19 @@ int RealThreadsAllocator::RefillFromCfl(int cls, int shard, uintptr_t* out,
         home.stolen_objects += take;
         for (size_t i = 0; i < take; ++i) {
           uintptr_t obj = 0;
-          if (real_) {
-            TakeIntrusive(victim.head, victim.count, &obj, 1);
-          } else {
-            obj = victim.free_objects.back();
-            victim.free_objects.pop_back();
-          }
+          TakeIntrusive(victim.head, victim.count, &obj, 1);
           if (got < want) {
             out[got++] = obj;
-          } else if (real_) {
-            PutIntrusive(home.head, home.count, &obj, 1);
           } else {
-            home.free_objects.push_back(obj);
+            PutIntrusive(home.head, home.count, &obj, 1);
           }
         }
       }
       victim.lock.Unlock();
     }
     while (got < want) {
-      if (!CarveSpan(cls, home)) break;  // real-memory reservation dry
-      got += real_
-                 ? TakeIntrusive(home.head, home.count, out + got, want - got)
-                 : TakeBack(home.free_objects, out + got, want - got);
+      if (!CarveSpan(cls, home)) break;  // reservation exhausted
+      got += TakeIntrusive(home.head, home.count, out + got, want - got);
     }
   }
   home.lock.Unlock();
@@ -293,11 +239,7 @@ void RealThreadsAllocator::ReturnToCfl(int cls, int shard,
   WSC_PROF_SCOPE("rt/ReturnToCfl");
   CflShard& home = cfl_shard(cls, shard);
   home.lock.Lock();
-  if (real_) {
-    PutIntrusive(home.head, home.count, objs, count);
-  } else {
-    home.free_objects.insert(home.free_objects.end(), objs, objs + count);
-  }
+  PutIntrusive(home.head, home.count, objs, count);
   home.lock.Unlock();
 }
 
@@ -305,80 +247,33 @@ bool RealThreadsAllocator::CarveSpan(int cls, CflShard& shard) {
   WSC_PROF_SCOPE("rt/CarveSpan");
   const SizeClassInfo& info = size_classes_->info(cls);
   size_t span_bytes = LengthToBytes(info.pages_per_span);
-  uintptr_t base;
-  if (real_) {
-    // CAS loop instead of fetch_add so a failed carve does not advance
-    // the bump pointer past the reservation.
-    base = arena_next_.load(std::memory_order_relaxed);
-    do {
-      if (base + span_bytes > arena_end_) return false;
-    } while (!arena_next_.compare_exchange_weak(base, base + span_bytes,
-                                                std::memory_order_relaxed));
-    // Publish the size class for every page of the span before the
-    // objects escape via the shard lock, so FreeAddr/UsableSize on any
-    // thread that legitimately receives an object sees the entry.
-    for (size_t p = 0; p < static_cast<size_t>(info.pages_per_span); ++p) {
-      dir_entry(base + (p << kPageShift))
-          .store(static_cast<uint32_t>(cls) + 1, std::memory_order_relaxed);
-    }
-  } else {
-    base = arena_next_.fetch_add(span_bytes, std::memory_order_relaxed);
-    WSC_CHECK_LE(base + span_bytes, arena_end_);
+  // CAS loop instead of fetch_add so a failed carve does not advance the
+  // bump pointer past the reservation.
+  uintptr_t base = arena_next_.load(std::memory_order_relaxed);
+  do {
+    if (base + span_bytes > arena_end_) return false;
+  } while (!arena_next_.compare_exchange_weak(base, base + span_bytes,
+                                              std::memory_order_relaxed));
+  // Publish the size class for every page of the span before the objects
+  // escape via the shard lock, so FreeAddr/UsableSize on any thread that
+  // legitimately receives an object sees the entry.
+  for (size_t p = 0; p < static_cast<size_t>(info.pages_per_span); ++p) {
+    dir_entry(base + (p << kPageShift))
+        .store(static_cast<uint32_t>(cls) + 1, std::memory_order_relaxed);
   }
   small_carved_bytes_.fetch_add(span_bytes, std::memory_order_relaxed);
   ++shard.carves;
   shard.carved_objects += static_cast<uint64_t>(info.objects_per_span);
-  if (real_) {
-    // Push in reverse so pops hand out ascending addresses, matching the
-    // virtual mode's TakeBack order.
-    for (int i = info.objects_per_span - 1; i >= 0; --i) {
-      uintptr_t obj = base + static_cast<size_t>(i) * info.size;
-      PutIntrusive(shard.head, shard.count, &obj, 1);
-    }
-  } else {
-    for (int i = 0; i < info.objects_per_span; ++i) {
-      shard.free_objects.push_back(base + static_cast<size_t>(i) * info.size);
-    }
+  // Push in reverse so pops hand out ascending addresses.
+  for (int i = info.objects_per_span - 1; i >= 0; --i) {
+    uintptr_t obj = base + static_cast<size_t>(i) * info.size;
+    PutIntrusive(shard.head, shard.count, &obj, 1);
   }
   return true;
 }
 
 uintptr_t RealThreadsAllocator::AllocateLarge(RealThreadCache* tc,
-                                              size_t size) {
-  if (real_) return AllocateLargeReal(tc, size, kPageSize);
-  ++tc->allocations;
-  ++tc->large_allocations;
-  size_t bytes = LengthToBytes(BytesToLengthCeil(size));
-  uintptr_t addr = arena_next_.fetch_add(bytes, std::memory_order_relaxed);
-  WSC_CHECK_LE(addr + bytes, arena_end_);
-  large_live_bytes_.fetch_add(static_cast<int64_t>(bytes),
-                              std::memory_order_relaxed);
-  large_carves_.fetch_add(1, std::memory_order_relaxed);
-  tc->live_bytes += static_cast<int64_t>(bytes);
-  return addr;
-}
-
-void RealThreadsAllocator::FreeLarge(RealThreadCache* tc, uintptr_t addr,
-                                     size_t size) {
-  if (real_) {
-    // Trust the directory over the sized hint: an aligned allocation may
-    // have carved more pages than the request implies.
-    uint32_t entry = dir_entry(addr).load(std::memory_order_relaxed);
-    WSC_CHECK(entry & kDirLargeFlag);
-    FreeLargeReal(tc, addr, entry & ~kDirLargeFlag);
-    return;
-  }
-  (void)addr;
-  ++tc->frees;
-  ++tc->large_frees;
-  size_t bytes = LengthToBytes(BytesToLengthCeil(size));
-  large_live_bytes_.fetch_sub(static_cast<int64_t>(bytes),
-                              std::memory_order_relaxed);
-  tc->live_bytes -= static_cast<int64_t>(bytes);
-}
-
-uintptr_t RealThreadsAllocator::AllocateLargeReal(RealThreadCache* tc,
-                                                  size_t size, size_t align) {
+                                              size_t size, size_t align) {
   WSC_DCHECK((align & (align - 1)) == 0 && align >= kPageSize);
   size_t pages = static_cast<size_t>(BytesToLengthCeil(size));
   size_t bytes = pages << kPageShift;
@@ -401,7 +296,7 @@ uintptr_t RealThreadsAllocator::AllocateLargeReal(RealThreadCache* tc,
           if (released) {
             // The tail's new header page was madvised away; re-commit it
             // (bookkeeping only — the write below refaults it).
-            backing_->Commit(tail, kPageSize);
+            backing_.Commit(tail, kPageSize);
           }
           LargeRange* tail_range = reinterpret_cast<LargeRange*>(tail);
           tail_range->next = next;
@@ -413,7 +308,7 @@ uintptr_t RealThreadsAllocator::AllocateLargeReal(RealThreadCache* tc,
         }
         large_free_pages_.fetch_sub(pages, std::memory_order_relaxed);
         if (released) {
-          backing_->Commit(cur, bytes);
+          backing_.Commit(cur, bytes);
         } else {
           large_unreleased_pages_.fetch_sub(pages,
                                             std::memory_order_relaxed);
@@ -448,8 +343,10 @@ uintptr_t RealThreadsAllocator::AllocateLargeReal(RealThreadCache* tc,
   return addr;
 }
 
-void RealThreadsAllocator::FreeLargeReal(RealThreadCache* tc, uintptr_t addr,
-                                         size_t pages) {
+void RealThreadsAllocator::FreeLarge(RealThreadCache* tc, uintptr_t addr) {
+  uint32_t entry = dir_entry(addr).load(std::memory_order_relaxed);
+  WSC_CHECK(entry & kDirLargeFlag);
+  size_t pages = entry & ~kDirLargeFlag;
   size_t bytes = pages << kPageShift;
   dir_entry(addr).store(0, std::memory_order_relaxed);
   ++tc->frees;
@@ -482,8 +379,8 @@ size_t RealThreadsAllocator::ReleasePendingLocked(size_t want_bytes) {
     if (!range->released && range->pages > 1) {
       // Keep the header page resident — it holds the list node — and
       // return the tail to the OS.
-      confirmed += backing_->Release(cur + kPageSize,
-                                     (range->pages - 1) << kPageShift);
+      confirmed += backing_.Release(cur + kPageSize,
+                                    (range->pages - 1) << kPageShift);
       range->released = true;
       large_unreleased_pages_.fetch_sub(range->pages,
                                         std::memory_order_relaxed);
@@ -494,7 +391,6 @@ size_t RealThreadsAllocator::ReleasePendingLocked(size_t want_bytes) {
 }
 
 size_t RealThreadsAllocator::ReleaseMemoryToSystem(size_t bytes) {
-  if (!real_) return 0;
   std::lock_guard<std::mutex> guard(large_mu_);
   return ReleasePendingLocked(bytes);
 }
@@ -508,11 +404,11 @@ void RealThreadsAllocator::ForkPrepare() {
   large_mu_.lock();
   for (size_t i = 0; i < grid_size_; ++i) transfer_[i].lock.Lock();
   for (size_t i = 0; i < grid_size_; ++i) cfl_[i].lock.Lock();
-  if (backing_ != nullptr) backing_->ForkLock();
+  backing_.ForkLock();
 }
 
 void RealThreadsAllocator::ForkRelease() {
-  if (backing_ != nullptr) backing_->ForkUnlock();
+  backing_.ForkUnlock();
   for (size_t i = 0; i < grid_size_; ++i) cfl_[i].lock.Unlock();
   for (size_t i = 0; i < grid_size_; ++i) transfer_[i].lock.Unlock();
   large_mu_.unlock();
@@ -520,13 +416,12 @@ void RealThreadsAllocator::ForkRelease() {
 }
 
 void RealThreadsAllocator::FreeAddr(RealThreadCache* tc, uintptr_t addr) {
-  WSC_CHECK(real_);
   uint32_t entry = dir_entry(addr).load(std::memory_order_relaxed);
   if (entry == 0) return;  // unknown page: stale/foreign pointer, ignore
   if (entry & kDirLargeFlag) {
     // Only the exact range start is a valid large pointer.
     WSC_CHECK_EQ(addr & (kPageSize - 1), uintptr_t{0});
-    FreeLargeReal(tc, addr, entry & ~kDirLargeFlag);
+    FreeLarge(tc, addr);
     return;
   }
   FreeClass(tc, static_cast<int>(entry) - 1, addr);
@@ -545,7 +440,6 @@ size_t RealThreadsAllocator::UsableSize(uintptr_t addr) const {
 
 uintptr_t RealThreadsAllocator::AllocateAligned(RealThreadCache* tc,
                                                 size_t size, size_t align) {
-  WSC_CHECK(real_);
   WSC_CHECK((align & (align - 1)) == 0 && align > 0);
   if (size == 0) size = 1;
   if (align <= sizeof(void*)) {
@@ -565,19 +459,16 @@ uintptr_t RealThreadsAllocator::AllocateAligned(RealThreadCache* tc,
       if (cls < num_classes_) return AllocateClass(tc, cls);
     }
   }
-  return AllocateLargeReal(tc, size, std::max(align, kPageSize));
+  return AllocateLarge(tc, size, std::max(align, kPageSize));
 }
 
 size_t RealThreadsAllocator::FootprintBytes() const {
   int64_t large = large_live_bytes_.load(std::memory_order_relaxed);
-  size_t fp = small_carved_bytes_.load(std::memory_order_relaxed) +
-              static_cast<size_t>(std::max<int64_t>(0, large));
-  if (real_) {
-    // Pending large ranges are freed but still resident until released.
-    fp += large_unreleased_pages_.load(std::memory_order_relaxed)
-          << kPageShift;
-  }
-  return fp;
+  // Pending large ranges are freed but still resident until released.
+  return small_carved_bytes_.load(std::memory_order_relaxed) +
+         static_cast<size_t>(std::max<int64_t>(0, large)) +
+         (large_unreleased_pages_.load(std::memory_order_relaxed)
+          << kPageShift);
 }
 
 telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
@@ -605,9 +496,7 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
       large_frees += tc->large_frees;
       live_bytes += tc->live_bytes;
       for (int cls = 0; cls < num_classes_; ++cls) {
-        // One of slots/count is populated per mode; summing both covers
-        // either.
-        size_t n = tc->lists[cls].slots.size() + tc->lists[cls].count;
+        size_t n = tc->lists[cls].count;
         thread_cached_objects += n;
         thread_cached_bytes +=
             static_cast<double>(n) *
@@ -632,7 +521,7 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
     transfer_removes += ts.removes;
     transfer_removed += ts.removed_objects;
     transfer_misses += ts.remove_misses;
-    transfer_cached += ts.objects.size() + ts.count;
+    transfer_cached += ts.count;
   }
   uint64_t cfl_acq = 0, cfl_contended = 0;
   uint64_t refills = 0, refill_stalls = 0;
@@ -650,7 +539,7 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
     steal_probes += cs.steal_probes;
     carves += cs.carves;
     carved_objects += cs.carved_objects;
-    cfl_free += cs.free_objects.size() + cs.count;
+    cfl_free += cs.count;
   }
 
   telemetry::MetricRegistry registry;
@@ -720,22 +609,17 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
                          carves + large_carves_.load(
                                       std::memory_order_relaxed));
 
-  // Real-memory-only extras: backing release/commit traffic and the
-  // pending large pool. Exported only in real mode so virtual-mode
-  // snapshots stay byte-identical with the pre-backing builds.
-  if (real_) {
-    const MemoryBackingStats& bs = backing_->stats();
-    registry.ExportCounter("system", "release_calls", bs.release_calls);
-    registry.ExportCounter("system", "released_bytes", bs.released_bytes);
-    registry.ExportCounter("system", "recommitted_bytes",
-                           bs.recommitted_bytes);
-    registry.ExportGauge("system", "reserved_bytes",
-                         static_cast<double>(backing_->reserved_bytes()));
-    registry.ExportGauge(
-        "allocator", "large_pending_bytes",
-        static_cast<double>(
-            large_free_pages_.load(std::memory_order_relaxed) << kPageShift));
-  }
+  // Backing release/commit traffic and the pending large pool.
+  const MemoryBackingStats& bs = backing_.stats();
+  registry.ExportCounter("system", "release_calls", bs.release_calls);
+  registry.ExportCounter("system", "released_bytes", bs.released_bytes);
+  registry.ExportCounter("system", "recommitted_bytes", bs.recommitted_bytes);
+  registry.ExportGauge("system", "reserved_bytes",
+                       static_cast<double>(backing_.reserved_bytes()));
+  registry.ExportGauge(
+      "allocator", "large_pending_bytes",
+      static_cast<double>(large_free_pages_.load(std::memory_order_relaxed)
+                          << kPageShift));
   return registry.TakeSnapshot();
 }
 

@@ -1,13 +1,13 @@
-// Real-threads execution mode (--exec=real-threads).
+// The real-threads allocator: the malloc behind libwscmalloc.so.
 //
 // The simulator's Allocator models concurrency with discrete-event virtual
-// threads so every result is bit-identical; this file is the other half of
-// the story: a real allocator front/middle end that OS threads hammer
-// concurrently, so contention, cache-line traffic, and refill scalability
-// are measured instead of modeled. It shares the size-class table and
-// AllocatorConfig with the simulator but deliberately does NOT touch the
-// simulated Allocator — the deterministic oracle stays byte-for-byte
-// untouched (tools/check_determinism.sh enforces this).
+// threads on a virtual arena so every result is bit-identical; this file is
+// the other half of the story: a real allocator that OS threads hammer
+// concurrently on real memory, so contention, cache-line traffic, and
+// refill scalability are measured instead of modeled. It shares the
+// size-class table and AllocatorConfig with the simulator but deliberately
+// does NOT touch the simulated Allocator — the deterministic oracle stays
+// byte-for-byte untouched (tools/check_determinism.sh enforces this).
 //
 // Design, shaped by two results from the literature (see DESIGN.md):
 //
@@ -22,31 +22,25 @@
 //    lock and scaling stays flat. Here BOTH the transfer cache and the
 //    CFL-equivalent free store are sharded by (size class x shard), a
 //    miss on the home shard work-steals from sibling shards before
-//    carving fresh address space, and the final carve is a single
-//    atomic fetch_add on the arena bump pointer — there is no global
-//    lock anywhere on the refill path.
+//    carving fresh address space, and the final carve is a lock-free
+//    CAS on the arena bump pointer — there is no global lock anywhere
+//    on the refill path.
 //
 //  * Every hot per-thread / per-shard structure is alignas(64) so two
 //    threads' hot state never share a cache line; static_asserts below
 //    (duplicated in tools/check_alignment.cc, compiled by CI) pin the
 //    layout.
 //
-// Memory: two backings behind one seam (tcmalloc/memory_backing.h).
-//
-//  * Virtual (default): addresses come from a private range and are never
-//    dereferenced, so a 4 TiB heap costs nothing and ASan/TSan see only
-//    the allocator's own bookkeeping — which is precisely what the tests
-//    need to race-check. Freelists are side-table vectors.
-//
-//  * Real (AllocatorConfig::Builder::WithRealMemory()): one contiguous
-//    MAP_NORESERVE reservation, hinted MADV_HUGEPAGE. Freelists thread
-//    through the objects themselves (the link is the object's first
-//    word), a per-page atomic directory recovers size classes for the
-//    malloc shim's unsized free/usable_size, freed large ranges keep
-//    their bookkeeping in their own first page, and
-//    ReleaseMemoryToSystem() madvises pending large ranges back to the
-//    OS. Exhaustion returns 0 (the shim turns that into ENOMEM) instead
-//    of the virtual mode's CHECK.
+// Memory: one contiguous MAP_NORESERVE reservation (RealMemoryBacking in
+// tcmalloc/memory_backing.h), hinted MADV_HUGEPAGE. It costs nothing until
+// touched, so tests and sanitizer runs use the same memory as the shim.
+// Freelists thread through the objects themselves (the link is the
+// object's first word), a per-page atomic directory recovers size classes
+// for the malloc shim's unsized free/usable_size, freed large ranges keep
+// their bookkeeping in their own first page, and ReleaseMemoryToSystem()
+// madvises pending large ranges back to the OS. Exhaustion returns 0 (the
+// shim turns that into ENOMEM). The config must be built with
+// AllocatorConfig::Builder::WithRealMemory().
 //
 // Telemetry: TelemetrySnapshot() exports "allocator", "thread_cache", and
 // "contention" components (per-shard lock acquisitions, contended
@@ -132,9 +126,8 @@ class ContendedLock {
 struct alignas(kCacheLineSize) TransferShard {
   ContendedLock lock;
   uint32_t capacity = 0;  // max cached objects; set at construction
-  std::vector<uintptr_t> objects;  // virtual mode
-  // Real mode: intrusive freelist threaded through object storage (the
-  // link is the object's first word). `objects` stays empty.
+  // Intrusive freelist threaded through object storage (the link is the
+  // object's first word).
   uintptr_t head = 0;
   uint32_t count = 0;
 
@@ -153,8 +146,7 @@ struct alignas(kCacheLineSize) TransferShard {
 // locks are held).
 struct alignas(kCacheLineSize) CflShard {
   ContendedLock lock;
-  std::vector<uintptr_t> free_objects;  // virtual mode
-  // Real mode: intrusive freelist (see TransferShard).
+  // Intrusive freelist (see TransferShard).
   uintptr_t head = 0;
   uint32_t count = 0;
 
@@ -174,8 +166,7 @@ struct alignas(kCacheLineSize) CflShard {
 class alignas(kCacheLineSize) RealThreadCache {
  public:
   struct ClassList {
-    std::vector<uintptr_t> slots;  // virtual mode
-    // Real mode: intrusive freelist threaded through the cached objects.
+    // Intrusive freelist threaded through the cached objects.
     uintptr_t head = 0;
     uint32_t count = 0;
     uint32_t cap = 0;  // per-class object cap (size_classes max_per_cpu)
@@ -201,9 +192,7 @@ class alignas(kCacheLineSize) RealThreadCache {
 
   size_t CachedObjects() const {
     size_t n = 0;
-    // Exactly one of slots / count is populated per mode, so summing both
-    // is correct in either.
-    for (const ClassList& list : lists) n += list.slots.size() + list.count;
+    for (const ClassList& list : lists) n += list.count;
     return n;
   }
 };
@@ -211,6 +200,7 @@ class alignas(kCacheLineSize) RealThreadCache {
 // The real-threads allocator: one shared instance, N OS threads.
 //
 // Usage:
+//   auto config = AllocatorConfig::Builder().WithRealMemory().Build();
 //   RealThreadsAllocator alloc(config, /*expected_threads=*/8);
 //   // per thread:
 //   RealThreadCache* tc = alloc.RegisterThread();
@@ -219,16 +209,15 @@ class alignas(kCacheLineSize) RealThreadCache {
 //   // after joining all threads:
 //   telemetry::Snapshot snap = alloc.TelemetrySnapshot();
 //
-// Frees are sized (the caller passes the request size back, as with
-// C++ sized-delete) so the free path needs no pagemap lookup; the
-// simulator's pagemap already models that cost and re-modeling it here
-// would add a global radix tree to an otherwise sharded design.
+// Sized frees (the caller passes the request size back, as with C++
+// sized-delete) find a small object's class without touching the page
+// directory; FreeAddr() serves callers that only have the pointer.
 class RealThreadsAllocator {
  public:
-  // `expected_threads` sizes the shard count (min(expected, kMaxShards),
-  // overridable via `num_shards` for tests). More shards than threads
-  // buys nothing; fewer concentrates contention — which the telemetry
-  // then shows.
+  // `config` must have real_memory set (CHECKed). `expected_threads`
+  // sizes the shard count (min(expected, kMaxShards), overridable via
+  // `num_shards` for tests). More shards than threads buys nothing; fewer
+  // concentrates contention — which the telemetry then shows.
   explicit RealThreadsAllocator(
       const AllocatorConfig& config, int expected_threads,
       const SizeClasses* size_classes = &SizeClasses::Default(),
@@ -250,9 +239,8 @@ class RealThreadsAllocator {
   void FlushThreadCache(RealThreadCache* tc);
 
   // Lock-free on the fast path: per-thread list hit costs a LUT load and
-  // a pop (pop_back in virtual mode, one pointer chase in real mode).
-  // `size` must be > 0. Real mode returns 0 on arena exhaustion; the
-  // virtual arena CHECKs instead, so virtual callers never see 0.
+  // one pointer chase. `size` must be > 0. Returns 0 when the reservation
+  // is exhausted.
   uintptr_t Allocate(RealThreadCache* tc, size_t size) {
     WSC_PROF_SCOPE("rt/Allocate");
     WSC_DCHECK_GT(size, size_t{0});
@@ -269,25 +257,18 @@ class RealThreadsAllocator {
     ++tc->allocations;
     tc->live_bytes += static_cast<int64_t>(size_classes_->class_size(cls));
     RealThreadCache::ClassList& list = tc->lists[cls];
-    if (real_) {
-      if (list.head != 0) {
-        ++tc->fast_alloc_hits;
-        uintptr_t obj = list.head;
-        list.head = *reinterpret_cast<uintptr_t*>(obj);
-        --list.count;
-        return obj;
-      }
-    } else if (!list.slots.empty()) {
+    if (list.head != 0) {
       ++tc->fast_alloc_hits;
-      uintptr_t obj = list.slots.back();
-      list.slots.pop_back();
+      uintptr_t obj = list.head;
+      list.head = *reinterpret_cast<uintptr_t*>(obj);
+      --list.count;
       return obj;
     }
     ++tc->underflows;
     uintptr_t obj = SlowAllocate(tc, cls);
     if (obj == 0) {
-      // Real-memory exhaustion: undo the optimistic accounting so the
-      // caller can fail the allocation cleanly (ENOMEM in the shim).
+      // Exhaustion: undo the optimistic accounting so the caller can fail
+      // the allocation cleanly (ENOMEM in the shim).
       --tc->allocations;
       --tc->underflows;
       tc->live_bytes -= static_cast<int64_t>(size_classes_->class_size(cls));
@@ -298,7 +279,7 @@ class RealThreadsAllocator {
   // Sized free; `size` must match the Allocate request. Cross-thread
   // frees are the norm (the bench hands objects between threads): the
   // object lands in the FREEING thread's cache, exactly like production
-  // TCMalloc.
+  // TCMalloc. A large block's length comes from the page directory.
   void Free(RealThreadCache* tc, uintptr_t addr, size_t size) {
     WSC_PROF_SCOPE("rt/Free");
     int cls = size_classes_->ClassFor(size);
@@ -306,7 +287,7 @@ class RealThreadsAllocator {
       FreeClass(tc, cls, addr);
       return;
     }
-    FreeLarge(tc, addr, size);
+    FreeLarge(tc, addr);
   }
 
   // The small-object free fast path with the class already known.
@@ -314,41 +295,35 @@ class RealThreadsAllocator {
     ++tc->frees;
     tc->live_bytes -= static_cast<int64_t>(size_classes_->class_size(cls));
     RealThreadCache::ClassList& list = tc->lists[cls];
-    if (real_) {
-      if (list.count < list.cap) {
-        ++tc->fast_free_hits;
-        *reinterpret_cast<uintptr_t*>(addr) = list.head;
-        list.head = addr;
-        ++list.count;
-        return;
-      }
-    } else if (list.slots.size() < list.cap) {
+    if (list.count < list.cap) {
       ++tc->fast_free_hits;
-      list.slots.push_back(addr);
+      *reinterpret_cast<uintptr_t*>(addr) = list.head;
+      list.head = addr;
+      ++list.count;
       return;
     }
     ++tc->overflows;
     SlowFree(tc, cls, addr);
   }
 
-  // ---- Real-memory mode API (the malloc shim's contract) ----
+  // ---- The malloc shim's contract ----
 
   // Unsized free: the page directory recovers the size class (or large
   // range length) from the address alone. Unknown addresses inside the
   // reservation are ignored (defensive: a double free of a large range
   // whose directory entry was already cleared must not corrupt the
-  // allocator). Real mode only.
+  // allocator).
   void FreeAddr(RealThreadCache* tc, uintptr_t addr);
 
   // malloc_usable_size: the full capacity of the block `addr` points at,
   // or 0 when the address is not a live allocation of this allocator.
   size_t UsableSize(uintptr_t addr) const;
 
-  // Whether `addr` falls inside this allocator's reservation (real mode;
-  // always false in virtual mode). An Owns() address may still be unknown
-  // to the directory — pair with UsableSize() for liveness.
+  // Whether `addr` falls inside this allocator's reservation. An Owns()
+  // address may still be unknown to the directory — pair with
+  // UsableSize() for liveness.
   bool Owns(uintptr_t addr) const {
-    return real_ && addr >= arena_base_ && addr < arena_end_;
+    return addr >= arena_base_ && addr < arena_end_;
   }
 
   // Aligned allocation (posix_memalign / aligned_alloc). `align` must be
@@ -356,20 +331,13 @@ class RealThreadsAllocator {
   // class whose size is a multiple of `align` (spans are page-aligned, so
   // every object of such a class is aligned for align <= page size);
   // everything else takes an aligned large carve. Returns 0 on
-  // exhaustion. Real mode only.
+  // exhaustion.
   uintptr_t AllocateAligned(RealThreadCache* tc, size_t size, size_t align);
 
   // madvises up to `bytes` of pending (freed, not yet released) large
   // ranges back to the OS; returns the bytes newly released as confirmed
-  // by the backing. Virtual mode returns 0.
+  // by the backing.
   size_t ReleaseMemoryToSystem(size_t bytes);
-
-  BackendKind backend_kind() const {
-    return real_ ? BackendKind::kRealMemory : BackendKind::kVirtualArena;
-  }
-  // The real backing (null in virtual mode); exposes reservation bounds
-  // and release/commit stats.
-  const MemoryBacking* backing() const { return backing_.get(); }
 
   // Pending large bytes above this watermark trigger an eager release on
   // the free path; 0 disables eager release. Set before worker threads
@@ -394,10 +362,9 @@ class RealThreadsAllocator {
     return arena_next_.load(std::memory_order_relaxed) - arena_base_;
   }
 
-  // Bytes held from the "OS": small-object spans ever carved (spans are
-  // never returned, like a cache-everything TCMalloc) plus live large
-  // objects (freed large ranges are returned to the virtual OS
-  // immediately). Quiescent.
+  // Bytes held from the OS: small-object spans ever carved (spans are
+  // never returned, like a cache-everything TCMalloc), live large objects,
+  // and freed large ranges not yet released. Quiescent.
   size_t FootprintBytes() const;
 
   // Quiescent: call only after all worker threads joined (the join is the
@@ -414,24 +381,23 @@ class RealThreadsAllocator {
 
   uintptr_t SlowAllocate(RealThreadCache* tc, int cls);
   void SlowFree(RealThreadCache* tc, int cls, uintptr_t obj);
-  uintptr_t AllocateLarge(RealThreadCache* tc, size_t size);
-  void FreeLarge(RealThreadCache* tc, uintptr_t addr, size_t size);
 
-  // Real-mode large path: first-fit over the pending (freed) range list,
-  // else an aligned bump carve. `align` >= kPageSize, power of two.
-  // Returns 0 on exhaustion.
-  uintptr_t AllocateLargeReal(RealThreadCache* tc, size_t size,
-                              size_t align);
-  void FreeLargeReal(RealThreadCache* tc, uintptr_t addr, size_t pages);
+  // The large path: first-fit over the pending (freed) range list, else
+  // an aligned bump carve. `align` >= kPageSize, power of two. Returns 0
+  // on exhaustion.
+  uintptr_t AllocateLarge(RealThreadCache* tc, size_t size,
+                          size_t align = kPageSize);
+  // Frees the large range starting at `addr`; its page count comes from
+  // the directory.
+  void FreeLarge(RealThreadCache* tc, uintptr_t addr);
   // Releases tails of pending large ranges until `want_bytes` confirmed
   // or the list is dry. Caller holds large_mu_.
   size_t ReleasePendingLocked(size_t want_bytes);
 
   // Fills out[0..want) from the CFL layer: home shard first, then
   // work-stealing probes of the siblings, then fresh carves. Returns the
-  // number filled (always == want in virtual mode — the virtual arena
-  // cannot run dry before the CHECK in CarveSpan fires; real mode can
-  // return short, including 0, on exhaustion).
+  // number filled, short (including 0) only when the reservation is
+  // exhausted.
   int RefillFromCfl(int cls, int shard, uintptr_t* out, int want);
 
   // Returns objects to a CFL shard's free store (transfer overflow or
@@ -440,11 +406,10 @@ class RealThreadsAllocator {
 
   // Carves one span of `cls` from the arena bump pointer and pushes its
   // objects onto `shard`'s free store. Caller holds shard.lock; the bump
-  // itself is lock-free. Returns false when the real-memory reservation
-  // is exhausted (the virtual arena CHECKs instead).
+  // itself is lock-free. Returns false when the reservation is exhausted.
   bool CarveSpan(int cls, CflShard& shard);
 
-  // Real mode: the per-page directory entry for `addr`'s page.
+  // The per-page directory entry for `addr`'s page.
   std::atomic<uint32_t>& dir_entry(uintptr_t addr) const {
     WSC_DCHECK(addr >= arena_base_ && addr < arena_end_);
     return dir_[(addr - arena_base_) >> kPageShift];
@@ -466,10 +431,10 @@ class RealThreadsAllocator {
   std::unique_ptr<TransferShard[]> transfer_;
   std::unique_ptr<CflShard[]> cfl_;
 
-  // Address space. fetch_add / CAS on arena_next_ is the only cross-shard
-  // hot-path synchronization in the whole refill chain. In virtual mode
-  // the range is the config's arena; in real mode it is the backing's
-  // mmap reservation.
+  // Address space: the backing's mmap reservation. The CAS on arena_next_
+  // is the only cross-shard hot-path synchronization in the whole refill
+  // chain.
+  RealMemoryBacking backing_;
   uintptr_t arena_base_ = 0;
   uintptr_t arena_end_ = 0;
   std::atomic<uintptr_t> arena_next_{0};
@@ -477,7 +442,6 @@ class RealThreadsAllocator {
   std::atomic<int64_t> large_live_bytes_{0};
   std::atomic<uint64_t> large_carves_{0};
 
-  // ---- Real-memory mode state ----
   // Page directory entry encoding: 0 = unknown; cls+1 = small page of
   // size class cls; kDirLargeFlag|pages = first page of a live large
   // range of `pages` pages. Interior large pages stay 0, which is safe:
@@ -485,8 +449,6 @@ class RealThreadsAllocator {
   // front and never coalesced), so a stale entry cannot alias a live one.
   static constexpr uint32_t kDirLargeFlag = 0x80000000u;
 
-  const bool real_;
-  std::unique_ptr<RealMemoryBacking> backing_;  // null in virtual mode
   std::atomic<uint32_t>* dir_ = nullptr;  // one entry per reservation page
   size_t dir_entries_ = 0;
 
@@ -513,9 +475,9 @@ class RealThreadsAllocator {
   int next_shard_rr_ = 0;
 };
 
-// False-sharing audit: the layout contract the real-threads mode depends
-// on. tools/check_alignment.cc compiles the same assertions standalone so
-// CI fails loudly if a refactor drops an alignas.
+// False-sharing audit: the layout contract the real-threads allocator
+// depends on. tools/check_alignment.cc compiles the same assertions
+// standalone so CI fails loudly if a refactor drops an alignas.
 static_assert(sizeof(ContendedLock) <= kCacheLineSize,
               "ContendedLock must fit in one cache line");
 static_assert(alignof(TransferShard) == kCacheLineSize,

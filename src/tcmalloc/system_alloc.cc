@@ -6,14 +6,13 @@ namespace wsc::tcmalloc {
 
 SystemAllocator::SystemAllocator(uintptr_t base, size_t arena_bytes,
                                  double mmap_latency_ns)
-    : owned_(std::make_unique<VirtualArenaBacking>(base, arena_bytes)),
-      backing_(owned_.get()),
-      mmap_latency_ns_(mmap_latency_ns) {}
-
-SystemAllocator::SystemAllocator(MemoryBacking* backing,
-                                 double mmap_latency_ns)
-    : backing_(backing), mmap_latency_ns_(mmap_latency_ns) {
-  WSC_CHECK(backing != nullptr);
+    : base_(base),
+      arena_bytes_(arena_bytes),
+      next_(base),
+      mmap_latency_ns_(mmap_latency_ns) {
+  WSC_CHECK(base % kHugePageSize == 0);
+  WSC_CHECK(arena_bytes % kHugePageSize == 0);
+  WSC_CHECK_GT(arena_bytes, 0u);
 }
 
 HugePageId SystemAllocator::AllocateHugePages(int n) {
@@ -25,11 +24,12 @@ HugePageId SystemAllocator::AllocateHugePages(int n) {
     ++stats_.mmap_failures;
     return kInvalidHugePage;
   }
-  uintptr_t addr = backing_->MapHugePages(n);
-  if (addr == 0) {
+  if (next_ + bytes > base_ + arena_bytes_) {
     ++stats_.mmap_failures;
     return kInvalidHugePage;
   }
+  const uintptr_t addr = next_;
+  next_ += bytes;
   ++stats_.mmap_calls;
   stats_.mapped_bytes += bytes;
   stats_.mmap_ns += mmap_latency_ns_;
@@ -37,15 +37,13 @@ HugePageId SystemAllocator::AllocateHugePages(int n) {
 }
 
 size_t SystemAllocator::Release(uintptr_t addr, size_t bytes) {
-  const size_t fresh = backing_->Release(addr, bytes);
+  const size_t fresh = released_.Add(addr, bytes);
   stats_.released_bytes += fresh;
   return fresh;
 }
 
 void SystemAllocator::Commit(uintptr_t addr, size_t bytes) {
-  const size_t before = backing_->stats().recommitted_bytes;
-  backing_->Commit(addr, bytes);
-  stats_.recommitted_bytes += backing_->stats().recommitted_bytes - before;
+  stats_.recommitted_bytes += released_.Remove(addr, bytes);
 }
 
 void SystemAllocator::ContributeTelemetry(

@@ -1,22 +1,19 @@
-// System allocator over a pluggable memory backing.
+// System allocator over the simulator's virtual arena.
 //
 // The real TCMalloc obtains zero-initialized, hugepage-aligned 2 MiB blocks
 // from the kernel with mmap (Section 3, Fig. 4: the mmap path is orders of
-// magnitude slower than any cache tier). Here the OS interface is a
-// MemoryBacking: by default the deterministic virtual arena (hugepage-
-// aligned *address ranges* bump-allocated inside a reserved numeric address
-// space, nothing ever dereferenced, simulated mmap latency charged), and
-// optionally RealMemoryBacking where the same indices are real memory.
-// Address space is never unmapped in either mode, exactly like TCMalloc —
-// "releasing" memory is an madvise that keeps the mapping, routed through
-// Release()/Commit() below so the page heap reports bytes the backing
-// actually confirmed.
+// magnitude slower than any cache tier). Here the OS interface hands out
+// hugepage-aligned *address ranges* bump-allocated inside a reserved
+// numeric address space, nothing ever dereferenced, and charges simulated
+// mmap latency. Address space is never unmapped, exactly like TCMalloc —
+// "releasing" memory keeps the mapping, and Release()/Commit() below track
+// which bytes are released so the page heap reports only newly released
+// bytes.
 
 #ifndef WSC_TCMALLOC_SYSTEM_ALLOC_H_
 #define WSC_TCMALLOC_SYSTEM_ALLOC_H_
 
 #include <cstdint>
-#include <memory>
 
 #include "tcmalloc/fault_injection.h"
 #include "tcmalloc/memory_backing.h"
@@ -25,29 +22,23 @@
 
 namespace wsc::tcmalloc {
 
-// Statistics of the (simulated or real) OS interface.
+// Statistics of the simulated OS interface.
 struct SystemStats {
   uint64_t mmap_calls = 0;
   uint64_t mapped_bytes = 0;
   double mmap_ns = 0.0;  // cumulative simulated syscall latency
   uint64_t mmap_failures = 0;  // denied by fault injection or exhaustion
-  uint64_t released_bytes = 0;  // confirmed returned by the backing
+  uint64_t released_bytes = 0;  // newly released (re-releases count 0)
   uint64_t recommitted_bytes = 0;  // released bytes brought back into use
 };
 
-// OS interface of one allocator node, delegating address-space decisions
-// to a MemoryBacking.
+// OS interface of one allocator node.
 class SystemAllocator {
  public:
-  // Deterministic virtual arena of `arena_bytes` starting at
-  // hugepage-aligned `base` (the historical constructor; behavior and
-  // stats are bit-identical to the pre-backing implementation).
+  // Deterministic virtual arena of `arena_bytes` starting at `base`; both
+  // must be hugepage-aligned and the arena nonempty.
   SystemAllocator(uintptr_t base, size_t arena_bytes,
                   double mmap_latency_ns = 8000.0);
-
-  // Runs on top of a caller-owned backing (e.g. RealMemoryBacking carved
-  // per NUMA node by the Allocator). Borrowed; must outlive this.
-  SystemAllocator(MemoryBacking* backing, double mmap_latency_ns = 8000.0);
 
   // Returns `n` contiguous hugepages (hugepage-aligned), or
   // kInvalidHugePage when the (simulated) mmap fails — a planned fault from
@@ -55,9 +46,9 @@ class SystemAllocator {
   // check IsValid() and degrade; nothing in this path is fatal.
   HugePageId AllocateHugePages(int n);
 
-  // Returns [addr, addr+bytes) to the OS via the backing. Returns the
-  // bytes the backing *newly* released (0 for re-release), which is the
-  // honest figure ReleaseMemoryToSystem reports.
+  // Returns [addr, addr+bytes) to the (simulated) OS. Returns the bytes
+  // *newly* released (0 for re-release), which is the honest figure
+  // ReleaseMemoryToSystem reports.
   size_t Release(uintptr_t addr, size_t bytes);
 
   // Declares a previously released range in use again.
@@ -68,11 +59,8 @@ class SystemAllocator {
   void SetFaultInjector(FaultInjector* injector) { injector_ = injector; }
   FaultInjector* fault_injector() const { return injector_; }
 
-  BackendKind kind() const { return backing_->kind(); }
-  const MemoryBacking& backing() const { return *backing_; }
-
-  uintptr_t base() const { return backing_->base(); }
-  size_t arena_bytes() const { return backing_->reserved_bytes(); }
+  uintptr_t base() const { return base_; }
+  size_t arena_bytes() const { return arena_bytes_; }
   PageId base_page() const { return PageIdContaining(base()); }
   Length arena_pages() const { return arena_bytes() >> kPageShift; }
 
@@ -83,8 +71,10 @@ class SystemAllocator {
   void ContributeTelemetry(telemetry::MetricRegistry& registry) const;
 
  private:
-  std::unique_ptr<MemoryBacking> owned_;  // set for the virtual-arena ctor
-  MemoryBacking* backing_;                // always valid
+  uintptr_t base_;
+  size_t arena_bytes_;
+  uintptr_t next_;  // bump pointer: the arena below it has been mapped
+  ReleasedRangeSet released_;
   double mmap_latency_ns_;
   SystemStats stats_;
   FaultInjector* injector_ = nullptr;  // null: no faults

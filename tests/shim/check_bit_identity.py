@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Virtual-mode bit-identity guard for the backend redesign.
+"""Simulator bit-identity guard next to the shim tests.
 
-The MemoryBacking seam must leave the simulated (virtual-arena) mode
-untouched: fig03 with the pinned fleet shape must keep producing the
-golden sim_requests for ANY --threads value, byte-identical BENCH_JSON
-apart from the thread count and wall-clock fields. This is the same
-contract tools/check_determinism.sh enforces in CI; this test re-checks
-it next to the shim tests so a real-memory regression that leaks into the
-shared allocator paths fails the shim suite too, with the golden value
-pinned explicitly.
+The malloc behind the shim and the simulated Allocator share code (size
+classes, config, telemetry); changes to the malloc must leave the
+simulator untouched: fig03 with the pinned fleet shape must keep
+producing the golden sim_requests for ANY --threads value, byte-identical
+BENCH_JSON apart from the thread count and wall-clock fields. This is the
+same contract tools/check_determinism.sh enforces in CI; this test
+re-checks it next to the shim tests so a malloc change that leaks into the
+shared paths fails the shim suite too, with the golden value pinned
+explicitly.
 
 Usage: check_bit_identity.py <fig03_fleet_cdf-binary>
 """

@@ -7,7 +7,7 @@
 // These tests pin the POSIX/glibc contract of each entry point (realloc
 // grow/shrink, posix_memalign error codes, calloc overflow, zero sizes,
 // usable size) rather than allocator internals, which
-// tests/tcmalloc/real_memory_mode_test.cc covers.
+// tests/tcmalloc/real_threads_test.cc covers.
 
 #include <malloc.h>
 

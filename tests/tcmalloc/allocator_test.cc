@@ -119,6 +119,14 @@ TEST(AllocatorDeathTest, ZeroSizeAllocationIsFatal) {
   EXPECT_DEATH(alloc.Allocate(0, 0, 0), "CHECK failed");
 }
 
+// The simulator runs only on its virtual arena; a real-memory config is
+// RealThreadsAllocator's.
+TEST(AllocatorDeathTest, RealMemoryConfigIsFatal) {
+  AllocatorConfig config =
+      AllocatorConfig::Builder().WithVcpus(4).WithRealMemory().Build();
+  EXPECT_DEATH(Allocator{config}, "real_memory is set");
+}
+
 TEST(Allocator, CycleAccountingAttributesAllPaths) {
   Allocator alloc(TestConfig());
   Rng rng(5);

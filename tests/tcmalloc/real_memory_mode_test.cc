@@ -1,18 +1,15 @@
 // White-box tests for the real-memory backing and the real-threads
-// allocator's real mode: here the addresses are dereferenceable, so the
+// allocator's use of it: here the addresses are dereferenceable, so the
 // tests write through every object they get, the freelists thread through
-// the object storage they exercise, and ReleaseMemoryToSystem performs a
-// real madvise. The virtual mode's bit-identity is guarded elsewhere
-// (tests/shim/check_bit_identity.py); this file proves the other half of
-// the seam actually works as memory.
+// the object storage they exercise, the page directory answers unsized
+// frees and UsableSize, and ReleaseMemoryToSystem performs a real madvise.
+// The multi-thread storm and the sharded refill path live in
+// real_threads_test.cc.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -27,10 +24,7 @@ namespace wsc::tcmalloc {
 namespace {
 
 AllocatorConfig RealConfig() {
-  return AllocatorConfig::Builder()
-      .WithVcpus(4)
-      .WithRealMemory()
-      .Build();
+  return AllocatorConfig::Builder().WithVcpus(4).WithRealMemory().Build();
 }
 
 double Metric(const telemetry::Snapshot& snap, const char* component,
@@ -71,21 +65,18 @@ TEST(RealMemoryBackingTest, ReservesWritableHugepageAlignedMemory) {
   ASSERT_TRUE(backing.ok());
   EXPECT_EQ(backing.base() % kHugePageSize, 0u);
   EXPECT_GE(backing.reserved_bytes(), RealMemoryBacking::kMinReserveBytes);
-  EXPECT_EQ(backing.kind(), BackendKind::kRealMemory);
 
-  uintptr_t hp = backing.MapHugePages(2);
-  ASSERT_NE(hp, 0u);
-  EXPECT_EQ(hp % kHugePageSize, 0u);
   // The point of the real backing: this memory is real.
-  std::memset(reinterpret_cast<void*>(hp), 0xAB, 2 * kHugePageSize);
-  EXPECT_EQ(reinterpret_cast<unsigned char*>(hp)[kHugePageSize], 0xAB);
+  std::memset(reinterpret_cast<void*>(backing.base()), 0xAB,
+              2 * kHugePageSize);
+  EXPECT_EQ(reinterpret_cast<unsigned char*>(backing.base())[kHugePageSize],
+            0xAB);
 }
 
 TEST(RealMemoryBackingTest, ReleaseZeroesAndDedupes) {
   RealMemoryBacking backing(RealMemoryBacking::kMinReserveBytes);
   ASSERT_TRUE(backing.ok());
-  uintptr_t hp = backing.MapHugePages(1);
-  ASSERT_NE(hp, 0u);
+  uintptr_t hp = backing.base();
   unsigned char* mem = reinterpret_cast<unsigned char*>(hp);
   std::memset(mem, 0xCD, kHugePageSize);
 
@@ -102,12 +93,10 @@ TEST(RealMemoryBackingTest, ReleaseZeroesAndDedupes) {
   EXPECT_EQ(backing.Release(hp, kHugePageSize), kHugePageSize);
 }
 
-// ---- Real-threads allocator in real mode.
+// ---- The real-threads allocator on real memory.
 
-TEST(RealMemoryModeTest, BackendKindAndSmallRoundTrip) {
+TEST(RealMemoryModeTest, SmallRoundTripIsWritable) {
   RealThreadsAllocator alloc(RealConfig(), 1);
-  EXPECT_EQ(alloc.backend_kind(), BackendKind::kRealMemory);
-  ASSERT_NE(alloc.backing(), nullptr);
   RealThreadCache* tc = alloc.RegisterThread();
 
   uintptr_t p = alloc.Allocate(tc, 48);
@@ -193,6 +182,25 @@ TEST(RealMemoryModeTest, AlignedAllocationSweep) {
             Metric(snap, "allocator", "frees"));
 }
 
+// A sized free of a hugepage-aligned large block takes its length from
+// the page directory, so the accounting and the directory both clear.
+TEST(RealMemoryModeTest, SizedFreeOfAlignedLargeBlock) {
+  RealThreadsAllocator alloc(RealConfig(), 1);
+  RealThreadCache* tc = alloc.RegisterThread();
+  constexpr size_t kBytes = kMaxSmallSize + 1;
+  uintptr_t p = alloc.AllocateAligned(tc, kBytes, kHugePageSize);
+  ASSERT_NE(p, 0u);
+  EXPECT_EQ(p % kHugePageSize, 0u);
+  EXPECT_EQ(alloc.UsableSize(p), LengthToBytes(BytesToLengthCeil(kBytes)));
+  std::memset(reinterpret_cast<void*>(p), 0x3C, kBytes);
+
+  alloc.Free(tc, p, kBytes);
+  EXPECT_EQ(alloc.UsableSize(p), 0u);
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0);
+  EXPECT_EQ(Metric(snap, "allocator", "large_frees"), 1);
+}
+
 TEST(RealMemoryModeTest, ReleaseMemoryToSystemMadvisesPendingRanges) {
   RealThreadsAllocator alloc(RealConfig(), 1);
   RealThreadCache* tc = alloc.RegisterThread();
@@ -219,83 +227,6 @@ TEST(RealMemoryModeTest, ReleaseMemoryToSystemMadvisesPendingRanges) {
   EXPECT_EQ(q, p);
   std::memset(mem, 0xEF, kBytes);
   alloc.Free(tc, q, kBytes);
-}
-
-TEST(RealMemoryModeTest, VirtualModeReleaseIsZero) {
-  AllocatorConfig config = AllocatorConfig::Builder().WithVcpus(2).Build();
-  RealThreadsAllocator alloc(config, 1);
-  EXPECT_EQ(alloc.backend_kind(), BackendKind::kVirtualArena);
-  EXPECT_EQ(alloc.backing(), nullptr);
-  EXPECT_EQ(alloc.ReleaseMemoryToSystem(~size_t{0}), 0u);
-  EXPECT_FALSE(alloc.Owns(config.arena_base));
-}
-
-// A producer/consumer storm over real memory: every object is written
-// through, conservation must hold, and the intrusive lists must survive
-// cross-thread frees. This is the real-mode twin of the virtual storm in
-// real_threads_test.cc.
-TEST(RealMemoryModeTest, CrossThreadStormConservesObjects) {
-  constexpr int kThreads = 4;
-  constexpr int kOpsPerThread = 20000;
-  RealThreadsAllocator alloc(RealConfig(), kThreads);
-
-  std::vector<std::thread> workers;
-  std::vector<std::vector<std::pair<uintptr_t, size_t>>> handoff(kThreads);
-  std::mutex handoff_mu;
-  std::atomic<uint64_t> write_check{0};
-
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      RealThreadCache* tc = alloc.RegisterThread();
-      uint64_t seed = 0x9E3779B97F4A7C15ull * (t + 1);
-      std::vector<std::pair<uintptr_t, size_t>> mine;
-      for (int op = 0; op < kOpsPerThread; ++op) {
-        seed = seed * 6364136223846793005ull + 1442695040888963407ull;
-        size_t size = 8 + (seed >> 33) % 1024;
-        uintptr_t p = alloc.Allocate(tc, size);
-        ASSERT_NE(p, 0u);
-        *reinterpret_cast<uint64_t*>(p) = seed;
-        write_check.fetch_add(seed, std::memory_order_relaxed);
-        if ((seed & 3) == 0) {
-          // Hand off to a sibling's pile: freed by another thread.
-          std::lock_guard<std::mutex> guard(handoff_mu);
-          handoff[(t + 1) % kThreads].push_back({p, size});
-        } else {
-          mine.push_back({p, size});
-        }
-        if (mine.size() > 64 || (op % 512) == 511) {
-          for (auto [addr, sz] : mine) alloc.Free(tc, addr, sz);
-          mine.clear();
-          std::lock_guard<std::mutex> guard(handoff_mu);
-          for (auto [addr, sz] : handoff[t]) alloc.Free(tc, addr, sz);
-          handoff[t].clear();
-        }
-      }
-      for (auto [addr, sz] : mine) alloc.Free(tc, addr, sz);
-      std::lock_guard<std::mutex> guard(handoff_mu);
-      for (auto [addr, sz] : handoff[t]) alloc.Free(tc, addr, sz);
-      handoff[t].clear();
-    });
-  }
-  for (auto& w : workers) w.join();
-
-  // A worker can exit while a slower sibling is still pushing into its
-  // handoff pile; drain the stragglers here (cross-thread frees from the
-  // main thread are just as legal).
-  RealThreadCache* main_tc = alloc.RegisterThread();
-  for (auto& pile : handoff) {
-    for (auto [addr, sz] : pile) alloc.Free(main_tc, addr, sz);
-    pile.clear();
-  }
-
-  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
-  EXPECT_EQ(Metric(snap, "allocator", "allocations"),
-            static_cast<double>(kThreads) * kOpsPerThread);
-  EXPECT_EQ(Metric(snap, "allocator", "allocations"),
-            Metric(snap, "allocator", "frees"));
-  EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0.0);
-  EXPECT_EQ(Metric(snap, "system", "reserved_bytes"),
-            static_cast<double>(alloc.backing()->reserved_bytes()));
 }
 
 }  // namespace

@@ -1,15 +1,18 @@
-// Tests for the real-threads execution mode: object conservation under a
-// genuine multi-thread alloc/free storm with cross-thread frees, the
-// sharded refill path (including cross-shard work stealing), the LUT
-// size-class lookup, and footprint sanity. The storm tests are the ones
-// the CI sanitizer jobs (TSan/ASan) run to prove the lock-free fast path
-// race-free rather than assuming it.
+// Tests for the real-threads allocator on its real-memory backing: the
+// one-mode contract, object conservation under a genuine multi-thread
+// alloc/free storm with cross-thread frees, the sharded refill path
+// (including cross-shard work stealing), the LUT size-class lookup, the
+// large path's footprint, and telemetry. The backing, the page directory
+// and madvise release are covered in real_memory_mode_test.cc. The storm
+// tests are the ones the CI sanitizer jobs (TSan/ASan) run to prove the
+// lock-free fast path race-free rather than assuming it.
 
 #include "tcmalloc/real_threads.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <thread>
@@ -18,6 +21,7 @@
 
 #include "common/rng.h"
 #include "tcmalloc/config.h"
+#include "tcmalloc/memory_backing.h"
 #include "tcmalloc/pages.h"
 #include "tcmalloc/size_classes.h"
 #include "telemetry/registry.h"
@@ -26,16 +30,20 @@ namespace wsc::tcmalloc {
 namespace {
 
 AllocatorConfig TestConfig() {
-  return AllocatorConfig::Builder()
-      .WithVcpus(4)
-      .WithArena(uintptr_t{1} << 44, size_t{16} << 30)
-      .Build();
+  return AllocatorConfig::Builder().WithVcpus(4).WithRealMemory().Build();
 }
 
 double Metric(const telemetry::Snapshot& snap, const char* component,
               const char* name) {
   const telemetry::MetricSample* sample = snap.Find(component, name);
   return sample != nullptr ? sample->ScalarValue() : -1.0;
+}
+
+// ---- The one-mode contract: this allocator runs only on real memory.
+
+TEST(RealThreadsAllocatorDeathTest, ConfigWithoutRealMemoryIsFatal) {
+  AllocatorConfig config = AllocatorConfig::Builder().WithVcpus(4).Build();
+  EXPECT_DEATH(RealThreadsAllocator(config, 1), "real_memory");
 }
 
 // The flat LUT must agree with a straight linear scan of the class table
@@ -76,12 +84,34 @@ TEST(RealThreadsAllocatorTest, SingleThreadRoundTrip) {
 }
 
 // allocated == freed + live, and every carved object is accounted for in
-// some cache tier — nothing leaks, nothing is double-tracked.
+// some cache tier — nothing leaks, nothing is double-tracked. Every object
+// carries a tag in its first and last aligned word from allocation to
+// free, so two live blocks that overlapped, or a freelist link written
+// into a live block, would show up as a clobbered tag.
 TEST(RealThreadsAllocatorTest, ConservationAfterStorm) {
   constexpr int kThreads = 4;
   constexpr uint64_t kOpsPerThread = 20000;
   AllocatorConfig config = TestConfig();
   RealThreadsAllocator alloc(config, kThreads);
+  std::atomic<uint64_t> clobbered{0};
+
+  auto tag = [](uintptr_t addr) { return addr ^ 0x5eed5eed5eed5eedull; };
+  auto last_word = [](uintptr_t addr, uint32_t size) {
+    return reinterpret_cast<uint64_t*>(
+        addr + ((size - sizeof(uint64_t)) & ~(sizeof(uint64_t) - 1)));
+  };
+  auto write_tags = [&](uintptr_t addr, uint32_t size) {
+    *reinterpret_cast<uint64_t*>(addr) = tag(addr);
+    *last_word(addr, size) = tag(addr);
+  };
+  auto checked_free = [&](RealThreadCache* tc, uintptr_t addr,
+                          uint32_t size) {
+    if (*reinterpret_cast<uint64_t*>(addr) != tag(addr) ||
+        *last_word(addr, size) != tag(addr)) {
+      clobbered.fetch_add(1, std::memory_order_relaxed);
+    }
+    alloc.Free(tc, addr, size);
+  };
 
   // Cross-thread frees via mutex-guarded mailboxes: thread t posts every
   // 8th object to thread (t+1) % N, and drains its own mailbox as it
@@ -99,6 +129,8 @@ TEST(RealThreadsAllocatorTest, ConservationAfterStorm) {
     for (uint64_t op = 0; op < kOpsPerThread; ++op) {
       uint32_t size = static_cast<uint32_t>(8 + rng.UniformInt(8192));
       uintptr_t obj = alloc.Allocate(tc, size);
+      ASSERT_NE(obj, 0u);
+      write_tags(obj, size);
       if (op % 8 == 0) {
         std::lock_guard<std::mutex> guard(mailboxes[(tid + 1) % kThreads].mu);
         mailboxes[(tid + 1) % kThreads].objects.emplace_back(obj, size);
@@ -106,7 +138,7 @@ TEST(RealThreadsAllocatorTest, ConservationAfterStorm) {
         local.emplace_back(obj, size);
         if (local.size() > 256) {
           size_t victim = rng.UniformInt(local.size());
-          alloc.Free(tc, local[victim].first, local[victim].second);
+          checked_free(tc, local[victim].first, local[victim].second);
           local[victim] = local.back();
           local.pop_back();
         }
@@ -117,10 +149,10 @@ TEST(RealThreadsAllocatorTest, ConservationAfterStorm) {
           std::lock_guard<std::mutex> guard(mailboxes[tid].mu);
           inbox.swap(mailboxes[tid].objects);
         }
-        for (const auto& [addr, sz] : inbox) alloc.Free(tc, addr, sz);
+        for (const auto& [addr, sz] : inbox) checked_free(tc, addr, sz);
       }
     }
-    for (const auto& [addr, sz] : local) alloc.Free(tc, addr, sz);
+    for (const auto& [addr, sz] : local) checked_free(tc, addr, sz);
   };
 
   std::vector<std::thread> pool;
@@ -131,10 +163,11 @@ TEST(RealThreadsAllocatorTest, ConservationAfterStorm) {
   RealThreadCache* main_tc = alloc.RegisterThread();
   for (Mailbox& mailbox : mailboxes) {
     for (const auto& [addr, sz] : mailbox.objects) {
-      alloc.Free(main_tc, addr, sz);
+      checked_free(main_tc, addr, sz);
     }
   }
 
+  EXPECT_EQ(clobbered.load(), 0u);
   telemetry::Snapshot snap = alloc.TelemetrySnapshot();
   double allocations = Metric(snap, "allocator", "allocations");
   double frees = Metric(snap, "allocator", "frees");
@@ -185,7 +218,7 @@ TEST(RealThreadsAllocatorTest, CrossShardWorkStealing) {
   // B's run was served mostly by stealing A's freed objects: the arena
   // grew by at most a quarter of the first phase's carving.
   size_t grown = alloc.ArenaUsedBytes() - carved_before;
-  EXPECT_LT(grown, (carved_before - (uintptr_t{0})) / 4);
+  EXPECT_LT(grown, carved_before / 4);
 }
 
 TEST(RealThreadsAllocatorTest, LargeObjectsBypassClassesAndComeBack) {
@@ -206,7 +239,9 @@ TEST(RealThreadsAllocatorTest, LargeObjectsBypassClassesAndComeBack) {
   EXPECT_EQ(Metric(snap, "allocator", "large_allocations"), 64);
   EXPECT_EQ(Metric(snap, "allocator", "large_frees"), 64);
   EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0);
-  // Freed large ranges return to the (virtual) OS immediately.
+  // Freed large ranges stay resident on the pending list until released.
+  EXPECT_GT(alloc.FootprintBytes(), small_footprint);
+  EXPECT_GT(alloc.ReleaseMemoryToSystem(~size_t{0}), 0u);
   EXPECT_EQ(alloc.FootprintBytes(), small_footprint);
 }
 
@@ -246,6 +281,8 @@ TEST(RealThreadsAllocatorTest, TelemetryExportsContentionComponent) {
   EXPECT_GT(snap.ComponentTotal("sharded_cfl"), 0);
   // The fast path dominates a tight reuse loop.
   EXPECT_GT(Metric(snap, "thread_cache", "fast_alloc_hits"), 1900);
+  EXPECT_GE(Metric(snap, "system", "reserved_bytes"),
+            static_cast<double>(RealMemoryBacking::kMinReserveBytes));
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ for bench in "$BENCH_DIR"/fig* "$BENCH_DIR"/table* "$BENCH_DIR"/ablation* \
     min_lines=1
     statsz_arg=""
   fi
-  # fig_mt_scaling defaults to the real-threads allocator, whose statsz
+  # fig_mt_scaling runs the real-threads allocator, whose statsz
   # dump carries the contention components rather than the simulated
   # tiers; its BENCH_JSON lines are still fully validated (the checker
   # switches required components on the "exec" field).

@@ -37,20 +37,21 @@ if [ -n "$offenders" ]; then
   exit 1
 fi
 
-# The backend seam is part of the same contract: benches and tests get a
-# backing by building a config (WithRealMemory()) and letting the
-# allocator construct it — never by instantiating SystemAllocator or a
-# MemoryBacking directly. tests/tcmalloc/ is exempt: the allocator's own
-# unit tests exercise the backing classes in isolation.
+# Memory is part of the same contract: benches and tests get it by
+# building a config and letting the allocator construct its own — the
+# simulator's SystemAllocator arena, or RealThreadsAllocator's
+# RealMemoryBacking for a WithRealMemory() config — never by instantiating
+# either directly. tests/tcmalloc/ is exempt: the allocator's own unit
+# tests exercise those classes in isolation.
 ctors="$(grep -rEn \
-  '\b(SystemAllocator|RealMemoryBacking|VirtualArenaBacking)[[:space:]]*\(' \
+  '\b(SystemAllocator|RealMemoryBacking)[[:space:]]*\(' \
   "$ROOT/bench" "$ROOT/tests" --include='*.cc' --include='*.h' 2>/dev/null |
   grep -v "^$ROOT/tests/tcmalloc/")"
 
 if [ -n "$ctors" ]; then
-  echo "check_config_api: direct backend construction found; use" >&2
-  echo "AllocatorConfig::Builder::WithRealMemory() and let the allocator" >&2
-  echo "own its backing (tests/tcmalloc/ is the only exemption):" >&2
+  echo "check_config_api: direct memory construction found; build a" >&2
+  echo "config with AllocatorConfig::Builder and let the allocator own its" >&2
+  echo "memory (tests/tcmalloc/ is the only exemption):" >&2
   echo "$ctors" >&2
   exit 1
 fi

@@ -29,13 +29,14 @@
 //                     suffix selects the JSON form (tools/mallocz.py reads
 //                     it), "-" prints text to stdout
 //   --selfprof=PATH   attach the sampling self-profiler (profiler/
-//                     self_profiler.h) to every simulated process — and to
-//                     every OS thread in real-threads benches — and write
-//                     the merged folded-stack profile; ".json" suffix
-//                     selects the JSON form, "-" prints folded text to
-//                     stdout. Feed the output to tools/flamegraph.py /
-//                     tools/flamediff.py. Simulated-mode profiles are
-//                     bit-identical for any --threads value.
+//                     self_profiler.h) to every simulated process and
+//                     write the merged folded-stack profile; ".json"
+//                     suffix selects the JSON form, "-" prints folded text
+//                     to stdout. Feed the output to tools/flamegraph.py /
+//                     tools/flamediff.py. Profiles are bit-identical for
+//                     any --threads value. The real-threads allocator
+//                     carries no profiler scopes, so fig_mt_scaling
+//                     writes nothing.
 //   --timeseries=PATH capture an interval time series from every
 //                     simulated process (telemetry/timeseries.h: counter
 //                     and histogram deltas plus gauge samples at 500 ms
@@ -45,15 +46,6 @@
 //                     sketch. Captures ride the logical clock, so the file
 //                     is byte-identical for any --threads value
 //                     (tools/check_determinism.sh proves it).
-//   --out-dir=DIR     one flag for all sidecars: creates DIR and defaults
-//                     --statsz=DIR/statsz.json, --trace=DIR/trace.json,
-//                     --profile=DIR/heap_profile.json,
-//                     --selfprof=DIR/selfprof.folded, and
-//                     --timeseries=DIR/timeseries.ndjson. The fine-grained
-//                     flags above stay as overrides: an explicit path
-//                     wins over the --out-dir default. The preload
-//                     harness (bench/preload) and the CI sidecar uploads
-//                     follow the same DIR layout.
 //
 // Both ParseBenchFlags and StripBenchFlags know every flag above, so
 // benches that hand the remaining argv to google-benchmark (e.g.
@@ -61,8 +53,6 @@
 
 #ifndef WSC_BENCH_BENCH_UTIL_H_
 #define WSC_BENCH_BENCH_UTIL_H_
-
-#include <sys/stat.h>
 
 #include <algorithm>
 #include <chrono>
@@ -100,8 +90,6 @@ inline int g_bench_mt_threads = 0;
 inline int g_bench_machines = 0;
 inline double g_bench_duration_s = 0;
 inline uint64_t g_bench_max_requests = 0;
-// --out-dir sidecar directory ("" = disabled); see ApplyOutDirDefaults.
-inline std::string g_out_dir;
 // --statsz destination ("" = disabled).
 inline std::string g_statsz_path;
 // Merged telemetry across every ReportTelemetry call in this process;
@@ -167,30 +155,7 @@ inline constexpr BenchFlag kBenchFlags[] = {
     {"--profile=", [](const char* v) { g_profile_path = v; }},
     {"--selfprof=", [](const char* v) { g_selfprof_path = v; }},
     {"--timeseries=", [](const char* v) { g_timeseries_path = v; }},
-    {"--out-dir=", [](const char* v) { g_out_dir = v; }},
 };
-
-// Resolves --out-dir: creates the directory (mkdir -p semantics) and
-// fills every sidecar path that was not explicitly set. Explicit
-// fine-grained flags always win, whatever the flag order.
-inline void ApplyOutDirDefaults() {
-  if (g_out_dir.empty()) return;
-  std::string path;
-  for (size_t i = 0; i <= g_out_dir.size(); ++i) {
-    if (i == g_out_dir.size() || g_out_dir[i] == '/') {
-      if (!path.empty()) ::mkdir(path.c_str(), 0755);
-    }
-    if (i < g_out_dir.size()) path += g_out_dir[i];
-  }
-  auto fill = [](std::string& slot, const char* leaf) {
-    if (slot.empty()) slot = g_out_dir + "/" + leaf;
-  };
-  fill(g_statsz_path, "statsz.json");
-  fill(g_trace_path, "trace.json");
-  fill(g_profile_path, "heap_profile.json");
-  fill(g_selfprof_path, "selfprof.folded");
-  fill(g_timeseries_path, "timeseries.ndjson");
-}
 
 // The flag row matching `arg`, or nullptr if it is not a wsc bench flag.
 inline const BenchFlag* MatchBenchFlag(const char* arg) {
@@ -210,7 +175,6 @@ inline void ParseBenchFlags(int argc, char** argv) {
       flag->apply(argv[i] + std::strlen(flag->prefix));
     }
   }
-  ApplyOutDirDefaults();
 }
 
 // Removes the wsc bench flags from argv (in place, updating argc) so the

@@ -21,6 +21,7 @@ namespace {
 
 using wsc::tcmalloc::Allocator;
 using wsc::tcmalloc::AllocatorConfig;
+using wsc::tcmalloc::kCostModel;
 
 AllocatorConfig BenchConfig() {
   return AllocatorConfig::Builder()
@@ -41,7 +42,7 @@ void BM_CpuCacheHit(benchmark::State& state) {
     alloc.Free(q, 0, 0);
   }
   state.SetLabel("paper: 3.1 ns (simulated cost: " +
-                 std::to_string(BenchConfig().costs.cpu_cache_hit_ns) +
+                 std::to_string(kCostModel.cpu_cache_hit_ns) +
                  " ns)");
 }
 
@@ -59,7 +60,7 @@ void BM_TransferCacheRoundTrip(benchmark::State& state) {
     benchmark::DoNotOptimize(out);
   }
   state.SetLabel("paper: 12.9 ns (simulated cost: " +
-                 std::to_string(BenchConfig().costs.transfer_cache_ns) +
+                 std::to_string(kCostModel.transfer_cache_ns) +
                  " ns)");
 }
 
@@ -81,7 +82,7 @@ void BM_CentralFreeListRoundTrip(benchmark::State& state) {
     cfl.InsertObject(span, obj);
   }
   state.SetLabel("paper: 16.7 ns (simulated cost: " +
-                 std::to_string(BenchConfig().costs.central_free_list_ns) +
+                 std::to_string(kCostModel.central_free_list_ns) +
                  " ns)");
 }
 
@@ -94,7 +95,7 @@ void BM_PageHeap(benchmark::State& state) {
     alloc.Free(q, 0, 0);
   }
   state.SetLabel("paper: 137 ns (simulated cost: " +
-                 std::to_string(BenchConfig().costs.page_heap_ns) + " ns)");
+                 std::to_string(kCostModel.page_heap_ns) + " ns)");
 }
 
 // mmap path: every allocation grows the arena (nothing is ever freed, so
@@ -112,7 +113,7 @@ void BM_MmapGrowth(benchmark::State& state) {
     }
   }
   state.SetLabel("paper: >>137 ns (simulated cost: " +
-                 std::to_string(BenchConfig().costs.mmap_ns) + " ns)");
+                 std::to_string(kCostModel.mmap_ns) + " ns)");
 }
 
 BENCHMARK(BM_CpuCacheHit);

@@ -26,7 +26,6 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
-#include <memory>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -107,13 +106,7 @@ struct HandoffRing {
 };
 
 void StormWorker(RealThreadsAllocator& alloc, int tid, int nthreads,
-                 uint64_t ops, std::vector<HandoffRing>& rings,
-                 wsc::prof::SelfProfiler* profiler) {
-  // Each OS thread samples into its own profiler (single-writer, like the
-  // per-thread cache); profiles merge after join. Null when --selfprof is
-  // off: the scopes below cost one TLS load + branch each.
-  wsc::prof::ScopedInstall install(profiler);
-  WSC_PROF_SCOPE("mt/StormWorker");
+                 uint64_t ops, std::vector<HandoffRing>& rings) {
   RealThreadCache* tc = alloc.RegisterThread();
   Rng rng(0x5ca11ab1eULL ^ (0x9e3779b97f4a7c15ULL * (tid + 1)));
   std::vector<std::pair<uintptr_t, uint32_t>> window;
@@ -160,21 +153,12 @@ SweepPoint RunPoint(int nthreads, uint64_t ops_per_thread,
   RealThreadsAllocator alloc(config, nthreads);
   std::vector<HandoffRing> rings(nthreads);
 
-  std::vector<std::unique_ptr<wsc::prof::SelfProfiler>> profilers;
-  if (!wsc::bench::g_selfprof_path.empty()) {
-    for (int tid = 0; tid < nthreads; ++tid) {
-      profilers.push_back(std::make_unique<wsc::prof::SelfProfiler>(
-          wsc::bench::kBenchSelfProfInterval));
-    }
-  }
-
   auto start = std::chrono::steady_clock::now();
   std::vector<std::thread> pool;
   pool.reserve(nthreads);
   for (int tid = 0; tid < nthreads; ++tid) {
     pool.emplace_back(StormWorker, std::ref(alloc), tid, nthreads,
-                      ops_per_thread, std::ref(rings),
-                      profilers.empty() ? nullptr : profilers[tid].get());
+                      ops_per_thread, std::ref(rings));
   }
   for (std::thread& t : pool) t.join();
   double wall = std::chrono::duration<double>(
@@ -188,16 +172,6 @@ SweepPoint RunPoint(int nthreads, uint64_t ops_per_thread,
     HandoffRing::Entry e;
     while (ring.Pop(&e)) alloc.Free(main_tc, e.addr, e.size);
   }
-
-  // Merge the per-thread profiles (post-join, like the telemetry
-  // snapshot). Real-threads profiles are not bit-deterministic — work
-  // stealing and ring occupancy race — so the CI flamediff budget for
-  // this bench is looser than the simulated ones.
-  wsc::prof::FoldedProfile self_profile;
-  for (const auto& profiler : profilers) {
-    self_profile.MergeFrom(profiler->Folded());
-  }
-  wsc::bench::ReportSelfProfile(self_profile);
 
   *telemetry = alloc.TelemetrySnapshot();
   SweepPoint point;

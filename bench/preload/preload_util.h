@@ -17,8 +17,7 @@
 //   --seed=N        deterministic PRNG seed (default 1)
 //   --out-dir=DIR   write DIR/<bench>.json (the harness report) and, when
 //                   the shim is active, DIR/<bench>.stats.json with the
-//                   pre/post wscmalloc_stats_json() snapshots. Same DIR
-//                   convention as bench_util.h --out-dir.
+//                   pre/post wscmalloc_stats_json() snapshots.
 //
 // Every bench prints a one-line JSON report to stdout:
 //   {"bench":"mt","allocator":"wscmalloc"|"system",...,"ns_per_op":...}
@@ -43,7 +42,6 @@ namespace wsc_preload {
 
 struct ShimApi {
   int (*is_active)() = nullptr;
-  const char* (*backend)() = nullptr;
   size_t (*release_memory)(size_t) = nullptr;
   size_t (*stats_json)(char*, size_t) = nullptr;
 
@@ -56,8 +54,6 @@ inline ShimApi DiscoverShim() {
   // libwscmalloc.so was preloaded — no dlopen, no hard dependency.
   api.is_active = reinterpret_cast<int (*)()>(
       dlsym(RTLD_DEFAULT, "wscmalloc_is_active"));
-  api.backend = reinterpret_cast<const char* (*)()>(
-      dlsym(RTLD_DEFAULT, "wscmalloc_backend"));
   api.release_memory = reinterpret_cast<size_t (*)(size_t)>(
       dlsym(RTLD_DEFAULT, "wscmalloc_release_memory"));
   api.stats_json = reinterpret_cast<size_t (*)(char*, size_t)>(

@@ -3,8 +3,8 @@
 //
 // The paper's methodology is continuous fleet-wide profiling — regressions
 // are found because every machine profiles itself and diffs the result
-// against history. This is that loop turned inward: the simulator (and the
-// real-threads allocator) carries lightweight manual instrumentation
+// against history. This is that loop turned inward: the simulator carries
+// lightweight manual instrumentation
 // (`WSC_PROF_SCOPE("allocator/Allocate")`) and a per-process sampler that
 // snapshots the current scope stack on a fixed *logical* cadence — every
 // N scope entries, never wall clock — so a profile of a deterministic run
@@ -22,8 +22,9 @@
 // Threading model: a SelfProfiler is single-writer, like the telemetry
 // registry. The fleet engine installs the owning process's profiler into
 // `tls_profiler` only around that process's Step() call, so worker threads
-// never share one. Real-threads benches give each OS thread its own
-// profiler and merge after join (commutative counts, deterministic render).
+// never share one. The real-threads allocator behind the malloc shim
+// carries no scopes: it is malloc code only, and its per-tier time comes
+// from clocks, not from scope-entry counts.
 
 #ifndef WSC_PROFILER_SELF_PROFILER_H_
 #define WSC_PROFILER_SELF_PROFILER_H_

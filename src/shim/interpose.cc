@@ -8,8 +8,9 @@
 // allocator; pointers that predate the preload (libc-internal) are
 // detected by range and deliberately leaked (see ShimFree).
 //
-// tools/check_shim_symbols.sh asserts with `nm -D` that every symbol
-// below is actually exported.
+// libwscmalloc.map lists the same symbols as the library's only exports;
+// tools/check_shim_symbols.sh asserts with `nm -D` that the built library
+// exports exactly these.
 
 #include <cstddef>
 
@@ -64,10 +65,6 @@ WSC_SHIM_EXPORT size_t malloc_usable_size(void* ptr) {
 
 WSC_SHIM_EXPORT int wscmalloc_is_active() {
   return wsc::shim::ShimIsActive() ? 1 : 0;
-}
-
-WSC_SHIM_EXPORT const char* wscmalloc_backend() {
-  return wsc::shim::ShimBackendName();
 }
 
 WSC_SHIM_EXPORT size_t wscmalloc_release_memory(size_t bytes) {

@@ -32,10 +32,10 @@ using tcmalloc::RealThreadsAllocator;
 // made before/while the allocator constructs (ld.so and libc start
 // allocating before any constructor runs), (b) reentrant calls from
 // inside the allocator's own bookkeeping (vector growth in
-// RegisterThread, std::map nodes in the released-range set), (c) calls
-// from threads racing the one-time init. It is a dumb mmap'd bump
-// allocator with a size header per block; frees are no-ops, so it must
-// stay small — once the allocator is up, only (b) lands here.
+// RegisterThread), (c) calls from threads racing the one-time init. It is
+// a dumb mmap'd bump allocator with a size header per block; frees are
+// no-ops, so it must stay small — once the allocator is up, only (b)
+// lands here.
 
 constexpr size_t kBootstrapBytes = size_t{256} << 20;  // 256 MiB of VA
 constexpr size_t kBootstrapHeader = 16;                // keeps 16-alignment
@@ -522,11 +522,6 @@ bool ShimIsActive() {
   return g_state.load(std::memory_order_acquire) == kReady;
 }
 
-const char* ShimBackendName() {
-  if (!ShimIsActive()) return "bootstrap";
-  return "real-memory";
-}
-
 size_t ShimReleaseMemory(size_t bytes) {
   if (!ShimIsActive()) return 0;
   BusyScope busy;
@@ -544,7 +539,10 @@ size_t ShimStatsJson(char* buf, size_t cap) {
                             ? static_cast<size_t>(n)
                             : cap - 1);
   }
-  BusyScope busy;  // the snapshot's own vectors come from bootstrap
+  // A normal malloc client, like the statsz thread: the snapshot's
+  // vectors and strings come from (and go back to) the allocator itself.
+  // Safe because TelemetrySnapshot() allocates only after it drops the
+  // registry lock.
   wsc::telemetry::Snapshot snap = g_alloc->TelemetrySnapshot();
   auto metric = [&snap](const char* component, const char* name) -> double {
     const wsc::telemetry::MetricSample* s = snap.Find(component, name);
@@ -557,13 +555,13 @@ size_t ShimStatsJson(char* buf, size_t cap) {
           : g_boot_next.load(std::memory_order_relaxed) - boot_base;
   int n = snprintf(
       buf, cap,
-      "{\"active\":true,\"backend\":\"%s\","
+      "{\"active\":true,"
       "\"allocations\":%.0f,\"frees\":%.0f,"
       "\"live_bytes\":%.0f,\"footprint_bytes\":%zu,"
       "\"released_bytes\":%.0f,\"recommitted_bytes\":%.0f,"
       "\"reserved_bytes\":%.0f,\"large_pending_bytes\":%.0f,"
       "\"threads\":%d,\"bootstrap_bytes\":%zu}",
-      ShimBackendName(), metric("allocator", "allocations"),
+      metric("allocator", "allocations"),
       metric("allocator", "frees"), metric("allocator", "live_bytes"),
       g_alloc->FootprintBytes(), metric("system", "released_bytes"),
       metric("system", "recommitted_bytes"),

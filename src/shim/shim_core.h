@@ -2,8 +2,8 @@
 //
 // interpose.cc exports the C symbols (malloc/free/...); this layer owns
 // the hard parts: bootstrap-safe one-time initialization, per-thread
-// cache registration, reentrancy (allocator metadata — vector growth,
-// released-range map nodes — must not recurse into the allocator that is
+// cache registration, reentrancy (allocator metadata such as the thread
+// registry's vector growth must not recurse into the allocator that is
 // mid-operation), fork handling, and errno-correct OOM.
 //
 // Split from interpose.cc so tests/shim can link the logic directly and
@@ -36,8 +36,6 @@ size_t ShimUsableSize(void* ptr);
 // True once the real allocator constructed (false while still serving
 // everything from the bootstrap arena).
 bool ShimIsActive();
-// "real-memory" once active.
-const char* ShimBackendName();
 // madvise up to `bytes` of pending freed memory back to the OS; returns
 // bytes newly released.
 size_t ShimReleaseMemory(size_t bytes);

@@ -12,6 +12,12 @@ namespace wsc::tcmalloc {
 
 namespace {
 
+// Cadence at which unused NUCA shard objects are plundered back to the
+// central cache to prevent stranding.
+constexpr SimTime kNucaPlunderInterval = Seconds(5);
+// Cadence of the page heap's background release.
+constexpr SimTime kReleaseInterval = Seconds(1);
+
 // Fails loudly (with the actionable message, not just an expression dump)
 // on configs that would silently misbehave — e.g. the kTopologyDerived
 // sentinel reaching a raw Allocator, NUCA left with one LLC domain by an
@@ -37,7 +43,7 @@ Allocator::NodeBackend::NodeBackend(const AllocatorConfig& config,
                                     const SizeClasses* size_classes,
                                     uintptr_t base, size_t bytes,
                                     PageMap* pagemap)
-    : system(base, bytes, config.costs.mmap_ns),
+    : system(base, bytes, kCostModel.mmap_ns),
       page_heap(size_classes, config, &system, pagemap),
       transfer_cache(size_classes, config) {
   int n = size_classes->num_classes();
@@ -153,11 +159,11 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
   if (trace_) trace_->set_now(now);
   if (!reclaimer_->AdmitAllocation(size)) {
     // Hard memory limit: a counted, surfaced failure (not an allocation).
-    last_op_ns_ = config_.costs.other_ns;
+    last_op_ns_ = kCostModel.other_ns;
     return 0;
   }
-  last_op_ns_ = config_.costs.other_ns;
-  cycles_.other_ns += config_.costs.other_ns;
+  last_op_ns_ = kCostModel.other_ns;
+  cycles_.other_ns += kCostModel.other_ns;
   int node = vcpu_node_[vcpu];
 
   uintptr_t addr;
@@ -186,8 +192,8 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
       }
       if (span == nullptr) {
         fail_alloc_failures_->Add();
-        cycles_.page_heap_ns += config_.costs.page_heap_ns;
-        last_op_ns_ += config_.costs.page_heap_ns;
+        cycles_.page_heap_ns += kCostModel.page_heap_ns;
+        last_op_ns_ += kCostModel.page_heap_ns;
         return 0;
       }
       fail_recovered_allocations_->Add();
@@ -198,8 +204,8 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
     large_live_requested_ += static_cast<double>(size);
     large_objects_.Insert(addr, LargeObject{span, size});
     ++alloc_hits_.page_heap;
-    cycles_.page_heap_ns += config_.costs.page_heap_ns;
-    last_op_ns_ += config_.costs.page_heap_ns;
+    cycles_.page_heap_ns += kCostModel.page_heap_ns;
+    last_op_ns_ += kCostModel.page_heap_ns;
     double mmap_delta = MmapNsTotal() - mmap_before;
     if (mmap_delta > 0) {
       cycles_.mmap_ns += mmap_delta;
@@ -211,8 +217,8 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
     addr = cpu_caches_.Allocate(vcpu, cls);
     if (addr != 0) {
       ++alloc_hits_.cpu_cache;
-      cycles_.cpu_cache_ns += config_.costs.cpu_cache_hit_ns;
-      last_op_ns_ += config_.costs.cpu_cache_hit_ns;
+      cycles_.cpu_cache_ns += kCostModel.cpu_cache_hit_ns;
+      last_op_ns_ += kCostModel.cpu_cache_hit_ns;
     } else {
       if (trace_) {
         trace_->Emit(trace::EventType::kCpuCacheMiss, vcpu,
@@ -234,8 +240,8 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
     // TCMalloc prefetches the *next* object of this class on every
     // allocation; costly (Fig. 6a: 16% of malloc cycles) but key to data
     // cache locality.
-    cycles_.prefetch_ns += config_.costs.prefetch_ns;
-    last_op_ns_ += config_.costs.prefetch_ns;
+    cycles_.prefetch_ns += kCostModel.prefetch_ns;
+    last_op_ns_ += kCostModel.prefetch_ns;
   }
 
   // Success-only accounting: failed growth attempts return above, so
@@ -254,8 +260,8 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
   }
 
   if (sampler_.RecordAllocation(addr, size, allocated_bytes, now, callsite)) {
-    cycles_.sampled_ns += config_.costs.sampled_alloc_ns;
-    last_op_ns_ += config_.costs.sampled_alloc_ns;
+    cycles_.sampled_ns += kCostModel.sampled_alloc_ns;
+    last_op_ns_ += kCostModel.sampled_alloc_ns;
     if (trace_) {
       trace_->Emit(trace::EventType::kSampledAlloc, vcpu, -1, -1, -1,
                    allocated_bytes, callsite);
@@ -273,8 +279,8 @@ uintptr_t Allocator::SlowPathAllocate(int cls, int vcpu, int node) {
 
   // Fetch a batch from the node's transfer cache.
   int got = backend.transfer_cache.Remove(domain, cls, batch_.data(), batch);
-  cycles_.transfer_cache_ns += config_.costs.transfer_cache_ns;
-  last_op_ns_ += config_.costs.transfer_cache_ns;
+  cycles_.transfer_cache_ns += kCostModel.transfer_cache_ns;
+  last_op_ns_ += kCostModel.transfer_cache_ns;
 
   if (got < batch) {
     // Transfer cache exhausted: extract the remainder from the central
@@ -283,12 +289,12 @@ uintptr_t Allocator::SlowPathAllocate(int cls, int vcpu, int node) {
     uint64_t spans_before = cfl.stats().fetched_spans;
     double mmap_before = MmapNsTotal();
     got += cfl.RemoveRange(batch_.data() + got, batch - got);
-    cycles_.central_free_list_ns += config_.costs.central_free_list_ns;
-    last_op_ns_ += config_.costs.central_free_list_ns;
+    cycles_.central_free_list_ns += kCostModel.central_free_list_ns;
+    last_op_ns_ += kCostModel.central_free_list_ns;
     uint64_t spans_fetched = cfl.stats().fetched_spans - spans_before;
     if (spans_fetched > 0) {
       double ph_ns =
-          config_.costs.page_heap_ns * static_cast<double>(spans_fetched);
+          kCostModel.page_heap_ns * static_cast<double>(spans_fetched);
       cycles_.page_heap_ns += ph_ns;
       last_op_ns_ += ph_ns;
       ++alloc_hits_.page_heap;
@@ -320,8 +326,8 @@ uintptr_t Allocator::SlowPathAllocate(int cls, int vcpu, int node) {
                      -1, size_classes_->class_size(cls), 0);
       }
       got = backend.cfls[cls]->RemoveRange(batch_.data(), batch);
-      cycles_.central_free_list_ns += config_.costs.central_free_list_ns;
-      last_op_ns_ += config_.costs.central_free_list_ns;
+      cycles_.central_free_list_ns += kCostModel.central_free_list_ns;
+      last_op_ns_ += kCostModel.central_free_list_ns;
     }
     if (got == 0) return 0;
     fail_recovered_allocations_->Add();
@@ -360,8 +366,8 @@ void Allocator::Free(uintptr_t addr, int vcpu, SimTime now,
       // allocating callsite and swallow the free instead of corrupting
       // span bookkeeping.
       fail_guard_double_frees_->Add();
-      last_op_ns_ = config_.costs.other_ns;
-      cycles_.other_ns += config_.costs.other_ns;
+      last_op_ns_ = kCostModel.other_ns;
+      cycles_.other_ns += kCostModel.other_ns;
       if (trace_) {
         trace_->Emit(
             trace::EventType::kGuardReport, vcpu, -1, -1,
@@ -372,8 +378,8 @@ void Allocator::Free(uintptr_t addr, int vcpu, SimTime now,
     }
   }
   free_ops_->Add();
-  last_op_ns_ = config_.costs.other_ns;
-  cycles_.other_ns += config_.costs.other_ns;
+  last_op_ns_ = kCostModel.other_ns;
+  cycles_.other_ns += kCostModel.other_ns;
   Sampler::FreeRecord sampled = sampler_.RecordFree(addr, now);
   if (sampled.sampled && trace_) {
     trace_->Emit(trace::EventType::kSampledFree, vcpu, -1, -1, -1,
@@ -392,8 +398,8 @@ void Allocator::Free(uintptr_t addr, int vcpu, SimTime now,
     large_live_requested_ -= static_cast<double>(obj->requested);
     large_objects_.Erase(addr);
     nodes_[NodeOfAddr(addr)]->page_heap.FreeLargeSpan(span);
-    cycles_.page_heap_ns += config_.costs.page_heap_ns;
-    last_op_ns_ += config_.costs.page_heap_ns;
+    cycles_.page_heap_ns += kCostModel.page_heap_ns;
+    last_op_ns_ += kCostModel.page_heap_ns;
     if (callsite != 0) {
       CallsiteStats& cs = callsites_[callsite];
       ++cs.frees;
@@ -425,8 +431,8 @@ void Allocator::Free(uintptr_t addr, int vcpu, SimTime now,
   }
 
   if (cpu_caches_.Deallocate(vcpu, cls, addr)) {
-    cycles_.cpu_cache_ns += config_.costs.cpu_cache_hit_ns;
-    last_op_ns_ += config_.costs.cpu_cache_hit_ns;
+    cycles_.cpu_cache_ns += kCostModel.cpu_cache_hit_ns;
+    last_op_ns_ += kCostModel.cpu_cache_hit_ns;
     return;
   }
   if (trace_) {
@@ -476,16 +482,16 @@ void Allocator::SlowPathFree(int cls, int vcpu, uintptr_t obj) {
   int domain = vcpu_domain_[vcpu];
   int batch = size_classes_->batch_size(cls);
   int extracted = cpu_caches_.ExtractBatch(vcpu, cls, batch_.data(), batch);
-  cycles_.transfer_cache_ns += config_.costs.transfer_cache_ns;
-  last_op_ns_ += config_.costs.transfer_cache_ns;
+  cycles_.transfer_cache_ns += kCostModel.transfer_cache_ns;
+  last_op_ns_ += kCostModel.transfer_cache_ns;
   bool cfl_charged = false;
   for (int i = 0; i < extracted; ++i) {
     uintptr_t o = batch_[i];
     NodeBackend& backend = *nodes_[NodeOfAddr(o)];
     if (backend.transfer_cache.Insert(domain, cls, &o, 1) == 0) {
       if (!cfl_charged) {
-        cycles_.central_free_list_ns += config_.costs.central_free_list_ns;
-        last_op_ns_ += config_.costs.central_free_list_ns;
+        cycles_.central_free_list_ns += kCostModel.central_free_list_ns;
+        last_op_ns_ += kCostModel.central_free_list_ns;
         cfl_charged = true;
       }
       ReturnToCfl(cls, &o, 1);
@@ -524,7 +530,7 @@ void Allocator::Maintain(SimTime now) {
       }
     });
   }
-  if (now - last_plunder_ >= config_.nuca_plunder_interval) {
+  if (now - last_plunder_ >= kNucaPlunderInterval) {
     last_plunder_ = now;
     for (auto& node : nodes_) {
       if (node->transfer_cache.nuca_enabled()) node->transfer_cache.Plunder();
@@ -534,7 +540,7 @@ void Allocator::Maintain(SimTime now) {
           });
     }
   }
-  if (now - last_release_ >= config_.release_interval) {
+  if (now - last_release_ >= kReleaseInterval) {
     last_release_ = now;
     for (auto& node : nodes_) node->page_heap.BackgroundRelease();
   }

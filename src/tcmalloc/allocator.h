@@ -52,6 +52,22 @@
 
 namespace wsc::tcmalloc {
 
+// Simulated cost (virtual nanoseconds) of each allocator code path,
+// calibrated against the paper's Fig. 4 microbenchmarks.
+struct CostModel {
+  double cpu_cache_hit_ns = 3.1;       // rseq fast path (~40 instructions)
+  double transfer_cache_ns = 12.9;     // mutex + flat-array batch move
+  double central_free_list_ns = 16.7;  // span linked-list manipulation
+  double page_heap_ns = 137.0;         // hugepage-aware page heap
+  double mmap_ns = 8000.0;             // kernel, zeroing a 2 MiB hugepage
+  double prefetch_ns = 0.95;           // next-object prefetch, every alloc
+  double sampled_alloc_ns = 1600.0;    // stack capture on sampled allocs
+  double other_ns = 0.5;               // dispatch/bookkeeping per operation
+};
+
+// The costs every Allocator charges.
+inline constexpr CostModel kCostModel{};
+
 // Simulated malloc-cycle accounting per code path (Fig. 6a).
 struct MallocCycleBreakdown {
   double cpu_cache_ns = 0;

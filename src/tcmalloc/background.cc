@@ -14,6 +14,10 @@ namespace {
 // admitted-bytes estimate in between.
 constexpr int kAdmissionRefreshInterval = 16;
 
+// Under soft-limit pressure, per-CPU caches are capped at this fraction of
+// per_cpu_cache_min_bytes — deliberately below the normal floor.
+constexpr double kPressureCacheFloorFraction = 0.25;
+
 // Per-tier reclaim-size histogram bounds: 64 KiB .. 4 GiB in powers of 4.
 std::vector<double> TierHistBounds() {
   std::vector<double> bounds;
@@ -151,10 +155,9 @@ size_t BackgroundReclaimer::ReclaimTiers(size_t target_bytes) {
   // straight to the central free lists so emptied spans can flow back to
   // the page heap immediately.
   if (footprint > target_bytes) {
-    const AllocatorConfig& config = allocator_->config();
     size_t floor = static_cast<size_t>(
-        static_cast<double>(config.per_cpu_cache_min_bytes) *
-        config.pressure_cache_floor_fraction);
+        static_cast<double>(allocator_->config().per_cpu_cache_min_bytes) *
+        kPressureCacheFloorFraction);
     size_t flushed =
         allocator_->cpu_caches_.ShrinkForPressure(floor, to_cfl);
     tier_cpu_cache_hist_->Record(static_cast<double>(flushed));

@@ -58,18 +58,7 @@ std::string AllocatorConfig::ValidationError() const {
     return BadKnob("filler_capacity_threshold must be >= 1",
                    "pass a positive threshold to WithFillerCapacityThreshold()");
   }
-  if (subrelease_free_fraction < 0.0 || subrelease_free_fraction > 1.0) {
-    return BadKnob("subrelease_free_fraction must be in [0, 1]",
-                   "pass a fraction to WithSubreleaseFreeFraction()");
-  }
-  if (numa_aware && num_numa_nodes == kTopologyDerived) {
-    return BadKnob(
-        "num_numa_nodes is unresolved (kTopologyDerived)",
-        "construct the allocator through fleet::Machine so the node count "
-        "comes from the machine topology, or choose one explicitly with "
-        "WithNumaNodes(n)");
-  }
-  if (num_numa_nodes < 0 || (!numa_aware && num_numa_nodes < 1)) {
+  if (num_numa_nodes < 1) {
     return BadKnob("num_numa_nodes must be >= 1",
                    "pass a positive count to WithNumaNodes()");
   }
@@ -83,11 +72,6 @@ std::string AllocatorConfig::ValidationError() const {
         "arena_bytes too small",
         "each (per-node) arena slice needs at least one hugepage; enlarge "
         "WithArena()");
-  }
-  if (pressure_cache_floor_fraction < 0.0 ||
-      pressure_cache_floor_fraction > 1.0) {
-    return BadKnob("pressure_cache_floor_fraction must be in [0, 1]",
-                   "pass a fraction to WithPressureCacheFloorFraction()");
   }
   if (soft_limit_bytes != 0 && hard_limit_bytes != 0 &&
       soft_limit_bytes > hard_limit_bytes) {
@@ -103,8 +87,6 @@ AllocatorConfig::Builder::Builder(const AllocatorConfig& base)
     : config_(base),
       explicit_llc_domains_(base.num_llc_domains !=
                             AllocatorConfig::kTopologyDerived),
-      explicit_numa_nodes_(base.num_numa_nodes !=
-                           AllocatorConfig::kTopologyDerived),
       explicit_arena_(base.arena_base != AllocatorConfig{}.arena_base ||
                       base.arena_bytes != AllocatorConfig{}.arena_bytes) {}
 
@@ -176,12 +158,6 @@ AllocatorConfig::Builder& AllocatorConfig::Builder::WithNucaShardBatches(
   return *this;
 }
 
-AllocatorConfig::Builder& AllocatorConfig::Builder::WithNucaPlunderInterval(
-    SimTime interval) {
-  config_.nuca_plunder_interval = interval;
-  return *this;
-}
-
 AllocatorConfig::Builder& AllocatorConfig::Builder::WithSpanPrioritization(
     bool on) {
   config_.span_prioritization = on;
@@ -205,32 +181,9 @@ AllocatorConfig::Builder::WithFillerCapacityThreshold(int threshold) {
   return *this;
 }
 
-AllocatorConfig::Builder&
-AllocatorConfig::Builder::WithSubreleaseFreeFraction(double fraction) {
-  config_.subrelease_free_fraction = fraction;
-  return *this;
-}
-
-AllocatorConfig::Builder& AllocatorConfig::Builder::WithReleaseInterval(
-    SimTime interval) {
-  config_.release_interval = interval;
-  return *this;
-}
-
-AllocatorConfig::Builder& AllocatorConfig::Builder::WithNumaAware(bool on) {
-  config_.numa_aware = on;
-  if (on && !explicit_numa_nodes_) {
-    config_.num_numa_nodes = AllocatorConfig::kTopologyDerived;
-  } else if (!on && !explicit_numa_nodes_) {
-    config_.num_numa_nodes = 1;
-  }
-  return *this;
-}
-
 AllocatorConfig::Builder& AllocatorConfig::Builder::WithNumaNodes(int n) {
   config_.numa_aware = true;
   config_.num_numa_nodes = n;
-  explicit_numa_nodes_ = true;
   return *this;
 }
 
@@ -265,12 +218,6 @@ AllocatorConfig::Builder& AllocatorConfig::Builder::WithRealMemoryReserve(
   return *this;
 }
 
-AllocatorConfig::Builder& AllocatorConfig::Builder::WithCostModel(
-    const CostModel& costs) {
-  config_.costs = costs;
-  return *this;
-}
-
 AllocatorConfig::Builder& AllocatorConfig::Builder::WithSoftMemoryLimit(
     size_t bytes) {
   config_.soft_limit_bytes = bytes;
@@ -280,12 +227,6 @@ AllocatorConfig::Builder& AllocatorConfig::Builder::WithSoftMemoryLimit(
 AllocatorConfig::Builder& AllocatorConfig::Builder::WithHardMemoryLimit(
     size_t bytes) {
   config_.hard_limit_bytes = bytes;
-  return *this;
-}
-
-AllocatorConfig::Builder&
-AllocatorConfig::Builder::WithPressureCacheFloorFraction(double fraction) {
-  config_.pressure_cache_floor_fraction = fraction;
   return *this;
 }
 
@@ -318,13 +259,11 @@ std::optional<AllocatorConfig> AllocatorConfig::Builder::TryBuild(
         ">= 2), or drop WithLlcDomains() to derive the count from the "
         "machine topology"));
   }
-  if (config_.numa_aware && explicit_numa_nodes_ &&
-      config_.num_numa_nodes < 2) {
+  if (config_.numa_aware && config_.num_numa_nodes < 2) {
     return fail(BadKnob(
         "numa_aware requires num_numa_nodes >= 2",
         "NUMA mode duplicates the middle/back end per node; pass "
-        "WithNumaNodes(n >= 2), or use WithNumaAware() to derive the count "
-        "from the machine topology"));
+        "WithNumaNodes(n >= 2)"));
   }
   // Real-memory combination checks: TryBuild reports, never aborts.
   if (!config_.real_memory && config_.real_memory_reserve_bytes != 0) {
@@ -342,16 +281,12 @@ std::optional<AllocatorConfig> AllocatorConfig::Builder::TryBuild(
   }
 
   AllocatorConfig config = config_;
-  // Topology sentinels are legal in a *built* config — fleet::Machine
-  // resolves them at placement — so validate everything else with the
-  // sentinels masked to a resolvable value.
+  // The LLC-domain sentinel is legal in a *built* config — fleet::Machine
+  // resolves it at placement — so validate everything else with the
+  // sentinel masked to a resolvable value.
   AllocatorConfig check = config;
   if (check.num_llc_domains == AllocatorConfig::kTopologyDerived) {
     check.num_llc_domains = 2;
-  }
-  if (check.numa_aware &&
-      check.num_numa_nodes == AllocatorConfig::kTopologyDerived) {
-    check.num_numa_nodes = 2;
   }
   if (std::string err = check.ValidationError(); !err.empty()) {
     return fail(err);

@@ -1,6 +1,5 @@
 // Allocator configuration: feature toggles for the four warehouse-scale
-// optimizations studied in the paper, plus their tuning knobs and the
-// calibrated cost model.
+// optimizations studied in the paper, plus their tuning knobs.
 //
 // The fleet A/B framework (src/fleet/experiment.h) flips exactly these
 // fields between the experiment and control groups.
@@ -17,19 +16,6 @@
 
 namespace wsc::tcmalloc {
 
-// Simulated cost (virtual nanoseconds) of each allocator code path,
-// calibrated against the paper's Fig. 4 microbenchmarks.
-struct CostModel {
-  double cpu_cache_hit_ns = 3.1;       // rseq fast path (~40 instructions)
-  double transfer_cache_ns = 12.9;     // mutex + flat-array batch move
-  double central_free_list_ns = 16.7;  // span linked-list manipulation
-  double page_heap_ns = 137.0;         // hugepage-aware page heap
-  double mmap_ns = 8000.0;             // kernel, zeroing a 2 MiB hugepage
-  double prefetch_ns = 0.95;           // next-object prefetch, every alloc
-  double sampled_alloc_ns = 1600.0;    // stack capture on sampled allocs
-  double other_ns = 0.5;               // dispatch/bookkeeping per operation
-};
-
 // Feature toggles + tuning knobs (defaults = paper's baseline TCMalloc).
 //
 // Construct through AllocatorConfig::Builder (below) outside src/tcmalloc/:
@@ -37,10 +23,10 @@ struct CostModel {
 // counts, and is the only construction path CI permits for benches and
 // tests.
 struct AllocatorConfig {
-  // Sentinel for num_llc_domains / num_numa_nodes: "derive from the machine
-  // topology at placement time". fleet::Machine resolves it when it places a
-  // process; constructing an Allocator directly with an unresolved sentinel
-  // is a fatal error (ValidationError explains how to fix it).
+  // Sentinel for num_llc_domains: "derive from the machine topology at
+  // placement time". fleet::Machine resolves it when it places a process;
+  // constructing an Allocator directly with an unresolved sentinel is a
+  // fatal error (ValidationError explains how to fix it).
   static constexpr int kTopologyDerived = 0;
 
   // ---- Front-end: per-CPU caches (Section 4.1) ----
@@ -70,9 +56,6 @@ struct AllocatorConfig {
   // batches; NUCA shards get a fraction of this each.
   int transfer_cache_batches = 64;
   int nuca_shard_batches = 16;
-  // Cadence at which unused shard objects are plundered back to the
-  // central cache to prevent stranding.
-  SimTime nuca_plunder_interval = Seconds(5);
 
   // ---- Middle tier: central free list (Section 4.3) ----
   bool span_prioritization = false;
@@ -84,19 +67,13 @@ struct AllocatorConfig {
   // Span-capacity threshold C separating short-lived from long-lived span
   // hugepage sets (paper: 16).
   int filler_capacity_threshold = 16;
-  // Background release: free pages are subreleased from sparse hugepages
-  // when filler free space exceeds this fraction of filler total space.
-  // Production tuning is memory-pressure driven; this fixed fraction
-  // reproduces the fleet's ~50% baseline hugepage coverage under diurnal
-  // load variation.
-  double subrelease_free_fraction = 0.08;
-  SimTime release_interval = Seconds(1);
 
   // ---- NUMA awareness (Section 5) ----
   // TCMalloc's NUMA mode duplicates the size-class caches and the page
   // allocator per NUMA node so allocations always return node-local
   // memory. When enabled, the arena is split into one slice per node and
-  // every middle/back-end structure is instantiated per node.
+  // every middle/back-end structure is instantiated per node. fleet::Machine
+  // sets the node count from the machine topology when it places a process.
   bool numa_aware = false;
   int num_numa_nodes = 1;
 
@@ -117,9 +94,6 @@ struct AllocatorConfig {
   // Hard limit: allocations that would push the footprint past it fail
   // (Allocate returns 0) after one emergency reclaim attempt. 0 = no limit.
   size_t hard_limit_bytes = 0;
-  // Under soft-limit pressure, per-CPU caches are capped at this fraction
-  // of per_cpu_cache_min_bytes — deliberately below the normal floor.
-  double pressure_cache_floor_fraction = 0.25;
 
   // ---- Arena ----
   // The simulated Allocator's arena is purely virtual (addresses, not
@@ -140,8 +114,6 @@ struct AllocatorConfig {
   // The malloc shim sets this from WSC_SHIM_RESERVE_MB so OOM behavior is
   // testable without exhausting terabytes of address space.
   size_t real_memory_reserve_bytes = 0;
-
-  CostModel costs;
 
   // Returns the paper's optimized configuration: all four redesigns on
   // (Section 4.5 "putting it all together").
@@ -199,7 +171,6 @@ class AllocatorConfig::Builder {
   Builder& WithLlcDomains(int n);
   Builder& WithTransferCacheBatches(int n);
   Builder& WithNucaShardBatches(int n);
-  Builder& WithNucaPlunderInterval(SimTime interval);
 
   // ---- Central free list ----
   Builder& WithSpanPrioritization(bool on = true);
@@ -208,20 +179,15 @@ class AllocatorConfig::Builder {
   // ---- Hugepage filler / release ----
   Builder& WithLifetimeAwareFiller(bool on = true);
   Builder& WithFillerCapacityThreshold(int threshold);
-  Builder& WithSubreleaseFreeFraction(double fraction);
-  Builder& WithReleaseInterval(SimTime interval);
 
   // ---- NUMA ----
-  // Enables NUMA mode with a topology-derived node count.
-  Builder& WithNumaAware(bool on = true);
   // Enables NUMA mode with an explicit node count (must be >= 2).
   Builder& WithNumaNodes(int n);
 
-  // ---- Sampling / arena / costs ----
+  // ---- Sampling / arena ----
   Builder& WithSampleIntervalBytes(size_t bytes);
   Builder& WithGuardedSampling(bool on = true);
   Builder& WithArena(uintptr_t base, size_t bytes);
-  Builder& WithCostModel(const CostModel& costs);
 
   // ---- Memory backing ----
   // Marks the config as RealThreadsAllocator's, which runs on real memory
@@ -235,7 +201,6 @@ class AllocatorConfig::Builder {
   // ---- Memory limits ----
   Builder& WithSoftMemoryLimit(size_t bytes);
   Builder& WithHardMemoryLimit(size_t bytes);
-  Builder& WithPressureCacheFloorFraction(double fraction);
 
   // All four paper redesigns (Section 4.5), NUCA shard count derived from
   // topology unless WithLlcDomains chose one.
@@ -251,7 +216,6 @@ class AllocatorConfig::Builder {
  private:
   AllocatorConfig config_;
   bool explicit_llc_domains_ = false;
-  bool explicit_numa_nodes_ = false;
   bool explicit_arena_ = false;
 };
 

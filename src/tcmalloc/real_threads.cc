@@ -134,7 +134,6 @@ void RealThreadsAllocator::FlushThreadCache(RealThreadCache* tc) {
 }
 
 uintptr_t RealThreadsAllocator::SlowAllocate(RealThreadCache* tc, int cls) {
-  WSC_PROF_SCOPE("rt/SlowAllocate");
   const int batch = size_classes_->batch_size(cls);
   uintptr_t buf[kMaxBatch];
 
@@ -161,7 +160,6 @@ uintptr_t RealThreadsAllocator::SlowAllocate(RealThreadCache* tc, int cls) {
 
 void RealThreadsAllocator::SlowFree(RealThreadCache* tc, int cls,
                                     uintptr_t obj) {
-  WSC_PROF_SCOPE("rt/SlowFree");
   // The list is at cap: push one batch down to the middle end, then cache
   // the object being freed.
   const int batch = size_classes_->batch_size(cls);
@@ -187,7 +185,6 @@ void RealThreadsAllocator::SlowFree(RealThreadCache* tc, int cls,
 
 int RealThreadsAllocator::RefillFromCfl(int cls, int shard, uintptr_t* out,
                                         int want) {
-  WSC_PROF_SCOPE("rt/RefillFromCfl");
   CflShard& home = cfl_shard(cls, shard);
   home.lock.Lock();
   ++home.refills;
@@ -236,7 +233,6 @@ int RealThreadsAllocator::RefillFromCfl(int cls, int shard, uintptr_t* out,
 
 void RealThreadsAllocator::ReturnToCfl(int cls, int shard,
                                        const uintptr_t* objs, int count) {
-  WSC_PROF_SCOPE("rt/ReturnToCfl");
   CflShard& home = cfl_shard(cls, shard);
   home.lock.Lock();
   PutIntrusive(home.head, home.count, objs, count);
@@ -244,7 +240,6 @@ void RealThreadsAllocator::ReturnToCfl(int cls, int shard,
 }
 
 bool RealThreadsAllocator::CarveSpan(int cls, CflShard& shard) {
-  WSC_PROF_SCOPE("rt/CarveSpan");
   const SizeClassInfo& info = size_classes_->info(cls);
   size_t span_bytes = LengthToBytes(info.pages_per_span);
   // CAS loop instead of fetch_add so a failed carve does not advance the
@@ -291,13 +286,9 @@ uintptr_t RealThreadsAllocator::AllocateLarge(RealThreadCache* tc,
       if (range->pages >= pages && (cur & (align - 1)) == 0) {
         uintptr_t next = range->next;
         bool released = range->released;
-        if (range->pages > pages) {
+        bool split = range->pages > pages;
+        if (split) {
           uintptr_t tail = cur + bytes;
-          if (released) {
-            // The tail's new header page was madvised away; re-commit it
-            // (bookkeeping only — the write below refaults it).
-            backing_.Commit(tail, kPageSize);
-          }
           LargeRange* tail_range = reinterpret_cast<LargeRange*>(tail);
           tail_range->next = next;
           tail_range->pages = range->pages - pages;
@@ -308,7 +299,9 @@ uintptr_t RealThreadsAllocator::AllocateLarge(RealThreadCache* tc,
         }
         large_free_pages_.fetch_sub(pages, std::memory_order_relaxed);
         if (released) {
-          backing_.Commit(cur, bytes);
+          // The header page stayed resident. A split also brings back
+          // the tail's new header page, written just above.
+          backing_.Commit(split ? bytes : bytes - kPageSize);
         } else {
           large_unreleased_pages_.fetch_sub(pages,
                                             std::memory_order_relaxed);
@@ -378,12 +371,16 @@ size_t RealThreadsAllocator::ReleasePendingLocked(size_t want_bytes) {
     LargeRange* range = reinterpret_cast<LargeRange*>(cur);
     if (!range->released && range->pages > 1) {
       // Keep the header page resident — it holds the list node — and
-      // return the tail to the OS.
-      confirmed += backing_.Release(cur + kPageSize,
-                                    (range->pages - 1) << kPageShift);
-      range->released = true;
-      large_unreleased_pages_.fetch_sub(range->pages,
-                                        std::memory_order_relaxed);
+      // return the tail to the OS. A failed madvise leaves the range
+      // unreleased.
+      size_t released = backing_.Release(cur + kPageSize,
+                                         (range->pages - 1) << kPageShift);
+      if (released > 0) {
+        confirmed += released;
+        range->released = true;
+        large_unreleased_pages_.fetch_sub(range->pages,
+                                          std::memory_order_relaxed);
+      }
     }
     cur = range->next;
   }
@@ -396,19 +393,16 @@ size_t RealThreadsAllocator::ReleaseMemoryToSystem(size_t bytes) {
 }
 
 void RealThreadsAllocator::ForkPrepare() {
-  // Fixed order (the reverse of ForkRelease): registry, large pool,
-  // every shard, then the backing. Holding them all across fork() means
-  // no lock in the child's copy belongs to a thread that no longer
-  // exists.
+  // Fixed order (the reverse of ForkRelease): registry, large pool, then
+  // every shard. Holding them all across fork() means no lock in the
+  // child's copy belongs to a thread that no longer exists.
   threads_mu_.lock();
   large_mu_.lock();
   for (size_t i = 0; i < grid_size_; ++i) transfer_[i].lock.Lock();
   for (size_t i = 0; i < grid_size_; ++i) cfl_[i].lock.Lock();
-  backing_.ForkLock();
 }
 
 void RealThreadsAllocator::ForkRelease() {
-  backing_.ForkUnlock();
   for (size_t i = 0; i < grid_size_; ++i) cfl_[i].lock.Unlock();
   for (size_t i = 0; i < grid_size_; ++i) transfer_[i].lock.Unlock();
   large_mu_.unlock();

@@ -27,9 +27,8 @@
 //    on the refill path.
 //
 //  * Every hot per-thread / per-shard structure is alignas(64) so two
-//    threads' hot state never share a cache line; static_asserts below
-//    (duplicated in tools/check_alignment.cc, compiled by CI) pin the
-//    layout.
+//    threads' hot state never share a cache line; static_asserts at the
+//    end of this header pin the layout in every build.
 //
 // Memory: one contiguous MAP_NORESERVE reservation (RealMemoryBacking in
 // tcmalloc/memory_backing.h), hinted MADV_HUGEPAGE. It costs nothing until
@@ -60,7 +59,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "profiler/self_profiler.h"
 #include "tcmalloc/config.h"
 #include "tcmalloc/memory_backing.h"
 #include "tcmalloc/pages.h"
@@ -242,7 +240,6 @@ class RealThreadsAllocator {
   // one pointer chase. `size` must be > 0. Returns 0 when the reservation
   // is exhausted.
   uintptr_t Allocate(RealThreadCache* tc, size_t size) {
-    WSC_PROF_SCOPE("rt/Allocate");
     WSC_DCHECK_GT(size, size_t{0});
     int cls = size_classes_->ClassFor(size);
     if (cls >= 0) return AllocateClass(tc, cls);
@@ -281,7 +278,6 @@ class RealThreadsAllocator {
   // object lands in the FREEING thread's cache, exactly like production
   // TCMalloc. A large block's length comes from the page directory.
   void Free(RealThreadCache* tc, uintptr_t addr, size_t size) {
-    WSC_PROF_SCOPE("rt/Free");
     int cls = size_classes_->ClassFor(size);
     if (cls >= 0) {
       FreeClass(tc, cls, addr);
@@ -347,8 +343,9 @@ class RealThreadsAllocator {
   }
 
   // fork() support for the malloc shim: ForkPrepare() (in
-  // pthread_atfork's prepare hook) acquires every lock in a fixed order
-  // so the child inherits them all in a known, consistent state;
+  // pthread_atfork's prepare hook) acquires every lock in a fixed order —
+  // the registry, the large pool, every transfer shard, then every CFL
+  // shard — so the child inherits them all in a known, consistent state;
   // ForkRelease() (parent and child hooks) drops them again. Without
   // this, a fork racing another thread's refill leaves a shard lock held
   // forever in the child.
@@ -453,13 +450,16 @@ class RealThreadsAllocator {
   size_t dir_entries_ = 0;
 
   // Freed large ranges, singly linked through their own first page (a
-  // LargeRange header lives in the freed memory). Guarded by large_mu_;
-  // the page counters are atomic only so FootprintBytes/telemetry can
-  // read them without the mutex.
+  // LargeRange header lives in the freed memory). Guarded by large_mu_,
+  // which also serializes every backing_ Release/Commit; the page
+  // counters are atomic only so FootprintBytes/telemetry can read them
+  // without the mutex.
   struct LargeRange {
     uintptr_t next;
     size_t pages;
-    bool released;  // tail (everything past the header page) madvised
+    // The tail (everything past the header page) is madvised away. The
+    // one record of what is released: the backing keeps none.
+    bool released;
   };
   std::mutex large_mu_;
   uintptr_t large_free_head_ = 0;
@@ -476,8 +476,8 @@ class RealThreadsAllocator {
 };
 
 // False-sharing audit: the layout contract the real-threads allocator
-// depends on. tools/check_alignment.cc compiles the same assertions
-// standalone so CI fails loudly if a refactor drops an alignas.
+// depends on. Every build (and the shim) compiles this header, so a
+// refactor that drops an alignas fails to compile.
 static_assert(sizeof(ContendedLock) <= kCacheLineSize,
               "ContendedLock must fit in one cache line");
 static_assert(alignof(TransferShard) == kCacheLineSize,
@@ -490,6 +490,12 @@ static_assert(sizeof(CflShard) % kCacheLineSize == 0,
               "adjacent CflShards would share a cache line");
 static_assert(alignof(RealThreadCache) == kCacheLineSize,
               "RealThreadCache lost its cache-line alignment");
+// The spinlock flag and the arena bump pointer must be plain lock-free
+// atomics; a locked fallback would put a hidden mutex on the hot path.
+static_assert(std::atomic<bool>::is_always_lock_free,
+              "std::atomic<bool> is not lock-free on this target");
+static_assert(std::atomic<uintptr_t>::is_always_lock_free,
+              "arena bump pointer would take a lock on this target");
 
 }  // namespace wsc::tcmalloc
 

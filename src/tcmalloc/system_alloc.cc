@@ -1,8 +1,63 @@
 #include "tcmalloc/system_alloc.h"
 
+#include <algorithm>
+#include <iterator>
+
 #include "common/logging.h"
 
 namespace wsc::tcmalloc {
+
+size_t ReleasedRangeSet::Add(uintptr_t addr, size_t bytes) {
+  if (bytes == 0) return 0;
+  uintptr_t start = addr;
+  uintptr_t end = addr + bytes;
+  size_t fresh = bytes;
+
+  // Find all existing runs overlapping or touching [start, end) and merge
+  // them, subtracting the overlap from the fresh-byte count.
+  auto it = runs_.upper_bound(start);
+  if (it != runs_.begin()) {
+    auto prev = std::prev(it);
+    if (prev->second >= start) it = prev;
+  }
+  while (it != runs_.end() && it->first <= end) {
+    uintptr_t olap_lo = std::max(it->first, start);
+    uintptr_t olap_hi = std::min(it->second, end);
+    if (olap_hi > olap_lo) fresh -= olap_hi - olap_lo;
+    start = std::min(start, it->first);
+    end = std::max(end, it->second);
+    it = runs_.erase(it);
+  }
+  runs_[start] = end;
+  total_bytes_ += fresh;
+  return fresh;
+}
+
+size_t ReleasedRangeSet::Remove(uintptr_t addr, size_t bytes) {
+  if (bytes == 0) return 0;
+  const uintptr_t start = addr;
+  const uintptr_t end = addr + bytes;
+  size_t removed = 0;
+
+  auto it = runs_.upper_bound(start);
+  if (it != runs_.begin()) {
+    auto prev = std::prev(it);
+    if (prev->second > start) it = prev;
+  }
+  while (it != runs_.end() && it->first < end) {
+    uintptr_t run_lo = it->first;
+    uintptr_t run_hi = it->second;
+    uintptr_t olap_lo = std::max(run_lo, start);
+    uintptr_t olap_hi = std::min(run_hi, end);
+    it = runs_.erase(it);
+    removed += olap_hi - olap_lo;
+    if (run_lo < olap_lo) runs_[run_lo] = olap_lo;
+    if (olap_hi < run_hi) runs_[olap_hi] = run_hi;
+    it = runs_.upper_bound(olap_hi);
+  }
+  total_bytes_ -= removed;
+  return removed;
+}
 
 SystemAllocator::SystemAllocator(uintptr_t base, size_t arena_bytes,
                                  double mmap_latency_ns)

@@ -13,14 +13,34 @@
 #ifndef WSC_TCMALLOC_SYSTEM_ALLOC_H_
 #define WSC_TCMALLOC_SYSTEM_ALLOC_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <map>
 
 #include "tcmalloc/fault_injection.h"
-#include "tcmalloc/memory_backing.h"
 #include "tcmalloc/pages.h"
 #include "telemetry/registry.h"
 
 namespace wsc::tcmalloc {
+
+// Tracks which byte ranges of the arena are currently released to the
+// (simulated) OS, so Release() can report only *newly* returned bytes
+// (releasing an already-released range is a no-op, not double credit)
+// and Commit() can clear the marks when memory is reused. Interval-
+// coalescing map, byte-granular; callers align to page boundaries.
+class ReleasedRangeSet {
+ public:
+  // Marks [addr, addr+bytes) released; returns bytes not already released.
+  size_t Add(uintptr_t addr, size_t bytes);
+  // Clears released marks overlapping [addr, addr+bytes); returns bytes
+  // that had been released (and are now considered committed again).
+  size_t Remove(uintptr_t addr, size_t bytes);
+  size_t total_bytes() const { return total_bytes_; }
+
+ private:
+  std::map<uintptr_t, uintptr_t> runs_;  // start -> end (exclusive)
+  size_t total_bytes_ = 0;
+};
 
 // Statistics of the simulated OS interface.
 struct SystemStats {

@@ -20,17 +20,24 @@
 
 extern "C" {
 int wscmalloc_is_active();
-const char* wscmalloc_backend();
 size_t wscmalloc_release_memory(size_t bytes);
 size_t wscmalloc_stats_json(char* buf, size_t cap);
 }
 
 namespace {
 
-TEST(ShimApi, ShimIsInterposed) {
-  EXPECT_EQ(wscmalloc_is_active(), 1);
-  EXPECT_STREQ(wscmalloc_backend(), "real-memory");
+// The stats JSON's "bootstrap_bytes": how much of the bootstrap arena,
+// whose frees are no-ops, has been handed out so far.
+size_t BootstrapBytes() {
+  char buf[2048];
+  wscmalloc_stats_json(buf, sizeof(buf));
+  const char* field = std::strstr(buf, "\"bootstrap_bytes\":");
+  if (field == nullptr) return 0;
+  return std::strtoull(field + std::strlen("\"bootstrap_bytes\":"), nullptr,
+                       10);
 }
+
+TEST(ShimApi, ShimIsInterposed) { EXPECT_EQ(wscmalloc_is_active(), 1); }
 
 TEST(ShimApi, MallocZeroIsUniqueAndFreeable) {
   void* a = malloc(0);
@@ -172,8 +179,35 @@ TEST(ShimApi, StatsJsonIsWellFormedAndBalances) {
   EXPECT_EQ(buf[0], '{');
   EXPECT_EQ(buf[n - 1], '}');
   EXPECT_NE(std::strstr(buf, "\"active\":true"), nullptr) << buf;
-  EXPECT_NE(std::strstr(buf, "\"backend\":\"real-memory\""), nullptr) << buf;
   EXPECT_NE(std::strstr(buf, "\"allocations\":"), nullptr) << buf;
+}
+
+// The stats snapshot allocates through the allocator itself, so a caller
+// polling it never grows the bootstrap arena.
+TEST(ShimApi, StatsJsonDoesNotGrowBootstrapArena) {
+  const size_t before = BootstrapBytes();
+  ASSERT_GT(before, 0u);
+  for (int i = 0; i < 100000; ++i) BootstrapBytes();
+  EXPECT_EQ(BootstrapBytes(), before);
+}
+
+// The large path and its madvise release keep their bookkeeping in the
+// freed ranges themselves: churning them allocates no metadata.
+TEST(ShimApi, LargeChurnAndReleaseDoNotGrowBootstrapArena) {
+  constexpr size_t kBlock = 1 << 20;
+  constexpr int kBlocks = 64;
+  void* blocks[kBlocks];
+  const size_t before = BootstrapBytes();
+  for (int round = 0; round < 20; ++round) {
+    for (int i = 0; i < kBlocks; ++i) {
+      // Vary the sizes so reuse both splits and exactly fits ranges.
+      blocks[i] = malloc(kBlock + (i % 4) * 8192);
+      ASSERT_NE(blocks[i], nullptr);
+    }
+    for (int i = 0; i < kBlocks; ++i) free(blocks[i]);
+    wscmalloc_release_memory(~size_t{0});
+  }
+  EXPECT_EQ(BootstrapBytes(), before);
 }
 
 TEST(ShimApi, ReleaseMemoryReturnsConfirmedBytes) {

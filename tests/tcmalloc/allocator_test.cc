@@ -160,7 +160,7 @@ TEST(Allocator, LastOpNsTracksTierCosts) {
   // First alloc goes through CFL + page heap + mmap: expensive.
   alloc.Allocate(64, 0, 0);
   double slow = alloc.last_op_ns();
-  EXPECT_GT(slow, config.costs.page_heap_ns);
+  EXPECT_GT(slow, kCostModel.page_heap_ns);
   // Second allocation of the same class: fast path only.
   alloc.Allocate(64, 0, 0);
   double fast = alloc.last_op_ns();

@@ -33,31 +33,6 @@ double Metric(const telemetry::Snapshot& snap, const char* component,
   return sample != nullptr ? sample->ScalarValue() : -1.0;
 }
 
-// ---- ReleasedRangeSet: the dedupe that keeps release accounting honest.
-
-TEST(ReleasedRangeSetTest, AddDedupesOverlaps) {
-  ReleasedRangeSet set;
-  EXPECT_EQ(set.Add(0x1000, 0x1000), 0x1000u);
-  // Re-releasing the same range is not new.
-  EXPECT_EQ(set.Add(0x1000, 0x1000), 0u);
-  // Partial overlap counts only the fresh part.
-  EXPECT_EQ(set.Add(0x1800, 0x1000), 0x800u);
-  EXPECT_EQ(set.total_bytes(), 0x1800u);
-}
-
-TEST(ReleasedRangeSetTest, RemoveSplitsRuns) {
-  ReleasedRangeSet set;
-  set.Add(0x1000, 0x3000);
-  // Carve the middle out: the run splits in two.
-  EXPECT_EQ(set.Remove(0x2000, 0x1000), 0x1000u);
-  EXPECT_EQ(set.total_bytes(), 0x2000u);
-  // Removing an uncovered range is a no-op.
-  EXPECT_EQ(set.Remove(0x2000, 0x1000), 0u);
-  // The two halves are still marked.
-  EXPECT_EQ(set.Add(0x1000, 0x1000), 0u);
-  EXPECT_EQ(set.Add(0x3000, 0x1000), 0u);
-}
-
 // ---- RealMemoryBacking: a real mmap reservation.
 
 TEST(RealMemoryBackingTest, ReservesWritableHugepageAlignedMemory) {
@@ -73,7 +48,7 @@ TEST(RealMemoryBackingTest, ReservesWritableHugepageAlignedMemory) {
             0xAB);
 }
 
-TEST(RealMemoryBackingTest, ReleaseZeroesAndDedupes) {
+TEST(RealMemoryBackingTest, ReleaseZeroesAndCounts) {
   RealMemoryBacking backing(RealMemoryBacking::kMinReserveBytes);
   ASSERT_TRUE(backing.ok());
   uintptr_t hp = backing.base();
@@ -81,16 +56,16 @@ TEST(RealMemoryBackingTest, ReleaseZeroesAndDedupes) {
   std::memset(mem, 0xCD, kHugePageSize);
 
   EXPECT_EQ(backing.Release(hp, kHugePageSize), kHugePageSize);
-  // Releasing again confirms nothing new.
-  EXPECT_EQ(backing.Release(hp, kHugePageSize), 0u);
   // MADV_DONTNEED refaults as zero.
   EXPECT_EQ(mem[0], 0);
   EXPECT_EQ(mem[kHugePageSize - 1], 0);
+  // A failed madvise (nothing is mapped at page 1) releases nothing.
+  EXPECT_EQ(backing.Release(4096, 4096), 0u);
 
-  backing.Commit(hp, kHugePageSize);
+  backing.Commit(kHugePageSize);
+  EXPECT_EQ(backing.stats().release_calls, 2u);
+  EXPECT_EQ(backing.stats().released_bytes, kHugePageSize);
   EXPECT_EQ(backing.stats().recommitted_bytes, kHugePageSize);
-  // Post-commit the full range releases fresh again.
-  EXPECT_EQ(backing.Release(hp, kHugePageSize), kHugePageSize);
 }
 
 // ---- The real-threads allocator on real memory.
@@ -227,6 +202,40 @@ TEST(RealMemoryModeTest, ReleaseMemoryToSystemMadvisesPendingRanges) {
   EXPECT_EQ(q, p);
   std::memset(mem, 0xEF, kBytes);
   alloc.Free(tc, q, kBytes);
+}
+
+// Reusing a released range recommits everything past its header page,
+// which never left; a split also recommits the tail's new header page.
+TEST(RealMemoryModeTest, ReusingReleasedRangesRecommits) {
+  RealThreadsAllocator alloc(RealConfig(), 1);
+  RealThreadCache* tc = alloc.RegisterThread();
+  constexpr size_t kBytes = 4 << 20;
+  auto system_metric = [&alloc](const char* name) {
+    return Metric(alloc.TelemetrySnapshot(), "system", name);
+  };
+
+  uintptr_t p = alloc.Allocate(tc, kBytes);
+  ASSERT_NE(p, 0u);
+  alloc.Free(tc, p, kBytes);
+  ASSERT_EQ(alloc.ReleaseMemoryToSystem(kBytes), kBytes - kPageSize);
+
+  // Exact fit.
+  ASSERT_EQ(alloc.Allocate(tc, kBytes), p);
+  EXPECT_EQ(system_metric("released_bytes"), 4186112);
+  EXPECT_EQ(system_metric("recommitted_bytes"), 4186112);
+  alloc.Free(tc, p, kBytes);
+  ASSERT_EQ(alloc.ReleaseMemoryToSystem(kBytes), kBytes - kPageSize);
+
+  // Split: a quarter from the front; the tail stays released.
+  ASSERT_EQ(alloc.Allocate(tc, kBytes / 4), p);
+  EXPECT_EQ(system_metric("released_bytes"), 8372224);
+  EXPECT_EQ(system_metric("recommitted_bytes"), 4186112 + 1048576);
+  EXPECT_EQ(alloc.ReleaseMemoryToSystem(kBytes), 0u);
+
+  // The tail, exact fit: every released byte is back in use.
+  ASSERT_EQ(alloc.Allocate(tc, kBytes * 3 / 4), p + kBytes / 4);
+  EXPECT_EQ(system_metric("recommitted_bytes"), 8372224);
+  EXPECT_EQ(system_metric("release_calls"), 2);
 }
 
 }  // namespace

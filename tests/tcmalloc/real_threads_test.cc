@@ -2,10 +2,11 @@
 // one-mode contract, object conservation under a genuine multi-thread
 // alloc/free storm with cross-thread frees, the sharded refill path
 // (including cross-shard work stealing), the LUT size-class lookup, the
-// large path's footprint, and telemetry. The backing, the page directory
-// and madvise release are covered in real_memory_mode_test.cc. The storm
-// tests are the ones the CI sanitizer jobs (TSan/ASan) run to prove the
-// lock-free fast path race-free rather than assuming it.
+// large path's footprint and its release under concurrent frees, and
+// telemetry. The backing, the page directory and madvise release are
+// covered in real_memory_mode_test.cc. The storm tests are the ones the
+// CI sanitizer jobs (TSan/ASan) run to prove the lock-free fast path
+// race-free rather than assuming it.
 
 #include "tcmalloc/real_threads.h"
 
@@ -243,6 +244,72 @@ TEST(RealThreadsAllocatorTest, LargeObjectsBypassClassesAndComeBack) {
   EXPECT_GT(alloc.FootprintBytes(), small_footprint);
   EXPECT_GT(alloc.ReleaseMemoryToSystem(~size_t{0}), 0u);
   EXPECT_EQ(alloc.FootprintBytes(), small_footprint);
+}
+
+// Large blocks churned by several threads while their frees trigger eager
+// releases and another thread forces more. Each pending range's released
+// flag, under the large-pool lock, is the only record of what is
+// released: a live block must never be madvised (its tags would read
+// zero), and every recommitted byte must have been released first.
+TEST(RealThreadsAllocatorTest, ConcurrentLargeChurnWithRelease) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 200;
+  RealThreadsAllocator alloc(TestConfig(), kThreads);
+  alloc.SetLargeReleaseThreshold(size_t{2} << 20);
+  std::atomic<uint64_t> clobbered{0};
+  std::atomic<bool> done{false};
+
+  auto last_word = [](uintptr_t addr, size_t size) {
+    return reinterpret_cast<uint64_t*>(addr + ((size - 8) & ~size_t{7}));
+  };
+  auto worker = [&](int tid) {
+    RealThreadCache* tc = alloc.RegisterThread();
+    Rng rng(99 + tid);
+    std::vector<std::pair<uintptr_t, size_t>> live;
+    auto checked_free = [&](uintptr_t addr, size_t size) {
+      if (*reinterpret_cast<uint64_t*>(addr) != addr ||
+          *last_word(addr, size) != addr) {
+        clobbered.fetch_add(1, std::memory_order_relaxed);
+      }
+      alloc.Free(tc, addr, size);
+    };
+    for (int round = 0; round < kRounds; ++round) {
+      size_t size = kMaxSmallSize + 1 + rng.UniformInt(size_t{1} << 20);
+      uintptr_t addr = alloc.Allocate(tc, size);
+      ASSERT_NE(addr, 0u);
+      *reinterpret_cast<uint64_t*>(addr) = addr;
+      *last_word(addr, size) = addr;
+      live.emplace_back(addr, size);
+      if (live.size() > 4) {
+        size_t victim = rng.UniformInt(live.size());
+        checked_free(live[victim].first, live[victim].second);
+        live[victim] = live.back();
+        live.pop_back();
+      }
+    }
+    for (const auto& [addr, size] : live) checked_free(addr, size);
+  };
+  std::thread releaser([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      alloc.ReleaseMemoryToSystem(size_t{1} << 20);
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> pool;
+  for (int tid = 0; tid < kThreads; ++tid) pool.emplace_back(worker, tid);
+  for (std::thread& t : pool) t.join();
+  done.store(true, std::memory_order_relaxed);
+  releaser.join();
+
+  EXPECT_EQ(clobbered.load(), 0u);
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "large_allocations"),
+            kThreads * kRounds);
+  EXPECT_EQ(Metric(snap, "allocator", "large_frees"), kThreads * kRounds);
+  EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0);
+  EXPECT_GT(Metric(snap, "system", "released_bytes"), 0);
+  EXPECT_LE(Metric(snap, "system", "recommitted_bytes"),
+            Metric(snap, "system", "released_bytes"));
 }
 
 TEST(RealThreadsAllocatorTest, FlushReturnsEverythingToMiddleEnd) {

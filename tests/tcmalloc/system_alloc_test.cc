@@ -56,6 +56,30 @@ TEST(SystemAllocator, InjectedMmapFaultWindowDenies) {
   EXPECT_EQ(injector.stats().calls[static_cast<int>(FaultKind::kMmap)], 4u);
 }
 
+// The dedupe that keeps release accounting honest.
+TEST(ReleasedRangeSetTest, AddDedupesOverlaps) {
+  ReleasedRangeSet set;
+  EXPECT_EQ(set.Add(0x1000, 0x1000), 0x1000u);
+  // Re-releasing the same range is not new.
+  EXPECT_EQ(set.Add(0x1000, 0x1000), 0u);
+  // Partial overlap counts only the fresh part.
+  EXPECT_EQ(set.Add(0x1800, 0x1000), 0x800u);
+  EXPECT_EQ(set.total_bytes(), 0x1800u);
+}
+
+TEST(ReleasedRangeSetTest, RemoveSplitsRuns) {
+  ReleasedRangeSet set;
+  set.Add(0x1000, 0x3000);
+  // Carve the middle out: the run splits in two.
+  EXPECT_EQ(set.Remove(0x2000, 0x1000), 0x1000u);
+  EXPECT_EQ(set.total_bytes(), 0x2000u);
+  // Removing an uncovered range is a no-op.
+  EXPECT_EQ(set.Remove(0x2000, 0x1000), 0u);
+  // The two halves are still marked.
+  EXPECT_EQ(set.Add(0x1000, 0x1000), 0u);
+  EXPECT_EQ(set.Add(0x3000, 0x1000), 0u);
+}
+
 TEST(SystemAllocatorDeathTest, MisalignedBaseIsFatal) {
   EXPECT_DEATH(SystemAllocator(kBase + 4096, kHugePageSize), "CHECK failed");
 }

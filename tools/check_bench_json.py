@@ -55,7 +55,7 @@ REQUIRED_TIERS = (
 
 REAL_THREADS_COMPONENTS = ("contention",)
 
-EXEC_MODES = ("simulated", "real-threads")
+EXEC_MODES = ("real-threads",)
 
 THROUGHPUT_FIELDS = ("sim_requests", "wall_seconds", "sim_requests_per_sec")
 

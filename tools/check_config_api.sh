@@ -19,12 +19,11 @@ ROOT="${1:-$(dirname "$0")/..}"
 FIELDS='num_vcpus|per_thread_front_end|per_cpu_cache_bytes|dynamic_cpu_caches'
 FIELDS+='|cpu_cache_resize_interval|cpu_cache_grow_candidates'
 FIELDS+='|per_cpu_cache_min_bytes|nuca_transfer_cache|num_llc_domains'
-FIELDS+='|transfer_cache_batches|nuca_shard_batches|nuca_plunder_interval'
-FIELDS+='|span_prioritization|cfl_num_lists|lifetime_aware_filler'
-FIELDS+='|filler_capacity_threshold|subrelease_free_fraction|release_interval'
+FIELDS+='|transfer_cache_batches|nuca_shard_batches|span_prioritization'
+FIELDS+='|cfl_num_lists|lifetime_aware_filler|filler_capacity_threshold'
 FIELDS+='|numa_aware|num_numa_nodes|sample_interval_bytes|soft_limit_bytes'
-FIELDS+='|hard_limit_bytes|pressure_cache_floor_fraction|arena_base'
-FIELDS+='|arena_bytes|guarded_sampling|real_memory|real_memory_reserve_bytes'
+FIELDS+='|hard_limit_bytes|arena_base|arena_bytes|guarded_sampling'
+FIELDS+='|real_memory|real_memory_reserve_bytes'
 
 # Match `<expr>.<field> =` but not `==` (comparisons stay legal).
 offenders="$(grep -rEn "\.(${FIELDS})[[:space:]]*=([^=]|$)" \

@@ -62,7 +62,7 @@ uintptr_t BootstrapBase() {
 
 void* BootstrapAlloc(size_t size, size_t align) {
   uintptr_t base = BootstrapBase();
-  if (base == 0) return nullptr;
+  if (base == 0 || size > kBootstrapBytes) return nullptr;
   if (align < kBootstrapHeader) align = kBootstrapHeader;
   size_t need = (size + kBootstrapHeader - 1) & ~(kBootstrapHeader - 1);
   uintptr_t next = g_boot_next.load(std::memory_order_relaxed);
@@ -99,6 +99,11 @@ RealThreadsAllocator* g_alloc = nullptr;
 // __tls_get_addr (which would malloc) on access.
 __attribute__((tls_model("initial-exec"))) thread_local RealThreadCache*
     t_cache = nullptr;
+// Set once the thread-exit hook has returned this thread's cache. A call
+// the thread makes after that (from a later key destructor, or from
+// glibc's __libc_thread_freeres) borrows a cache for that one call.
+__attribute__((tls_model("initial-exec"))) thread_local bool
+    t_cache_returned = false;
 // Set while this thread is inside the allocator (or its construction):
 // nested malloc calls are allocator bookkeeping and must come from the
 // bootstrap arena, not recurse.
@@ -108,6 +113,19 @@ struct BusyScope {
   BusyScope() { t_busy = true; }
   ~BusyScope() { t_busy = false; }
 };
+
+// The thread-exit hook: a pthread key whose value is the thread's cache,
+// so that glibc runs ReturnThreadCache when the thread exits. Created
+// with the allocator; if creation fails, caches are never returned.
+pthread_key_t g_cache_key;
+bool g_cache_key_ok = false;
+
+void ReturnThreadCache(void* tc) {
+  BusyScope busy;
+  t_cache = nullptr;
+  t_cache_returned = true;
+  g_alloc->UnregisterThread(static_cast<RealThreadCache*>(tc));
+}
 
 size_t EnvBytesMb(const char* name, size_t fallback) {
   const char* v = getenv(name);
@@ -358,19 +376,11 @@ RealThreadsAllocator* GetAllocator() {
       RealThreadsAllocator(*built, expected_threads);
   size_t release_mb = EnvBytesMb("WSC_SHIM_RELEASE_MB", size_t{256} << 20);
   g_alloc->SetLargeReleaseThreshold(release_mb);
+  g_cache_key_ok = pthread_key_create(&g_cache_key, &ReturnThreadCache) == 0;
   pthread_atfork(&ForkPrepare, &ForkRelease, &ForkChild);
   g_state.store(kReady, std::memory_order_release);
   StatszInit();  // after kReady: the thread samples the live allocator
   return g_alloc;
-}
-
-RealThreadCache* GetCache(RealThreadsAllocator* alloc) {
-  RealThreadCache* tc = t_cache;
-  if (tc != nullptr) return tc;
-  BusyScope busy;  // RegisterThread grows vectors
-  tc = alloc->RegisterThread();
-  t_cache = tc;
-  return tc;
 }
 
 void* FinishAlloc(uintptr_t addr) {
@@ -379,6 +389,56 @@ void* FinishAlloc(uintptr_t addr) {
     return nullptr;
   }
   return reinterpret_cast<void*>(addr);
+}
+
+// The cache for a call made while t_cache is null. The thread's first
+// call registers its cache and arms the exit hook; a call after the hook
+// returned the cache borrows one and gives it back when the call ends.
+// Used only under BusyScope (RegisterThread grows vectors, and
+// pthread_setspecific may allocate its second-level block).
+class CacheLease {
+ public:
+  explicit CacheLease(RealThreadsAllocator* alloc)
+      : alloc_(alloc), borrowed_(t_cache_returned) {
+    tc_ = alloc->RegisterThread();
+    if (borrowed_) return;
+    if (g_cache_key_ok) pthread_setspecific(g_cache_key, tc_);
+    t_cache = tc_;
+  }
+  ~CacheLease() {
+    if (borrowed_) alloc_->UnregisterThread(tc_);
+  }
+  CacheLease(const CacheLease&) = delete;
+  CacheLease& operator=(const CacheLease&) = delete;
+
+  RealThreadCache* tc() const { return tc_; }
+
+ private:
+  RealThreadsAllocator* alloc_;
+  bool borrowed_;
+  RealThreadCache* tc_;
+};
+
+// Out of line, so the cache-hit path keeps its inline t_cache test.
+__attribute__((noinline)) void* MallocWithoutCache(
+    RealThreadsAllocator* alloc, size_t size) {
+  BusyScope busy;
+  CacheLease lease(alloc);
+  return FinishAlloc(alloc->Allocate(lease.tc(), size));
+}
+
+__attribute__((noinline)) void FreeWithoutCache(RealThreadsAllocator* alloc,
+                                                void* ptr) {
+  BusyScope busy;
+  CacheLease lease(alloc);
+  alloc->FreeAddr(lease.tc(), reinterpret_cast<uintptr_t>(ptr));
+}
+
+__attribute__((noinline)) uintptr_t AlignedWithoutCache(
+    RealThreadsAllocator* alloc, size_t size, size_t align) {
+  BusyScope busy;
+  CacheLease lease(alloc);
+  return alloc->AllocateAligned(lease.tc(), size, align);
 }
 
 }  // namespace
@@ -396,7 +456,8 @@ void* ShimMalloc(size_t size) {
     if (p == nullptr) errno = ENOMEM;
     return p;
   }
-  RealThreadCache* tc = GetCache(alloc);
+  RealThreadCache* tc = t_cache;
+  if (tc == nullptr) return MallocWithoutCache(alloc, size);
   BusyScope busy;
   return FinishAlloc(alloc->Allocate(tc, size));
 }
@@ -409,7 +470,11 @@ void ShimFree(void* ptr) {
     // that bypass malloc): leaking it is safe, freeing it is not.
     return;
   }
-  RealThreadCache* tc = GetCache(alloc);
+  RealThreadCache* tc = t_cache;
+  if (tc == nullptr) {
+    FreeWithoutCache(alloc, ptr);
+    return;
+  }
   BusyScope busy;
   alloc->FreeAddr(tc, reinterpret_cast<uintptr_t>(ptr));
 }
@@ -470,9 +535,14 @@ int ShimPosixMemalign(void** out, size_t align, size_t size) {
     *out = p;
     return 0;
   }
-  RealThreadCache* tc = GetCache(alloc);
-  BusyScope busy;
-  uintptr_t addr = alloc->AllocateAligned(tc, size, align);
+  RealThreadCache* tc = t_cache;
+  uintptr_t addr;
+  if (tc == nullptr) {
+    addr = AlignedWithoutCache(alloc, size, align);
+  } else {
+    BusyScope busy;
+    addr = alloc->AllocateAligned(tc, size, align);
+  }
   if (addr == 0) return ENOMEM;
   *out = reinterpret_cast<void*>(addr);
   return 0;
@@ -507,7 +577,12 @@ void* ShimValloc(size_t size) {
 void* ShimPvalloc(size_t size) {
   long page_l = sysconf(_SC_PAGESIZE);
   size_t page = page_l > 0 ? static_cast<size_t>(page_l) : 4096;
-  size_t rounded = (size + page - 1) & ~(page - 1);
+  size_t rounded;
+  if (__builtin_add_overflow(size, page - 1, &rounded)) {
+    errno = ENOMEM;
+    return nullptr;
+  }
+  rounded &= ~(page - 1);
   return ShimAlignedAlloc(page, rounded == 0 ? page : rounded);
 }
 

@@ -105,6 +105,12 @@ RealThreadsAllocator::~RealThreadsAllocator() {
 
 RealThreadCache* RealThreadsAllocator::RegisterThread() {
   std::lock_guard<std::mutex> guard(threads_mu_);
+  if (RealThreadCache* parked = idle_head_; parked != nullptr) {
+    idle_head_ = parked->next_idle;
+    parked->next_idle = nullptr;
+    --idle_caches_;
+    return parked;
+  }
   auto tc = std::make_unique<RealThreadCache>();
   tc->shard = next_shard_rr_;
   next_shard_rr_ = (next_shard_rr_ + 1) % num_shards_;
@@ -117,9 +123,19 @@ RealThreadCache* RealThreadsAllocator::RegisterThread() {
   return raw;
 }
 
+void RealThreadsAllocator::UnregisterThread(RealThreadCache* tc) {
+  // The flush drops each shard lock before the registry lock is taken, so
+  // the lock order stays ForkPrepare's (registry before shards).
+  FlushThreadCache(tc);
+  std::lock_guard<std::mutex> guard(threads_mu_);
+  tc->next_idle = idle_head_;
+  idle_head_ = tc;
+  ++idle_caches_;
+}
+
 int RealThreadsAllocator::registered_threads() const {
   std::lock_guard<std::mutex> guard(threads_mu_);
-  return static_cast<int>(threads_.size());
+  return static_cast<int>(threads_.size()) - idle_caches_;
 }
 
 void RealThreadsAllocator::FlushThreadCache(RealThreadCache* tc) {
@@ -270,6 +286,13 @@ bool RealThreadsAllocator::CarveSpan(int cls, CflShard& shard) {
 uintptr_t RealThreadsAllocator::AllocateLarge(RealThreadCache* tc,
                                               size_t size, size_t align) {
   WSC_DCHECK((align & (align - 1)) == 0 && align >= kPageSize);
+  // Refuse before rounding, which wraps near SIZE_MAX: nothing larger
+  // than the reservation fits, nor more pages than a directory entry's
+  // 31-bit count holds.
+  if (size > arena_end_ - arena_base_ ||
+      size > (static_cast<size_t>(~kDirLargeFlag) << kPageShift)) {
+    return 0;
+  }
   size_t pages = static_cast<size_t>(BytesToLengthCeil(size));
   size_t bytes = pages << kPageShift;
   uintptr_t addr = 0;
@@ -320,7 +343,12 @@ uintptr_t RealThreadsAllocator::AllocateLarge(RealThreadCache* tc,
     uintptr_t aligned;
     do {
       aligned = (base + (align - 1)) & ~(align - 1);
-      if (aligned + bytes > arena_end_) return 0;
+      // Written so that no sum can wrap: a huge `align` wraps `aligned`
+      // below `base`.
+      if (aligned < base || aligned > arena_end_ ||
+          bytes > arena_end_ - aligned) {
+        return 0;
+      }
     } while (!arena_next_.compare_exchange_weak(base, aligned + bytes,
                                                 std::memory_order_relaxed));
     addr = aligned;
@@ -475,10 +503,13 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
   int64_t live_bytes = 0;
   uint64_t thread_cached_objects = 0;
   double thread_cached_bytes = 0;
-  size_t nthreads = 0;
+  size_t in_use = 0, idle = 0;
   {
     std::lock_guard<std::mutex> guard(threads_mu_);
-    nthreads = threads_.size();
+    idle = static_cast<size_t>(idle_caches_);
+    in_use = threads_.size() - idle;
+    // Parked caches still count: their cumulative counters hold the
+    // history of every thread that used them.
     for (const auto& tc : threads_) {
       allocations += tc->allocations;
       frees += tc->frees;
@@ -560,7 +591,9 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
   registry.ExportCounter("thread_cache", "underflows", underflows);
   registry.ExportCounter("thread_cache", "overflows", overflows);
   registry.ExportGauge("thread_cache", "registered_threads",
-                       static_cast<double>(nthreads));
+                       static_cast<double>(in_use));
+  registry.ExportGauge("thread_cache", "idle_caches",
+                       static_cast<double>(idle));
   registry.ExportGauge("thread_cache", "cached_objects",
                        static_cast<double>(thread_cached_objects));
   registry.ExportGauge("thread_cache", "cached_bytes", thread_cached_bytes);

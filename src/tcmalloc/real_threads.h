@@ -46,6 +46,8 @@
 // acquisitions, refill stalls, work steals, arena carves). It requires
 // quiescence — call it after worker threads joined; the join gives the
 // happens-before edge that makes the plain counter reads race-free.
+// thread_cache/registered_threads counts the caches in use (the live
+// threads), thread_cache/idle_caches the ones UnregisterThread() parked.
 
 #ifndef WSC_TCMALLOC_REAL_THREADS_H_
 #define WSC_TCMALLOC_REAL_THREADS_H_
@@ -158,9 +160,10 @@ struct alignas(kCacheLineSize) CflShard {
 };
 
 // Per-thread cache: the lock-free fast path. Owned and written by exactly
-// one thread between RegisterThread() and the thread's join; only the
-// owner touches `lists` and the counters, so the hit path has no atomics
-// at all. alignas keeps neighbouring caches off each other's lines.
+// one thread between RegisterThread() and UnregisterThread() (or the
+// thread's join, for a thread that never unregisters); only the owner
+// touches `lists` and the counters, so the hit path has no atomics at
+// all. alignas keeps neighbouring caches off each other's lines.
 class alignas(kCacheLineSize) RealThreadCache {
  public:
   struct ClassList {
@@ -187,6 +190,9 @@ class alignas(kCacheLineSize) RealThreadCache {
   int64_t live_bytes = 0;
 
   std::vector<ClassList> lists;
+
+  // Next cache on the allocator's idle list while this one is parked.
+  RealThreadCache* next_idle = nullptr;
 
   size_t CachedObjects() const {
     size_t n = 0;
@@ -226,11 +232,17 @@ class RealThreadsAllocator {
   RealThreadsAllocator(const RealThreadsAllocator&) = delete;
   RealThreadsAllocator& operator=(const RealThreadsAllocator&) = delete;
 
-  // Registers the calling thread and returns its cache. Cold path (global
-  // mutex); call once per thread. The returned pointer stays valid for
-  // the allocator's lifetime and must only be used by one thread at a
-  // time.
+  // Registers the calling thread and returns its cache: a parked cache
+  // when one is idle (it keeps its home shard and its cumulative
+  // counters), else a new one. Cold path (global mutex); call once per
+  // thread. The returned pointer stays valid for the allocator's lifetime
+  // and must only be used by one thread at a time.
   RealThreadCache* RegisterThread();
+
+  // The thread is done with `tc`: flushes it to its home shard and parks
+  // it for the next RegisterThread(). Call from the owning thread (or
+  // after it joined); the caller must not touch `tc` afterwards.
+  void UnregisterThread(RealThreadCache* tc);
 
   // Returns every object cached by `tc` to the middle end. Must be called
   // by the owning thread or after it joined.
@@ -353,6 +365,7 @@ class RealThreadsAllocator {
   void ForkRelease();
 
   int num_shards() const { return num_shards_; }
+  // Caches in use: registered and not unregistered since.
   int registered_threads() const;
 
   size_t ArenaUsedBytes() const {
@@ -469,9 +482,13 @@ class RealThreadsAllocator {
   // the free path (0 disables). ReleaseMemoryToSystem works regardless.
   size_t large_release_threshold_bytes_ = size_t{256} << 20;
 
-  // Thread registry (cold path only).
+  // Thread registry (cold path only): every cache ever created, and the
+  // parked ones on an idle list linked through next_idle, so parking
+  // never allocates.
   mutable std::mutex threads_mu_;
   std::vector<std::unique_ptr<RealThreadCache>> threads_;
+  RealThreadCache* idle_head_ = nullptr;
+  int idle_caches_ = 0;
   int next_shard_rr_ = 0;
 };
 

@@ -9,7 +9,10 @@
 // proves it by forking children from a process with allocator-hammering
 // threads, then having each child malloc/free and either _exit or
 // execve(/bin/true) — exec also re-runs the whole preload bootstrap in
-// the new image, since LD_PRELOAD survives exec.
+// the new image, since LD_PRELOAD survives exec. A churn thread spawns
+// and joins short-lived allocating threads throughout, so fork() also
+// races the shim returning an exiting thread's cache and the next
+// thread taking it back.
 //
 // Flags:
 //   --require-shim   fail unless wscmalloc is interposed (used by the
@@ -51,6 +54,22 @@ void Hammer(unsigned seed) {
     }
   }
   for (void* p : live) free(p);
+}
+
+// Short-lived threads, one at a time, each allocating a little and
+// exiting.
+void Churn() {
+  unsigned round = 0;
+  while (!g_stop.load(std::memory_order_relaxed)) {
+    ++round;
+    std::thread([round] {
+      void* blocks[32];
+      for (unsigned i = 0; i < 32; ++i) {
+        blocks[i] = malloc((round * 31 + i * 97) % 2048 + 16);
+      }
+      for (void* p : blocks) free(p);
+    }).join();
+  }
 }
 
 int ChildBody(bool do_exec) {
@@ -99,6 +118,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::thread> hammers;
   for (unsigned t = 0; t < 4; ++t) hammers.emplace_back(Hammer, t + 1);
+  std::thread churn(Churn);
 
   int failures = 0;
   for (int i = 0; i < children; ++i) {
@@ -120,6 +140,7 @@ int main(int argc, char** argv) {
 
   g_stop.store(true);
   for (auto& h : hammers) h.join();
+  churn.join();
 
   if (failures != 0) return 1;
   std::printf("forkexec_stress: OK (%d children, shim=%s)\n", children,

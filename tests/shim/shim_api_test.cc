@@ -10,11 +10,15 @@
 // tests/tcmalloc/real_threads_test.cc covers.
 
 #include <malloc.h>
+#include <pthread.h>
 
 #include <cerrno>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -26,15 +30,42 @@ size_t wscmalloc_stats_json(char* buf, size_t cap);
 
 namespace {
 
-// The stats JSON's "bootstrap_bytes": how much of the bootstrap arena,
-// whose frees are no-ops, has been handed out so far.
-size_t BootstrapBytes() {
+// One integer field of the stats JSON.
+size_t StatsField(const char* name) {
   char buf[2048];
+  char key[64];
   wscmalloc_stats_json(buf, sizeof(buf));
-  const char* field = std::strstr(buf, "\"bootstrap_bytes\":");
+  std::snprintf(key, sizeof(key), "\"%s\":", name);
+  const char* field = std::strstr(buf, key);
   if (field == nullptr) return 0;
-  return std::strtoull(field + std::strlen("\"bootstrap_bytes\":"), nullptr,
-                       10);
+  return std::strtoull(field + std::strlen(key), nullptr, 10);
+}
+
+// How much of the bootstrap arena, whose frees are no-ops, has been
+// handed out so far.
+size_t BootstrapBytes() { return StatsField("bootstrap_bytes"); }
+
+// Thread caches in use: one per live thread that has called malloc.
+size_t Threads() { return StatsField("threads"); }
+
+// This process's resident set, in KiB.
+long VmRssKb() {
+  FILE* f = std::fopen("/proc/self/status", "r");
+  if (f == nullptr) return -1;
+  char line[256];
+  long kb = -1;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::sscanf(line, "VmRSS: %ld kB", &kb) == 1) break;
+  }
+  std::fclose(f);
+  return kb;
+}
+
+// Hides a size from the compiler, which warns about allocation calls it
+// can prove too large.
+size_t Opaque(size_t size) {
+  volatile size_t v = size;
+  return v;
 }
 
 TEST(ShimApi, ShimIsInterposed) { EXPECT_EQ(wscmalloc_is_active(), 1); }
@@ -161,14 +192,50 @@ TEST(ShimApi, AlignedAllocAndValloc) {
   free(p);
 }
 
+// Sizes near SIZE_MAX fail with ENOMEM through every entry point rather
+// than wrapping into an undersized block or one that aliases the next.
 TEST(ShimApi, AbsurdSizeFailsWithEnomem) {
-  errno = 0;
-  EXPECT_EQ(malloc(size_t{1} << 60), nullptr);
-  EXPECT_EQ(errno, ENOMEM);
-  // The allocator must remain serviceable after an OOM refusal.
-  void* p = malloc(64);
-  ASSERT_NE(p, nullptr);
-  free(p);
+  char* keep = static_cast<char*>(malloc(64));
+  ASSERT_NE(keep, nullptr);
+  std::memset(keep, 0x6B, 64);
+  std::vector<void*> returned;
+  auto expect_enomem = [&returned](const char* call, auto allocate) {
+    errno = 0;
+    void* p = allocate();
+    EXPECT_EQ(p, nullptr) << call;
+    EXPECT_EQ(errno, ENOMEM) << call;
+    if (p != nullptr) returned.push_back(p);
+  };
+  expect_enomem("malloc(2^60)", [] { return malloc(Opaque(size_t{1} << 60)); });
+  expect_enomem("malloc(SIZE_MAX)", [] { return malloc(Opaque(SIZE_MAX)); });
+  expect_enomem("malloc(SIZE_MAX - 8192)",
+                [] { return malloc(Opaque(SIZE_MAX - 8192)); });
+  expect_enomem("pvalloc(SIZE_MAX - 100)",
+                [] { return pvalloc(Opaque(SIZE_MAX - 100)); });
+  expect_enomem("aligned_alloc(64, SIZE_MAX - 10)",
+                [] { return aligned_alloc(64, Opaque(SIZE_MAX - 10)); });
+  expect_enomem("posix_memalign(1 MiB, SIZE_MAX - 100)", [] {
+    void* p = nullptr;
+    errno = posix_memalign(&p, size_t{1} << 20, Opaque(SIZE_MAX - 100));
+    return p;
+  });
+  expect_enomem("realloc(keep, SIZE_MAX)",
+                [keep] { return realloc(keep, Opaque(SIZE_MAX)); });
+  expect_enomem("calloc(1, SIZE_MAX)",
+                [] { return calloc(1, Opaque(SIZE_MAX)); });
+
+  // The allocator stays serviceable, the failed realloc left its block
+  // alone, and nothing handed out above aliases the next block.
+  char* next = static_cast<char*>(malloc(64));
+  ASSERT_NE(next, nullptr);
+  returned.push_back(keep);
+  for (void* p : returned) {
+    char* begin = static_cast<char*>(p);
+    EXPECT_FALSE(next + 64 > begin && next < begin + 64) << p;
+  }
+  for (int i = 0; i < 64; ++i) ASSERT_EQ(keep[i], 0x6B) << i;
+  free(next);
+  free(keep);
 }
 
 TEST(ShimApi, StatsJsonIsWellFormedAndBalances) {
@@ -208,6 +275,69 @@ TEST(ShimApi, LargeChurnAndReleaseDoNotGrowBootstrapArena) {
     wscmalloc_release_memory(~size_t{0});
   }
   EXPECT_EQ(BootstrapBytes(), before);
+}
+
+// A thread's exit returns its cache and the next thread reuses it, so
+// churning threads one at a time grows neither RSS nor the registry, and
+// a reused cache allocates no bootstrap metadata.
+TEST(ShimApi, ThreadChurnKeepsMemoryBounded) {
+  constexpr int kThreads = 2000;
+  constexpr int kWarmThreads = 200;
+  const size_t threads_before = Threads();
+  long rss_warm_kb = 0;
+  size_t boot_warm = 0;
+  for (int i = 0; i < kThreads; ++i) {
+    std::thread([i] {
+      void* blocks[64];
+      for (int j = 0; j < 64; ++j) {
+        const size_t size = 16 + (j * 997 + i * 31) % 2033;  // 16 B-2 KiB
+        blocks[j] = malloc(size);
+        ASSERT_NE(blocks[j], nullptr);
+        std::memset(blocks[j], j, size);
+      }
+      for (void* p : blocks) free(p);
+    }).join();
+    if (i + 1 == kWarmThreads) {
+      rss_warm_kb = VmRssKb();
+      boot_warm = BootstrapBytes();
+    }
+  }
+  ASSERT_GT(rss_warm_kb, 0);
+  EXPECT_LT(VmRssKb() - rss_warm_kb, 8 * 1024);
+  EXPECT_EQ(BootstrapBytes(), boot_warm);
+  EXPECT_EQ(Threads(), threads_before);
+}
+
+// A thread can still malloc and free after the shim's key destructor has
+// returned its cache: a later key's destructor does, and so does glibc
+// when __libc_thread_freeres frees the thread's strerror buffer. Those
+// calls borrow a cache and give it back.
+pthread_key_t g_late_key;
+
+TEST(ShimApi, CallsAfterThreadExitDoNotGrowRegistry) {
+  // The shim creates its key with the allocator, before main, so this key
+  // comes later and its destructor runs after the shim's.
+  ASSERT_EQ(pthread_key_create(&g_late_key,
+                               [](void* block) {
+                                 void* p = malloc(200);
+                                 std::memset(p, 1, 200);
+                                 free(p);
+                                 free(block);
+                               }),
+            0);
+  auto body = [] {
+    pthread_setspecific(g_late_key, malloc(64));
+    // An unknown errno: glibc formats the message into a per-thread
+    // buffer it mallocs, and frees it only after the key destructors.
+    EXPECT_NE(strerror(Opaque(123456)), nullptr);
+  };
+  std::thread(body).join();  // one-time glibc allocations happen here
+  const size_t threads_before = Threads();
+  const size_t boot_before = BootstrapBytes();
+  for (int i = 0; i < 500; ++i) std::thread(body).join();
+  EXPECT_EQ(Threads(), threads_before);
+  EXPECT_EQ(BootstrapBytes(), boot_before);
+  pthread_key_delete(g_late_key);
 }
 
 TEST(ShimApi, ReleaseMemoryReturnsConfirmedBytes) {

@@ -176,6 +176,34 @@ TEST(RealMemoryModeTest, SizedFreeOfAlignedLargeBlock) {
   EXPECT_EQ(Metric(snap, "allocator", "large_frees"), 1);
 }
 
+// Requests near SIZE_MAX fail instead of wrapping in the page round-up or
+// the bump carve, and leave the allocator serviceable: the next block
+// comes from fresh address space and is fully usable.
+TEST(RealMemoryModeTest, SizesNearSizeMaxFail) {
+  RealThreadsAllocator alloc(RealConfig(), 1);
+  RealThreadCache* tc = alloc.RegisterThread();
+  const size_t reserved = static_cast<size_t>(
+      Metric(alloc.TelemetrySnapshot(), "system", "reserved_bytes"));
+  for (size_t size : {SIZE_MAX, SIZE_MAX - kPageSize, SIZE_MAX - 100,
+                      reserved + 1}) {
+    EXPECT_EQ(alloc.Allocate(tc, size), 0u) << size;
+    EXPECT_EQ(alloc.AllocateAligned(tc, size, size_t{1} << 20), 0u) << size;
+  }
+  // An alignment so large that rounding the bump pointer up wraps it.
+  EXPECT_EQ(alloc.AllocateAligned(tc, 64, size_t{1} << 63), 0u);
+  EXPECT_EQ(alloc.ArenaUsedBytes(), 0u);
+
+  uintptr_t p = alloc.Allocate(tc, kMaxSmallSize + 1);
+  ASSERT_NE(p, 0u);
+  EXPECT_EQ(alloc.UsableSize(p), LengthToBytes(BytesToLengthCeil(
+                                     kMaxSmallSize + 1)));
+  std::memset(reinterpret_cast<void*>(p), 0x5A, kMaxSmallSize + 1);
+  alloc.FreeAddr(tc, p);
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "allocations"), 1);
+  EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0);
+}
+
 TEST(RealMemoryModeTest, ReleaseMemoryToSystemMadvisesPendingRanges) {
   RealThreadsAllocator alloc(RealConfig(), 1);
   RealThreadCache* tc = alloc.RegisterThread();

@@ -2,11 +2,12 @@
 // one-mode contract, object conservation under a genuine multi-thread
 // alloc/free storm with cross-thread frees, the sharded refill path
 // (including cross-shard work stealing), the LUT size-class lookup, the
-// large path's footprint and its release under concurrent frees, and
-// telemetry. The backing, the page directory and madvise release are
-// covered in real_memory_mode_test.cc. The storm tests are the ones the
-// CI sanitizer jobs (TSan/ASan) run to prove the lock-free fast path
-// race-free rather than assuming it.
+// large path's footprint and its release under concurrent frees, the
+// reuse of unregistered caches across thread churn, and telemetry. The
+// backing, the page directory and madvise release are covered in
+// real_memory_mode_test.cc. The storm tests are the ones the CI sanitizer
+// jobs (TSan/ASan) run to prove the lock-free fast path race-free rather
+// than assuming it.
 
 #include "tcmalloc/real_threads.h"
 
@@ -14,7 +15,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <barrier>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -328,6 +331,123 @@ TEST(RealThreadsAllocatorTest, FlushReturnsEverythingToMiddleEnd) {
   // Conservation still holds with everything pushed down.
   EXPECT_EQ(Metric(snap, "allocator", "carved_objects"),
             Metric(snap, "allocator", "cached_objects"));
+}
+
+// Thread churn: waves of threads that each register, churn mixed sizes
+// while handing every 8th object to the next thread, and unregister. An
+// unregistered cache is flushed and parked, and the next wave reuses it
+// with its shard, so the registry stays at one wave's width and later
+// waves refill from what earlier ones flushed instead of carving. A
+// wave's threads hold their peak live sets at the same time, so every
+// wave, the first included, needs the same memory at its peak.
+TEST(RealThreadsAllocatorTest, UnregisteredCachesAreReused) {
+  constexpr int kThreads = 4;
+  constexpr int kWaves = 8;
+  constexpr int kOpsPerThread = 10000;
+  // Live objects a thread keeps. Large enough that a wave's memory is
+  // set by its live sets, not by which caches happen to hold free
+  // objects when another thread refills.
+  constexpr size_t kLiveObjects = 2048;
+  RealThreadsAllocator alloc(TestConfig(), kThreads);
+
+  // Objects handed to thread slot t. Its thread drains them as it goes;
+  // what is left goes to the next wave's thread in that slot, and the
+  // main thread frees what the last wave left.
+  struct Mailbox {
+    std::mutex mu;
+    std::vector<std::pair<uintptr_t, uint32_t>> objects;
+  };
+  std::vector<Mailbox> mailboxes(kThreads);
+  std::mutex seen_mu;
+  std::vector<std::pair<RealThreadCache*, int>> seen;  // cache, first shard
+  std::atomic<int> shard_changes{0};
+
+  auto worker = [&](int tid, std::barrier<>& peak) {
+    RealThreadCache* tc = alloc.RegisterThread();
+    {
+      std::lock_guard<std::mutex> guard(seen_mu);
+      auto it = std::find_if(seen.begin(), seen.end(),
+                             [tc](const auto& e) { return e.first == tc; });
+      if (it == seen.end()) {
+        seen.emplace_back(tc, tc->shard);
+      } else if (it->second != tc->shard) {
+        shard_changes.fetch_add(1);
+      }
+    }
+    Rng rng(4321 + tid);  // every wave replays the same streams
+    std::vector<std::pair<uintptr_t, uint32_t>> local;
+    auto drain = [&] {
+      std::vector<std::pair<uintptr_t, uint32_t>> inbox;
+      {
+        std::lock_guard<std::mutex> guard(mailboxes[tid].mu);
+        inbox.swap(mailboxes[tid].objects);
+      }
+      for (const auto& [addr, size] : inbox) alloc.Free(tc, addr, size);
+    };
+    for (int op = 0; op < kOpsPerThread; ++op) {
+      uint32_t size = static_cast<uint32_t>(8 + rng.UniformInt(4096));
+      uintptr_t obj = alloc.Allocate(tc, size);
+      if (obj == 0) {
+        ADD_FAILURE() << "allocation failed";
+        break;  // still reach the barrier, which the others wait on
+      }
+      if (op % 8 == 0) {
+        Mailbox& next = mailboxes[(tid + 1) % kThreads];
+        std::lock_guard<std::mutex> guard(next.mu);
+        next.objects.emplace_back(obj, size);
+      } else {
+        local.emplace_back(obj, size);
+        if (local.size() > kLiveObjects) {
+          size_t victim = rng.UniformInt(local.size());
+          alloc.Free(tc, local[victim].first, local[victim].second);
+          local[victim] = local.back();
+          local.pop_back();
+        }
+      }
+      if (op % 32 == 0) drain();
+    }
+    peak.arrive_and_wait();
+    for (const auto& [addr, size] : local) alloc.Free(tc, addr, size);
+    drain();
+    alloc.UnregisterThread(tc);
+  };
+
+  size_t wave1_arena = 0;
+  for (int wave = 0; wave < kWaves; ++wave) {
+    std::barrier peak(kThreads);
+    std::vector<std::thread> pool;
+    for (int tid = 0; tid < kThreads; ++tid) {
+      pool.emplace_back(worker, tid, std::ref(peak));
+    }
+    for (std::thread& t : pool) t.join();
+    if (wave == 0) wave1_arena = alloc.ArenaUsedBytes();
+    EXPECT_EQ(alloc.registered_threads(), 0) << "wave " << wave;
+  }
+  RealThreadCache* main_tc = alloc.RegisterThread();
+  for (Mailbox& mailbox : mailboxes) {
+    for (const auto& [addr, size] : mailbox.objects) {
+      alloc.Free(main_tc, addr, size);
+    }
+  }
+  alloc.UnregisterThread(main_tc);
+
+  EXPECT_LE(seen.size(), static_cast<size_t>(kThreads));
+  EXPECT_EQ(shard_changes.load(), 0);
+  // Later waves refilled from what earlier waves flushed.
+  EXPECT_LT(alloc.ArenaUsedBytes() - wave1_arena, wave1_arena / 4);
+
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "allocations"),
+            kWaves * kThreads * kOpsPerThread);
+  EXPECT_EQ(Metric(snap, "allocator", "allocations"),
+            Metric(snap, "allocator", "frees"));
+  EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0);
+  EXPECT_EQ(Metric(snap, "allocator", "carved_objects"),
+            Metric(snap, "allocator", "cached_objects"));
+  EXPECT_EQ(Metric(snap, "thread_cache", "cached_objects"), 0);
+  EXPECT_EQ(Metric(snap, "thread_cache", "registered_threads"), 0);
+  EXPECT_LE(Metric(snap, "thread_cache", "idle_caches"), kThreads);
+  EXPECT_GT(Metric(snap, "thread_cache", "idle_caches"), 0);
 }
 
 TEST(RealThreadsAllocatorTest, TelemetryExportsContentionComponent) {

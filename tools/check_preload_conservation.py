@@ -7,7 +7,9 @@ the measured region via wscmalloc_stats_json(). Every object allocated
 between the snapshots is freed before the "post" snapshot (the bench
 scopes its harness containers accordingly), so the deltas must balance
 exactly: a shortfall means the shim lost frees (leak), an excess means it
-double-counted.
+double-counted. The bench also joins its workers before the "post"
+snapshot, and an exited thread's cache goes back to the shim, so "threads"
+(caches in use) must not grow across the run.
 
 Usage: check_preload_conservation.py <stats.json> [min_ops]
 
@@ -47,18 +49,27 @@ def check(pre, post, min_ops):
     if post["live_bytes"] != pre["live_bytes"]:
         sys.exit(f"FAIL: live_bytes moved {pre['live_bytes']} -> "
                  f"{post['live_bytes']} across a balanced run")
+    if post["threads"] > pre["threads"]:
+        sys.exit(f"FAIL: threads grew {pre['threads']} -> {post['threads']} "
+                 f"although every worker joined: exited threads kept their "
+                 f"caches")
     return d_alloc
 
 
 def self_test():
-    ok_pre = {"allocations": 10, "frees": 7, "live_bytes": 100}
-    ok_post = {"allocations": 1010, "frees": 1007, "live_bytes": 100}
+    ok_pre = {"allocations": 10, "frees": 7, "live_bytes": 100, "threads": 2}
+    ok_post = {"allocations": 1010, "frees": 1007, "live_bytes": 100,
+               "threads": 1}
     assert check(ok_pre, ok_post, 1000) == 1000
     for bad_post, why in [
-        ({"allocations": 1010, "frees": 1006, "live_bytes": 100}, "leak"),
-        ({"allocations": 11, "frees": 8, "live_bytes": 100}, "too few ops"),
-        ({"allocations": 1010, "frees": 1007, "live_bytes": 200},
-         "live_bytes drift"),
+        ({"allocations": 1010, "frees": 1006, "live_bytes": 100,
+          "threads": 1}, "leak"),
+        ({"allocations": 11, "frees": 8, "live_bytes": 100, "threads": 1},
+         "too few ops"),
+        ({"allocations": 1010, "frees": 1007, "live_bytes": 200,
+          "threads": 1}, "live_bytes drift"),
+        ({"allocations": 1010, "frees": 1007, "live_bytes": 100,
+          "threads": 6}, "registry growth"),
     ]:
         try:
             check(ok_pre, bad_post, 1000)
@@ -78,7 +89,8 @@ def main():
     pre, post = parse(sys.argv[1])
     ops = check(pre, post, min_ops)
     print(f"check_preload_conservation: OK ({ops} allocations == frees, "
-          f"live_bytes stable at {post['live_bytes']})")
+          f"live_bytes stable at {post['live_bytes']}, threads "
+          f"{pre['threads']} -> {post['threads']})")
 
 
 if __name__ == "__main__":

@@ -19,7 +19,7 @@
 // mix over the small classes plus rare page-heap-sized requests, a
 // per-thread live window with randomized lifetimes, and a lock-free SPSC
 // handoff ring to the neighbor thread so a steady fraction of frees are
-// remote — the pattern that makes unsharded middle ends collapse.
+// remote — the pattern that serializes a middle end whose batches miss.
 
 #include <algorithm>
 #include <array>
@@ -43,7 +43,8 @@ using wsc::tcmalloc::RealThreadsAllocator;
 
 constexpr char kBench[] = "fig_mt_scaling";
 // Every line's "exec" field: check_bench_json.py validates real-threads
-// telemetry against the contention component.
+// telemetry against the contention, central_free_list and page_heap
+// components.
 constexpr char kExec[] = "real-threads";
 
 // Live-window objects per thread; randomized replacement gives mixed
@@ -273,16 +274,17 @@ int main(int argc, char** argv) {
 
   ReportTelemetryLine(telemetry);
 
-  const wsc::telemetry::MetricSample* stalls =
-      telemetry.Find("contention", "refill_stalls");
-  const wsc::telemetry::MetricSample* steals =
-      telemetry.Find("contention", "work_steals");
-  std::printf("  contention @ %d thread(s): refill stalls %llu, "
-              "work steals %llu\n",
-              top.threads,
-              static_cast<unsigned long long>(
-                  stalls != nullptr ? stalls->counter : 0),
-              static_cast<unsigned long long>(
-                  steals != nullptr ? steals->counter : 0));
+  auto counter = [&telemetry](const char* component, const char* name) {
+    const wsc::telemetry::MetricSample* m = telemetry.Find(component, name);
+    return static_cast<unsigned long long>(m != nullptr ? m->counter : 0);
+  };
+  std::printf("  contention @ %d thread(s): central free list locks %llu "
+              "(%llu contended), refills that fetched a span %llu, spans "
+              "fetched %llu, returned %llu\n",
+              top.threads, counter("contention", "cfl_lock_acquisitions"),
+              counter("contention", "cfl_lock_contended"),
+              counter("contention", "refill_stalls"),
+              counter("central_free_list", "fetched_spans"),
+              counter("central_free_list", "returned_spans"));
   return 0;
 }

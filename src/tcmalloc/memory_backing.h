@@ -1,11 +1,10 @@
 // Real memory for RealThreadsAllocator, the malloc behind the shim.
 //
 // RealMemoryBacking reserves one contiguous anonymous mapping; the
-// allocator bump-carves it, threads freelists through object storage,
-// and returns freed ranges with Release() (madvise(MADV_DONTNEED)). It
-// keeps no record of which ranges are released — the allocator's freed
-// large ranges carry that flag themselves — only the release/recommit
-// counters, which its caller serializes.
+// allocator's page heap grows into it, and returns free pages with
+// Release() (madvise(MADV_DONTNEED)). It keeps no record of which ranges
+// are released — the page heap's free runs carry that flag themselves —
+// only the release/recommit counters, which its caller serializes.
 
 #ifndef WSC_TCMALLOC_MEMORY_BACKING_H_
 #define WSC_TCMALLOC_MEMORY_BACKING_H_
@@ -24,7 +23,7 @@ struct MemoryBackingStats {
 // One contiguous PROT_READ|PROT_WRITE anonymous MAP_NORESERVE reservation,
 // hinted MADV_HUGEPAGE and hugepage-aligned. Pages are committed by the
 // kernel on first touch. Release/Commit are not thread-safe: the caller
-// serializes them (RealThreadsAllocator holds its large-pool lock).
+// serializes them (RealPageHeap holds its lock).
 class RealMemoryBacking {
  public:
   // Reserves `reserve_bytes` (rounded up to a hugepage), walking a
@@ -53,8 +52,8 @@ class RealMemoryBacking {
   const MemoryBackingStats& stats() const { return stats_; }
 
   // Plain anonymous RW mapping for allocator metadata (page directory,
-  // bootstrap spill) that must not come from the object heap. Returns 0 on
-  // failure. Unmap with UnmapMetadata.
+  // pagemap, span records) that must not come from the object heap.
+  // Returns 0 on failure. Unmap with UnmapMetadata.
   static uintptr_t MapMetadata(size_t bytes);
   static void UnmapMetadata(uintptr_t addr, size_t bytes);
 

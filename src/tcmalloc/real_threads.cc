@@ -1,12 +1,13 @@
 #include "tcmalloc/real_threads.h"
 
 #include <algorithm>
+#include <bit>
 
 namespace wsc::tcmalloc {
 
 namespace {
 
-// Shards beyond the thread count add footprint without reducing
+// Transfer shards beyond the thread count add footprint without reducing
 // contention; 16 covers every core count this repo's benches target.
 constexpr int kMaxShards = 16;
 
@@ -26,9 +27,10 @@ int TakeIntrusive(uintptr_t& head, uint32_t& count, uintptr_t* out,
   return take;
 }
 
+// Pushes objs in reverse, so pops hand them out in array order.
 void PutIntrusive(uintptr_t& head, uint32_t& count, const uintptr_t* objs,
                   int n) {
-  for (int i = 0; i < n; ++i) {
+  for (int i = n - 1; i >= 0; --i) {
     *reinterpret_cast<uintptr_t*>(objs[i]) = head;
     head = objs[i];
   }
@@ -36,7 +38,7 @@ void PutIntrusive(uintptr_t& head, uint32_t& count, const uintptr_t* objs,
 }
 
 // Default reservation. Untouched address space is nearly free, but the
-// page directory costs 4 bytes per 8 KiB page of reservation.
+// directory and pagemap cost 8 bytes per 8 KiB page of reservation.
 constexpr size_t kDefaultReserveBytes = size_t{256} << 30;  // 256 GiB
 
 // The reservation size for `config`. A config without real_memory is the
@@ -48,7 +50,444 @@ size_t ReserveBytes(const AllocatorConfig& config) {
              : kDefaultReserveBytes;
 }
 
+// The occupancy list of a span with `allocated` objects out: the paper's
+// max(0, L - log2(allocated)), zero-based as in the simulator's
+// CentralFreeList::ListIndexFor, so the fullest spans sit on list 0.
+int ListIndexFor(int allocated) {
+  constexpr int kLast = RealCentralFreeList::kNumLists - 1;
+  if (allocated <= 0) return kLast;
+  int idx = kLast - (std::bit_width(static_cast<unsigned>(allocated)) - 1);
+  return idx < 0 ? 0 : idx;
+}
+
+// Doubly-linked list helpers over RealSpan::prev/next.
+void PushFront(RealSpan*& head, RealSpan* span) {
+  span->prev = nullptr;
+  span->next = head;
+  if (head != nullptr) head->prev = span;
+  head = span;
+}
+
+void Unlink(RealSpan*& head, RealSpan* span) {
+  if (span->prev != nullptr) {
+    span->prev->next = span->next;
+  } else {
+    head = span->next;
+  }
+  if (span->next != nullptr) span->next->prev = span->prev;
+  span->prev = span->next = nullptr;
+}
+
+// Moves `span` to the occupancy list its allocated count calls for, or
+// off every list once it has no free object.
+void Relist(RealCentralFreeList& cfl, RealSpan* span) {
+  uint8_t target = span->allocated == cfl.objects_per_span
+                       ? RealSpan::kUnlisted
+                       : static_cast<uint8_t>(ListIndexFor(span->allocated));
+  if (target == span->list) return;
+  if (span->list != RealSpan::kUnlisted) Unlink(cfl.lists[span->list], span);
+  if (target != RealSpan::kUnlisted) PushFront(cfl.lists[target], span);
+  span->list = target;
+}
+
+uintptr_t RoundUp(uintptr_t n, uintptr_t align) {
+  return (n + align - 1) / align * align;
+}
+
 }  // namespace
+
+// ---- The page heap ------------------------------------------------------
+
+RealPageHeap::RealPageHeap(size_t reserve_bytes) : backing_(reserve_bytes) {
+  WSC_CHECK(backing_.ok());
+  base_ = backing_.base();
+  end_ = backing_.end();
+  base_page_ = base_ >> kPageShift;
+  top_page_ = base_page_;
+  total_pages_ = backing_.reserved_bytes() >> kPageShift;
+  // Every run holds at least one page, so there are never more runs than
+  // pages.
+  max_records_ = total_pages_ + 1;
+  // The backing reserves whole, aligned hugepages.
+  total_hugepages_ = total_pages_ / kPagesPerHugePage;
+  dir_ = reinterpret_cast<std::atomic<uint32_t>*>(
+      RealMemoryBacking::MapMetadata(total_pages_ * sizeof(uint32_t)));
+  pagemap_ = reinterpret_cast<uint32_t*>(
+      RealMemoryBacking::MapMetadata(total_pages_ * sizeof(uint32_t)));
+  live_pages_ = reinterpret_cast<uint16_t*>(
+      RealMemoryBacking::MapMetadata(total_hugepages_ * sizeof(uint16_t)));
+  records_ = reinterpret_cast<RealSpan*>(
+      RealMemoryBacking::MapMetadata(max_records_ * sizeof(RealSpan)));
+  WSC_CHECK(dir_ != nullptr && pagemap_ != nullptr &&
+            live_pages_ != nullptr && records_ != nullptr);
+}
+
+RealPageHeap::~RealPageHeap() {
+  RealMemoryBacking::UnmapMetadata(reinterpret_cast<uintptr_t>(dir_),
+                                   total_pages_ * sizeof(uint32_t));
+  RealMemoryBacking::UnmapMetadata(reinterpret_cast<uintptr_t>(pagemap_),
+                                   total_pages_ * sizeof(uint32_t));
+  RealMemoryBacking::UnmapMetadata(reinterpret_cast<uintptr_t>(live_pages_),
+                                   total_hugepages_ * sizeof(uint16_t));
+  RealMemoryBacking::UnmapMetadata(reinterpret_cast<uintptr_t>(records_),
+                                   max_records_ * sizeof(RealSpan));
+}
+
+RealSpan* RealPageHeap::NewRecord() {
+  RealSpan* span = free_records_;
+  if (span != nullptr) {
+    free_records_ = span->next;
+  } else {
+    WSC_CHECK_LT(next_record_, max_records_);
+    span = &records_[next_record_++];
+  }
+  *span = RealSpan();
+  return span;
+}
+
+void RealPageHeap::FreeRecord(RealSpan* span) {
+  span->next = free_records_;
+  free_records_ = span;
+}
+
+void RealPageHeap::MapBoundaries(RealSpan* span) {
+  uint32_t idx = index_of(span);
+  pagemap_[span->first_page - base_page_] = idx;
+  pagemap_[span->first_page + span->pages - 1 - base_page_] = idx;
+}
+
+void RealPageHeap::CountLive(const RealSpan* run, int delta) {
+  uintptr_t page = run->first_page - base_page_;
+  const uintptr_t end = page + run->pages;
+  while (page < end) {
+    const size_t hp = page / kPagesPerHugePage;
+    const uintptr_t next = std::min<uintptr_t>(end, (hp + 1) * kPagesPerHugePage);
+    live_pages_[hp] = static_cast<uint16_t>(
+        live_pages_[hp] + delta * static_cast<int>(next - page));
+    page = next;
+  }
+}
+
+bool RealPageHeap::NearlyEmpty(uintptr_t page) const {
+  return live_pages_[(page - base_page_) / kPagesPerHugePage] <=
+         kMinSubreleasePages;
+}
+
+void RealPageHeap::InsertFree(RealSpan* run) {
+  FreeSet& set = free_[run->released];
+  set.pages += run->pages;
+  ++set.runs;
+  if (run->released) {
+    released_pages_.fetch_add(run->pages, std::memory_order_relaxed);
+  }
+  if (run->pages <= kMaxBinPages) {
+    PushFront(set.bins[run->pages], run);
+    set.nonempty[run->pages / 64] |= uint64_t{1} << (run->pages % 64);
+    return;
+  }
+  // Sorted by (pages, first_page): the first run that fits is the best.
+  RealSpan* prev = nullptr;
+  RealSpan* cur = set.large;
+  while (cur != nullptr &&
+         (cur->pages < run->pages ||
+          (cur->pages == run->pages && cur->first_page < run->first_page))) {
+    prev = cur;
+    cur = cur->next;
+  }
+  run->prev = prev;
+  run->next = cur;
+  if (cur != nullptr) cur->prev = run;
+  if (prev != nullptr) {
+    prev->next = run;
+  } else {
+    set.large = run;
+  }
+}
+
+void RealPageHeap::RemoveFree(RealSpan* run) {
+  FreeSet& set = free_[run->released];
+  set.pages -= run->pages;
+  --set.runs;
+  if (run->released) {
+    released_pages_.fetch_sub(run->pages, std::memory_order_relaxed);
+  }
+  if (run->pages <= kMaxBinPages) {
+    Unlink(set.bins[run->pages], run);
+    if (set.bins[run->pages] == nullptr) {
+      set.nonempty[run->pages / 64] &= ~(uint64_t{1} << (run->pages % 64));
+    }
+    return;
+  }
+  Unlink(set.large, run);
+}
+
+void RealPageHeap::MergeAndInsert(RealSpan* run) {
+  if (run->first_page > base_page_) {
+    RealSpan* prev = record(run->first_page - 1);
+    if (prev->state == RealSpan::kFree && prev->released == run->released) {
+      RemoveFree(prev);
+      run->first_page = prev->first_page;
+      run->pages += prev->pages;
+      FreeRecord(prev);
+    }
+  }
+  uintptr_t after = run->first_page + run->pages;
+  if (after < top_page_) {
+    RealSpan* next = record(after);
+    if (next->state == RealSpan::kFree && next->released == run->released) {
+      RemoveFree(next);
+      run->pages += next->pages;
+      FreeRecord(next);
+    }
+  }
+  MapBoundaries(run);
+  InsertFree(run);
+}
+
+RealSpan* RealPageHeap::BestFit(FreeSet& set, Length pages) {
+  if (pages <= kMaxBinPages) {
+    // The smallest non-empty exact bin of at least `pages`.
+    for (size_t w = pages / 64; w < kBinWords; ++w) {
+      uint64_t bits = set.nonempty[w];
+      if (w == pages / 64) bits &= ~uint64_t{0} << (pages % 64);
+      if (bits != 0) return set.bins[w * 64 + std::countr_zero(bits)];
+    }
+  }
+  for (RealSpan* run = set.large; run != nullptr; run = run->next) {
+    if (run->pages >= pages) return run;
+  }
+  return nullptr;
+}
+
+void RealPageHeap::Trim(RealSpan* run, Length offset, Length pages) {
+  // The pieces either side keep the run's state. Their outer neighbours
+  // were never free runs of that state, so they need no merge.
+  if (offset > 0) {
+    RealSpan* head = NewRecord();
+    head->first_page = run->first_page;
+    head->pages = static_cast<uint32_t>(offset);
+    head->released = run->released;
+    MapBoundaries(head);
+    InsertFree(head);
+  }
+  if (offset + pages < run->pages) {
+    RealSpan* tail = NewRecord();
+    tail->first_page = run->first_page + offset + pages;
+    tail->pages = static_cast<uint32_t>(run->pages - offset - pages);
+    tail->released = run->released;
+    MapBoundaries(tail);
+    InsertFree(tail);
+  }
+  run->first_page += offset;
+  run->pages = static_cast<uint32_t>(pages);
+}
+
+RealSpan* RealPageHeap::Carve(RealSpan* run, Length offset, Length pages) {
+  RemoveFree(run);
+  Trim(run, offset, pages);
+  if (run->released) backing_.Commit(LengthToBytes(pages));
+  run->released = false;
+  return run;
+}
+
+RealSpan* RealPageHeap::AllocateLocked(Length pages, Length align_pages) {
+  // Resident runs first, so a request reuses memory the process already
+  // holds before refaulting released pages. A run of pages + align - 1
+  // pages always holds an aligned block of `pages`.
+  const Length need = pages + align_pages - 1;
+  for (FreeSet& set : free_) {
+    if (RealSpan* run = BestFit(set, need)) {
+      return Carve(run, RoundUp(run->first_page, align_pages) -
+                            run->first_page,
+                   pages);
+    }
+  }
+  // Grow. Written so that no sum can wrap: `pages` and `align_pages` are
+  // at most the reservation's page count.
+  const uintptr_t start = RoundUp(top_page_, align_pages);
+  const uintptr_t limit = base_page_ + total_pages_;
+  if (start > limit || pages > limit - start) return nullptr;
+  if (start > top_page_) {
+    // The alignment gap becomes a free run. It was never touched, so it
+    // costs address space only, but it is accounted as resident until
+    // it is reused or released.
+    RealSpan* gap = NewRecord();
+    gap->first_page = top_page_;
+    gap->pages = static_cast<uint32_t>(start - top_page_);
+    top_page_ = start;
+    MergeAndInsert(gap);
+  }
+  top_page_ = start + pages;
+  used_pages_.store(top_page_ - base_page_, std::memory_order_relaxed);
+  RealSpan* run = NewRecord();
+  run->first_page = start;
+  run->pages = static_cast<uint32_t>(pages);
+  return run;
+}
+
+RealSpan* RealPageHeap::NewSpan(int cls, Length pages) {
+  lock_.Lock();
+  RealSpan* span = AllocateLocked(pages, 1);
+  if (span != nullptr) {
+    CountLive(span, +1);
+    span->state = RealSpan::kSmall;
+    span->allocated = 0;
+    span->list = RealSpan::kUnlisted;
+    // Every page maps to the span (an object's page finds its record),
+    // and the directory names the class on every page before any object
+    // escapes through the caller's class lock.
+    const uint32_t idx = index_of(span);
+    for (Length p = 0; p < pages; ++p) {
+      pagemap_[span->first_page + p - base_page_] = idx;
+      dir_[span->first_page + p - base_page_].store(
+          static_cast<uint32_t>(cls) + 1, std::memory_order_relaxed);
+    }
+  }
+  lock_.Unlock();
+  return span;
+}
+
+RealSpan* RealPageHeap::NewLarge(Length pages, Length align_pages) {
+  lock_.Lock();
+  const uintptr_t top_before = top_page_;
+  RealSpan* span = AllocateLocked(pages, align_pages);
+  if (span != nullptr) {
+    CountLive(span, +1);
+    if (top_page_ != top_before) ++large_fresh_;
+    span->state = RealSpan::kLarge;
+    MapBoundaries(span);
+    dir_[span->first_page - base_page_].store(
+        kDirLargeFlag | static_cast<uint32_t>(pages),
+        std::memory_order_relaxed);
+  }
+  lock_.Unlock();
+  return span;
+}
+
+void RealPageHeap::Delete(RealSpan* const* runs, int n) {
+  lock_.Lock();
+  for (int i = 0; i < n; ++i) {
+    RealSpan* run = runs[i];
+    // Free pages read 0 in the directory: a stale pointer into them is
+    // unknown to FreeAddr and UsableSize.
+    const Length cleared = run->state == RealSpan::kSmall ? run->pages : 1;
+    for (Length p = 0; p < cleared; ++p) {
+      dir_[run->first_page + p - base_page_].store(0,
+                                                   std::memory_order_relaxed);
+    }
+    CountLive(run, -1);
+    run->state = RealSpan::kFree;
+    run->released = false;
+    MergeAndInsert(run);
+  }
+  const size_t free_bytes = LengthToBytes(free_[0].pages);
+  if (release_threshold_bytes_ > 0 && free_bytes > release_threshold_bytes_) {
+    ReleaseLocked(free_bytes - release_threshold_bytes_ / 2,
+                  /*split_hugepages=*/false);
+  }
+  lock_.Unlock();
+}
+
+size_t RealPageHeap::ReleaseRun(RealSpan* run, Length offset, Length pages) {
+  const size_t released = backing_.Release(
+      (run->first_page + offset) << kPageShift, LengthToBytes(pages));
+  if (released == 0) {
+    InsertFree(run);
+    return 0;
+  }
+  Trim(run, offset, pages);
+  run->released = true;
+  MergeAndInsert(run);
+  return released;
+}
+
+size_t RealPageHeap::ReleaseLocked(size_t want_bytes, bool split_hugepages) {
+  FreeSet& resident = free_[0];
+  size_t done = 0;
+  // Pass 1: whole hugepages. Only a resident run of at least a hugepage's
+  // pages can hold one; take them all off their lists first, so the
+  // resident pieces this pass files are not visited again.
+  RealSpan* pending = nullptr;
+  auto take_all = [&](RealSpan* head) {
+    while (head != nullptr) {
+      RealSpan* run = head;
+      head = run->next;
+      RemoveFree(run);
+      run->next = pending;
+      pending = run;
+    }
+  };
+  take_all(resident.large);
+  take_all(resident.bins[kMaxBinPages]);
+  while (pending != nullptr) {
+    RealSpan* run = pending;
+    pending = run->next;
+    const uintptr_t lo = RoundUp(run->first_page, kPagesPerHugePage);
+    const uintptr_t hi =
+        (run->first_page + run->pages) / kPagesPerHugePage * kPagesPerHugePage;
+    if (done >= want_bytes || lo >= hi) {
+      InsertFree(run);
+      continue;
+    }
+    done += ReleaseRun(run, lo - run->first_page, hi - lo);
+  }
+  if (!split_hugepages) return done;
+  // Pass 2, for the rest of an explicit request: free runs in hugepages
+  // that hold live runs, wherever splitting the hugepage pays — the long
+  // runs first, then the bins from the longest.
+  auto release_list = [&](RealSpan* run) {
+    while (run != nullptr && done < want_bytes) {
+      RealSpan* next = run->next;
+      // A short run touches at most two hugepages and is judged by each:
+      // the pieces in nearly empty ones go, the rest stays resident.
+      Length begin = 0;
+      Length end = run->pages;
+      if (run->pages < kMinSubreleasePages) {
+        const Length split = std::min<Length>(
+            run->pages, RoundUp(run->first_page + 1, kPagesPerHugePage) -
+                            run->first_page);
+        if (!NearlyEmpty(run->first_page)) begin = split;
+        if (split < run->pages && !NearlyEmpty(run->first_page + split)) {
+          end = split;
+        }
+      }
+      if (begin < end) {
+        RemoveFree(run);
+        done += ReleaseRun(run, begin, end - begin);
+      }
+      run = next;
+    }
+  };
+  release_list(resident.large);
+  for (Length n = kMaxBinPages; n > 0 && done < want_bytes; --n) {
+    release_list(resident.bins[n]);
+  }
+  return done;
+}
+
+size_t RealPageHeap::Release(size_t bytes) {
+  lock_.Lock();
+  size_t released = ReleaseLocked(bytes, /*split_hugepages=*/true);
+  lock_.Unlock();
+  return released;
+}
+
+RealPageHeap::Stats RealPageHeap::GetStats() const {
+  lock_.Lock();
+  Stats stats;
+  stats.free_bytes = LengthToBytes(free_[0].pages);
+  stats.released_bytes = LengthToBytes(free_[1].pages);
+  stats.free_runs = free_[0].runs;
+  stats.released_runs = free_[1].runs;
+  stats.large_fresh = large_fresh_;
+  stats.lock_acquisitions = lock_.acquisitions();
+  stats.lock_contended = lock_.contended();
+  stats.backing = backing_.stats();
+  lock_.Unlock();
+  return stats;
+}
+
+// ---- The allocator ----------------------------------------------------
 
 RealThreadsAllocator::RealThreadsAllocator(const AllocatorConfig& config,
                                            int expected_threads,
@@ -56,15 +495,18 @@ RealThreadsAllocator::RealThreadsAllocator(const AllocatorConfig& config,
                                            int num_shards)
     : size_classes_(size_classes),
       num_classes_(size_classes->num_classes()),
-      backing_(ReserveBytes(config)) {
+      page_heap_(ReserveBytes(config)) {
   num_shards_ = num_shards > 0 ? std::min(num_shards, kMaxShards)
                                : std::clamp(expected_threads, 1, kMaxShards);
-
   thread_cap_.resize(num_classes_);
   transfer_cap_.resize(num_classes_);
+  grid_size_ = static_cast<size_t>(num_classes_) * num_shards_;
+  transfer_ = std::make_unique<TransferShard[]>(grid_size_);
+  central_ = std::make_unique<RealCentralFreeList[]>(num_classes_);
   for (int cls = 0; cls < num_classes_; ++cls) {
     const SizeClassInfo& info = size_classes_->info(cls);
     WSC_CHECK_LE(info.batch_size, kMaxBatch);
+    WSC_CHECK_LE(info.objects_per_span, RealSpan::kBitmapWords * 64);
     thread_cap_[cls] = static_cast<uint32_t>(info.max_per_cpu_objects);
     // The simulator's transfer cache budgets transfer_cache_batches
     // batches per class; split that budget across the shards, with a
@@ -72,35 +514,22 @@ RealThreadsAllocator::RealThreadsAllocator(const AllocatorConfig& config,
     // serve a remove.
     int batches = std::max(2, config.transfer_cache_batches / num_shards_);
     transfer_cap_[cls] = static_cast<uint32_t>(batches * info.batch_size);
-  }
-
-  grid_size_ = static_cast<size_t>(num_classes_) * num_shards_;
-  transfer_ = std::make_unique<TransferShard[]>(grid_size_);
-  cfl_ = std::make_unique<CflShard[]>(grid_size_);
-  for (int cls = 0; cls < num_classes_; ++cls) {
     for (int shard = 0; shard < num_shards_; ++shard) {
       transfer_shard(cls, shard).capacity = transfer_cap_[cls];
     }
+    RealCentralFreeList& cfl = central_[cls];
+    cfl.object_size = static_cast<uint32_t>(info.size);
+    cfl.objects_per_span = static_cast<uint32_t>(info.objects_per_span);
+    cfl.bitmap_words = (cfl.objects_per_span + 63) / 64;
+    cfl.pages_per_span = static_cast<uint32_t>(info.pages_per_span);
+    cfl.reciprocal = ((uint64_t{1} << 32) + info.size - 1) / info.size;
   }
 
-  WSC_CHECK(backing_.ok());
-  arena_base_ = backing_.base();
-  arena_end_ = backing_.end();
-  arena_next_.store(arena_base_, std::memory_order_relaxed);
-  dir_entries_ = backing_.reserved_bytes() >> kPageShift;
-  dir_ = reinterpret_cast<std::atomic<uint32_t>*>(
-      RealMemoryBacking::MapMetadata(dir_entries_ * sizeof(uint32_t)));
-  WSC_CHECK(dir_ != nullptr);
-  static_assert(sizeof(LargeRange) <= kPageSize,
-                "large-range header must fit in its own first page");
+  arena_base_ = page_heap_.base();
+  arena_end_ = page_heap_.end();
   // The object's first word doubles as the freelist link, so every class
   // must hold one.
   WSC_CHECK_GE(size_classes_->class_size(0), sizeof(uintptr_t));
-}
-
-RealThreadsAllocator::~RealThreadsAllocator() {
-  RealMemoryBacking::UnmapMetadata(reinterpret_cast<uintptr_t>(dir_),
-                                   dir_entries_ * sizeof(uint32_t));
 }
 
 RealThreadCache* RealThreadsAllocator::RegisterThread() {
@@ -124,8 +553,9 @@ RealThreadCache* RealThreadsAllocator::RegisterThread() {
 }
 
 void RealThreadsAllocator::UnregisterThread(RealThreadCache* tc) {
-  // The flush drops each shard lock before the registry lock is taken, so
-  // the lock order stays ForkPrepare's (registry before shards).
+  // The flush drops every class and page-heap lock before the registry
+  // lock is taken, so the lock order stays ForkPrepare's (registry
+  // first).
   FlushThreadCache(tc);
   std::lock_guard<std::mutex> guard(threads_mu_);
   tc->next_idle = idle_head_;
@@ -144,7 +574,7 @@ void RealThreadsAllocator::FlushThreadCache(RealThreadCache* tc) {
     RealThreadCache::ClassList& list = tc->lists[cls];
     while (list.count > 0) {
       int moved = TakeIntrusive(list.head, list.count, buf, kMaxBatch);
-      ReturnToCfl(cls, tc->shard, buf, moved);
+      InsertToCentral(cls, buf, moved);
     }
   }
 }
@@ -162,9 +592,7 @@ uintptr_t RealThreadsAllocator::SlowAllocate(RealThreadCache* tc, int cls) {
   if (got == 0) ++ts.remove_misses;
   ts.lock.Unlock();
 
-  if (got < batch) {
-    got += RefillFromCfl(cls, tc->shard, buf + got, batch - got);
-  }
+  if (got < batch) got += RemoveFromCentral(cls, buf + got, batch - got);
   if (got == 0) return 0;  // reservation exhausted
 
   // Keep one, cache the rest. The slow path only runs when the list is
@@ -193,94 +621,96 @@ void RealThreadsAllocator::SlowFree(RealThreadCache* tc, int cls,
   if (put < moved) ++ts.insert_overflows;
   ts.lock.Unlock();
 
-  if (put < moved) {
-    ReturnToCfl(cls, tc->shard, buf + put, moved - put);
-  }
+  if (put < moved) InsertToCentral(cls, buf + put, moved - put);
   PutIntrusive(list.head, list.count, &obj, 1);
 }
 
-int RealThreadsAllocator::RefillFromCfl(int cls, int shard, uintptr_t* out,
-                                        int want) {
-  CflShard& home = cfl_shard(cls, shard);
-  home.lock.Lock();
-  ++home.refills;
-  int got = TakeIntrusive(home.head, home.count, out, want);
-  if (got < want) {
-    ++home.refill_stalls;
-    // Work-steal from sibling shards before carving fresh address space:
-    // this is the piece Snippet 1's sharded allocator was missing — a
-    // shard whose home store runs dry must not serialize on (or bloat)
-    // the backing store while siblings sit on free objects. TryLock only:
-    // a busy sibling is skipped, never waited on (also rules out
-    // lock-order deadlock, since the only blocking acquisition held here
-    // is the home shard's).
-    for (int probe = 1; probe < num_shards_ && got < want; ++probe) {
-      CflShard& victim = cfl_shard(cls, (shard + probe) % num_shards_);
-      ++home.steal_probes;
-      if (!victim.lock.TryLock()) continue;
-      size_t avail = victim.count;
-      if (avail > 0) {
-        // Take what the batch still needs plus half the surplus, so one
-        // steal rebalances the pair instead of ping-ponging per object.
-        size_t need = static_cast<size_t>(want - got);
-        size_t take = std::min(avail, need + (avail - std::min(avail, need)) / 2);
-        ++home.steals;
-        home.stolen_objects += take;
-        for (size_t i = 0; i < take; ++i) {
-          uintptr_t obj = 0;
-          TakeIntrusive(victim.head, victim.count, &obj, 1);
-          if (got < want) {
-            out[got++] = obj;
-          } else {
-            PutIntrusive(home.head, home.count, &obj, 1);
-          }
-        }
+int RealThreadsAllocator::RemoveFromCentral(int cls, uintptr_t* out,
+                                            int want) {
+  RealCentralFreeList& cfl = central_[cls];
+  cfl.lock.Lock();
+  ++cfl.refills;
+  bool stalled = false;
+  int got = 0;
+  while (got < want) {
+    // The fullest span with a free object: allocating there packs live
+    // objects densely, so emptier spans get the chance to drain and go
+    // back to the page heap.
+    RealSpan* span = nullptr;
+    for (RealSpan* head : cfl.lists) {
+      if (head != nullptr) {
+        span = head;
+        break;
       }
-      victim.lock.Unlock();
     }
-    while (got < want) {
-      if (!CarveSpan(cls, home)) break;  // reservation exhausted
-      got += TakeIntrusive(home.head, home.count, out + got, want - got);
+    if (span == nullptr) {
+      if (!stalled) ++cfl.refill_stalls;
+      stalled = true;
+      span = page_heap_.NewSpan(cls, cfl.pages_per_span);
+      if (span == nullptr) break;  // reservation exhausted
+      for (uint32_t w = 0; w < cfl.bitmap_words; ++w) {
+        uint32_t bits = std::min(64u, cfl.objects_per_span - 64 * w);
+        span->free_bits[w] = bits == 64 ? ~uint64_t{0}
+                                        : (uint64_t{1} << bits) - 1;
+      }
+      ++cfl.spans;
+      ++cfl.fetched_spans;
+      cfl.free_objects += cfl.objects_per_span;
     }
+    // Lowest free index first: a fresh span hands out ascending
+    // addresses.
+    const uintptr_t base = span->base();
+    int taken = 0;
+    for (uint32_t w = 0; w < cfl.bitmap_words && got + taken < want; ++w) {
+      uint64_t bits = span->free_bits[w];
+      while (bits != 0 && got + taken < want) {
+        const uint32_t idx = 64 * w + std::countr_zero(bits);
+        bits &= bits - 1;
+        out[got + taken++] = base + static_cast<uintptr_t>(idx) *
+                                        cfl.object_size;
+      }
+      span->free_bits[w] = bits;
+    }
+    span->allocated = static_cast<uint16_t>(span->allocated + taken);
+    cfl.free_objects -= static_cast<uint64_t>(taken);
+    got += taken;
+    Relist(cfl, span);
   }
-  home.lock.Unlock();
+  cfl.lock.Unlock();
   return got;
 }
 
-void RealThreadsAllocator::ReturnToCfl(int cls, int shard,
-                                       const uintptr_t* objs, int count) {
-  CflShard& home = cfl_shard(cls, shard);
-  home.lock.Lock();
-  PutIntrusive(home.head, home.count, objs, count);
-  home.lock.Unlock();
-}
-
-bool RealThreadsAllocator::CarveSpan(int cls, CflShard& shard) {
-  const SizeClassInfo& info = size_classes_->info(cls);
-  size_t span_bytes = LengthToBytes(info.pages_per_span);
-  // CAS loop instead of fetch_add so a failed carve does not advance the
-  // bump pointer past the reservation.
-  uintptr_t base = arena_next_.load(std::memory_order_relaxed);
-  do {
-    if (base + span_bytes > arena_end_) return false;
-  } while (!arena_next_.compare_exchange_weak(base, base + span_bytes,
-                                              std::memory_order_relaxed));
-  // Publish the size class for every page of the span before the objects
-  // escape via the shard lock, so FreeAddr/UsableSize on any thread that
-  // legitimately receives an object sees the entry.
-  for (size_t p = 0; p < static_cast<size_t>(info.pages_per_span); ++p) {
-    dir_entry(base + (p << kPageShift))
-        .store(static_cast<uint32_t>(cls) + 1, std::memory_order_relaxed);
+void RealThreadsAllocator::InsertToCentral(int cls, const uintptr_t* objs,
+                                           int count) {
+  RealCentralFreeList& cfl = central_[cls];
+  RealSpan* empty[kMaxBatch];
+  int num_empty = 0;
+  cfl.lock.Lock();
+  for (int i = 0; i < count; ++i) {
+    RealSpan* span = page_heap_.SpanOf(objs[i]);
+    const uint32_t idx = static_cast<uint32_t>(
+        ((objs[i] - span->base()) * cfl.reciprocal) >> 32);
+    span->free_bits[idx / 64] |= uint64_t{1} << (idx % 64);
+    --span->allocated;
+    ++cfl.free_objects;
+    if (span->allocated == 0) {
+      // The span's last object came back: it leaves the list for the page
+      // heap.
+      if (span->list != RealSpan::kUnlisted) {
+        Unlink(cfl.lists[span->list], span);
+      }
+      --cfl.spans;
+      ++cfl.returned_spans;
+      cfl.free_objects -= cfl.objects_per_span;
+      empty[num_empty++] = span;
+    } else {
+      Relist(cfl, span);
+    }
   }
-  small_carved_bytes_.fetch_add(span_bytes, std::memory_order_relaxed);
-  ++shard.carves;
-  shard.carved_objects += static_cast<uint64_t>(info.objects_per_span);
-  // Push in reverse so pops hand out ascending addresses.
-  for (int i = info.objects_per_span - 1; i >= 0; --i) {
-    uintptr_t obj = base + static_cast<size_t>(i) * info.size;
-    PutIntrusive(shard.head, shard.count, &obj, 1);
-  }
-  return true;
+  cfl.lock.Unlock();
+  // No object of an empty span is reachable, so it can wait for the page
+  // heap outside the class lock; the heap takes the batch in one lock.
+  if (num_empty > 0) page_heap_.Delete(empty, num_empty);
 }
 
 uintptr_t RealThreadsAllocator::AllocateLarge(RealThreadCache* tc,
@@ -289,159 +719,84 @@ uintptr_t RealThreadsAllocator::AllocateLarge(RealThreadCache* tc,
   // Refuse before rounding, which wraps near SIZE_MAX: nothing larger
   // than the reservation fits, nor more pages than a directory entry's
   // 31-bit count holds.
-  if (size > arena_end_ - arena_base_ ||
-      size > (static_cast<size_t>(~kDirLargeFlag) << kPageShift)) {
+  const size_t reserved = arena_end_ - arena_base_;
+  if (size > reserved || align > reserved ||
+      size > (static_cast<size_t>(~RealPageHeap::kDirLargeFlag)
+              << kPageShift)) {
     return 0;
   }
-  size_t pages = static_cast<size_t>(BytesToLengthCeil(size));
-  size_t bytes = pages << kPageShift;
-  uintptr_t addr = 0;
-  {
-    std::lock_guard<std::mutex> guard(large_mu_);
-    // First fit over pending ranges, reused from the front; tails become
-    // new pending ranges (never coalesced, so range starts keep their
-    // identity — the invariant the page directory's "interior pages stay
-    // 0" encoding relies on). Range starts are page-aligned, so any range
-    // satisfies align == kPageSize; bigger alignments must line up.
-    uintptr_t* prev = &large_free_head_;
-    for (uintptr_t cur = large_free_head_; cur != 0;) {
-      LargeRange* range = reinterpret_cast<LargeRange*>(cur);
-      if (range->pages >= pages && (cur & (align - 1)) == 0) {
-        uintptr_t next = range->next;
-        bool released = range->released;
-        bool split = range->pages > pages;
-        if (split) {
-          uintptr_t tail = cur + bytes;
-          LargeRange* tail_range = reinterpret_cast<LargeRange*>(tail);
-          tail_range->next = next;
-          tail_range->pages = range->pages - pages;
-          tail_range->released = released;
-          *prev = tail;
-        } else {
-          *prev = next;
-        }
-        large_free_pages_.fetch_sub(pages, std::memory_order_relaxed);
-        if (released) {
-          // The header page stayed resident. A split also brings back
-          // the tail's new header page, written just above.
-          backing_.Commit(split ? bytes : bytes - kPageSize);
-        } else {
-          large_unreleased_pages_.fetch_sub(pages,
-                                            std::memory_order_relaxed);
-        }
-        addr = cur;
-        break;
-      }
-      prev = &range->next;
-      cur = range->next;
-    }
-  }
-  if (addr == 0) {
-    // Bump-carve, aligning up. The skipped gap is never touched, so it
-    // costs address space, not resident memory.
-    uintptr_t base = arena_next_.load(std::memory_order_relaxed);
-    uintptr_t aligned;
-    do {
-      aligned = (base + (align - 1)) & ~(align - 1);
-      // Written so that no sum can wrap: a huge `align` wraps `aligned`
-      // below `base`.
-      if (aligned < base || aligned > arena_end_ ||
-          bytes > arena_end_ - aligned) {
-        return 0;
-      }
-    } while (!arena_next_.compare_exchange_weak(base, aligned + bytes,
-                                                std::memory_order_relaxed));
-    addr = aligned;
-  }
-  dir_entry(addr).store(kDirLargeFlag | static_cast<uint32_t>(pages),
-                        std::memory_order_relaxed);
+  const Length pages = BytesToLengthCeil(size);
+  RealSpan* span = page_heap_.NewLarge(pages, align >> kPageShift);
+  if (span == nullptr) return 0;
+  const size_t bytes = LengthToBytes(pages);
   ++tc->allocations;
   ++tc->large_allocations;
   large_live_bytes_.fetch_add(static_cast<int64_t>(bytes),
                               std::memory_order_relaxed);
-  large_carves_.fetch_add(1, std::memory_order_relaxed);
   tc->live_bytes += static_cast<int64_t>(bytes);
-  return addr;
+  return span->base();
 }
 
 void RealThreadsAllocator::FreeLarge(RealThreadCache* tc, uintptr_t addr) {
-  uint32_t entry = dir_entry(addr).load(std::memory_order_relaxed);
-  WSC_CHECK(entry & kDirLargeFlag);
-  size_t pages = entry & ~kDirLargeFlag;
-  size_t bytes = pages << kPageShift;
-  dir_entry(addr).store(0, std::memory_order_relaxed);
+  uint32_t entry = page_heap_.dir_entry(addr).load(std::memory_order_relaxed);
+  WSC_CHECK(entry & RealPageHeap::kDirLargeFlag);
+  const size_t bytes =
+      static_cast<size_t>(entry & ~RealPageHeap::kDirLargeFlag) << kPageShift;
   ++tc->frees;
   ++tc->large_frees;
   large_live_bytes_.fetch_sub(static_cast<int64_t>(bytes),
                               std::memory_order_relaxed);
   tc->live_bytes -= static_cast<int64_t>(bytes);
-
-  std::lock_guard<std::mutex> guard(large_mu_);
-  LargeRange* range = reinterpret_cast<LargeRange*>(addr);
-  range->next = large_free_head_;
-  range->pages = pages;
-  range->released = false;
-  large_free_head_ = addr;
-  large_free_pages_.fetch_add(pages, std::memory_order_relaxed);
-  size_t unreleased =
-      large_unreleased_pages_.fetch_add(pages, std::memory_order_relaxed) +
-      pages;
-  if (large_release_threshold_bytes_ > 0 &&
-      (unreleased << kPageShift) > large_release_threshold_bytes_) {
-    ReleasePendingLocked((unreleased << kPageShift) -
-                         large_release_threshold_bytes_ / 2);
-  }
-}
-
-size_t RealThreadsAllocator::ReleasePendingLocked(size_t want_bytes) {
-  size_t confirmed = 0;
-  for (uintptr_t cur = large_free_head_; cur != 0 && confirmed < want_bytes;) {
-    LargeRange* range = reinterpret_cast<LargeRange*>(cur);
-    if (!range->released && range->pages > 1) {
-      // Keep the header page resident — it holds the list node — and
-      // return the tail to the OS. A failed madvise leaves the range
-      // unreleased.
-      size_t released = backing_.Release(cur + kPageSize,
-                                         (range->pages - 1) << kPageShift);
-      if (released > 0) {
-        confirmed += released;
-        range->released = true;
-        large_unreleased_pages_.fetch_sub(range->pages,
-                                          std::memory_order_relaxed);
-      }
-    }
-    cur = range->next;
-  }
-  return confirmed;
+  RealSpan* span = page_heap_.SpanOf(addr);
+  page_heap_.Delete(&span, 1);
 }
 
 size_t RealThreadsAllocator::ReleaseMemoryToSystem(size_t bytes) {
-  std::lock_guard<std::mutex> guard(large_mu_);
-  return ReleasePendingLocked(bytes);
+  // Transfer shards first: their objects may be the last ones out of
+  // spans that can then come back.
+  uintptr_t buf[kMaxBatch];
+  for (int cls = 0; cls < num_classes_; ++cls) {
+    for (int shard = 0; shard < num_shards_; ++shard) {
+      TransferShard& ts = transfer_shard(cls, shard);
+      ts.lock.Lock();
+      uintptr_t head = ts.head;
+      uint32_t count = ts.count;
+      ts.head = 0;
+      ts.count = 0;
+      ts.lock.Unlock();
+      while (count > 0) {
+        int moved = TakeIntrusive(head, count, buf, kMaxBatch);
+        InsertToCentral(cls, buf, moved);
+      }
+    }
+  }
+  return page_heap_.Release(bytes);
 }
 
 void RealThreadsAllocator::ForkPrepare() {
-  // Fixed order (the reverse of ForkRelease): registry, large pool, then
-  // every shard. Holding them all across fork() means no lock in the
-  // child's copy belongs to a thread that no longer exists.
+  // Fixed order (the reverse of ForkRelease). Holding them all across
+  // fork() means no lock in the child's copy belongs to a thread that no
+  // longer exists.
   threads_mu_.lock();
-  large_mu_.lock();
   for (size_t i = 0; i < grid_size_; ++i) transfer_[i].lock.Lock();
-  for (size_t i = 0; i < grid_size_; ++i) cfl_[i].lock.Lock();
+  for (int cls = 0; cls < num_classes_; ++cls) central_[cls].lock.Lock();
+  page_heap_.Lock();
 }
 
 void RealThreadsAllocator::ForkRelease() {
-  for (size_t i = 0; i < grid_size_; ++i) cfl_[i].lock.Unlock();
-  for (size_t i = 0; i < grid_size_; ++i) transfer_[i].lock.Unlock();
-  large_mu_.unlock();
+  page_heap_.Unlock();
+  for (int cls = num_classes_ - 1; cls >= 0; --cls) {
+    central_[cls].lock.Unlock();
+  }
+  for (size_t i = grid_size_; i-- > 0;) transfer_[i].lock.Unlock();
   threads_mu_.unlock();
 }
 
 void RealThreadsAllocator::FreeAddr(RealThreadCache* tc, uintptr_t addr) {
-  uint32_t entry = dir_entry(addr).load(std::memory_order_relaxed);
+  uint32_t entry = page_heap_.dir_entry(addr).load(std::memory_order_relaxed);
   if (entry == 0) return;  // unknown page: stale/foreign pointer, ignore
-  if (entry & kDirLargeFlag) {
-    // Only the exact range start is a valid large pointer.
+  if (entry & RealPageHeap::kDirLargeFlag) {
+    // Only the exact block start is a valid large pointer.
     WSC_CHECK_EQ(addr & (kPageSize - 1), uintptr_t{0});
     FreeLarge(tc, addr);
     return;
@@ -451,11 +806,11 @@ void RealThreadsAllocator::FreeAddr(RealThreadCache* tc, uintptr_t addr) {
 
 size_t RealThreadsAllocator::UsableSize(uintptr_t addr) const {
   if (!Owns(addr)) return 0;
-  uint32_t entry = dir_[(addr - arena_base_) >> kPageShift].load(
-      std::memory_order_relaxed);
+  uint32_t entry = page_heap_.dir_entry(addr).load(std::memory_order_relaxed);
   if (entry == 0) return 0;
-  if (entry & kDirLargeFlag) {
-    return static_cast<size_t>(entry & ~kDirLargeFlag) << kPageShift;
+  if (entry & RealPageHeap::kDirLargeFlag) {
+    return static_cast<size_t>(entry & ~RealPageHeap::kDirLargeFlag)
+           << kPageShift;
   }
   return size_classes_->class_size(static_cast<int>(entry) - 1);
 }
@@ -482,15 +837,6 @@ uintptr_t RealThreadsAllocator::AllocateAligned(RealThreadCache* tc,
     }
   }
   return AllocateLarge(tc, size, std::max(align, kPageSize));
-}
-
-size_t RealThreadsAllocator::FootprintBytes() const {
-  int64_t large = large_live_bytes_.load(std::memory_order_relaxed);
-  // Pending large ranges are freed but still resident until released.
-  return small_carved_bytes_.load(std::memory_order_relaxed) +
-         static_cast<size_t>(std::max<int64_t>(0, large)) +
-         (large_unreleased_pages_.load(std::memory_order_relaxed)
-          << kPageShift);
 }
 
 telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
@@ -530,7 +876,7 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
     }
   }
 
-  // Shard aggregates.
+  // Transfer aggregates.
   uint64_t transfer_acq = 0, transfer_contended = 0;
   uint64_t transfer_inserts = 0, transfer_inserted = 0;
   uint64_t transfer_overflows = 0;
@@ -548,24 +894,31 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
     transfer_misses += ts.remove_misses;
     transfer_cached += ts.count;
   }
+
+  // Central free list aggregates.
   uint64_t cfl_acq = 0, cfl_contended = 0;
   uint64_t refills = 0, refill_stalls = 0;
-  uint64_t steals = 0, stolen_objects = 0, steal_probes = 0;
-  uint64_t carves = 0, carved_objects = 0;
-  uint64_t cfl_free = 0;
-  for (size_t i = 0; i < grid_size_; ++i) {
-    const CflShard& cs = cfl_[i];
-    cfl_acq += cs.lock.acquisitions();
-    cfl_contended += cs.lock.contended();
-    refills += cs.refills;
-    refill_stalls += cs.refill_stalls;
-    steals += cs.steals;
-    stolen_objects += cs.stolen_objects;
-    steal_probes += cs.steal_probes;
-    carves += cs.carves;
-    carved_objects += cs.carved_objects;
-    cfl_free += cs.count;
+  uint64_t fetched_spans = 0, returned_spans = 0, spans = 0;
+  uint64_t span_objects = 0, cfl_free = 0;
+  double cfl_free_bytes = 0;
+  for (int cls = 0; cls < num_classes_; ++cls) {
+    const RealCentralFreeList& cfl = central_[cls];
+    cfl_acq += cfl.lock.acquisitions();
+    cfl_contended += cfl.lock.contended();
+    refills += cfl.refills;
+    refill_stalls += cfl.refill_stalls;
+    fetched_spans += cfl.fetched_spans;
+    returned_spans += cfl.returned_spans;
+    spans += cfl.spans;
+    span_objects += cfl.spans * cfl.objects_per_span;
+    cfl_free += cfl.free_objects;
+    cfl_free_bytes += static_cast<double>(cfl.free_objects) *
+                      static_cast<double>(cfl.object_size);
   }
+
+  // The page heap's counters, copied under its lock before the registry
+  // below allocates (through this allocator, when it is the shim).
+  const RealPageHeap::Stats heap = page_heap_.GetStats();
 
   telemetry::MetricRegistry registry;
   registry.BeginExport();
@@ -573,7 +926,10 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
   registry.ExportCounter("allocator", "frees", frees);
   registry.ExportCounter("allocator", "large_allocations", large_allocations);
   registry.ExportCounter("allocator", "large_frees", large_frees);
-  registry.ExportCounter("allocator", "carved_objects", carved_objects);
+  // Objects in the spans the central lists hold: each is live or cached
+  // in some tier.
+  registry.ExportGauge("allocator", "carved_objects",
+                       static_cast<double>(span_objects));
   registry.ExportGauge("allocator", "live_objects",
                        static_cast<double>(allocations - frees));
   registry.ExportGauge("allocator", "live_bytes",
@@ -585,6 +941,10 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
                        static_cast<double>(FootprintBytes()));
   registry.ExportGauge("allocator", "arena_used_bytes",
                        static_cast<double>(ArenaUsedBytes()));
+  // Free page-heap bytes, released or not (the shim's statsz field).
+  registry.ExportGauge(
+      "allocator", "large_pending_bytes",
+      static_cast<double>(heap.free_bytes + heap.released_bytes));
 
   registry.ExportCounter("thread_cache", "fast_alloc_hits", fast_alloc_hits);
   registry.ExportCounter("thread_cache", "fast_free_hits", fast_free_hits);
@@ -611,42 +971,57 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
   registry.ExportGauge("sharded_transfer", "cached_objects",
                        static_cast<double>(transfer_cached));
 
+  // The simulator's central_free_list names, summed over classes.
+  registry.ExportCounter("central_free_list", "fetched_spans", fetched_spans);
+  registry.ExportCounter("central_free_list", "returned_spans",
+                         returned_spans);
+  registry.ExportGauge("central_free_list", "spans",
+                       static_cast<double>(spans));
+  registry.ExportGauge("central_free_list", "free_object_bytes",
+                       cfl_free_bytes);
+  // The names the benchmark's direct arm reads: refills, and span
+  // fetches as "carves".
   registry.ExportCounter("sharded_cfl", "refills", refills);
-  registry.ExportCounter("sharded_cfl", "carves", carves);
-  registry.ExportCounter("sharded_cfl", "carved_objects", carved_objects);
-  registry.ExportGauge("sharded_cfl", "free_objects",
-                       static_cast<double>(cfl_free));
-  registry.ExportGauge("sharded_cfl", "num_shards",
-                       static_cast<double>(num_shards_));
+  registry.ExportCounter("sharded_cfl", "carves", fetched_spans);
 
-  // The contention component the fig_mt_scaling bench and
-  // check_bench_json.py key on: lock traffic, refill stalls, and how the
-  // stalls were resolved (steal vs carve).
+  registry.ExportGauge("page_heap", "free_bytes",
+                       static_cast<double>(heap.free_bytes));
+  registry.ExportGauge("page_heap", "released_bytes",
+                       static_cast<double>(heap.released_bytes));
+  registry.ExportGauge("page_heap", "free_runs",
+                       static_cast<double>(heap.free_runs));
+  registry.ExportGauge("page_heap", "released_runs",
+                       static_cast<double>(heap.released_runs));
+
+  // The contention component fig_mt_scaling and check_bench_json.py key
+  // on: lock traffic per tier and the refills that had to fetch a span.
+  // Nothing steals any more; the steal counters stay for the benchmark.
   registry.ExportCounter("contention", "transfer_lock_acquisitions",
                          transfer_acq);
   registry.ExportCounter("contention", "transfer_lock_contended",
                          transfer_contended);
   registry.ExportCounter("contention", "cfl_lock_acquisitions", cfl_acq);
   registry.ExportCounter("contention", "cfl_lock_contended", cfl_contended);
+  registry.ExportCounter("contention", "page_heap_lock_acquisitions",
+                         heap.lock_acquisitions);
+  registry.ExportCounter("contention", "page_heap_lock_contended",
+                         heap.lock_contended);
   registry.ExportCounter("contention", "refill_stalls", refill_stalls);
-  registry.ExportCounter("contention", "work_steals", steals);
-  registry.ExportCounter("contention", "stolen_objects", stolen_objects);
-  registry.ExportCounter("contention", "steal_probes", steal_probes);
+  registry.ExportCounter("contention", "work_steals", 0);
+  registry.ExportCounter("contention", "stolen_objects", 0);
+  registry.ExportCounter("contention", "steal_probes", 0);
+  // Span fetches plus the large blocks that grew the heap.
   registry.ExportCounter("contention", "arena_carves",
-                         carves + large_carves_.load(
-                                      std::memory_order_relaxed));
+                         fetched_spans + heap.large_fresh);
 
-  // Backing release/commit traffic and the pending large pool.
-  const MemoryBackingStats& bs = backing_.stats();
-  registry.ExportCounter("system", "release_calls", bs.release_calls);
-  registry.ExportCounter("system", "released_bytes", bs.released_bytes);
-  registry.ExportCounter("system", "recommitted_bytes", bs.recommitted_bytes);
+  // Backing release/commit traffic.
+  registry.ExportCounter("system", "release_calls", heap.backing.release_calls);
+  registry.ExportCounter("system", "released_bytes",
+                         heap.backing.released_bytes);
+  registry.ExportCounter("system", "recommitted_bytes",
+                         heap.backing.recommitted_bytes);
   registry.ExportGauge("system", "reserved_bytes",
-                       static_cast<double>(backing_.reserved_bytes()));
-  registry.ExportGauge(
-      "allocator", "large_pending_bytes",
-      static_cast<double>(large_free_pages_.load(std::memory_order_relaxed)
-                          << kPageShift));
+                       static_cast<double>(page_heap_.reserved_bytes()));
   return registry.TakeSnapshot();
 }
 

@@ -9,45 +9,62 @@
 // does NOT touch the simulated Allocator — the deterministic oracle stays
 // byte-for-byte untouched (tools/check_determinism.sh enforces this).
 //
-// Design, shaped by two results from the literature (see DESIGN.md):
+// Tiers, front to back (see DESIGN.md):
 //
-//  * The per-thread fast path is genuinely lock-free: each registered
-//    thread owns a ThreadCache whose per-class freelists are plain
-//    push/pop — no atomics, no fences on the hit path — and size-class
-//    lookup is the branch-free flat LUT in SizeClasses::ClassFor.
+//  * Per-thread caches: the lock-free fast path. Each registered thread
+//    owns a RealThreadCache whose per-class freelists are plain push/pop —
+//    no atomics, no fences on the hit path — and size-class lookup is the
+//    branch-free flat LUT in SizeClasses::ClassFor.
 //
-//  * Replenishment is sharded end to end. SNIPPETS.md Snippet 1
-//    (AllocatorBench) documents the trap where sharding only the
-//    size-class freelist locks moves the bottleneck to a global refill
-//    lock and scaling stays flat. Here BOTH the transfer cache and the
-//    CFL-equivalent free store are sharded by (size class x shard), a
-//    miss on the home shard work-steals from sibling shards before
-//    carving fresh address space, and the final carve is a lock-free
-//    CAS on the arena bump pointer — there is no global lock anywhere
-//    on the refill path.
+//  * Transfer shards, one per (size class x shard): bounded stacks that
+//    move whole batches between thread caches, so most misses never
+//    reach a span.
 //
-//  * Every hot per-thread / per-shard structure is alignas(64) so two
-//    threads' hot state never share a cache line; static_asserts at the
-//    end of this header pin the layout in every build.
+//  * One central free list per size class (the paper's §4.3). It owns
+//    the class's spans and tracks each span's free objects in a bitmap in
+//    the span's metadata record, so a refill reads no object memory. A
+//    refill allocates from the fullest span first (L=8 occupancy lists,
+//    the rule CentralFreeList::ListIndexFor implements in the simulator),
+//    and a span whose last object comes back goes to the page heap at
+//    once.
+//
+//  * One page heap (RealPageHeap). It serves span fetches and large or
+//    aligned blocks. Free page runs coalesce with free neighbours of the
+//    same state (resident or released), allocation is best fit, and the
+//    heap grows by its bump pointer only when no run fits. Release
+//    madvises whole free 2 MiB hugepages first (§4.4: keep hugepages
+//    intact where possible), and splits a hugepage that still holds a
+//    live run only for the rest of an explicit request, and only where
+//    the split pays: for a free run of at least an eighth of a hugepage,
+//    or inside a hugepage that is at most an eighth live.
+//
+// Every hot per-thread / per-shard / per-class structure is alignas(64) so
+// two threads' hot state never share a cache line; static_asserts at the
+// end of this header pin the layout in every build.
 //
 // Memory: one contiguous MAP_NORESERVE reservation (RealMemoryBacking in
 // tcmalloc/memory_backing.h), hinted MADV_HUGEPAGE. It costs nothing until
 // touched, so tests and sanitizer runs use the same memory as the shim.
-// Freelists thread through the objects themselves (the link is the
-// object's first word), a per-page atomic directory recovers size classes
-// for the malloc shim's unsized free/usable_size, freed large ranges keep
-// their bookkeeping in their own first page, and ReleaseMemoryToSystem()
-// madvises pending large ranges back to the OS. Exhaustion returns 0 (the
-// shim turns that into ENOMEM). The config must be built with
-// AllocatorConfig::Builder::WithRealMemory().
+// Cached objects thread a freelist through their first word; everything
+// else the allocator knows lives out of band, in MapMetadata mappings:
+// the page directory (size class or large length per page, read lock-free
+// by unsized free), the pagemap (page -> span record), and the span
+// records. Exhaustion returns 0 (the shim turns that into ENOMEM). The
+// config must be built with AllocatorConfig::Builder::WithRealMemory().
 //
-// Telemetry: TelemetrySnapshot() exports "allocator", "thread_cache", and
-// "contention" components (per-shard lock acquisitions, contended
-// acquisitions, refill stalls, work steals, arena carves). It requires
-// quiescence — call it after worker threads joined; the join gives the
-// happens-before edge that makes the plain counter reads race-free.
-// thread_cache/registered_threads counts the caches in use (the live
-// threads), thread_cache/idle_caches the ones UnregisterThread() parked.
+// Telemetry: TelemetrySnapshot() exports "allocator", "thread_cache",
+// "sharded_transfer", "central_free_list" and "page_heap" components (the
+// last two with the simulator's metric names where the concept is
+// shared), plus "contention" (lock acquisitions and contended
+// acquisitions per tier, refill stalls, arena carves) and "system"
+// (madvise traffic). The "sharded_cfl" component and the contention
+// component's steal counters keep the names the benchmark reads; the
+// central lists are no longer sharded, so the steal counters read 0. A
+// snapshot requires quiescence — call it after worker threads joined;
+// the join gives the happens-before edge that makes the plain counter
+// reads race-free. thread_cache/registered_threads counts the caches in
+// use (the live threads), thread_cache/idle_caches the ones
+// UnregisterThread() parked.
 
 #ifndef WSC_TCMALLOC_REAL_THREADS_H_
 #define WSC_TCMALLOC_REAL_THREADS_H_
@@ -98,14 +115,6 @@ class ContendedLock {
     if (contended) ++contended_;
   }
 
-  // Single attempt; used by the work-stealing probe so a busy sibling
-  // shard is skipped instead of waited on.
-  bool TryLock() {
-    if (locked_.exchange(true, std::memory_order_acquire)) return false;
-    ++acquisitions_;
-    return true;
-  }
-
   void Unlock() { locked_.store(false, std::memory_order_release); }
 
   // Quiescent reads (no concurrent holders).
@@ -121,8 +130,8 @@ class ContendedLock {
 };
 
 // One (size class x shard) slice of the transfer cache: a bounded stack of
-// free objects batches move through between thread caches and the CFL
-// store. All fields behind `lock`.
+// free objects batches move through between thread caches and the
+// central free list. All fields behind `lock`.
 struct alignas(kCacheLineSize) TransferShard {
   ContendedLock lock;
   uint32_t capacity = 0;  // max cached objects; set at construction
@@ -133,30 +142,250 @@ struct alignas(kCacheLineSize) TransferShard {
 
   uint64_t inserts = 0;
   uint64_t inserted_objects = 0;
-  uint64_t insert_overflows = 0;  // inserts that spilled to the CFL shard
+  uint64_t insert_overflows = 0;  // inserts that spilled to the central list
   uint64_t removes = 0;
   uint64_t removed_objects = 0;
   uint64_t remove_misses = 0;  // removes that found the shard empty
 };
 
-// One (size class x shard) slice of the central free store (the
-// CFL-equivalent): the free objects of spans carved for this shard, plus
-// the refill/steal/carve counters the "contention" component reports.
-// All fields behind `lock` (stolen objects move victim->thief while both
-// locks are held).
-struct alignas(kCacheLineSize) CflShard {
-  ContendedLock lock;
-  // Intrusive freelist (see TransferShard).
-  uintptr_t head = 0;
-  uint32_t count = 0;
+// Metadata for one run of pages: a span of small objects that a central
+// free list owns, a large block, or a free run in the page heap. Records
+// live in a MapMetadata slab, never in the heap; the page heap's pagemap
+// maps a page to its record. The page heap writes first_page, pages,
+// state and released under its lock. While a span belongs to a central
+// free list, that list's lock guards the rest.
+struct alignas(kCacheLineSize) RealSpan {
+  enum State : uint8_t { kFree, kSmall, kLarge };
+  // The 8-byte class packs 1024 objects into its one-page span; no class
+  // has more.
+  static constexpr int kBitmapWords = 16;
+  static constexpr uint8_t kUnlisted = 0xff;
 
+  uintptr_t first_page = 0;  // page number: address >> kPageShift
+  // Links of the one list the record is on: a page-heap free bin, a
+  // central free list's occupancy list, or the record slab's free list.
+  RealSpan* prev = nullptr;
+  RealSpan* next = nullptr;
+  uint32_t pages = 0;
+  uint16_t allocated = 0;  // small: objects out of the span
+  State state = kFree;
+  bool released = false;    // free: madvised away
+  uint8_t list = kUnlisted;  // small: occupancy list, kUnlisted when full
+  // small: bit i set = object i is free in the span.
+  uint64_t free_bits[kBitmapWords] = {};
+
+  uintptr_t base() const { return first_page << kPageShift; }
+};
+
+// The central free list of one size class (§4.3). All fields behind
+// `lock`; the class shape is fixed at construction.
+struct alignas(kCacheLineSize) RealCentralFreeList {
+  // The paper's L: spans with free objects sit on one of kNumLists lists
+  // by occupancy, index 0 the fullest.
+  static constexpr int kNumLists = 8;
+
+  ContendedLock lock;
+  RealSpan* lists[kNumLists] = {};
+
+  uint32_t object_size = 0;
+  uint32_t objects_per_span = 0;
+  uint32_t bitmap_words = 0;
+  uint32_t pages_per_span = 0;
+  // ceil(2^32 / object_size): (offset * reciprocal) >> 32 is an object's
+  // index from its offset in the span, exact for every class.
+  uint64_t reciprocal = 0;
+
+  uint64_t spans = 0;           // spans this list owns
+  uint64_t free_objects = 0;    // free objects in those spans
   uint64_t refills = 0;         // batch requests served
-  uint64_t refill_stalls = 0;   // home shard could not cover the batch
-  uint64_t steals = 0;          // successful cross-shard grabs
-  uint64_t stolen_objects = 0;
-  uint64_t steal_probes = 0;    // sibling shards probed (incl. failures)
-  uint64_t carves = 0;          // fresh spans carved from the arena
-  uint64_t carved_objects = 0;
+  uint64_t refill_stalls = 0;   // refills that had to fetch a span
+  uint64_t fetched_spans = 0;   // spans taken from the page heap
+  uint64_t returned_spans = 0;  // spans given back, fully free
+};
+
+// The page heap: every page between the reservation's base and the bump
+// pointer belongs to exactly one run (a RealSpan record) — a span, a large
+// block, or a free run. Free runs keep their bookkeeping out of band, so a
+// released run stays released, and coalesce with free neighbours of the
+// same state. All methods take the heap's lock unless noted; the lock
+// also serializes every backing Release/Commit. A central free list calls
+// in while it holds its own lock, so the page-heap lock nests inside
+// every class lock.
+//
+// Invariants, under the lock:
+//  * The pagemap entry of a run's first and last page names the run's
+//    record; a span's every page does. Interior entries of free runs and
+//    large blocks may be stale, and nothing reads them.
+//  * The directory entry of a page is cls+1 on every page of a span of
+//    size class cls, kDirLargeFlag|pages on a large block's first page,
+//    and 0 on every other page (free runs and large interiors), so an
+//    address inside a returned span reads 0.
+//  * No two free runs of the same state are adjacent.
+//  * live_pages_[h] counts the pages of hugepage h that spans and large
+//    blocks hold.
+class RealPageHeap {
+ public:
+  static constexpr uint32_t kDirLargeFlag = 0x80000000u;
+
+  explicit RealPageHeap(size_t reserve_bytes);
+  ~RealPageHeap();
+
+  RealPageHeap(const RealPageHeap&) = delete;
+  RealPageHeap& operator=(const RealPageHeap&) = delete;
+
+  // A span of `pages` pages for size class `cls`, its pagemap and
+  // directory entries published. nullptr when the reservation is
+  // exhausted.
+  RealSpan* NewSpan(int cls, Length pages);
+
+  // A large block of `pages` pages whose address is a multiple of
+  // `align_pages` pages. nullptr when nothing fits in the reservation.
+  RealSpan* NewLarge(Length pages, Length align_pages);
+
+  // Frees `n` spans or large blocks: each coalesces with its free
+  // neighbours, and then, if free resident bytes exceed the eager
+  // threshold, whole free hugepages are released.
+  void Delete(RealSpan* const* runs, int n);
+
+  // Releases free pages until `bytes` are confirmed: whole free
+  // hugepages first, then, for the rest, free runs in hugepages that
+  // still hold a live run — those of at least kMinSubreleasePages pages,
+  // and any inside hugepages with at most kMinSubreleasePages live pages.
+  // Returns the bytes madvised.
+  size_t Release(size_t bytes);
+
+  // Releasing part of a hugepage splits its transparent huge page for
+  // good: the live data left in it is mapped with 4 KiB pages, and
+  // reusing the released pages refaults them one 4 KiB page at a time.
+  // An explicit release only splits a hugepage for a free run of at
+  // least this many pages, or when the hugepage holds at most this many
+  // live pages.
+  static constexpr Length kMinSubreleasePages = kPagesPerHugePage / 8;
+
+  // Free resident bytes above `bytes` trigger a whole-hugepage release
+  // down to half of it on Delete; 0 disables. Set before other threads
+  // use the heap (plain write).
+  void SetReleaseThreshold(size_t bytes) { release_threshold_bytes_ = bytes; }
+
+  // The directory entry for `addr`'s page. Lock-free; `addr` must lie in
+  // the reservation.
+  std::atomic<uint32_t>& dir_entry(uintptr_t addr) const {
+    WSC_DCHECK(addr >= base_ && addr < end_);
+    return dir_[(addr - base_) >> kPageShift];
+  }
+
+  // The record of the run holding `addr`. Lock-free and valid only while
+  // the caller keeps the run alive: the owning central list's lock for a
+  // span, a live block for a large one.
+  RealSpan* SpanOf(uintptr_t addr) const {
+    return &records_[pagemap_[(addr - base_) >> kPageShift]];
+  }
+
+  uintptr_t base() const { return base_; }
+  uintptr_t end() const { return end_; }
+  size_t reserved_bytes() const { return end_ - base_; }
+
+  // Lock-free reads of the heap's extent and its released pages.
+  size_t used_bytes() const {
+    return used_pages_.load(std::memory_order_relaxed) << kPageShift;
+  }
+  size_t released_bytes() const {
+    return released_pages_.load(std::memory_order_relaxed) << kPageShift;
+  }
+
+  struct Stats {
+    size_t free_bytes = 0;      // free and resident
+    size_t released_bytes = 0;  // free and madvised away
+    size_t free_runs = 0;
+    size_t released_runs = 0;
+    uint64_t large_fresh = 0;  // large blocks that grew the heap
+    uint64_t lock_acquisitions = 0;
+    uint64_t lock_contended = 0;
+    MemoryBackingStats backing;
+  };
+  Stats GetStats() const;
+
+  // fork() support: the owner's ForkPrepare takes this lock last.
+  void Lock() { lock_.Lock(); }
+  void Unlock() { lock_.Unlock(); }
+
+ private:
+  // Runs of up to kMaxBinPages pages sit in exact-length bins; longer ones
+  // on one list sorted by (pages, address), so the first fit is the best.
+  static constexpr Length kMaxBinPages = kPagesPerHugePage;
+  static constexpr size_t kBinWords = (kMaxBinPages + 64) / 64;
+
+  // The free runs of one state.
+  struct FreeSet {
+    RealSpan* bins[kMaxBinPages + 1] = {};
+    uint64_t nonempty[kBinWords] = {};  // bit n: bins[n] is not empty
+    RealSpan* large = nullptr;
+    size_t pages = 0;
+    size_t runs = 0;
+  };
+
+  RealSpan* record(uintptr_t page) const {
+    return &records_[pagemap_[page - base_page_]];
+  }
+  uint32_t index_of(const RealSpan* span) const {
+    return static_cast<uint32_t>(span - records_);
+  }
+  RealSpan* NewRecord();
+  void FreeRecord(RealSpan* span);
+  void MapBoundaries(RealSpan* span);
+  // Adds `delta` (+1 or -1) times the pages of `run` to live_pages_.
+  void CountLive(const RealSpan* run, int delta);
+  // Whether the hugepage holding `page` has at most kMinSubreleasePages
+  // live pages.
+  bool NearlyEmpty(uintptr_t page) const;
+
+  void InsertFree(RealSpan* run);
+  void RemoveFree(RealSpan* run);
+  // Merges `run` (free, not on a free list) with same-state free
+  // neighbours and files the result.
+  void MergeAndInsert(RealSpan* run);
+  RealSpan* BestFit(FreeSet& set, Length pages);
+  // Shrinks free run `run`, off its free list, to the `pages` pages at
+  // `offset`, filing what lies either side as free runs in its state.
+  void Trim(RealSpan* run, Length offset, Length pages);
+  // Takes `pages` pages at `offset` out of free run `run`; what is left
+  // on either side stays free in the run's state. Returns the record of
+  // the taken pages.
+  RealSpan* Carve(RealSpan* run, Length offset, Length pages);
+  RealSpan* AllocateLocked(Length pages, Length align_pages);
+  // Takes [offset, offset + pages) of resident free run `run` (already
+  // off its free list) out, madvises it and files it as released; the
+  // rest stays resident. Returns the bytes released (0 on a failed
+  // madvise, which leaves `run` filed as it was).
+  size_t ReleaseRun(RealSpan* run, Length offset, Length pages);
+  size_t ReleaseLocked(size_t want_bytes, bool split_hugepages);
+
+  RealMemoryBacking backing_;
+  uintptr_t base_ = 0;
+  uintptr_t end_ = 0;
+  uintptr_t base_page_ = 0;
+  size_t total_pages_ = 0;
+
+  // Out-of-band metadata, one MapMetadata mapping each: the directory
+  // and the pagemap (one entry per reservation page), the live-page
+  // count of every hugepage, and the record slab (record 0 is the unused
+  // null index).
+  std::atomic<uint32_t>* dir_ = nullptr;
+  uint32_t* pagemap_ = nullptr;
+  uint16_t* live_pages_ = nullptr;
+  size_t total_hugepages_ = 0;
+  RealSpan* records_ = nullptr;
+  size_t max_records_ = 0;
+
+  mutable ContendedLock lock_;
+  uintptr_t top_page_ = 0;  // the bump pointer, as a page number
+  size_t next_record_ = 1;
+  RealSpan* free_records_ = nullptr;
+  FreeSet free_[2];  // [0] resident, [1] released
+  std::atomic<size_t> used_pages_{0};
+  std::atomic<size_t> released_pages_{0};
+  uint64_t large_fresh_ = 0;
+  size_t release_threshold_bytes_ = size_t{256} << 20;
 };
 
 // Per-thread cache: the lock-free fast path. Owned and written by exactly
@@ -173,7 +402,7 @@ class alignas(kCacheLineSize) RealThreadCache {
     uint32_t cap = 0;  // per-class object cap (size_classes max_per_cpu)
   };
 
-  int shard = 0;  // home (transfer, CFL) shard, assigned round-robin
+  int shard = 0;  // home transfer shard, assigned round-robin
 
   // Single-writer counters; read at quiescence by TelemetrySnapshot().
   uint64_t allocations = 0;
@@ -219,15 +448,14 @@ class alignas(kCacheLineSize) RealThreadCache {
 class RealThreadsAllocator {
  public:
   // `config` must have real_memory set (CHECKed). `expected_threads`
-  // sizes the shard count (min(expected, kMaxShards), overridable via
-  // `num_shards` for tests). More shards than threads buys nothing; fewer
-  // concentrates contention — which the telemetry then shows.
+  // sizes the transfer shard count (min(expected, kMaxShards),
+  // overridable via `num_shards` for tests). More shards than threads
+  // buys nothing; fewer concentrates contention — which the telemetry
+  // then shows.
   explicit RealThreadsAllocator(
       const AllocatorConfig& config, int expected_threads,
       const SizeClasses* size_classes = &SizeClasses::Default(),
       int num_shards = 0);
-
-  ~RealThreadsAllocator();
 
   RealThreadsAllocator(const RealThreadsAllocator&) = delete;
   RealThreadsAllocator& operator=(const RealThreadsAllocator&) = delete;
@@ -239,13 +467,15 @@ class RealThreadsAllocator {
   // and must only be used by one thread at a time.
   RealThreadCache* RegisterThread();
 
-  // The thread is done with `tc`: flushes it to its home shard and parks
-  // it for the next RegisterThread(). Call from the owning thread (or
-  // after it joined); the caller must not touch `tc` afterwards.
+  // The thread is done with `tc`: flushes it to the central free lists
+  // and parks it for the next RegisterThread(). Call from the owning
+  // thread (or after it joined); the caller must not touch `tc`
+  // afterwards.
   void UnregisterThread(RealThreadCache* tc);
 
-  // Returns every object cached by `tc` to the middle end. Must be called
-  // by the owning thread or after it joined.
+  // Returns every object cached by `tc` to the central free lists, which
+  // hand spans that become fully free back to the page heap. Must be
+  // called by the owning thread or after it joined.
   void FlushThreadCache(RealThreadCache* tc);
 
   // Lock-free on the fast path: per-thread list hit costs a LUT load and
@@ -316,15 +546,16 @@ class RealThreadsAllocator {
 
   // ---- The malloc shim's contract ----
 
-  // Unsized free: the page directory recovers the size class (or large
-  // range length) from the address alone. Unknown addresses inside the
-  // reservation are ignored (defensive: a double free of a large range
-  // whose directory entry was already cleared must not corrupt the
-  // allocator).
+  // Unsized free: one page-directory load recovers the size class (or
+  // large length) from the address alone. Addresses the directory does
+  // not know — a free page, the inside of a returned span, the interior
+  // of a large block — are ignored (defensive: a double free must not
+  // corrupt the allocator).
   void FreeAddr(RealThreadCache* tc, uintptr_t addr);
 
   // malloc_usable_size: the full capacity of the block `addr` points at,
-  // or 0 when the address is not a live allocation of this allocator.
+  // or 0 when the address is not inside a live span or at a live large
+  // block's start.
   size_t UsableSize(uintptr_t addr) const;
 
   // Whether `addr` falls inside this allocator's reservation. An Owns()
@@ -338,29 +569,34 @@ class RealThreadsAllocator {
   // a power of two. Small requests are served from the smallest size
   // class whose size is a multiple of `align` (spans are page-aligned, so
   // every object of such a class is aligned for align <= page size);
-  // everything else takes an aligned large carve. Returns 0 on
+  // everything else takes an aligned page-heap block. Returns 0 on
   // exhaustion.
   uintptr_t AllocateAligned(RealThreadCache* tc, size_t size, size_t align);
 
-  // madvises up to `bytes` of pending (freed, not yet released) large
-  // ranges back to the OS; returns the bytes newly released as confirmed
-  // by the backing.
+  // Returns memory to the OS, following the simulator's reclaim order:
+  // moves every transfer shard's objects into the central free lists (so
+  // spans they pinned can come back), then releases free page-heap pages
+  // — whole free hugepages first, then free pages inside hugepages that
+  // still hold a live run — until `bytes` are confirmed. Returns the
+  // bytes newly released, as confirmed by the backing. Objects in thread
+  // caches stay where they are.
   size_t ReleaseMemoryToSystem(size_t bytes);
 
-  // Pending large bytes above this watermark trigger an eager release on
-  // the free path; 0 disables eager release. Set before worker threads
-  // start (plain write).
+  // Free, unreleased page-heap bytes above this watermark trigger an
+  // eager release of whole free hugepages on the free path; 0 disables
+  // eager release. Set before worker threads start (plain write).
   void SetLargeReleaseThreshold(size_t bytes) {
-    large_release_threshold_bytes_ = bytes;
+    page_heap_.SetReleaseThreshold(bytes);
   }
 
   // fork() support for the malloc shim: ForkPrepare() (in
-  // pthread_atfork's prepare hook) acquires every lock in a fixed order —
-  // the registry, the large pool, every transfer shard, then every CFL
-  // shard — so the child inherits them all in a known, consistent state;
-  // ForkRelease() (parent and child hooks) drops them again. Without
-  // this, a fork racing another thread's refill leaves a shard lock held
-  // forever in the child.
+  // pthread_atfork's prepare hook) acquires every lock in one fixed order
+  // — the registry, every transfer shard, every central free list in
+  // class order, and the page heap last, because a refill holds its class
+  // lock while it fetches a span — so the child inherits them all in a
+  // known, consistent state; ForkRelease() (parent and child hooks) drops
+  // them again in reverse. Without this, a fork racing another thread's
+  // refill leaves a lock held forever in the child.
   void ForkPrepare();
   void ForkRelease();
 
@@ -368,62 +604,48 @@ class RealThreadsAllocator {
   // Caches in use: registered and not unregistered since.
   int registered_threads() const;
 
-  size_t ArenaUsedBytes() const {
-    return arena_next_.load(std::memory_order_relaxed) - arena_base_;
+  // Address space the page heap has grown into (its bump pointer).
+  size_t ArenaUsedBytes() const { return page_heap_.used_bytes(); }
+
+  // Bytes held from the OS: every page the heap has grown into except
+  // the free pages it released — spans (with whatever they cache), live
+  // large blocks, and free runs not yet released.
+  size_t FootprintBytes() const {
+    // Released first: pages are released only after the heap grew into
+    // them, so this order never reads more released than used.
+    size_t released = page_heap_.released_bytes();
+    size_t used = page_heap_.used_bytes();
+    return used > released ? used - released : 0;
   }
 
-  // Bytes held from the OS: small-object spans ever carved (spans are
-  // never returned, like a cache-everything TCMalloc), live large objects,
-  // and freed large ranges not yet released. Quiescent.
-  size_t FootprintBytes() const;
-
   // Quiescent: call only after all worker threads joined (the join is the
-  // synchronization point for the plain per-thread/per-shard counters).
+  // synchronization point for the plain per-thread/per-class counters).
   telemetry::Snapshot TelemetrySnapshot() const;
 
  private:
   TransferShard& transfer_shard(int cls, int shard) {
     return transfer_[static_cast<size_t>(cls) * num_shards_ + shard];
   }
-  CflShard& cfl_shard(int cls, int shard) {
-    return cfl_[static_cast<size_t>(cls) * num_shards_ + shard];
-  }
 
   uintptr_t SlowAllocate(RealThreadCache* tc, int cls);
   void SlowFree(RealThreadCache* tc, int cls, uintptr_t obj);
 
-  // The large path: first-fit over the pending (freed) range list, else
-  // an aligned bump carve. `align` >= kPageSize, power of two. Returns 0
-  // on exhaustion.
+  // The large path: an aligned page-heap block. `align` >= kPageSize,
+  // power of two. Returns 0 on exhaustion.
   uintptr_t AllocateLarge(RealThreadCache* tc, size_t size,
                           size_t align = kPageSize);
-  // Frees the large range starting at `addr`; its page count comes from
+  // Frees the large block starting at `addr`; its page count comes from
   // the directory.
   void FreeLarge(RealThreadCache* tc, uintptr_t addr);
-  // Releases tails of pending large ranges until `want_bytes` confirmed
-  // or the list is dry. Caller holds large_mu_.
-  size_t ReleasePendingLocked(size_t want_bytes);
 
-  // Fills out[0..want) from the CFL layer: home shard first, then
-  // work-stealing probes of the siblings, then fresh carves. Returns the
-  // number filled, short (including 0) only when the reservation is
-  // exhausted.
-  int RefillFromCfl(int cls, int shard, uintptr_t* out, int want);
+  // Fills out[0..want) from class `cls`'s central free list, fetching
+  // spans from the page heap when its spans run out. Returns the number
+  // filled, short (including 0) only when the reservation is exhausted.
+  int RemoveFromCentral(int cls, uintptr_t* out, int want);
 
-  // Returns objects to a CFL shard's free store (transfer overflow or
-  // cache flush).
-  void ReturnToCfl(int cls, int shard, const uintptr_t* objs, int count);
-
-  // Carves one span of `cls` from the arena bump pointer and pushes its
-  // objects onto `shard`'s free store. Caller holds shard.lock; the bump
-  // itself is lock-free. Returns false when the reservation is exhausted.
-  bool CarveSpan(int cls, CflShard& shard);
-
-  // The per-page directory entry for `addr`'s page.
-  std::atomic<uint32_t>& dir_entry(uintptr_t addr) const {
-    WSC_DCHECK(addr >= arena_base_ && addr < arena_end_);
-    return dir_[(addr - arena_base_) >> kPageShift];
-  }
+  // Returns `count` (<= kMaxBatch) objects of class `cls` to their spans;
+  // spans that become fully free go back to the page heap.
+  void InsertToCentral(int cls, const uintptr_t* objs, int count);
 
   const SizeClasses* size_classes_;
   int num_classes_;
@@ -433,54 +655,18 @@ class RealThreadsAllocator {
   std::vector<uint32_t> thread_cap_;     // objects per thread cache
   std::vector<uint32_t> transfer_cap_;   // objects per transfer shard
 
-  // Flat [cls * num_shards_ + shard] grids. Each element is 64-byte
-  // aligned, so neighbouring shards never share a line. Plain arrays
-  // (not vectors): the atomics inside ContendedLock make shards
-  // immovable by design — a shard's address is its identity.
+  // [cls * num_shards_ + shard] transfer grid and [cls] central lists.
+  // Each element is 64-byte aligned, so neighbours never share a line.
+  // Plain arrays (not vectors): the atomics inside ContendedLock make
+  // them immovable by design — an element's address is its identity.
   size_t grid_size_ = 0;
   std::unique_ptr<TransferShard[]> transfer_;
-  std::unique_ptr<CflShard[]> cfl_;
+  std::unique_ptr<RealCentralFreeList[]> central_;
 
-  // Address space: the backing's mmap reservation. The CAS on arena_next_
-  // is the only cross-shard hot-path synchronization in the whole refill
-  // chain.
-  RealMemoryBacking backing_;
+  RealPageHeap page_heap_;
   uintptr_t arena_base_ = 0;
   uintptr_t arena_end_ = 0;
-  std::atomic<uintptr_t> arena_next_{0};
-  std::atomic<uint64_t> small_carved_bytes_{0};
   std::atomic<int64_t> large_live_bytes_{0};
-  std::atomic<uint64_t> large_carves_{0};
-
-  // Page directory entry encoding: 0 = unknown; cls+1 = small page of
-  // size class cls; kDirLargeFlag|pages = first page of a live large
-  // range of `pages` pages. Interior large pages stay 0, which is safe:
-  // starts never become interior (pending ranges are reused from the
-  // front and never coalesced), so a stale entry cannot alias a live one.
-  static constexpr uint32_t kDirLargeFlag = 0x80000000u;
-
-  std::atomic<uint32_t>* dir_ = nullptr;  // one entry per reservation page
-  size_t dir_entries_ = 0;
-
-  // Freed large ranges, singly linked through their own first page (a
-  // LargeRange header lives in the freed memory). Guarded by large_mu_,
-  // which also serializes every backing_ Release/Commit; the page
-  // counters are atomic only so FootprintBytes/telemetry can read them
-  // without the mutex.
-  struct LargeRange {
-    uintptr_t next;
-    size_t pages;
-    // The tail (everything past the header page) is madvised away. The
-    // one record of what is released: the backing keeps none.
-    bool released;
-  };
-  std::mutex large_mu_;
-  uintptr_t large_free_head_ = 0;
-  std::atomic<size_t> large_free_pages_{0};
-  std::atomic<size_t> large_unreleased_pages_{0};
-  // Pending large bytes above this watermark trigger an eager release on
-  // the free path (0 disables). ReleaseMemoryToSystem works regardless.
-  size_t large_release_threshold_bytes_ = size_t{256} << 20;
 
   // Thread registry (cold path only): every cache ever created, and the
   // parked ones on an idle list linked through next_idle, so parking
@@ -501,18 +687,21 @@ static_assert(alignof(TransferShard) == kCacheLineSize,
               "TransferShard lost its cache-line alignment");
 static_assert(sizeof(TransferShard) % kCacheLineSize == 0,
               "adjacent TransferShards would share a cache line");
-static_assert(alignof(CflShard) == kCacheLineSize,
-              "CflShard lost its cache-line alignment");
-static_assert(sizeof(CflShard) % kCacheLineSize == 0,
-              "adjacent CflShards would share a cache line");
+static_assert(alignof(RealCentralFreeList) == kCacheLineSize,
+              "RealCentralFreeList lost its cache-line alignment");
+static_assert(sizeof(RealCentralFreeList) % kCacheLineSize == 0,
+              "adjacent central free lists would share a cache line");
 static_assert(alignof(RealThreadCache) == kCacheLineSize,
               "RealThreadCache lost its cache-line alignment");
-// The spinlock flag and the arena bump pointer must be plain lock-free
-// atomics; a locked fallback would put a hidden mutex on the hot path.
+// A span record's header and the first words of its bitmap share one
+// line, so a refill from a span of up to 192 objects touches one line.
+static_assert(offsetof(RealSpan, free_bits) + 3 * sizeof(uint64_t) <=
+                  kCacheLineSize,
+              "span record header spills past its first cache line");
+// The spinlock flag must be a plain lock-free atomic; a locked fallback
+// would put a hidden mutex on the hot path.
 static_assert(std::atomic<bool>::is_always_lock_free,
               "std::atomic<bool> is not lock-free on this target");
-static_assert(std::atomic<uintptr_t>::is_always_lock_free,
-              "arena bump pointer would take a lock on this target");
 
 }  // namespace wsc::tcmalloc
 

@@ -12,7 +12,11 @@
 // the new image, since LD_PRELOAD survives exec. A churn thread spawns
 // and joins short-lived allocating threads throughout, so fork() also
 // races the shim returning an exiting thread's cache and the next
-// thread taking it back.
+// thread taking it back. Population threads allocate and then free whole
+// populations of small objects and neighbouring large blocks, and
+// release memory between rounds, so fork() also races spans going back
+// to the page heap (a class lock held while the page-heap lock is
+// taken), large blocks coalescing, and madvise release.
 //
 // Flags:
 //   --require-shim   fail unless wscmalloc is interposed (used by the
@@ -38,7 +42,8 @@ namespace {
 std::atomic<bool> g_stop{false};
 
 // Allocator churn designed to hold allocator locks often: large
-// allocations take the page-heap lock, small ones the shard locks.
+// allocations take the page-heap lock, small ones the transfer and
+// central free list locks.
 void Hammer(unsigned seed) {
   unsigned state = seed;
   std::vector<void*> live(64, nullptr);
@@ -54,6 +59,33 @@ void Hammer(unsigned seed) {
     }
   }
   for (void* p : live) free(p);
+}
+
+// Whole populations: a burst of small objects with a large block every
+// 64th allocation, all freed together, so the small objects' spans empty
+// and go back to the page heap, where they coalesce with the freed large
+// blocks; then a release when the shim exports one.
+void Populations(unsigned seed) {
+  auto release = reinterpret_cast<size_t (*)(size_t)>(
+      dlsym(RTLD_DEFAULT, "wscmalloc_release_memory"));
+  unsigned state = seed;
+  std::vector<void*> population;
+  population.reserve(2048);
+  while (!g_stop.load(std::memory_order_relaxed)) {
+    for (int i = 0; i < 2048; ++i) {
+      state = state * 1664525u + 1013904223u;
+      const size_t size = i % 64 == 0 ? (state >> 8) % (size_t{1} << 20) +
+                                            size_t{300} * 1024
+                                      : (state >> 8) % 1024 + 1;
+      void* p = malloc(size);
+      if (p == nullptr) continue;
+      std::memset(p, 3, size < 16 ? size : 16);
+      population.push_back(p);
+    }
+    for (void* p : population) free(p);
+    population.clear();
+    if (release != nullptr) release(~size_t{0});
+  }
 }
 
 // Short-lived threads, one at a time, each allocating a little and
@@ -118,6 +150,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::thread> hammers;
   for (unsigned t = 0; t < 4; ++t) hammers.emplace_back(Hammer, t + 1);
+  for (unsigned t = 0; t < 2; ++t) hammers.emplace_back(Populations, t + 11);
   std::thread churn(Churn);
 
   int failures = 0;

@@ -2,12 +2,13 @@
 // allocator's use of it: here the addresses are dereferenceable, so the
 // tests write through every object they get, the freelists thread through
 // the object storage they exercise, the page directory answers unsized
-// frees and UsableSize, and ReleaseMemoryToSystem performs a real madvise.
-// The multi-thread storm and the sharded refill path live in
-// real_threads_test.cc.
+// frees and UsableSize, spans go back to the page heap and coalesce there,
+// and ReleaseMemoryToSystem performs a real madvise. The multi-thread
+// storms live in real_threads_test.cc.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <utility>
@@ -124,7 +125,7 @@ TEST(RealMemoryModeTest, LargeRangesAreReused) {
   uintptr_t a = alloc.Allocate(tc, kBytes);
   ASSERT_NE(a, 0u);
   alloc.Free(tc, a, kBytes);
-  // Same size comes back from the pending list, not a fresh carve.
+  // Same size comes back from the page heap's free run, not fresh pages.
   EXPECT_EQ(alloc.Allocate(tc, kBytes), a);
   alloc.Free(tc, a, kBytes);
   // A smaller request splits the range from the front.
@@ -217,9 +218,11 @@ TEST(RealMemoryModeTest, ReleaseMemoryToSystemMadvisesPendingRanges) {
 
   size_t released = alloc.ReleaseMemoryToSystem(kBytes);
   EXPECT_GT(released, 0u);
-  // All but the header page (which carries the pending-list node).
-  EXPECT_EQ(released, kBytes - kPageSize);
+  // The whole run: its bookkeeping lives out of band, and it covers four
+  // whole hugepages.
+  EXPECT_EQ(released, kBytes);
   // Really gone: refaults zero.
+  EXPECT_EQ(mem[0], 0);
   EXPECT_EQ(mem[kPageSize], 0);
   EXPECT_EQ(mem[kBytes - 1], 0);
   // Releasing again finds nothing new.
@@ -232,8 +235,8 @@ TEST(RealMemoryModeTest, ReleaseMemoryToSystemMadvisesPendingRanges) {
   alloc.Free(tc, q, kBytes);
 }
 
-// Reusing a released range recommits everything past its header page,
-// which never left; a split also recommits the tail's new header page.
+// Reusing a released run recommits exactly the pages taken from it; a
+// split leaves the rest released.
 TEST(RealMemoryModeTest, ReusingReleasedRangesRecommits) {
   RealThreadsAllocator alloc(RealConfig(), 1);
   RealThreadCache* tc = alloc.RegisterThread();
@@ -245,25 +248,121 @@ TEST(RealMemoryModeTest, ReusingReleasedRangesRecommits) {
   uintptr_t p = alloc.Allocate(tc, kBytes);
   ASSERT_NE(p, 0u);
   alloc.Free(tc, p, kBytes);
-  ASSERT_EQ(alloc.ReleaseMemoryToSystem(kBytes), kBytes - kPageSize);
+  ASSERT_EQ(alloc.ReleaseMemoryToSystem(kBytes), kBytes);
 
   // Exact fit.
   ASSERT_EQ(alloc.Allocate(tc, kBytes), p);
-  EXPECT_EQ(system_metric("released_bytes"), 4186112);
-  EXPECT_EQ(system_metric("recommitted_bytes"), 4186112);
+  EXPECT_EQ(system_metric("released_bytes"), 4194304);
+  EXPECT_EQ(system_metric("recommitted_bytes"), 4194304);
   alloc.Free(tc, p, kBytes);
-  ASSERT_EQ(alloc.ReleaseMemoryToSystem(kBytes), kBytes - kPageSize);
+  ASSERT_EQ(alloc.ReleaseMemoryToSystem(kBytes), kBytes);
 
   // Split: a quarter from the front; the tail stays released.
   ASSERT_EQ(alloc.Allocate(tc, kBytes / 4), p);
-  EXPECT_EQ(system_metric("released_bytes"), 8372224);
-  EXPECT_EQ(system_metric("recommitted_bytes"), 4186112 + 1048576);
+  EXPECT_EQ(system_metric("released_bytes"), 8388608);
+  EXPECT_EQ(system_metric("recommitted_bytes"), 4194304 + 1048576);
   EXPECT_EQ(alloc.ReleaseMemoryToSystem(kBytes), 0u);
 
   // The tail, exact fit: every released byte is back in use.
   ASSERT_EQ(alloc.Allocate(tc, kBytes * 3 / 4), p + kBytes / 4);
-  EXPECT_EQ(system_metric("recommitted_bytes"), 8372224);
+  EXPECT_EQ(system_metric("recommitted_bytes"), 8388608);
   EXPECT_EQ(system_metric("release_calls"), 2);
+}
+
+// ---- Span lifecycle: spans go back to the page heap when empty.
+
+// Allocates `n` objects of `size`, writing each one, then frees them all
+// and pushes every cached copy down: the thread cache by a flush, the
+// transfer shards by a zero-byte release, which moves their objects into
+// the central free lists and releases nothing.
+std::vector<uintptr_t> ChurnAndDrain(RealThreadsAllocator& alloc,
+                                     RealThreadCache* tc, size_t size,
+                                     int n) {
+  std::vector<uintptr_t> objs;
+  for (int i = 0; i < n; ++i) {
+    uintptr_t p = alloc.Allocate(tc, size);
+    EXPECT_NE(p, 0u);
+    std::memset(reinterpret_cast<void*>(p), 0x42, size);
+    objs.push_back(p);
+  }
+  for (uintptr_t p : objs) alloc.FreeAddr(tc, p);
+  alloc.FlushThreadCache(tc);
+  EXPECT_EQ(alloc.ReleaseMemoryToSystem(0), 0u);
+  return objs;
+}
+
+TEST(RealMemoryModeTest, FreedClassReturnsEverySpan) {
+  RealThreadsAllocator alloc(RealConfig(), 1);
+  RealThreadCache* tc = alloc.RegisterThread();
+  ChurnAndDrain(alloc, tc, 48, 20000);
+
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_GT(Metric(snap, "central_free_list", "fetched_spans"), 100);
+  EXPECT_EQ(Metric(snap, "central_free_list", "returned_spans"),
+            Metric(snap, "central_free_list", "fetched_spans"));
+  EXPECT_EQ(Metric(snap, "central_free_list", "spans"), 0);
+  EXPECT_EQ(Metric(snap, "central_free_list", "free_object_bytes"), 0);
+  // The spans' pages are free in the page heap, still resident.
+  EXPECT_EQ(Metric(snap, "page_heap", "free_bytes"),
+            static_cast<double>(alloc.ArenaUsedBytes()));
+}
+
+TEST(RealMemoryModeTest, AnotherClassReusesReturnedSpans) {
+  RealThreadsAllocator alloc(RealConfig(), 1);
+  RealThreadCache* tc = alloc.RegisterThread();
+  ChurnAndDrain(alloc, tc, 48, 20000);
+  const size_t arena = alloc.ArenaUsedBytes();
+  ASSERT_GT(arena, 0u);
+
+  // A class with two-page spans, holding most of the freed pages.
+  const SizeClasses& sc = SizeClasses::Default();
+  const int cls = sc.ClassFor(5000);
+  ASSERT_GT(sc.pages_per_span(cls), 1u);
+  const size_t objects = arena * 3 / 4 / sc.class_size(cls);
+  std::vector<uintptr_t> objs;
+  for (size_t i = 0; i < objects; ++i) {
+    uintptr_t p = alloc.Allocate(tc, 5000);
+    ASSERT_NE(p, 0u);
+    std::memset(reinterpret_cast<void*>(p), 0x24, 5000);
+    objs.push_back(p);
+  }
+  EXPECT_EQ(alloc.ArenaUsedBytes(), arena);
+  for (uintptr_t p : objs) alloc.FreeAddr(tc, p);
+}
+
+TEST(RealMemoryModeTest, ReturnedSpansCoalesceForALargeBlock) {
+  RealThreadsAllocator alloc(RealConfig(), 1);
+  RealThreadCache* tc = alloc.RegisterThread();
+  std::vector<uintptr_t> objs = ChurnAndDrain(alloc, tc, 64, 16384);
+  const size_t arena = alloc.ArenaUsedBytes();
+  const uintptr_t lowest = *std::min_element(objs.begin(), objs.end());
+
+  // Every page the spans held, as one block: it fits only if the freed
+  // one-page spans merged into one run.
+  uintptr_t block = alloc.Allocate(tc, arena);
+  ASSERT_NE(block, 0u);
+  EXPECT_EQ(block, lowest);
+  EXPECT_EQ(alloc.ArenaUsedBytes(), arena);
+  std::memset(reinterpret_cast<void*>(block), 0x66, arena);
+  alloc.FreeAddr(tc, block);
+}
+
+TEST(RealMemoryModeTest, AddressesInsideReturnedSpansAreUnknown) {
+  RealThreadsAllocator alloc(RealConfig(), 1);
+  RealThreadCache* tc = alloc.RegisterThread();
+  std::vector<uintptr_t> objs = ChurnAndDrain(alloc, tc, 256, 1000);
+  const double frees =
+      Metric(alloc.TelemetrySnapshot(), "allocator", "frees");
+
+  for (uintptr_t p : {objs.front(), objs[objs.size() / 2] + 8, objs.back()}) {
+    EXPECT_EQ(alloc.UsableSize(p), 0u);
+    // A stale free is ignored: nothing is counted or cached.
+    alloc.FreeAddr(tc, p);
+  }
+  EXPECT_EQ(tc->CachedObjects(), 0u);
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "frees"), frees);
+  EXPECT_EQ(Metric(snap, "central_free_list", "spans"), 0);
 }
 
 }  // namespace

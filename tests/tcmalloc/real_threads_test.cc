@@ -1,13 +1,13 @@
 // Tests for the real-threads allocator on its real-memory backing: the
 // one-mode contract, object conservation under a genuine multi-thread
-// alloc/free storm with cross-thread frees, the sharded refill path
-// (including cross-shard work stealing), the LUT size-class lookup, the
-// large path's footprint and its release under concurrent frees, the
-// reuse of unregistered caches across thread churn, and telemetry. The
-// backing, the page directory and madvise release are covered in
-// real_memory_mode_test.cc. The storm tests are the ones the CI sanitizer
-// jobs (TSan/ASan) run to prove the lock-free fast path race-free rather
-// than assuming it.
+// alloc/free storm with cross-thread frees, refills across transfer
+// shards, the LUT size-class lookup, the large path's footprint and its
+// release under concurrent frees, the reuse of unregistered caches across
+// thread churn, spans coming back after a storm, and telemetry. The
+// backing, the page directory, single-thread span lifecycles and madvise
+// release are covered in real_memory_mode_test.cc. The storm tests are
+// the ones the CI sanitizer jobs (TSan/ASan) run to prove the lock-free
+// fast path race-free rather than assuming it.
 
 #include "tcmalloc/real_threads.h"
 
@@ -192,11 +192,12 @@ TEST(RealThreadsAllocatorTest, ConservationAfterStorm) {
             kThreads + 1);
 }
 
-// Two caches on different shards, single OS thread (deterministic): when
-// shard B runs dry it must steal shard A's free objects instead of
-// carving fresh spans — the Snippet 1 regression this design exists to
-// avoid.
-TEST(RealThreadsAllocatorTest, CrossShardWorkStealing) {
+// Two caches on different transfer shards, single OS thread
+// (deterministic): the objects A freed must refill B before the heap
+// grows — through the class's one central free list and the spans it
+// gives back to the page heap — not strand on A's shard while B grows
+// the heap (the Snippet 1 regression). Nothing steals any more.
+TEST(RealThreadsAllocatorTest, ObjectsFreedOnOneShardRefillAnother) {
   AllocatorConfig config = TestConfig();
   RealThreadsAllocator alloc(config, /*expected_threads=*/2);
   ASSERT_EQ(alloc.num_shards(), 2);
@@ -209,7 +210,7 @@ TEST(RealThreadsAllocatorTest, CrossShardWorkStealing) {
   objs.reserve(kObjects);
   for (int i = 0; i < kObjects; ++i) objs.push_back(alloc.Allocate(a, 96));
   for (uintptr_t obj : objs) alloc.Free(a, obj, 96);
-  alloc.FlushThreadCache(a);  // push A's cache down to shard 0's stores
+  alloc.FlushThreadCache(a);  // push A's cache down to the central list
   size_t carved_before = alloc.ArenaUsedBytes();
 
   objs.clear();
@@ -217,10 +218,11 @@ TEST(RealThreadsAllocatorTest, CrossShardWorkStealing) {
   for (uintptr_t obj : objs) alloc.Free(b, obj, 96);
 
   telemetry::Snapshot snap = alloc.TelemetrySnapshot();
-  EXPECT_GT(Metric(snap, "contention", "work_steals"), 0);
-  EXPECT_GT(Metric(snap, "contention", "stolen_objects"), 0);
-  // B's run was served mostly by stealing A's freed objects: the arena
-  // grew by at most a quarter of the first phase's carving.
+  EXPECT_EQ(Metric(snap, "contention", "work_steals"), 0);
+  EXPECT_EQ(Metric(snap, "contention", "stolen_objects"), 0);
+  EXPECT_GT(Metric(snap, "central_free_list", "returned_spans"), 0);
+  // B's run was served mostly by what A freed: the arena grew by at most
+  // a quarter of the first phase's carving.
   size_t grown = alloc.ArenaUsedBytes() - carved_before;
   EXPECT_LT(grown, carved_before / 4);
 }
@@ -243,15 +245,15 @@ TEST(RealThreadsAllocatorTest, LargeObjectsBypassClassesAndComeBack) {
   EXPECT_EQ(Metric(snap, "allocator", "large_allocations"), 64);
   EXPECT_EQ(Metric(snap, "allocator", "large_frees"), 64);
   EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0);
-  // Freed large ranges stay resident on the pending list until released.
+  // Freed large blocks stay resident in the page heap until released.
   EXPECT_GT(alloc.FootprintBytes(), small_footprint);
   EXPECT_GT(alloc.ReleaseMemoryToSystem(~size_t{0}), 0u);
   EXPECT_EQ(alloc.FootprintBytes(), small_footprint);
 }
 
 // Large blocks churned by several threads while their frees trigger eager
-// releases and another thread forces more. Each pending range's released
-// flag, under the large-pool lock, is the only record of what is
+// releases and another thread forces more. Each free run's released
+// state, under the page-heap lock, is the only record of what is
 // released: a live block must never be madvised (its tags would read
 // zero), and every recommitted byte must have been released first.
 TEST(RealThreadsAllocatorTest, ConcurrentLargeChurnWithRelease) {
@@ -450,6 +452,173 @@ TEST(RealThreadsAllocatorTest, UnregisteredCachesAreReused) {
   EXPECT_GT(Metric(snap, "thread_cache", "idle_caches"), 0);
 }
 
+// Spans come back after a storm: four threads churn mixed sizes with
+// cross-thread frees and unregister, the main thread frees what was still
+// in flight, and a full release leaves the heap holding only what the
+// main thread's own cache pins. Release keeps a hugepage whole while it
+// is more than an eighth live, so the cache pins the hugepages its
+// objects' spans lie in; once it is flushed too, nothing is left.
+TEST(RealThreadsAllocatorTest, StormThenReleaseKeepsOnlyCallerPinnedSpans) {
+  constexpr int kThreads = 4;
+  constexpr int kOpsPerThread = 20000;
+  RealThreadsAllocator alloc(TestConfig(), kThreads);
+
+  struct Mailbox {
+    std::mutex mu;
+    std::vector<std::pair<uintptr_t, uint32_t>> objects;
+  };
+  std::vector<Mailbox> mailboxes(kThreads);
+  auto worker = [&](int tid) {
+    RealThreadCache* tc = alloc.RegisterThread();
+    Rng rng(777 + tid);
+    std::vector<std::pair<uintptr_t, uint32_t>> local;
+    for (int op = 0; op < kOpsPerThread; ++op) {
+      uint32_t size = static_cast<uint32_t>(8 + rng.UniformInt(8192));
+      uintptr_t obj = alloc.Allocate(tc, size);
+      ASSERT_NE(obj, 0u);
+      if (op % 8 == 0) {
+        Mailbox& next = mailboxes[(tid + 1) % kThreads];
+        std::lock_guard<std::mutex> guard(next.mu);
+        next.objects.emplace_back(obj, size);
+      } else {
+        local.emplace_back(obj, size);
+        if (local.size() > 512) {
+          size_t victim = rng.UniformInt(local.size());
+          alloc.Free(tc, local[victim].first, local[victim].second);
+          local[victim] = local.back();
+          local.pop_back();
+        }
+      }
+      if (op % 32 == 0) {
+        std::vector<std::pair<uintptr_t, uint32_t>> inbox;
+        {
+          std::lock_guard<std::mutex> guard(mailboxes[tid].mu);
+          inbox.swap(mailboxes[tid].objects);
+        }
+        for (const auto& [addr, size] : inbox) alloc.Free(tc, addr, size);
+      }
+    }
+    for (const auto& [addr, size] : local) alloc.Free(tc, addr, size);
+    alloc.UnregisterThread(tc);
+  };
+  std::vector<std::thread> pool;
+  for (int tid = 0; tid < kThreads; ++tid) pool.emplace_back(worker, tid);
+  for (std::thread& t : pool) t.join();
+
+  RealThreadCache* main_tc = alloc.RegisterThread();
+  for (Mailbox& mailbox : mailboxes) {
+    for (const auto& [addr, size] : mailbox.objects) {
+      alloc.Free(main_tc, addr, size);
+    }
+  }
+  alloc.ReleaseMemoryToSystem(~size_t{0});
+
+  // The hugepages a cached object's span can lie in: the object's own,
+  // and the neighbours its span may reach into.
+  const SizeClasses& sc = SizeClasses::Default();
+  std::vector<uintptr_t> pinned;
+  for (int cls = 0; cls < sc.num_classes(); ++cls) {
+    const size_t span_bytes = LengthToBytes(sc.pages_per_span(cls));
+    uintptr_t obj = main_tc->lists[cls].head;
+    for (uint32_t i = 0; i < main_tc->lists[cls].count; ++i) {
+      for (uintptr_t addr : {obj - span_bytes + 1, obj, obj + span_bytes - 1}) {
+        pinned.push_back(addr >> kHugePageShift);
+      }
+      obj = *reinterpret_cast<uintptr_t*>(obj);
+    }
+  }
+  std::sort(pinned.begin(), pinned.end());
+  pinned.erase(std::unique(pinned.begin(), pinned.end()), pinned.end());
+  EXPECT_LE(alloc.FootprintBytes(), pinned.size() * kHugePageSize);
+
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0);
+  EXPECT_GT(Metric(snap, "central_free_list", "returned_spans"), 0);
+  EXPECT_EQ(Metric(snap, "sharded_transfer", "cached_objects"), 0);
+
+  // With the caller's cache flushed, every span comes back and every page
+  // goes to the OS.
+  alloc.FlushThreadCache(main_tc);
+  alloc.ReleaseMemoryToSystem(~size_t{0});
+  EXPECT_EQ(alloc.FootprintBytes(), 0u);
+  snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "central_free_list", "spans"), 0);
+  EXPECT_EQ(Metric(snap, "central_free_list", "returned_spans"),
+            Metric(snap, "central_free_list", "fetched_spans"));
+  EXPECT_EQ(Metric(snap, "page_heap", "free_bytes"), 0);
+  EXPECT_EQ(Metric(snap, "page_heap", "released_bytes"),
+            static_cast<double>(alloc.ArenaUsedBytes()));
+}
+
+// Whole populations die while another thread keeps asking for a full
+// release: each worker allocates a population of mixed small objects,
+// frees it in a shuffled order and flushes its cache, so its spans go
+// back to the page heap, coalesce, get released, and are fetched again
+// by every thread's next population. A live page released under an
+// object would zero its tags; a span handed out twice would overlap two
+// live objects.
+TEST(RealThreadsAllocatorTest, PopulationsDieWhileReleaseRuns) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 8;
+  constexpr int kPopulation = 4096;
+  RealThreadsAllocator alloc(TestConfig(), kThreads);
+  std::atomic<uint64_t> clobbered{0};
+  std::atomic<bool> done{false};
+
+  auto last_word = [](uintptr_t addr, uint32_t size) {
+    return reinterpret_cast<uint64_t*>(addr + ((size - 8) & ~uint32_t{7}));
+  };
+  auto worker = [&](int tid) {
+    RealThreadCache* tc = alloc.RegisterThread();
+    Rng rng(555 + tid);
+    std::vector<std::pair<uintptr_t, uint32_t>> population;
+    for (int round = 0; round < kRounds; ++round) {
+      for (int i = 0; i < kPopulation; ++i) {
+        uint32_t size = static_cast<uint32_t>(8 + rng.UniformInt(8192));
+        uintptr_t addr = alloc.Allocate(tc, size);
+        ASSERT_NE(addr, 0u);
+        *reinterpret_cast<uint64_t*>(addr) = addr;
+        *last_word(addr, size) = addr;
+        population.emplace_back(addr, size);
+      }
+      for (size_t i = population.size(); i > 1; --i) {
+        std::swap(population[i - 1], population[rng.UniformInt(i)]);
+      }
+      for (const auto& [addr, size] : population) {
+        if (*reinterpret_cast<uint64_t*>(addr) != addr ||
+            *last_word(addr, size) != addr) {
+          clobbered.fetch_add(1, std::memory_order_relaxed);
+        }
+        alloc.Free(tc, addr, size);
+      }
+      population.clear();
+      alloc.FlushThreadCache(tc);
+    }
+    alloc.UnregisterThread(tc);
+  };
+  std::thread releaser([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      alloc.ReleaseMemoryToSystem(~size_t{0});
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> pool;
+  for (int tid = 0; tid < kThreads; ++tid) pool.emplace_back(worker, tid);
+  for (std::thread& t : pool) t.join();
+  done.store(true, std::memory_order_relaxed);
+  releaser.join();
+
+  EXPECT_EQ(clobbered.load(), 0u);
+  alloc.ReleaseMemoryToSystem(~size_t{0});
+  EXPECT_EQ(alloc.FootprintBytes(), 0u);
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0);
+  EXPECT_EQ(Metric(snap, "central_free_list", "spans"), 0);
+  EXPECT_EQ(Metric(snap, "central_free_list", "returned_spans"),
+            Metric(snap, "central_free_list", "fetched_spans"));
+  EXPECT_GT(Metric(snap, "system", "released_bytes"), 0);
+}
+
 TEST(RealThreadsAllocatorTest, TelemetryExportsContentionComponent) {
   AllocatorConfig config = TestConfig();
   RealThreadsAllocator alloc(config, 2, &SizeClasses::Default(),
@@ -466,6 +635,15 @@ TEST(RealThreadsAllocatorTest, TelemetryExportsContentionComponent) {
   EXPECT_GT(snap.ComponentTotal("thread_cache"), 0);
   EXPECT_GT(snap.ComponentTotal("sharded_transfer"), 0);
   EXPECT_GT(snap.ComponentTotal("sharded_cfl"), 0);
+  // The simulator's names for the tiers both allocators have.
+  EXPECT_GT(Metric(snap, "central_free_list", "fetched_spans"), 0);
+  EXPECT_GE(Metric(snap, "central_free_list", "returned_spans"), 0);
+  EXPECT_GT(Metric(snap, "central_free_list", "spans"), 0);
+  EXPECT_GE(Metric(snap, "central_free_list", "free_object_bytes"), 0);
+  EXPECT_GE(Metric(snap, "page_heap", "free_bytes"), 0);
+  EXPECT_GE(Metric(snap, "page_heap", "released_bytes"), 0);
+  EXPECT_GE(Metric(snap, "page_heap", "free_runs"), 0);
+  EXPECT_GT(Metric(snap, "contention", "page_heap_lock_acquisitions"), 0);
   // The fast path dominates a tight reuse loop.
   EXPECT_GT(Metric(snap, "thread_cache", "fast_alloc_hits"), 1900);
   EXPECT_GE(Metric(snap, "system", "reserved_bytes"),

@@ -40,7 +40,10 @@ TELEMETRY_SCHEMA_VERSION = 1
 # The tiers are a deterministic-simulation contract only: telemetry lines
 # tagged "exec":"real-threads" come from the real-concurrency allocator
 # (tcmalloc/real_threads.h), which instead must report its "contention"
-# component (lock acquisitions, refill stalls, work steals).
+# component (lock acquisitions and contended acquisitions per tier,
+# refills that had to fetch a span) and the two tiers it shares with the
+# simulator under the simulator's names: "central_free_list" (span
+# fetches and returns) and "page_heap" (free and released bytes, runs).
 REQUIRED_TIERS = (
     "cpu_cache",
     "transfer_cache",
@@ -53,7 +56,7 @@ REQUIRED_TIERS = (
     "failure",
 )
 
-REAL_THREADS_COMPONENTS = ("contention",)
+REAL_THREADS_COMPONENTS = ("contention", "central_free_list", "page_heap")
 
 EXEC_MODES = ("real-threads",)
 

@@ -11,13 +11,23 @@ double-counted. The bench also joins its workers before the "post"
 snapshot, and an exited thread's cache goes back to the shim, so "threads"
 (caches in use) must not grow across the run.
 
+bench/preload/bench_frag frees its whole population and releases memory
+before its "post" snapshot. With --max-footprint-growth-mb=N the check
+also fails when the post footprint_bytes exceeds the pre one by more than
+N MiB: spans whose objects all came back must have gone back to the page
+heap, and the release must have returned their pages to the OS. Only the
+spans the calling thread's own cache still pins may remain.
+
 Usage: check_preload_conservation.py <stats.json> [min_ops]
+           [--max-footprint-growth-mb=N]
 
 Self-test: check_preload_conservation.py --self-test
 """
 
 import json
 import sys
+
+MIB = 1 << 20
 
 
 def parse(path):
@@ -35,6 +45,16 @@ def parse(path):
     if pre is None or post is None:
         sys.exit(f"FAIL: {path} lacks pre/post snapshots")
     return pre, post
+
+
+def check_footprint(pre, post, max_growth_mb):
+    growth = post["footprint_bytes"] - pre["footprint_bytes"]
+    if growth > max_growth_mb * MIB:
+        sys.exit(f"FAIL: footprint grew {pre['footprint_bytes']} -> "
+                 f"{post['footprint_bytes']} bytes ({growth / MIB:.1f} MiB > "
+                 f"{max_growth_mb:g} MiB) although everything was freed and "
+                 f"released: spans did not come back")
+    return growth
 
 
 def check(pre, post, min_ops):
@@ -76,6 +96,16 @@ def self_test():
         except SystemExit:
             continue
         raise AssertionError(f"self-test: {why} not caught")
+    pre_fp = {"footprint_bytes": 10 * MIB}
+    assert check_footprint(pre_fp, {"footprint_bytes": 12 * MIB}, 4) == 2 * MIB
+    assert check_footprint(pre_fp, {"footprint_bytes": 6 * MIB}, 4) < 0
+    try:
+        # Small spans never returned: the population's footprint stays.
+        check_footprint(pre_fp, {"footprint_bytes": 410 * MIB}, 4)
+    except SystemExit:
+        pass
+    else:
+        raise AssertionError("self-test: footprint growth not caught")
     print("check_preload_conservation: self-test OK")
 
 
@@ -83,14 +113,26 @@ def main():
     if len(sys.argv) >= 2 and sys.argv[1] == "--self-test":
         self_test()
         return
-    if len(sys.argv) < 2:
+    flag = "--max-footprint-growth-mb="
+    max_growth_mb = None
+    args = []
+    for arg in sys.argv[1:]:
+        if arg.startswith(flag):
+            max_growth_mb = float(arg[len(flag):])
+        else:
+            args.append(arg)
+    if not args:
         sys.exit(__doc__)
-    min_ops = int(sys.argv[2]) if len(sys.argv) > 2 else 1
-    pre, post = parse(sys.argv[1])
+    min_ops = int(args[1]) if len(args) > 1 else 1
+    pre, post = parse(args[0])
     ops = check(pre, post, min_ops)
     print(f"check_preload_conservation: OK ({ops} allocations == frees, "
           f"live_bytes stable at {post['live_bytes']}, threads "
           f"{pre['threads']} -> {post['threads']})")
+    if max_growth_mb is not None:
+        growth = check_footprint(pre, post, max_growth_mb)
+        print(f"check_preload_conservation: OK (footprint grew "
+              f"{growth / MIB:.2f} MiB <= {max_growth_mb:g} MiB)")
 
 
 if __name__ == "__main__":

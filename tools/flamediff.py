@@ -9,7 +9,7 @@ colored by delta (red = grew vs baseline, blue = shrank, grey = flat).
 
 The simulator's profiles are deterministic, so on simulated benches any
 nonzero delta is a real code-path shift, not sampling noise; real-threads
-profiles (fig_mt_scaling) jitter with work stealing and need a looser
+profiles (fig_mt_scaling) jitter with thread scheduling and need a looser
 budget.
 
 Usage:

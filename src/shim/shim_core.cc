@@ -361,8 +361,6 @@ RealThreadsAllocator* GetAllocator() {
   // bootstrap arena via t_busy.
   BusyScope busy;
   size_t reserve = EnvBytesMb("WSC_SHIM_RESERVE_MB", 0);
-  long nproc = sysconf(_SC_NPROCESSORS_ONLN);
-  int expected_threads = nproc > 0 ? static_cast<int>(nproc) : 4;
   auto builder = tcmalloc::AllocatorConfig::Builder()
                      .WithRealMemory()
                      .WithRealMemoryReserve(reserve);
@@ -373,7 +371,7 @@ RealThreadsAllocator* GetAllocator() {
     return nullptr;
   }
   g_alloc = new (g_alloc_storage)
-      RealThreadsAllocator(*built, expected_threads);
+      RealThreadsAllocator(*built, /*expected_threads=*/0);
   size_t release_mb = EnvBytesMb("WSC_SHIM_RELEASE_MB", size_t{256} << 20);
   g_alloc->SetLargeReleaseThreshold(release_mb);
   g_cache_key_ok = pthread_key_create(&g_cache_key, &ReturnThreadCache) == 0;

@@ -2,14 +2,13 @@
 
 #include <algorithm>
 #include <bit>
+#include <utility>
+
+#include "tcmalloc/transfer_cache.h"
 
 namespace wsc::tcmalloc {
 
 namespace {
-
-// Transfer shards beyond the thread count add footprint without reducing
-// contention; 16 covers every core count this repo's benches target.
-constexpr int kMaxShards = 16;
 
 // Stack-buffer bound for batch moves; size-class batch sizes top out at 32.
 constexpr int kMaxBatch = 64;
@@ -490,33 +489,21 @@ RealPageHeap::Stats RealPageHeap::GetStats() const {
 // ---- The allocator ----------------------------------------------------
 
 RealThreadsAllocator::RealThreadsAllocator(const AllocatorConfig& config,
-                                           int expected_threads,
-                                           const SizeClasses* size_classes,
-                                           int num_shards)
+                                           int /*expected_threads*/,
+                                           const SizeClasses* size_classes)
     : size_classes_(size_classes),
       num_classes_(size_classes->num_classes()),
       page_heap_(ReserveBytes(config)) {
-  num_shards_ = num_shards > 0 ? std::min(num_shards, kMaxShards)
-                               : std::clamp(expected_threads, 1, kMaxShards);
   thread_cap_.resize(num_classes_);
-  transfer_cap_.resize(num_classes_);
-  grid_size_ = static_cast<size_t>(num_classes_) * num_shards_;
-  transfer_ = std::make_unique<TransferShard[]>(grid_size_);
+  transfer_ = std::make_unique<RealTransferCache[]>(num_classes_);
   central_ = std::make_unique<RealCentralFreeList[]>(num_classes_);
   for (int cls = 0; cls < num_classes_; ++cls) {
     const SizeClassInfo& info = size_classes_->info(cls);
     WSC_CHECK_LE(info.batch_size, kMaxBatch);
     WSC_CHECK_LE(info.objects_per_span, RealSpan::kBitmapWords * 64);
     thread_cap_[cls] = static_cast<uint32_t>(info.max_per_cpu_objects);
-    // The simulator's transfer cache budgets transfer_cache_batches
-    // batches per class; split that budget across the shards, with a
-    // two-batch floor so every shard can absorb an insert and still
-    // serve a remove.
-    int batches = std::max(2, config.transfer_cache_batches / num_shards_);
-    transfer_cap_[cls] = static_cast<uint32_t>(batches * info.batch_size);
-    for (int shard = 0; shard < num_shards_; ++shard) {
-      transfer_shard(cls, shard).capacity = transfer_cap_[cls];
-    }
+    transfer_[cls].capacity = static_cast<uint32_t>(
+        TransferCacheCapacity(*size_classes_, config, cls));
     RealCentralFreeList& cfl = central_[cls];
     cfl.object_size = static_cast<uint32_t>(info.size);
     cfl.objects_per_span = static_cast<uint32_t>(info.objects_per_span);
@@ -541,8 +528,6 @@ RealThreadCache* RealThreadsAllocator::RegisterThread() {
     return parked;
   }
   auto tc = std::make_unique<RealThreadCache>();
-  tc->shard = next_shard_rr_;
-  next_shard_rr_ = (next_shard_rr_ + 1) % num_shards_;
   tc->lists.resize(num_classes_);
   for (int cls = 0; cls < num_classes_; ++cls) {
     tc->lists[cls].cap = thread_cap_[cls];
@@ -583,14 +568,15 @@ uintptr_t RealThreadsAllocator::SlowAllocate(RealThreadCache* tc, int cls) {
   const int batch = size_classes_->batch_size(cls);
   uintptr_t buf[kMaxBatch];
 
-  // One lock on the home transfer shard for the whole batch.
-  TransferShard& ts = transfer_shard(cls, tc->shard);
-  ts.lock.Lock();
-  ++ts.removes;
-  int got = TakeIntrusive(ts.head, ts.count, buf, batch);
-  ts.removed_objects += static_cast<uint64_t>(got);
-  if (got == 0) ++ts.remove_misses;
-  ts.lock.Unlock();
+  // One lock on the class's transfer cache for the whole batch.
+  RealTransferCache& tx = transfer_[cls];
+  tx.lock.Lock();
+  ++tx.removes;
+  int got = TakeIntrusive(tx.head, tx.count, buf, batch);
+  tx.removed_objects += static_cast<uint64_t>(got);
+  if (got == 0) ++tx.remove_misses;
+  if (got < batch) ++tx.short_removes;
+  tx.lock.Unlock();
 
   if (got < batch) got += RemoveFromCentral(cls, buf + got, batch - got);
   if (got == 0) return 0;  // reservation exhausted
@@ -611,15 +597,16 @@ void RealThreadsAllocator::SlowFree(RealThreadCache* tc, int cls,
   RealThreadCache::ClassList& list = tc->lists[cls];
   int moved = TakeIntrusive(list.head, list.count, buf, batch);
 
-  TransferShard& ts = transfer_shard(cls, tc->shard);
-  ts.lock.Lock();
-  ++ts.inserts;
-  int room = static_cast<int>(ts.capacity) - static_cast<int>(ts.count);
+  RealTransferCache& tx = transfer_[cls];
+  tx.lock.Lock();
+  ++tx.inserts;
+  int room = static_cast<int>(tx.capacity) - static_cast<int>(tx.count);
   int put = std::clamp(room, 0, moved);
-  PutIntrusive(ts.head, ts.count, buf, put);
-  ts.inserted_objects += static_cast<uint64_t>(put);
-  if (put < moved) ++ts.insert_overflows;
-  ts.lock.Unlock();
+  PutIntrusive(tx.head, tx.count, buf, put);
+  tx.inserted_objects += static_cast<uint64_t>(put);
+  tx.overflowed_objects += static_cast<uint64_t>(moved - put);
+  if (put < moved) ++tx.insert_overflows;
+  tx.lock.Unlock();
 
   if (put < moved) InsertToCentral(cls, buf + put, moved - put);
   PutIntrusive(list.head, list.count, &obj, 1);
@@ -752,22 +739,18 @@ void RealThreadsAllocator::FreeLarge(RealThreadCache* tc, uintptr_t addr) {
 }
 
 size_t RealThreadsAllocator::ReleaseMemoryToSystem(size_t bytes) {
-  // Transfer shards first: their objects may be the last ones out of
+  // Transfer caches first: their objects may be the last ones out of
   // spans that can then come back.
   uintptr_t buf[kMaxBatch];
   for (int cls = 0; cls < num_classes_; ++cls) {
-    for (int shard = 0; shard < num_shards_; ++shard) {
-      TransferShard& ts = transfer_shard(cls, shard);
-      ts.lock.Lock();
-      uintptr_t head = ts.head;
-      uint32_t count = ts.count;
-      ts.head = 0;
-      ts.count = 0;
-      ts.lock.Unlock();
-      while (count > 0) {
-        int moved = TakeIntrusive(head, count, buf, kMaxBatch);
-        InsertToCentral(cls, buf, moved);
-      }
+    RealTransferCache& tx = transfer_[cls];
+    tx.lock.Lock();
+    uintptr_t head = std::exchange(tx.head, 0);
+    uint32_t count = std::exchange(tx.count, 0);
+    tx.lock.Unlock();
+    while (count > 0) {
+      int moved = TakeIntrusive(head, count, buf, kMaxBatch);
+      InsertToCentral(cls, buf, moved);
     }
   }
   return page_heap_.Release(bytes);
@@ -778,8 +761,10 @@ void RealThreadsAllocator::ForkPrepare() {
   // fork() means no lock in the child's copy belongs to a thread that no
   // longer exists.
   threads_mu_.lock();
-  for (size_t i = 0; i < grid_size_; ++i) transfer_[i].lock.Lock();
-  for (int cls = 0; cls < num_classes_; ++cls) central_[cls].lock.Lock();
+  for (int cls = 0; cls < num_classes_; ++cls) {
+    transfer_[cls].lock.Lock();
+    central_[cls].lock.Lock();
+  }
   page_heap_.Lock();
 }
 
@@ -787,8 +772,8 @@ void RealThreadsAllocator::ForkRelease() {
   page_heap_.Unlock();
   for (int cls = num_classes_ - 1; cls >= 0; --cls) {
     central_[cls].lock.Unlock();
+    transfer_[cls].lock.Unlock();
   }
-  for (size_t i = grid_size_; i-- > 0;) transfer_[i].lock.Unlock();
   threads_mu_.unlock();
 }
 
@@ -879,20 +864,26 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
   // Transfer aggregates.
   uint64_t transfer_acq = 0, transfer_contended = 0;
   uint64_t transfer_inserts = 0, transfer_inserted = 0;
-  uint64_t transfer_overflows = 0;
+  uint64_t transfer_overflows = 0, transfer_overflowed = 0;
   uint64_t transfer_removes = 0, transfer_removed = 0, transfer_misses = 0;
-  uint64_t transfer_cached = 0;
-  for (size_t i = 0; i < grid_size_; ++i) {
-    const TransferShard& ts = transfer_[i];
-    transfer_acq += ts.lock.acquisitions();
-    transfer_contended += ts.lock.contended();
-    transfer_inserts += ts.inserts;
-    transfer_inserted += ts.inserted_objects;
-    transfer_overflows += ts.insert_overflows;
-    transfer_removes += ts.removes;
-    transfer_removed += ts.removed_objects;
-    transfer_misses += ts.remove_misses;
-    transfer_cached += ts.count;
+  uint64_t transfer_short = 0, transfer_cached = 0;
+  double transfer_cached_bytes = 0;
+  for (int cls = 0; cls < num_classes_; ++cls) {
+    const RealTransferCache& tx = transfer_[cls];
+    transfer_acq += tx.lock.acquisitions();
+    transfer_contended += tx.lock.contended();
+    transfer_inserts += tx.inserts;
+    transfer_inserted += tx.inserted_objects;
+    transfer_overflows += tx.insert_overflows;
+    transfer_overflowed += tx.overflowed_objects;
+    transfer_removes += tx.removes;
+    transfer_removed += tx.removed_objects;
+    transfer_misses += tx.remove_misses;
+    transfer_short += tx.short_removes;
+    transfer_cached += tx.count;
+    transfer_cached_bytes +=
+        static_cast<double>(tx.count) *
+        static_cast<double>(size_classes_->class_size(cls));
   }
 
   // Central free list aggregates.
@@ -958,6 +949,14 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
                        static_cast<double>(thread_cached_objects));
   registry.ExportGauge("thread_cache", "cached_bytes", thread_cached_bytes);
 
+  // The simulator's names where both measure the same quantity.
+  registry.ExportCounter("transfer_cache", "inserts_accepted",
+                         transfer_inserted);
+  registry.ExportCounter("transfer_cache", "inserts_overflowed",
+                         transfer_overflowed);
+  registry.ExportCounter("transfer_cache", "misses", transfer_short);
+  registry.ExportGauge("transfer_cache", "cached_bytes",
+                       transfer_cached_bytes);
   registry.ExportCounter("sharded_transfer", "inserts", transfer_inserts);
   registry.ExportCounter("sharded_transfer", "inserted_objects",
                          transfer_inserted);

@@ -16,9 +16,11 @@
 //    no atomics, no fences on the hit path — and size-class lookup is the
 //    branch-free flat LUT in SizeClasses::ClassFor.
 //
-//  * Transfer shards, one per (size class x shard): bounded stacks that
-//    move whole batches between thread caches, so most misses never
-//    reach a span.
+//  * One transfer cache per size class (the paper's §4.2): a bounded
+//    stack that moves whole batches between thread caches, so most misses
+//    never reach a span. Every thread shares it, so the batch one thread
+//    pushes down is the batch the next refill on any thread takes. It is
+//    sized by the simulator's rule, TransferCacheCapacity().
 //
 //  * One central free list per size class (the paper's §4.3). It owns
 //    the class's spans and tracks each span's free objects in a bitmap in
@@ -38,9 +40,9 @@
 //    the split pays: for a free run of at least an eighth of a hugepage,
 //    or inside a hugepage that is at most an eighth live.
 //
-// Every hot per-thread / per-shard / per-class structure is alignas(64) so
-// two threads' hot state never share a cache line; static_asserts at the
-// end of this header pin the layout in every build.
+// Every hot per-thread / per-class structure is alignas(64) so two
+// threads' hot state never share a cache line; static_asserts at the end
+// of this header pin the layout in every build.
 //
 // Memory: one contiguous MAP_NORESERVE reservation (RealMemoryBacking in
 // tcmalloc/memory_backing.h), hinted MADV_HUGEPAGE. It costs nothing until
@@ -53,17 +55,17 @@
 // config must be built with AllocatorConfig::Builder::WithRealMemory().
 //
 // Telemetry: TelemetrySnapshot() exports "allocator", "thread_cache",
-// "sharded_transfer", "central_free_list" and "page_heap" components (the
-// last two with the simulator's metric names where the concept is
+// "transfer_cache", "central_free_list" and "page_heap" components (the
+// last three with the simulator's metric names where the concept is
 // shared), plus "contention" (lock acquisitions and contended
 // acquisitions per tier, refill stalls, arena carves) and "system"
-// (madvise traffic). The "sharded_cfl" component and the contention
-// component's steal counters keep the names the benchmark reads; the
-// central lists are no longer sharded, so the steal counters read 0. A
-// snapshot requires quiescence — call it after worker threads joined;
-// the join gives the happens-before edge that makes the plain counter
-// reads race-free. thread_cache/registered_threads counts the caches in
-// use (the live threads), thread_cache/idle_caches the ones
+// (madvise traffic). The "sharded_transfer" and "sharded_cfl" components
+// and the contention component's steal counters keep the names the
+// benchmark reads; nothing is sharded any more, so the steal counters
+// read 0. A snapshot requires quiescence — call it after worker threads
+// joined; the join gives the happens-before edge that makes the plain
+// counter reads race-free. thread_cache/registered_threads counts the
+// caches in use (the live threads), thread_cache/idle_caches the ones
 // UnregisterThread() parked.
 
 #ifndef WSC_TCMALLOC_REAL_THREADS_H_
@@ -129,10 +131,10 @@ class ContendedLock {
   uint64_t contended_ = 0;     // acquisitions that found the lock held
 };
 
-// One (size class x shard) slice of the transfer cache: a bounded stack of
-// free objects batches move through between thread caches and the
-// central free list. All fields behind `lock`.
-struct alignas(kCacheLineSize) TransferShard {
+// The transfer cache of one size class: a bounded stack of free objects
+// that batches move through between thread caches and the central free
+// list. All fields behind `lock`.
+struct alignas(kCacheLineSize) RealTransferCache {
   ContendedLock lock;
   uint32_t capacity = 0;  // max cached objects; set at construction
   // Intrusive freelist threaded through object storage (the link is the
@@ -142,10 +144,12 @@ struct alignas(kCacheLineSize) TransferShard {
 
   uint64_t inserts = 0;
   uint64_t inserted_objects = 0;
-  uint64_t insert_overflows = 0;  // inserts that spilled to the central list
+  uint64_t insert_overflows = 0;    // inserts that spilled to the central list
+  uint64_t overflowed_objects = 0;  // objects those inserts spilled
   uint64_t removes = 0;
   uint64_t removed_objects = 0;
-  uint64_t remove_misses = 0;  // removes that found the shard empty
+  uint64_t remove_misses = 0;  // removes that found the cache empty
+  uint64_t short_removes = 0;  // removes the central list had to top up
 };
 
 // Metadata for one run of pages: a span of small objects that a central
@@ -402,8 +406,6 @@ class alignas(kCacheLineSize) RealThreadCache {
     uint32_t cap = 0;  // per-class object cap (size_classes max_per_cpu)
   };
 
-  int shard = 0;  // home transfer shard, assigned round-robin
-
   // Single-writer counters; read at quiescence by TelemetrySnapshot().
   uint64_t allocations = 0;
   uint64_t frees = 0;
@@ -447,22 +449,19 @@ class alignas(kCacheLineSize) RealThreadCache {
 // directory; FreeAddr() serves callers that only have the pointer.
 class RealThreadsAllocator {
  public:
-  // `config` must have real_memory set (CHECKed). `expected_threads`
-  // sizes the transfer shard count (min(expected, kMaxShards),
-  // overridable via `num_shards` for tests). More shards than threads
-  // buys nothing; fewer concentrates contention — which the telemetry
-  // then shows.
+  // `config` must have real_memory set (CHECKed). `expected_threads` is
+  // unused: nothing is sized by the thread count. It stays only because
+  // the benchmark's direct arm passes it, until the per-CPU front end's
+  // benchmark change drops it.
   explicit RealThreadsAllocator(
       const AllocatorConfig& config, int expected_threads,
-      const SizeClasses* size_classes = &SizeClasses::Default(),
-      int num_shards = 0);
+      const SizeClasses* size_classes = &SizeClasses::Default());
 
   RealThreadsAllocator(const RealThreadsAllocator&) = delete;
   RealThreadsAllocator& operator=(const RealThreadsAllocator&) = delete;
 
   // Registers the calling thread and returns its cache: a parked cache
-  // when one is idle (it keeps its home shard and its cumulative
-  // counters), else a new one. Cold path (global mutex); call once per
+  // when one is idle (it keeps its cumulative counters), else a new one. Cold path (global mutex); call once per
   // thread. The returned pointer stays valid for the allocator's lifetime
   // and must only be used by one thread at a time.
   RealThreadCache* RegisterThread();
@@ -574,7 +573,7 @@ class RealThreadsAllocator {
   uintptr_t AllocateAligned(RealThreadCache* tc, size_t size, size_t align);
 
   // Returns memory to the OS, following the simulator's reclaim order:
-  // moves every transfer shard's objects into the central free lists (so
+  // moves every transfer cache's objects into the central free lists (so
   // spans they pinned can come back), then releases free page-heap pages
   // — whole free hugepages first, then free pages inside hugepages that
   // still hold a live run — until `bytes` are confirmed. Returns the
@@ -591,16 +590,15 @@ class RealThreadsAllocator {
 
   // fork() support for the malloc shim: ForkPrepare() (in
   // pthread_atfork's prepare hook) acquires every lock in one fixed order
-  // — the registry, every transfer shard, every central free list in
-  // class order, and the page heap last, because a refill holds its class
-  // lock while it fetches a span — so the child inherits them all in a
-  // known, consistent state; ForkRelease() (parent and child hooks) drops
-  // them again in reverse. Without this, a fork racing another thread's
-  // refill leaves a lock held forever in the child.
+  // — the registry, then each class's transfer cache and central free
+  // list in class order, and the page heap last, because a refill holds
+  // its class lock while it fetches a span — so the child inherits them
+  // all in a known, consistent state; ForkRelease() (parent and child
+  // hooks) drops them again in reverse. Without this, a fork racing
+  // another thread's refill leaves a lock held forever in the child.
   void ForkPrepare();
   void ForkRelease();
 
-  int num_shards() const { return num_shards_; }
   // Caches in use: registered and not unregistered since.
   int registered_threads() const;
 
@@ -623,10 +621,6 @@ class RealThreadsAllocator {
   telemetry::Snapshot TelemetrySnapshot() const;
 
  private:
-  TransferShard& transfer_shard(int cls, int shard) {
-    return transfer_[static_cast<size_t>(cls) * num_shards_ + shard];
-  }
-
   uintptr_t SlowAllocate(RealThreadCache* tc, int cls);
   void SlowFree(RealThreadCache* tc, int cls, uintptr_t obj);
 
@@ -649,18 +643,15 @@ class RealThreadsAllocator {
 
   const SizeClasses* size_classes_;
   int num_classes_;
-  int num_shards_;
 
-  // Per-class caps, derived once from SizeClassInfo / config.
-  std::vector<uint32_t> thread_cap_;     // objects per thread cache
-  std::vector<uint32_t> transfer_cap_;   // objects per transfer shard
+  // Per-class object cap of a thread cache (size_classes max_per_cpu).
+  std::vector<uint32_t> thread_cap_;
 
-  // [cls * num_shards_ + shard] transfer grid and [cls] central lists.
-  // Each element is 64-byte aligned, so neighbours never share a line.
-  // Plain arrays (not vectors): the atomics inside ContendedLock make
-  // them immovable by design — an element's address is its identity.
-  size_t grid_size_ = 0;
-  std::unique_ptr<TransferShard[]> transfer_;
+  // The transfer caches and the central lists, indexed by class. Each
+  // element is 64-byte aligned, so neighbours never share a line. Plain
+  // arrays (not vectors): the atomics inside ContendedLock make them
+  // immovable by design — an element's address is its identity.
+  std::unique_ptr<RealTransferCache[]> transfer_;
   std::unique_ptr<RealCentralFreeList[]> central_;
 
   RealPageHeap page_heap_;
@@ -675,7 +666,6 @@ class RealThreadsAllocator {
   std::vector<std::unique_ptr<RealThreadCache>> threads_;
   RealThreadCache* idle_head_ = nullptr;
   int idle_caches_ = 0;
-  int next_shard_rr_ = 0;
 };
 
 // False-sharing audit: the layout contract the real-threads allocator
@@ -683,10 +673,10 @@ class RealThreadsAllocator {
 // refactor that drops an alignas fails to compile.
 static_assert(sizeof(ContendedLock) <= kCacheLineSize,
               "ContendedLock must fit in one cache line");
-static_assert(alignof(TransferShard) == kCacheLineSize,
-              "TransferShard lost its cache-line alignment");
-static_assert(sizeof(TransferShard) % kCacheLineSize == 0,
-              "adjacent TransferShards would share a cache line");
+static_assert(alignof(RealTransferCache) == kCacheLineSize,
+              "RealTransferCache lost its cache-line alignment");
+static_assert(sizeof(RealTransferCache) % kCacheLineSize == 0,
+              "adjacent transfer caches would share a cache line");
 static_assert(alignof(RealCentralFreeList) == kCacheLineSize,
               "RealCentralFreeList lost its cache-line alignment");
 static_assert(sizeof(RealCentralFreeList) % kCacheLineSize == 0,

@@ -16,15 +16,7 @@ TransferCache::TransferCache(const SizeClasses* size_classes,
   int n = size_classes_->num_classes();
   central_.resize(n);
   for (int cls = 0; cls < n; ++cls) {
-    // Capacity is batch-count bounded for small classes and byte-bounded
-    // for large ones (a 64-batch cache of 64 KiB objects would be an 8 MiB
-    // buffer that starves the central free list of returned objects).
-    size_t batch_cap = static_cast<size_t>(config.transfer_cache_batches) *
-                       size_classes_->batch_size(cls);
-    size_t byte_cap = std::max<size_t>(
-        2 * size_classes_->batch_size(cls),
-        (512 * 1024) / size_classes_->class_size(cls));
-    central_[cls].capacity = std::min(batch_cap, byte_cap);
+    central_[cls].capacity = TransferCacheCapacity(*size_classes_, config, cls);
   }
   if (nuca_) {
     shards_.resize(config.num_llc_domains);

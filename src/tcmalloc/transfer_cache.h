@@ -14,6 +14,7 @@
 #define WSC_TCMALLOC_TRANSFER_CACHE_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -23,6 +24,22 @@
 #include "trace/flight_recorder.h"
 
 namespace wsc::tcmalloc {
+
+// The most objects the transfer cache of class `cls` holds: batch-count
+// bounded for small classes and byte-bounded for large ones (a 64-batch
+// cache of 64 KiB objects would be an 8 MiB buffer that starves the
+// central free list of returned objects), and at least two batches, so an
+// insert and a remove both fit. The simulator's TransferCache and the real
+// allocator's per-class caches are both sized by it.
+inline size_t TransferCacheCapacity(const SizeClasses& size_classes,
+                                    const AllocatorConfig& config, int cls) {
+  size_t batch_cap = static_cast<size_t>(config.transfer_cache_batches) *
+                     size_classes.batch_size(cls);
+  size_t byte_cap = std::max<size_t>(
+      2 * size_classes.batch_size(cls),
+      (512 * 1024) / size_classes.class_size(cls));
+  return std::min(batch_cap, byte_cap);
+}
 
 // Transfer-cache statistics.
 struct TransferCacheStats {

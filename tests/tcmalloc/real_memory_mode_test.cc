@@ -273,7 +273,7 @@ TEST(RealMemoryModeTest, ReusingReleasedRangesRecommits) {
 
 // Allocates `n` objects of `size`, writing each one, then frees them all
 // and pushes every cached copy down: the thread cache by a flush, the
-// transfer shards by a zero-byte release, which moves their objects into
+// transfer caches by a zero-byte release, which moves their objects into
 // the central free lists and releases nothing.
 std::vector<uintptr_t> ChurnAndDrain(RealThreadsAllocator& alloc,
                                      RealThreadCache* tc, size_t size,

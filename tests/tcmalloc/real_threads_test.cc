@@ -1,7 +1,8 @@
 // Tests for the real-threads allocator on its real-memory backing: the
 // one-mode contract, object conservation under a genuine multi-thread
-// alloc/free storm with cross-thread frees, refills across transfer
-// shards, the LUT size-class lookup, the large path's footprint and its
+// alloc/free storm with cross-thread frees, refills through the one
+// transfer cache and central free list per class, the transfer cache's
+// capacity, the LUT size-class lookup, the large path's footprint and its
 // release under concurrent frees, the reuse of unregistered caches across
 // thread churn, spans coming back after a storm, and telemetry. The
 // backing, the page directory, single-thread span lifecycles and madvise
@@ -18,6 +19,7 @@
 #include <barrier>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -28,6 +30,7 @@
 #include "tcmalloc/memory_backing.h"
 #include "tcmalloc/pages.h"
 #include "tcmalloc/size_classes.h"
+#include "tcmalloc/transfer_cache.h"
 #include "telemetry/registry.h"
 
 namespace wsc::tcmalloc {
@@ -192,18 +195,16 @@ TEST(RealThreadsAllocatorTest, ConservationAfterStorm) {
             kThreads + 1);
 }
 
-// Two caches on different transfer shards, single OS thread
-// (deterministic): the objects A freed must refill B before the heap
-// grows — through the class's one central free list and the spans it
-// gives back to the page heap — not strand on A's shard while B grows
-// the heap (the Snippet 1 regression). Nothing steals any more.
-TEST(RealThreadsAllocatorTest, ObjectsFreedOnOneShardRefillAnother) {
+// Two caches, single OS thread (deterministic): the objects A freed must
+// refill B before the heap grows — through the class's transfer cache,
+// its one central free list and the spans that list gives back to the
+// page heap — not strand where B cannot reach them while B grows the heap
+// (the Snippet 1 regression). Nothing steals any more.
+TEST(RealThreadsAllocatorTest, ObjectsFreedByOneCacheRefillAnother) {
   AllocatorConfig config = TestConfig();
   RealThreadsAllocator alloc(config, /*expected_threads=*/2);
-  ASSERT_EQ(alloc.num_shards(), 2);
-  RealThreadCache* a = alloc.RegisterThread();  // shard 0
-  RealThreadCache* b = alloc.RegisterThread();  // shard 1
-  ASSERT_NE(a->shard, b->shard);
+  RealThreadCache* a = alloc.RegisterThread();
+  RealThreadCache* b = alloc.RegisterThread();
 
   constexpr int kObjects = 10000;
   std::vector<uintptr_t> objs;
@@ -225,6 +226,81 @@ TEST(RealThreadsAllocatorTest, ObjectsFreedOnOneShardRefillAnother) {
   // a quarter of the first phase's carving.
   size_t grown = alloc.ArenaUsedBytes() - carved_before;
   EXPECT_LT(grown, carved_before / 4);
+}
+
+// One OS thread, two caches: the batch A pushes down when its list
+// overflows is exactly what B's next refill receives. Every thread
+// shares the class's one transfer cache, so no cache's refill misses
+// objects another cache left there.
+TEST(RealThreadsAllocatorTest, BatchOneCachePushesDownRefillsAnother) {
+  RealThreadsAllocator alloc(TestConfig(), /*expected_threads=*/2);
+  RealThreadCache* a = alloc.RegisterThread();
+  RealThreadCache* b = alloc.RegisterThread();
+  const SizeClasses& sc = SizeClasses::Default();
+  const int cls = sc.ClassFor(96);
+  const int batch = sc.batch_size(cls);
+
+  // A frees one batch more than its list holds: exactly one overflow,
+  // which pushes one batch down.
+  std::vector<uintptr_t> objs;
+  for (uint32_t i = 0; i < a->lists[cls].cap + batch; ++i) {
+    objs.push_back(alloc.Allocate(a, 96));
+  }
+  for (uintptr_t obj : objs) alloc.Free(a, obj, 96);
+  std::vector<uintptr_t> kept;
+  for (uintptr_t obj = a->lists[cls].head; obj != 0;
+       obj = *reinterpret_cast<uintptr_t*>(obj)) {
+    kept.push_back(obj);
+  }
+  std::sort(objs.begin(), objs.end());
+  std::sort(kept.begin(), kept.end());
+  std::vector<uintptr_t> pushed;
+  std::set_difference(objs.begin(), objs.end(), kept.begin(), kept.end(),
+                      std::back_inserter(pushed));
+  ASSERT_EQ(pushed.size(), static_cast<size_t>(batch));
+  const size_t arena = alloc.ArenaUsedBytes();
+
+  std::vector<uintptr_t> refilled;
+  for (int i = 0; i < batch; ++i) refilled.push_back(alloc.Allocate(b, 96));
+  std::sort(refilled.begin(), refilled.end());
+  EXPECT_EQ(refilled, pushed);
+  EXPECT_EQ(alloc.ArenaUsedBytes(), arena);
+
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "transfer_cache", "inserts_accepted"), batch);
+  EXPECT_EQ(Metric(snap, "sharded_transfer", "removed_objects"), batch);
+  EXPECT_EQ(Metric(snap, "transfer_cache", "cached_bytes"), 0);
+}
+
+// The 70 KiB class's transfer cache holds at most the simulator's rule,
+// min(64 batches, max(2 batches, 512 KiB / 70 KiB)) = 7 objects, however
+// many objects are freed; the rest go back to the central free list.
+TEST(RealThreadsAllocatorTest, TransferCacheHoldsAtMostTheOraclesCapacity) {
+  constexpr size_t kSize = 70 * 1024;
+  const AllocatorConfig config = TestConfig();
+  const SizeClasses& sc = SizeClasses::Default();
+  const int cls = sc.ClassFor(kSize);
+  ASSERT_EQ(sc.class_size(cls), kSize);
+  ASSERT_EQ(TransferCacheCapacity(sc, config, cls), 7u);
+  RealThreadsAllocator alloc(config, /*expected_threads=*/4);
+  RealThreadCache* tc = alloc.RegisterThread();
+
+  std::vector<uintptr_t> objs;
+  for (int i = 0; i < 64; ++i) objs.push_back(alloc.Allocate(tc, kSize));
+  double most = 0;
+  for (uintptr_t obj : objs) {
+    alloc.Free(tc, obj, kSize);
+    telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+    most = std::max(most, Metric(snap, "transfer_cache", "cached_bytes"));
+  }
+  EXPECT_EQ(most, 7.0 * kSize);
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "transfer_cache", "cached_bytes"), 7.0 * kSize);
+  // Every object the thread cache pushed down was accepted or spilled.
+  EXPECT_EQ(Metric(snap, "transfer_cache", "inserts_accepted") +
+                Metric(snap, "transfer_cache", "inserts_overflowed"),
+            64 - static_cast<double>(tc->lists[cls].count));
+  EXPECT_GT(Metric(snap, "transfer_cache", "inserts_overflowed"), 0);
 }
 
 TEST(RealThreadsAllocatorTest, LargeObjectsBypassClassesAndComeBack) {
@@ -337,11 +413,11 @@ TEST(RealThreadsAllocatorTest, FlushReturnsEverythingToMiddleEnd) {
 
 // Thread churn: waves of threads that each register, churn mixed sizes
 // while handing every 8th object to the next thread, and unregister. An
-// unregistered cache is flushed and parked, and the next wave reuses it
-// with its shard, so the registry stays at one wave's width and later
-// waves refill from what earlier ones flushed instead of carving. A
-// wave's threads hold their peak live sets at the same time, so every
-// wave, the first included, needs the same memory at its peak.
+// unregistered cache is flushed and parked, and the next wave reuses it,
+// so the registry stays at one wave's width and later waves refill from
+// what earlier ones flushed instead of carving. A wave's threads hold
+// their peak live sets at the same time, so every wave, the first
+// included, needs the same memory at its peak.
 TEST(RealThreadsAllocatorTest, UnregisteredCachesAreReused) {
   constexpr int kThreads = 4;
   constexpr int kWaves = 8;
@@ -361,19 +437,14 @@ TEST(RealThreadsAllocatorTest, UnregisteredCachesAreReused) {
   };
   std::vector<Mailbox> mailboxes(kThreads);
   std::mutex seen_mu;
-  std::vector<std::pair<RealThreadCache*, int>> seen;  // cache, first shard
-  std::atomic<int> shard_changes{0};
+  std::vector<RealThreadCache*> seen;  // every cache a thread was given
 
   auto worker = [&](int tid, std::barrier<>& peak) {
     RealThreadCache* tc = alloc.RegisterThread();
     {
       std::lock_guard<std::mutex> guard(seen_mu);
-      auto it = std::find_if(seen.begin(), seen.end(),
-                             [tc](const auto& e) { return e.first == tc; });
-      if (it == seen.end()) {
-        seen.emplace_back(tc, tc->shard);
-      } else if (it->second != tc->shard) {
-        shard_changes.fetch_add(1);
+      if (std::find(seen.begin(), seen.end(), tc) == seen.end()) {
+        seen.push_back(tc);
       }
     }
     Rng rng(4321 + tid);  // every wave replays the same streams
@@ -434,7 +505,6 @@ TEST(RealThreadsAllocatorTest, UnregisteredCachesAreReused) {
   alloc.UnregisterThread(main_tc);
 
   EXPECT_LE(seen.size(), static_cast<size_t>(kThreads));
-  EXPECT_EQ(shard_changes.load(), 0);
   // Later waves refilled from what earlier waves flushed.
   EXPECT_LT(alloc.ArenaUsedBytes() - wave1_arena, wave1_arena / 4);
 
@@ -621,8 +691,7 @@ TEST(RealThreadsAllocatorTest, PopulationsDieWhileReleaseRuns) {
 
 TEST(RealThreadsAllocatorTest, TelemetryExportsContentionComponent) {
   AllocatorConfig config = TestConfig();
-  RealThreadsAllocator alloc(config, 2, &SizeClasses::Default(),
-                             /*num_shards=*/2);
+  RealThreadsAllocator alloc(config, 2);
   RealThreadCache* tc = alloc.RegisterThread();
   for (int i = 0; i < 2000; ++i) {
     alloc.Free(tc, alloc.Allocate(tc, 4096), 4096);
@@ -643,6 +712,10 @@ TEST(RealThreadsAllocatorTest, TelemetryExportsContentionComponent) {
   EXPECT_GE(Metric(snap, "page_heap", "free_bytes"), 0);
   EXPECT_GE(Metric(snap, "page_heap", "released_bytes"), 0);
   EXPECT_GE(Metric(snap, "page_heap", "free_runs"), 0);
+  EXPECT_GE(Metric(snap, "transfer_cache", "inserts_accepted"), 0);
+  EXPECT_GE(Metric(snap, "transfer_cache", "inserts_overflowed"), 0);
+  EXPECT_GT(Metric(snap, "transfer_cache", "misses"), 0);
+  EXPECT_GE(Metric(snap, "transfer_cache", "cached_bytes"), 0);
   EXPECT_GT(Metric(snap, "contention", "page_heap_lock_acquisitions"), 0);
   // The fast path dominates a tight reuse loop.
   EXPECT_GT(Metric(snap, "thread_cache", "fast_alloc_hits"), 1900);

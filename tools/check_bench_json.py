@@ -41,8 +41,9 @@ TELEMETRY_SCHEMA_VERSION = 1
 # tagged "exec":"real-threads" come from the real-concurrency allocator
 # (tcmalloc/real_threads.h), which instead must report its "contention"
 # component (lock acquisitions and contended acquisitions per tier,
-# refills that had to fetch a span) and the two tiers it shares with the
-# simulator under the simulator's names: "central_free_list" (span
+# refills that had to fetch a span) and the three tiers it shares with
+# the simulator under the simulator's names: "transfer_cache" (objects
+# accepted and spilled, misses, bytes cached), "central_free_list" (span
 # fetches and returns) and "page_heap" (free and released bytes, runs).
 REQUIRED_TIERS = (
     "cpu_cache",
@@ -56,7 +57,8 @@ REQUIRED_TIERS = (
     "failure",
 )
 
-REAL_THREADS_COMPONENTS = ("contention", "central_free_list", "page_heap")
+REAL_THREADS_COMPONENTS = ("contention", "transfer_cache", "central_free_list",
+                           "page_heap")
 
 EXEC_MODES = ("real-threads",)
 

@@ -20,8 +20,8 @@ Gated metrics, derived from each bench's BENCH_JSON lines:
                         final throughput line's hardware-normalized
                         multi-thread efficiency. Higher is better, so the
                         gate only fires when it DROPS below the band --
-                        a floor against the sharded-refill collapse
-                        documented in SNIPPETS.md Snippet 1.
+                        a floor against a refill path that re-serializes
+                        (SNIPPETS.md Snippet 1).
 
 A baseline may set a metric's tolerance to null to exclude it from the
 gate (e.g. real-threads benches have no simulated malloc cost).

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     fleet::AbDelta delta = fleet::RunBenchmarkAb(
         spec, hw::PlatformSpecFor(hw::PlatformGeneration::kGenD), control,
         experiment, 8100, bench::BenchDuration(Seconds(30)),
-        bench::BenchMaxRequests(400000), bench::BenchSelfProfInterval());
+        bench::BenchMaxRequests(400000));
     sim_requests += static_cast<uint64_t>(delta.control.requests +
                                           delta.experiment.requests);
     bench::ReportTelemetry("ablation_cfl_lists/L" + std::to_string(lists),

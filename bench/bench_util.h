@@ -28,15 +28,6 @@
 //   --profile=PATH    write the merged pprof-style heap profile; ".json"
 //                     suffix selects the JSON form (tools/mallocz.py reads
 //                     it), "-" prints text to stdout
-//   --selfprof=PATH   attach the sampling self-profiler (profiler/
-//                     self_profiler.h) to every simulated process and
-//                     write the merged folded-stack profile; ".json"
-//                     suffix selects the JSON form, "-" prints folded text
-//                     to stdout. Feed the output to tools/flamegraph.py /
-//                     tools/flamediff.py. Profiles are bit-identical for
-//                     any --threads value. The real-threads allocator
-//                     carries no profiler scopes, so fig_mt_scaling
-//                     writes nothing.
 //   --timeseries=PATH capture an interval time series from every
 //                     simulated process (telemetry/timeseries.h: counter
 //                     and histogram deltas plus gauge samples at 500 ms
@@ -69,7 +60,6 @@
 #include "fleet/experiment.h"
 #include "fleet/parallel.h"
 #include "telemetry/timeseries.h"
-#include "profiler/self_profiler.h"
 #include "telemetry/statsz.h"
 #include "trace/chrome_trace.h"
 #include "trace/heap_profile.h"
@@ -111,10 +101,6 @@ inline constexpr size_t kBenchTraceRingEvents = size_t{1} << 16;
 inline std::vector<trace::ProcessTrace> g_trace_accum;
 inline int g_trace_pid_base = 0;
 inline trace::HeapProfile g_profile_accum;
-// --selfprof destination ("" = disabled) and its bench-wide aggregate,
-// rewritten after each report (same contract as --statsz).
-inline std::string g_selfprof_path;
-inline prof::FoldedProfile g_selfprof_accum;
 // --timeseries destination ("" = disabled) and its bench-wide aggregate,
 // one merged series per arm label ("" = single-arm) so A/B benches keep
 // their arms' series distinct in the NDJSON file. Rewritten after each
@@ -125,10 +111,6 @@ inline std::map<std::string, telemetry::IntervalSeries> g_timeseries_accum;
 // on: matches the machine footprint-sampling period, so every footprint
 // sample lands in exactly one interval.
 inline constexpr SimTime kBenchTimeseriesInterval = Milliseconds(500);
-// Self-profiler cadence: one sample per this many scope entries. Prime,
-// so the sampler never phase-locks onto loops whose scope count per
-// iteration divides the interval (the classic stratified-sampling bias).
-inline constexpr uint64_t kBenchSelfProfInterval = 97;
 
 // One row per shared flag: the "--name=" prefix and the setter that
 // consumes its value. Parse and Strip both walk this table, so a flag
@@ -153,7 +135,6 @@ inline constexpr BenchFlag kBenchFlags[] = {
     {"--statsz=", [](const char* v) { g_statsz_path = v; }},
     {"--trace=", [](const char* v) { g_trace_path = v; }},
     {"--profile=", [](const char* v) { g_profile_path = v; }},
-    {"--selfprof=", [](const char* v) { g_selfprof_path = v; }},
     {"--timeseries=", [](const char* v) { g_timeseries_path = v; }},
 };
 
@@ -214,18 +195,9 @@ inline void ApplyBenchOverrides(fleet::FleetConfig& config) {
   if (!g_trace_path.empty()) {
     config.trace_events_per_process = kBenchTraceRingEvents;
   }
-  if (!g_selfprof_path.empty()) {
-    config.selfprof_interval = kBenchSelfProfInterval;
-  }
   if (!g_timeseries_path.empty()) {
     config.timeseries_interval = kBenchTimeseriesInterval;
   }
-}
-
-// Self-profiler cadence for benches that run Machines outside a
-// FleetConfig (RunBenchmarkAb): nonzero only when --selfprof was given.
-inline uint64_t BenchSelfProfInterval() {
-  return g_selfprof_path.empty() ? 0 : kBenchSelfProfInterval;
 }
 
 // Standard fleet shape used by the fleet-wide benches. Sized for parallel
@@ -296,21 +268,6 @@ inline void ReportTraceAndProfile(std::vector<trace::ProcessTrace> traces,
   }
 }
 
-// Folds a folded self-profile into the bench-wide aggregate and rewrites
-// the --selfprof file (same contract as --statsz: the final write holds
-// everything the bench profiled). Folded counts merge commutatively, so
-// the file is bit-identical for any --threads value in simulated mode.
-inline void ReportSelfProfile(const prof::FoldedProfile& profile) {
-  if (g_selfprof_path.empty() || profile.empty()) return;
-  g_selfprof_accum.MergeFrom(profile);
-  bool json = g_selfprof_path.size() >= 5 &&
-              g_selfprof_path.compare(g_selfprof_path.size() - 5, 5,
-                                      ".json") == 0;
-  WriteBenchFile(g_selfprof_path,
-                 json ? prof::RenderFoldedJson(g_selfprof_accum)
-                      : prof::RenderFolded(g_selfprof_accum));
-}
-
 // Folds a merged interval series into the bench-wide aggregate for its
 // arm ("" = single-arm) and rewrites the --timeseries NDJSON file: arms in
 // map order, each as interval lines followed by sketch lines. Everything
@@ -332,7 +289,6 @@ inline void ReportTimeSeries(const std::string& bench,
 // Trace/profile of a set of fleet observations.
 inline void ReportTraceAndProfile(
     const std::vector<fleet::FleetObservation>& observations) {
-  ReportSelfProfile(fleet::MergedSelfProfile(observations));
   if (g_trace_path.empty() && g_profile_path.empty()) return;
   ReportTraceAndProfile(fleet::MergedTrace(observations),
                         fleet::MergedHeapProfile(observations));
@@ -342,11 +298,6 @@ inline void ReportTraceAndProfile(
 // process index within the machine).
 inline void ReportTraceAndProfile(
     const std::vector<fleet::ProcessResult>& results) {
-  prof::FoldedProfile self_profile;
-  for (const fleet::ProcessResult& r : results) {
-    self_profile.MergeFrom(r.self_profile);
-  }
-  ReportSelfProfile(self_profile);
   if (g_trace_path.empty() && g_profile_path.empty()) return;
   std::vector<trace::ProcessTrace> traces;
   trace::HeapProfile profile;
@@ -472,10 +423,6 @@ inline void ReportTelemetry(const std::string& bench,
   ReportTelemetry(bench, delta.experiment_telemetry, "experiment");
   ReportTimeSeries(bench, delta.control_timeseries, "control");
   ReportTimeSeries(bench, delta.experiment_timeseries, "experiment");
-  // Both arms fold into one --selfprof file: the A/B pair ran the same
-  // workload plan, so the merged profile is the bench's hot-path shape.
-  ReportSelfProfile(delta.control_self_profile);
-  ReportSelfProfile(delta.experiment_self_profile);
 }
 
 // Telemetry of a fleet A/B result's fleet-wide slice.

@@ -52,7 +52,7 @@ int main(int argc, char** argv) {
       bench::PackingStressSpec(),
       hw::PlatformSpecFor(hw::PlatformGeneration::kGenD), control,
       experiment, 1450, bench::BenchDuration(Seconds(30)),
-      bench::BenchMaxRequests(400000), bench::BenchSelfProfInterval());
+      bench::BenchMaxRequests(400000));
   add(stress, "(stress)");
   table.Print();
 

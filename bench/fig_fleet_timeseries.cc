@@ -100,7 +100,6 @@ int main(int argc, char** argv) {
   timer.Report(collector.total_requests());
   bench::ReportTelemetry(timer.bench(), collector.telemetry());
   bench::ReportTimeSeries(timer.bench(), collector.timeseries());
-  bench::ReportSelfProfile(collector.self_profile());
 
   const telemetry::IntervalSeries& series = collector.timeseries();
   EmitNdjsonLines(series.RenderNdjson(timer.bench(), /*arm=*/""));

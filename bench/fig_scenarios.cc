@@ -83,7 +83,6 @@ uint64_t RunScenario(const std::string& bench, const std::string& name) {
   f.RunStreaming(collector);
   bench::ReportTelemetry(bench, collector.telemetry(), name.c_str());
   bench::ReportTimeSeries(bench, collector.timeseries(), name.c_str());
-  bench::ReportSelfProfile(collector.self_profile());
 
   const telemetry::IntervalSeries& series = collector.timeseries();
   EmitNdjsonLines(series.RenderNdjson(bench, /*arm=*/name));

@@ -75,8 +75,6 @@ AbResult RunFleetAb(const FleetConfig& config,
   result.fleet.label = "fleet";
   result.fleet.control_telemetry = MergedTelemetry(c_obs);
   result.fleet.experiment_telemetry = MergedTelemetry(e_obs);
-  result.fleet.control_self_profile = MergedSelfProfile(c_obs);
-  result.fleet.experiment_self_profile = MergedSelfProfile(e_obs);
   result.fleet.control_timeseries = MergedTimeSeries(c_obs);
   result.fleet.experiment_timeseries = MergedTimeSeries(e_obs);
   std::vector<std::string> apps = {"spanner", "monarch", "bigtable",
@@ -106,24 +104,18 @@ AbDelta RunBenchmarkAb(const workload::WorkloadSpec& spec,
                        const tcmalloc::AllocatorConfig& control,
                        const tcmalloc::AllocatorConfig& experiment,
                        uint64_t seed, SimTime duration,
-                       uint64_t max_requests,
-                       uint64_t selfprof_interval) {
+                       uint64_t max_requests) {
   AbDelta delta;
   delta.label = spec.name;
   for (int side = 0; side < 2; ++side) {
     const tcmalloc::AllocatorConfig& cfg = side == 0 ? control : experiment;
-    Machine machine(platform, {spec}, cfg, seed, /*pressure_events=*/{},
-                    /*trace_events_per_process=*/0, /*faults=*/{},
-                    selfprof_interval);
+    Machine machine(platform, {spec}, cfg, seed);
     machine.Run(duration, max_requests);
     WSC_CHECK_EQ(machine.results().size(), 1u);
     Accumulate(side == 0 ? delta.control : delta.experiment,
                machine.results()[0]);
     (side == 0 ? delta.control_telemetry : delta.experiment_telemetry) =
         machine.results()[0].telemetry;
-    (side == 0 ? delta.control_self_profile
-               : delta.experiment_self_profile) =
-        machine.results()[0].self_profile;
   }
   return delta;
 }

@@ -68,11 +68,6 @@ struct AbDelta {
   telemetry::Snapshot control_telemetry;
   telemetry::Snapshot experiment_telemetry;
 
-  // Merged self-profile of each arm (empty unless the fleet config set a
-  // selfprof_interval). Same fill rules as the telemetry snapshots.
-  prof::FoldedProfile control_self_profile;
-  prof::FoldedProfile experiment_self_profile;
-
   // Merged interval series of each arm (empty unless the fleet config set
   // a timeseries_interval). Same fill rules as the telemetry snapshots.
   telemetry::IntervalSeries control_timeseries;
@@ -99,15 +94,13 @@ AbResult RunFleetAb(const FleetConfig& config,
                     uint64_t seed);
 
 // Runs one workload on a dedicated server under both configs (the paper's
-// dedicated-server benchmark experiments). `selfprof_interval` > 0
-// attaches a sampling self-profiler to each arm's process.
+// dedicated-server benchmark experiments).
 AbDelta RunBenchmarkAb(const workload::WorkloadSpec& spec,
                        const hw::PlatformSpec& platform,
                        const tcmalloc::AllocatorConfig& control,
                        const tcmalloc::AllocatorConfig& experiment,
                        uint64_t seed, SimTime duration,
-                       uint64_t max_requests,
-                       uint64_t selfprof_interval = 0);
+                       uint64_t max_requests);
 
 }  // namespace wsc::fleet
 

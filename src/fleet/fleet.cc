@@ -177,8 +177,7 @@ std::vector<FleetObservation> Fleet::RunMachine(
   Machine machine(plan.platform, plan.workloads, allocator_config_,
                   plan.machine_seed, plan.pressure_events,
                   config_.trace_events_per_process, std::move(faults),
-                  config_.selfprof_interval, config_.timeseries_interval,
-                  std::move(deploys));
+                  config_.timeseries_interval, std::move(deploys));
   machine.Run(config_.duration, config_.max_requests_per_process);
   std::vector<FleetObservation> observations;
   observations.reserve(machine.results().size());
@@ -291,15 +290,6 @@ trace::HeapProfile MergedHeapProfile(
   trace::HeapProfile merged;
   for (const FleetObservation& obs : observations) {
     merged.MergeFrom(obs.result.heap_profile);
-  }
-  return merged;
-}
-
-prof::FoldedProfile MergedSelfProfile(
-    const std::vector<FleetObservation>& observations) {
-  prof::FoldedProfile merged;
-  for (const FleetObservation& obs : observations) {
-    merged.MergeFrom(obs.result.self_profile);
   }
   return merged;
 }

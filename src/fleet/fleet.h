@@ -126,14 +126,6 @@ struct FleetConfig {
   // fleet trace is exported via MergedTrace.
   size_t trace_events_per_process = 0;
 
-  // Self-profiler sampling cadence in scope entries (0 = profiling off).
-  // When set, every process samples its own hot-path scope stack once per
-  // this many WSC_PROF_SCOPE entries; folded results land in
-  // ProcessResult::self_profile and merge via MergedSelfProfile. The
-  // cadence is logical (never wall clock), so profiles of a deterministic
-  // run are bit-identical for any --threads value.
-  uint64_t selfprof_interval = 0;
-
   // Telemetry time-series capture cadence on the logical clock (0 = off).
   // When set, every process captures counter/histogram deltas and gauge
   // samples at each boundary into ProcessResult::timeseries; series merge
@@ -170,12 +162,6 @@ std::vector<trace::ProcessTrace> MergedTrace(
 // Fleet-wide heap profile: every observation's profile merged in
 // observation order (bit-identical for any worker-thread count).
 trace::HeapProfile MergedHeapProfile(
-    const std::vector<FleetObservation>& observations);
-
-// Fleet-wide self-profile: every observation's folded profile merged in
-// observation order. Folded counts are commutative, so the merge is
-// bit-identical for any worker-thread count.
-prof::FoldedProfile MergedSelfProfile(
     const std::vector<FleetObservation>& observations);
 
 // Fleet-wide time series: every observation's interval series merged in

@@ -35,12 +35,10 @@ Machine::Machine(const hw::PlatformSpec& platform,
                  const tcmalloc::AllocatorConfig& base_config, uint64_t seed,
                  std::vector<PressureEvent> pressure_events,
                  size_t trace_events_per_process, MachineFaults faults,
-                 uint64_t selfprof_interval, SimTime timeseries_interval,
-                 DeploySchedule deploys)
+                 SimTime timeseries_interval, DeploySchedule deploys)
     : topology_(platform),
       base_config_(base_config),
       trace_capacity_(trace_events_per_process),
-      selfprof_interval_(selfprof_interval),
       timeseries_interval_(timeseries_interval),
       faults_(std::move(faults)),
       deploys_(std::move(deploys)),
@@ -135,10 +133,6 @@ std::unique_ptr<Machine::Process> Machine::MakeProcess(
       (uintptr_t{1} << 44) * (1 + static_cast<uintptr_t>(arena_index));
 
   process->allocator = std::make_unique<tcmalloc::Allocator>(config);
-  if (selfprof_interval_ > 0) {
-    process->profiler =
-        std::make_unique<prof::SelfProfiler>(selfprof_interval_);
-  }
   if (trace_capacity_ > 0) {
     process->recorder = std::make_unique<trace::FlightRecorder>(trace_capacity_);
     process->allocator->SetFlightRecorder(process->recorder.get());
@@ -242,14 +236,7 @@ void Machine::Run(SimTime duration, uint64_t max_requests) {
       any_active = true;
       continue;
     }
-    {
-      // The worker thread samples into whichever process it is currently
-      // simulating; the install is scoped to the Step so co-located
-      // processes never share a tick counter.
-      prof::ScopedInstall install(lowest->profiler.get());
-      WSC_PROF_SCOPE("machine/ProcessLoop");
-      lowest->driver->Step();
-    }
+    lowest->driver->Step();
     if (lowest->driver->now() >= next_sample[lowest_idx]) {
       SampleFootprint(*lowest);
       next_sample[lowest_idx] = lowest->driver->now() + kSamplePeriod;
@@ -352,7 +339,6 @@ ProcessResult Machine::FinalizeResult(Process& p) const {
     *p.series = telemetry::IntervalSeries();
   }
   if (p.recorder != nullptr) r.trace = p.recorder->Drain();
-  if (p.profiler != nullptr) r.self_profile = p.profiler->Folded();
   r.heap_profile = p.allocator->CollectHeapProfile();
   r.ghz = topology_.spec().ghz;
   return r;
@@ -377,13 +363,7 @@ void Machine::OomKillAndRestart(std::vector<SimTime>& next_sample) {
   // Process death: drain frees every live object at once, and the dying
   // instance's metrics become its kill report.
   SampleFootprint(p);
-  {
-    // Death drain is simulated work too: profile it against the dying
-    // process (deterministic — the kill point is planned, not raced).
-    prof::ScopedInstall install(p.profiler.get());
-    WSC_PROF_SCOPE("machine/OomDrain");
-    p.driver->Drain();
-  }
+  p.driver->Drain();
   ProcessResult killed = FinalizeResult(p);
   killed.oom_killed = true;
   killed_results_.push_back(std::move(killed));
@@ -415,11 +395,7 @@ void Machine::DeployRestartAll(std::vector<SimTime>& next_sample,
     // Graceful shutdown: the outgoing instance drains (frees everything,
     // flushes samplers) and its metrics become its retirement report.
     SampleFootprint(p);
-    {
-      prof::ScopedInstall install(p.profiler.get());
-      WSC_PROF_SCOPE("machine/DeployDrain");
-      p.driver->Drain();
-    }
+    p.driver->Drain();
     ProcessResult retired = FinalizeResult(p);
     retired.deploy_restarted = true;
     killed_results_.push_back(std::move(retired));

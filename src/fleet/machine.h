@@ -19,7 +19,6 @@
 #include "hw/llc_model.h"
 #include "hw/tlb.h"
 #include "hw/topology.h"
-#include "profiler/self_profiler.h"
 #include "tcmalloc/allocator.h"
 #include "tcmalloc/fault_injection.h"
 #include "telemetry/registry.h"
@@ -111,10 +110,6 @@ struct ProcessResult {
   // as `telemetry`. Merged machine-index ordered like telemetry.
   trace::TraceBuffer trace;
   trace::HeapProfile heap_profile;
-  // Folded self-profile of the process's own hot paths (empty unless the
-  // machine ran with selfprof_interval > 0). Counts merge commutatively,
-  // so MergedSelfProfile is bit-identical for any worker-thread count.
-  prof::FoldedProfile self_profile;
   // Interval time series of this process's telemetry (empty unless the
   // machine ran with timeseries_interval > 0): counter/histogram deltas
   // and gauge samples at logical interval boundaries, plus footprint and
@@ -138,18 +133,15 @@ class Machine {
  public:
   // `trace_events_per_process` > 0 attaches a flight recorder of that
   // capacity to every process's allocator; the drained ring lands in
-  // ProcessResult::trace. `selfprof_interval` > 0 attaches a sampling
-  // self-profiler to every process (one sample per that many scope
-  // entries); the folded result lands in ProcessResult::self_profile.
-  // `timeseries_interval` > 0 captures every process's telemetry deltas at
-  // that logical-clock cadence into ProcessResult::timeseries.
+  // ProcessResult::trace. `timeseries_interval` > 0 captures every
+  // process's telemetry deltas at that logical-clock cadence into
+  // ProcessResult::timeseries.
   Machine(const hw::PlatformSpec& platform,
           std::vector<workload::WorkloadSpec> workloads,
           const tcmalloc::AllocatorConfig& base_config, uint64_t seed,
           std::vector<PressureEvent> pressure_events = {},
           size_t trace_events_per_process = 0, MachineFaults faults = {},
-          uint64_t selfprof_interval = 0, SimTime timeseries_interval = 0,
-          DeploySchedule deploys = {});
+          SimTime timeseries_interval = 0, DeploySchedule deploys = {});
 
   // Runs every process until its local clock reaches `duration` or it has
   // executed `max_requests` requests, whichever comes first, then drains.
@@ -189,11 +181,6 @@ class Machine {
     // allocator that consults it.
     std::unique_ptr<trace::FlightRecorder> recorder;  // null: tracing off
     std::unique_ptr<tcmalloc::FaultInjector> injector;  // null: no faults
-    // Sampling self-profiler for this process's hot paths (null: profiling
-    // off). Installed into tls_profiler only around this process's Step()
-    // calls, so its tick counter is process-local and the profile is
-    // bit-identical for any worker-thread count.
-    std::unique_ptr<prof::SelfProfiler> profiler;
     std::unique_ptr<tcmalloc::Allocator> allocator;
     std::unique_ptr<hw::TlbSimulator> tlb;
     std::unique_ptr<hw::LlcModel> llc;
@@ -260,7 +247,6 @@ class Machine {
   hw::CpuTopology topology_;
   tcmalloc::AllocatorConfig base_config_;
   size_t trace_capacity_ = 0;
-  uint64_t selfprof_interval_ = 0;
   SimTime timeseries_interval_ = 0;
   MachineFaults faults_;
   DeploySchedule deploys_;

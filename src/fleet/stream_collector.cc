@@ -13,7 +13,6 @@ void StreamCollector::Collect(
     const ProcessResult& r = obs.result;
     telemetry_.MergeFrom(r.telemetry);
     timeseries_.MergeFrom(r.timeseries);
-    self_profile_.MergeFrom(r.self_profile);
     ++processes_;
     if (r.oom_killed) ++oom_kills_;
     if (r.deploy_restarted) ++deploy_restarts_;

@@ -22,7 +22,6 @@
 #include <cstdint>
 
 #include "fleet/fleet.h"
-#include "profiler/self_profiler.h"
 #include "telemetry/registry.h"
 #include "telemetry/timeseries.h"
 
@@ -41,10 +40,6 @@ class StreamCollector {
   // GWP-style aggregates.
   const telemetry::Snapshot& telemetry() const { return telemetry_; }
   const telemetry::IntervalSeries& timeseries() const { return timeseries_; }
-  // Folded self-profile across every process (empty unless the fleet ran
-  // with selfprof_interval > 0). Counts merge commutatively, so this
-  // equals MergedSelfProfile over the buffered observations.
-  const prof::FoldedProfile& self_profile() const { return self_profile_; }
 
   // Scalar fleet totals.
   int machines() const { return machines_; }
@@ -69,7 +64,6 @@ class StreamCollector {
  private:
   telemetry::Snapshot telemetry_;
   telemetry::IntervalSeries timeseries_;
-  prof::FoldedProfile self_profile_;
   int machines_ = 0;
   int processes_ = 0;
   int oom_kills_ = 0;

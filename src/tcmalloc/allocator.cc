@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/logging.h"
-#include "profiler/self_profiler.h"
 
 namespace wsc::tcmalloc {
 
@@ -154,7 +153,6 @@ double Allocator::MmapNsTotal() const {
 
 uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
                               uint64_t callsite) {
-  WSC_PROF_SCOPE("allocator/Allocate");
   WSC_CHECK_GT(size, 0u);
   if (trace_) trace_->set_now(now);
   if (!reclaimer_->AdmitAllocation(size)) {
@@ -271,7 +269,6 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
 }
 
 uintptr_t Allocator::SlowPathAllocate(int cls, int vcpu, int node) {
-  WSC_PROF_SCOPE("allocator/SlowPathAllocate");
   NodeBackend& backend = *nodes_[node];
   int domain = vcpu_domain_[vcpu];
   int batch = size_classes_->batch_size(cls);
@@ -356,7 +353,6 @@ uintptr_t Allocator::SlowPathAllocate(int cls, int vcpu, int node) {
 
 void Allocator::Free(uintptr_t addr, int vcpu, SimTime now,
                      uint64_t callsite) {
-  WSC_PROF_SCOPE("allocator/Free");
   if (trace_) trace_->set_now(now);
   if (sampler_.guarded()) {
     Sampler::Tombstone tomb;
@@ -476,7 +472,6 @@ bool Allocator::ProbeAccess(uintptr_t addr, size_t offset, int vcpu,
 }
 
 void Allocator::SlowPathFree(int cls, int vcpu, uintptr_t obj) {
-  WSC_PROF_SCOPE("allocator/SlowPathFree");
   // The cache is full: push a batch down to make room, then retry. Each
   // extracted object routes to the transfer cache of its owning node.
   int domain = vcpu_domain_[vcpu];
@@ -516,7 +511,6 @@ void Allocator::ReturnToCfl(int cls, const uintptr_t* objs, int n) {
 }
 
 void Allocator::Maintain(SimTime now) {
-  WSC_PROF_SCOPE("allocator/Maintain");
   if (trace_) trace_->set_now(now);
   if (now - last_resize_ >= config_.cpu_cache_resize_interval) {
     last_resize_ = now;

@@ -3,7 +3,6 @@
 #include <bit>
 
 #include "common/logging.h"
-#include "profiler/self_profiler.h"
 
 namespace wsc::tcmalloc {
 
@@ -61,7 +60,6 @@ void CentralFreeList::Relist(Span* span) {
 }
 
 int CentralFreeList::RemoveRange(uintptr_t* out, int n) {
-  WSC_PROF_SCOPE("cfl/RemoveRange");
   int produced = 0;
   while (produced < n) {
     // Allocate from the most-occupied spans first (lowest list index). In
@@ -107,7 +105,6 @@ int CentralFreeList::RemoveRange(uintptr_t* out, int n) {
 }
 
 void CentralFreeList::InsertObject(Span* span, uintptr_t obj) {
-  WSC_PROF_SCOPE("cfl/InsertObject");
   WSC_CHECK(span != nullptr);
   WSC_CHECK_EQ(span->size_class(), cls_);
   span->FreeObject(obj);

@@ -1,7 +1,6 @@
 #include "tcmalloc/huge_cache.h"
 
 #include "common/logging.h"
-#include "profiler/self_profiler.h"
 
 namespace wsc::tcmalloc {
 
@@ -11,7 +10,6 @@ HugeCache::HugeCache(SystemAllocator* system, size_t max_cached)
 }
 
 HugePageId HugeCache::Allocate(int n) {
-  WSC_PROF_SCOPE("huge_cache/Allocate");
   WSC_CHECK_GT(n, 0);
   // Best-fit over cached runs.
   auto best = free_runs_.end();
@@ -64,7 +62,6 @@ HugePageId HugeCache::Allocate(int n) {
 }
 
 void HugeCache::Release(HugePageId hp, int n, bool intact) {
-  WSC_PROF_SCOPE("huge_cache/Release");
   WSC_CHECK_GT(n, 0);
   WSC_CHECK_GE(stats_.in_use_hugepages, static_cast<size_t>(n));
   stats_.in_use_hugepages -= n;
@@ -128,7 +125,6 @@ size_t HugeCache::MarkReleased(size_t count) {
 }
 
 size_t HugeCache::ReleaseExcess(size_t limit) {
-  WSC_PROF_SCOPE("huge_cache/ReleaseExcess");
   if (stats_.cached_hugepages <= limit) return 0;
   return MarkReleased(stats_.cached_hugepages - limit);
 }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "profiler/self_profiler.h"
 
 namespace wsc::tcmalloc {
 
@@ -149,7 +148,6 @@ PageTracker* HugePageFiller::PickTracker(int set, Length n) {
 }
 
 PageId HugePageFiller::Allocate(Length n, int span_capacity) {
-  WSC_PROF_SCOPE("filler/Allocate");
   WSC_CHECK_GT(n, 0u);
   WSC_CHECK_LT(n, kPagesPerHugePage);
   int set = 0;
@@ -213,7 +211,6 @@ PageId HugePageFiller::Allocate(Length n, int span_capacity) {
 }
 
 void HugePageFiller::Free(PageId page, Length n) {
-  WSC_PROF_SCOPE("filler/Free");
   HugePageId hp = HugePageContaining(page);
   PageTracker* t = FindTracker(hp);
   WSC_CHECK(t != nullptr);
@@ -301,7 +298,6 @@ Length HugePageFiller::SubreleaseExcess(double target_fraction,
 }
 
 Length HugePageFiller::SubreleaseUpTo(Length need) {
-  WSC_PROF_SCOPE("filler/SubreleaseUpTo");
   return ReleaseSparsest(need);
 }
 

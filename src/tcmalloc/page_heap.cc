@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "profiler/self_profiler.h"
 
 namespace wsc::tcmalloc {
 
@@ -70,7 +69,6 @@ Span* PageHeap::RegisterSpan(Span* span) {
 }
 
 Span* PageHeap::NewSpan(int cls) {
-  WSC_PROF_SCOPE("page_heap/NewSpan");
   const SizeClassInfo& info = size_classes_->info(cls);
   WSC_CHECK_LT(info.pages_per_span, kPagesPerHugePage);
   PageId first = filler_.Allocate(info.pages_per_span, info.objects_per_span);
@@ -85,7 +83,6 @@ Span* PageHeap::NewSpan(int cls) {
 }
 
 void PageHeap::ReturnSpan(Span* span) {
-  WSC_PROF_SCOPE("page_heap/ReturnSpan");
   WSC_CHECK(!span->is_large());
   WSC_CHECK(span->empty());
   if (trace_) {
@@ -99,7 +96,6 @@ void PageHeap::ReturnSpan(Span* span) {
 }
 
 Span* PageHeap::NewLargeSpan(Length pages) {
-  WSC_PROF_SCOPE("page_heap/NewLargeSpan");
   WSC_CHECK_GT(pages, 0u);
   LargeAlloc record;
   PageId first = kInvalidPageId;
@@ -177,7 +173,6 @@ Span* PageHeap::NewLargeSpan(Length pages) {
 }
 
 void PageHeap::FreeLargeSpan(Span* span) {
-  WSC_PROF_SCOPE("page_heap/FreeLargeSpan");
   WSC_CHECK(span->is_large());
   if (trace_) {
     trace_->Emit(trace::EventType::kPageHeapSpanFree, -1, -1, -1, -1,
@@ -218,7 +213,6 @@ void PageHeap::FreeLargeSpan(Span* span) {
 }
 
 void PageHeap::BackgroundRelease() {
-  WSC_PROF_SCOPE("page_heap/BackgroundRelease");
   // Track recent peak demand so transient troughs do not trigger
   // subrelease (free pages will be needed again when load returns).
   constexpr size_t kDemandWindow = 3;  // release intervals; production keeps
@@ -232,7 +226,6 @@ void PageHeap::BackgroundRelease() {
 }
 
 size_t PageHeap::ReleaseForPressure(size_t target_bytes) {
-  WSC_PROF_SCOPE("page_heap/ReleaseForPressure");
   size_t released = 0;
   if (target_bytes == 0) return 0;
   HugeCacheStats c = cache_.stats();

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "profiler/self_profiler.h"
 
 namespace wsc::tcmalloc {
 
@@ -21,7 +20,6 @@ CpuCacheSet::CpuCacheSet(const SizeClasses* size_classes,
 }
 
 int CpuCacheSet::Refill(int vcpu, int cls, const uintptr_t* objs, int n) {
-  WSC_PROF_SCOPE("cpu_cache/Refill");
   VcpuCache& cache = Touch(vcpu);
   size_t size = size_classes_->class_size(cls);
   int max_objects = size_classes_->info(cls).max_per_cpu_objects;
@@ -45,7 +43,6 @@ int CpuCacheSet::Refill(int vcpu, int cls, const uintptr_t* objs, int n) {
 }
 
 int CpuCacheSet::ExtractBatch(int vcpu, int cls, uintptr_t* out, int n) {
-  WSC_PROF_SCOPE("cpu_cache/ExtractBatch");
   VcpuCache& cache = Touch(vcpu);
   std::vector<uintptr_t>& list = cache.objects[cls];
   int extracted = 0;

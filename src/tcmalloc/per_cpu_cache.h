@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "profiler/self_profiler.h"
 #include "tcmalloc/config.h"
 #include "tcmalloc/size_classes.h"
 #include "telemetry/registry.h"
@@ -32,9 +31,8 @@ class CpuCacheSet {
 
   // Fast-path allocation: pops an object of class `cls` from vCPU `vcpu`'s
   // cache. Returns 0 on miss (0 is never a valid arena address). Defined
-  // inline below: the self-profiler's fig03 profile puts the cache pop/push
-  // pair at ~33% self-share of simulated work, and the out-of-line call
-  // frame was a measurable slice of that.
+  // inline below: the pop/push pair runs on every simulated allocation and
+  // free, and an out-of-line call frame was a measurable slice of its cost.
   uintptr_t Allocate(int vcpu, int cls);
 
   // Fast-path deallocation. Returns false on overflow (cache at capacity);
@@ -179,7 +177,6 @@ inline CpuCacheSet::VcpuCache& CpuCacheSet::Touch(int vcpu) {
 }
 
 inline uintptr_t CpuCacheSet::Allocate(int vcpu, int cls) {
-  WSC_PROF_SCOPE("cpu_cache/Pop");
   VcpuCache& cache = Touch(vcpu);
   ++cache.interval_ops;
   std::vector<uintptr_t>& list = cache.objects[cls];
@@ -196,7 +193,6 @@ inline uintptr_t CpuCacheSet::Allocate(int vcpu, int cls) {
 }
 
 inline bool CpuCacheSet::Deallocate(int vcpu, int cls, uintptr_t obj) {
-  WSC_PROF_SCOPE("cpu_cache/Push");
   VcpuCache& cache = Touch(vcpu);
   ++cache.interval_ops;
   // One SizeClassInfo load serves both the byte and object-count bounds

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "profiler/self_profiler.h"
 
 namespace wsc::tcmalloc {
 
@@ -43,7 +42,6 @@ int TransferCache::InsertInto(ClassCache& cache, const uintptr_t* objs,
 }
 
 int TransferCache::Remove(int domain, int cls, uintptr_t* out, int n) {
-  WSC_PROF_SCOPE("transfer_cache/Remove");
   WSC_DCHECK_GE(n, 0);
   int taken = 0;
   if (nuca_) {
@@ -69,7 +67,6 @@ int TransferCache::Remove(int domain, int cls, uintptr_t* out, int n) {
 }
 
 int TransferCache::Insert(int domain, int cls, const uintptr_t* objs, int n) {
-  WSC_PROF_SCOPE("transfer_cache/Insert");
   int accepted = 0;
   if (nuca_) {
     WSC_CHECK_GE(domain, 0);
@@ -103,7 +100,6 @@ int TransferCache::Insert(int domain, int cls, const uintptr_t* objs, int n) {
 }
 
 void TransferCache::Plunder() {
-  WSC_PROF_SCOPE("transfer_cache/Plunder");
   if (!nuca_) return;
   for (size_t domain = 0; domain < shards_.size(); ++domain) {
     auto& shard = shards_[domain];

@@ -5,7 +5,6 @@
 #include <string>
 
 #include "common/logging.h"
-#include "profiler/self_profiler.h"
 #include "trace/heap_profile.h"
 
 namespace wsc::workload {
@@ -130,7 +129,6 @@ void Driver::UpdateThreads() {
 }
 
 double Driver::Touch(uintptr_t addr, size_t object_size, int lines, int cpu) {
-  WSC_PROF_SCOPE("driver/Touch");
   double stall_ns = 0.0;
   size_t max_lines = object_size / 64 + 1;
   lines = static_cast<int>(std::min<size_t>(lines, max_lines));
@@ -154,7 +152,6 @@ double Driver::Touch(uintptr_t addr, size_t object_size, int lines, int cpu) {
 }
 
 double Driver::FreeDead(int vcpu) {
-  WSC_PROF_SCOPE("driver/FreeDead");
   double ns = 0.0;
   SimTime now = clock_.now();
   while (!live_.empty() && live_.top().death <= now) {
@@ -189,7 +186,6 @@ double Driver::FreeEpochObjects(std::vector<EpochObject>& objects, int vcpu) {
 }
 
 double Driver::CloseEpoch(int vcpu) {
-  WSC_PROF_SCOPE("driver/CloseEpoch");
   double ns = 0.0;
   // Retire closed buckets whose lag has expired.
   size_t kept = 0;
@@ -221,7 +217,6 @@ double Driver::CloseEpoch(int vcpu) {
 }
 
 double Driver::Step() {
-  WSC_PROF_SCOPE("driver/Step");
   UpdateLoadMultiplier();
   if (load_multiplier_ <= 0.0) {
     // Idled by the scenario (e.g. a zero-load antagonist): no requests,

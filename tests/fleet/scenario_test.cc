@@ -303,8 +303,7 @@ TEST(DeployWave, HundredRestartsKeepArenaSlotTableBounded) {
   Machine machine(hw::PlatformSpecFor(hw::PlatformGeneration::kGenC),
                   {spec, spec}, config, 9, /*pressure_events=*/{},
                   /*trace_events_per_process=*/0, /*faults=*/{},
-                  /*selfprof_interval=*/0, /*timeseries_interval=*/0,
-                  deploys);
+                  /*timeseries_interval=*/0, deploys);
   machine.Run(Milliseconds(2 * (kRestarts + 2)), /*max_requests=*/1 << 30);
 
   // Bounded: two workloads -> two slots ever created, period.

@@ -26,7 +26,6 @@ FleetConfig StreamFleet(int machines = 6) {
   config.duration = Milliseconds(1500);
   config.max_requests_per_process = 2000;
   config.timeseries_interval = Milliseconds(500);
-  config.selfprof_interval = 512;
   return config;
 }
 
@@ -74,12 +73,6 @@ TEST(StreamCollector, StreamingEqualsBufferedMerge) {
   telemetry::IntervalSeries merged =
       MergedTimeSeries(buffered.observations());
   EXPECT_EQ(collector.timeseries().intervals(), merged.intervals());
-
-  // The streamed self-profile equals the buffered fold (rendered form:
-  // FoldedProfile has no operator==, but the render is canonical).
-  EXPECT_FALSE(collector.self_profile().empty());
-  EXPECT_EQ(prof::RenderFolded(collector.self_profile()),
-            prof::RenderFolded(MergedSelfProfile(buffered.observations())));
 }
 
 TEST(StreamCollector, ThreadCountDoesNotChangeAggregates) {

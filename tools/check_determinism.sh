@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
 # Deterministic-mode bit-identity guard.
 #
-# The simulated execution mode is this repo's oracle: for a pinned fleet
-# shape its BENCH_JSON output must be byte-identical for ANY --threads
-# value (machine-level parallelism only changes wall clock, never
-# results). The real-threads mode (tcmalloc/real_threads.h) must not
-# perturb it, so CI runs fig03 and fig_pressure_reclaim at --threads=1
-# and --threads=8 and compares their BENCH_JSON streams after masking the
-# only legitimately thread-dependent fields: the echoed "threads" count
-# and the wall-clock-derived wall_seconds / sim_requests_per_sec.
+# The simulator is this repo's oracle: for a pinned fleet shape its output
+# must be byte-identical for ANY --threads value (machine-level
+# parallelism only changes wall clock, never results). This script runs
+# fig03_fleet_cdf, fig_pressure_reclaim, fig_fleet_timeseries and
+# fig_scenarios at --threads=1 and --threads=8 and compares, per bench:
+#   - the BENCH_JSON stream, after masking the only legitimately
+#     thread-dependent fields: the echoed "threads" count, the
+#     wall-clock-derived wall_seconds / sim_requests_per_sec, and the host
+#     bookkeeping listed at normalize() below;
+#   - the --timeseries NDJSON sidecar, unmasked.
 #
 #   cmake -B build -S . && cmake --build build -j
 #   tools/check_determinism.sh build
@@ -47,24 +49,11 @@ for name in fig03_fleet_cdf fig_pressure_reclaim fig_fleet_timeseries \
   fi
   o1="$TMPDIR_DET/$name.t1.out"
   o8="$TMPDIR_DET/$name.t8.out"
-  p1="$TMPDIR_DET/$name.t1.folded"
-  p8="$TMPDIR_DET/$name.t8.folded"
   ts1="$TMPDIR_DET/$name.t1.timeseries.ndjson"
   ts8="$TMPDIR_DET/$name.t8.timeseries.ndjson"
-  if ! "$bench" $FLAGS --threads=1 --selfprof="$p1" \
-         --timeseries="$ts1" >"$o1" 2>&1 ||
-     ! "$bench" $FLAGS --threads=8 --selfprof="$p8" \
-         --timeseries="$ts8" >"$o8" 2>&1; then
+  if ! "$bench" $FLAGS --threads=1 --timeseries="$ts1" >"$o1" 2>&1 ||
+     ! "$bench" $FLAGS --threads=8 --timeseries="$ts8" >"$o8" 2>&1; then
     echo "check_determinism: $name exited non-zero" >&2
-    failures=$((failures + 1))
-    continue
-  fi
-  # The self-profiler samples on a logical cadence (per-process scope
-  # entries, never wall clock), so its folded output is part of the
-  # oracle too: byte-identical for any --threads, no masking needed.
-  if ! cmp -s "$p1" "$p8"; then
-    echo "check_determinism: $name --selfprof output differs between" \
-         "--threads=1 and --threads=8" >&2
     failures=$((failures + 1))
     continue
   fi

@@ -2,10 +2,10 @@
 # Tools lint: every tools/*.py must at least byte-compile, and the tools
 # that carry a standalone --self-test must pass it.
 #
-# The perf gate, the flamediff gate, and the JSON validators are all
-# Python: a syntax error in one of them would otherwise surface as a
-# mysterious red CI job long after the commit that broke it. This script
-# is the cheap tripwire — no build needed, runs in seconds.
+# The perf gate and the JSON validators are all Python: a syntax error
+# in one of them would otherwise surface as a mysterious red CI job long
+# after the commit that broke it. This script is the cheap tripwire — no
+# build needed, runs in seconds.
 #
 #   tools/check_tools.sh
 #
@@ -28,8 +28,7 @@ done
 # Standalone self-tests (tools whose --self-test needs no input files;
 # check_bench_regression.py's self-test needs bench output and runs in
 # the perf-gate job instead).
-for tool in flamegraph.py flamediff.py check_preload_conservation.py \
-            check_openmetrics.py; do
+for tool in check_preload_conservation.py check_openmetrics.py; do
   if python3 "$ROOT/tools/$tool" --self-test; then
     echo "check_tools: self-test OK: tools/$tool"
   else

@@ -1,15 +1,11 @@
 #include "fleet/fleet.h"
 
 #include <algorithm>
-#include <condition_variable>
-#include <map>
-#include <mutex>
 
 #include "common/distribution.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "fleet/parallel.h"
-#include "fleet/stream_collector.h"
 
 namespace wsc::fleet {
 
@@ -136,30 +132,6 @@ std::vector<Fleet::MachinePlan> Fleet::PlanMachines() const {
         plan.restart_seed = rng.Fork();
       }
     }
-
-    // The traffic scenario plans last, under the same discipline: strictly
-    // after the machine-seed fork, drawing only when enabled — so the
-    // scenario-free composition (and the pressure/fault streams above) are
-    // identical whether or not a scenario is on.
-    if (config_.scenario.enabled) {
-      MachineScenario scenario = PlanMachineScenario(
-          config_.scenario, m, config_.num_machines, config_.duration, rng);
-      if (!scenario.load_phases.empty()) {
-        for (workload::WorkloadSpec& w : plan.workloads) {
-          w.load_phases = scenario.load_phases;
-        }
-      }
-      plan.deploy_restarts = scenario.deploy_restarts;
-      plan.deploy_restart_seed = scenario.deploy_restart_seed;
-      if (scenario.antagonist) {
-        // Appended after every victim: the machine partitions CPUs, forks
-        // seeds, and assigns arena slots for primaries first, so victim
-        // results are bit-identical with or without the antagonist.
-        plan.workloads.push_back(AntagonistWorkload(scenario.antagonist_load,
-                                                    config_.duration));
-        plan.ranks.push_back(kAntagonistRank);
-      }
-    }
     plans.push_back(std::move(plan));
   }
   return plans;
@@ -171,13 +143,10 @@ std::vector<FleetObservation> Fleet::RunMachine(
   faults.fault_plans = plan.fault_plans;
   faults.oom_kill_time = plan.oom_kill_time;
   faults.restart_seed = plan.restart_seed;
-  DeploySchedule deploys;
-  deploys.restart_times = plan.deploy_restarts;
-  deploys.restart_seed = plan.deploy_restart_seed;
   Machine machine(plan.platform, plan.workloads, allocator_config_,
                   plan.machine_seed, plan.pressure_events,
                   config_.trace_events_per_process, std::move(faults),
-                  config_.timeseries_interval, std::move(deploys));
+                  config_.timeseries_interval);
   machine.Run(config_.duration, config_.max_requests_per_process);
   std::vector<FleetObservation> observations;
   observations.reserve(machine.results().size());
@@ -215,55 +184,6 @@ void Fleet::Run(int num_threads) {
       observations_.push_back(std::move(obs));
     }
   }
-}
-
-void Fleet::RunStreaming(StreamCollector& collector) {
-  RunStreaming(collector, ResolveThreadCount(config_.num_threads));
-}
-
-void Fleet::RunStreaming(StreamCollector& collector, int num_threads,
-                         int window) {
-  observations_.clear();
-  std::vector<MachinePlan> plans = PlanMachines();
-  if (window <= 0) window = std::max(2 * num_threads, 2);
-
-  // Reorder buffer: machines complete out of order, the fold cursor
-  // consumes them in index order. ParallelFor hands out indices in order,
-  // and a worker whose index is `window` past the fold cursor waits before
-  // running its machine, so `pending` never exceeds `window` entries — the
-  // machine the cursor is waiting on is always being run by a worker that
-  // did not wait, so the fold always advances.
-  std::mutex mu;
-  std::condition_variable cv;
-  std::map<int, std::vector<FleetObservation>> pending;
-  int next_to_fold = 0;
-  size_t peak_pending = 0;
-
-  ParallelFor(static_cast<int>(plans.size()), num_threads, [&](int m) {
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return m < next_to_fold + window; });
-    }
-    std::vector<FleetObservation> machine_obs =
-        RunMachine(m, plans[static_cast<size_t>(m)]);
-    std::unique_lock<std::mutex> lock(mu);
-    pending.emplace(m, std::move(machine_obs));
-    peak_pending = std::max(peak_pending, pending.size());
-    bool advanced = false;
-    while (!pending.empty() && pending.begin()->first == next_to_fold) {
-      // Folding under the lock serializes Collect — the fold is cheap
-      // relative to a machine run, and the order is what buys bit-exact
-      // equality with the buffered path.
-      collector.Collect(next_to_fold, pending.begin()->second);
-      pending.erase(pending.begin());
-      ++next_to_fold;
-      advanced = true;
-    }
-    if (advanced) cv.notify_all();
-  });
-  WSC_CHECK(pending.empty());
-  collector.set_peak_pending(
-      std::max(collector.peak_pending(), peak_pending));
 }
 
 telemetry::Snapshot MergedTelemetry(

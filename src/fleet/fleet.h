@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "fleet/machine.h"
-#include "fleet/scenario.h"
 #include "hw/topology.h"
 #include "tcmalloc/config.h"
 #include "tcmalloc/fault_injection.h"
@@ -23,10 +22,8 @@
 
 namespace wsc::fleet {
 
-class StreamCollector;
-
-// Fleet-wide memory-pressure injection (ISSUE: diurnal trough + random
-// spikes). Events are planned per machine in PlanMachines — sampled
+// Fleet-wide memory-pressure injection: a diurnal trough plus random
+// spikes. Events are planned per machine in PlanMachines — sampled
 // seed-ordered after the machine seed fork, so enabling pressure never
 // perturbs machine composition — and retarget each process's soft limit
 // as a fraction of its observed peak footprint (see fleet::PressureEvent).
@@ -115,12 +112,6 @@ struct FleetConfig {
   // Deterministic fault injection (off by default).
   FaultConfig faults;
 
-  // Traffic scenario (off by default): diurnal curves, flash crowds,
-  // deploy waves, antagonist co-location (fleet::ScenarioConfig). Planned
-  // per machine after the machine-seed fork, exactly like pressure and
-  // faults, so enabling a scenario never perturbs machine composition.
-  ScenarioConfig scenario;
-
   // Flight-recorder ring capacity per process (0 = tracing off). When set,
   // every process's drained ring lands in its ProcessResult::trace and the
   // fleet trace is exported via MergedTrace.
@@ -129,14 +120,10 @@ struct FleetConfig {
   // Telemetry time-series capture cadence on the logical clock (0 = off).
   // When set, every process captures counter/histogram deltas and gauge
   // samples at each boundary into ProcessResult::timeseries; series merge
-  // via MergedTimeSeries / StreamCollector, aligned by interval index, so
-  // the fleet series is bit-identical for any --threads value.
+  // via MergedTimeSeries, aligned by interval index, so the fleet series
+  // is bit-identical for any --threads value.
   SimTime timeseries_interval = 0;
 };
-
-// Binary rank assigned to scenario antagonists: they are fleet furniture,
-// not sampled binaries, and per-rank reports should skip them.
-inline constexpr int kAntagonistRank = -1;
 
 // One process observation, tagged with provenance.
 struct FleetObservation {
@@ -198,13 +185,6 @@ class Fleet {
     std::vector<tcmalloc::FaultPlan> fault_plans;
     SimTime oom_kill_time = 0;  // 0 = no kill planned
     uint64_t restart_seed = 0;
-    // Scenario slice (empty/zero unless config.scenario is enabled),
-    // planned last, after pressure and faults. Load phases are stamped
-    // directly onto `workloads`; an antagonist, when present, is appended
-    // to `workloads` with rank kAntagonistRank so victims keep their CPU
-    // masks, seeds, and arena slots.
-    std::vector<SimTime> deploy_restarts;
-    uint64_t deploy_restart_seed = 0;
   };
 
   // The deterministic composition of every machine (exposed for tests).
@@ -218,19 +198,6 @@ class Fleet {
   // thread budget.
   void Run();
   void Run(int num_threads);
-
-  // Streaming variant for warehouse scale: machines still execute
-  // concurrently, but observations are folded into `collector` in strict
-  // machine-index order as machines complete and then discarded — memory
-  // stays O(metrics × intervals) instead of O(machines). Workers that run
-  // more than `window` machines ahead of the fold cursor wait (window = 2×
-  // worker count when 0), which bounds the reorder buffer without ever
-  // blocking the machine the fold is waiting on. The fold order equals the
-  // buffered Run()'s merge order, so every aggregate is bit-identical to
-  // Run() + Merged* for any thread count. observations() is left empty.
-  void RunStreaming(StreamCollector& collector);
-  void RunStreaming(StreamCollector& collector, int num_threads,
-                    int window = 0);
 
   const std::vector<FleetObservation>& observations() const {
     return observations_;

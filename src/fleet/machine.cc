@@ -35,85 +35,43 @@ Machine::Machine(const hw::PlatformSpec& platform,
                  const tcmalloc::AllocatorConfig& base_config, uint64_t seed,
                  std::vector<PressureEvent> pressure_events,
                  size_t trace_events_per_process, MachineFaults faults,
-                 SimTime timeseries_interval, DeploySchedule deploys)
+                 SimTime timeseries_interval)
     : topology_(platform),
       base_config_(base_config),
       trace_capacity_(trace_events_per_process),
       timeseries_interval_(timeseries_interval),
       faults_(std::move(faults)),
-      deploys_(std::move(deploys)),
       pressure_events_(std::move(pressure_events)) {
   WSC_CHECK(!workloads.empty());
   Rng rng(seed);
 
   // Partition the machine's logical CPUs into contiguous blocks, one per
-  // co-located *primary* process (the control-plane CPU mask). Scenario
-  // antagonists (spec.antagonist, always appended after the primaries) do
-  // not participate in the partition: a noisy neighbor spans the whole
-  // machine, and its presence must leave every victim's CPU mask, seeds,
-  // and arena slot exactly as they were without it.
+  // co-located process (the control-plane CPU mask).
   int total_cpus = topology_.num_cpus();
   int n = static_cast<int>(workloads.size());
-  int n_primary = 0;
-  for (const workload::WorkloadSpec& w : workloads) {
-    if (!w.antagonist) ++n_primary;
-  }
-  WSC_CHECK_GT(n_primary, 0);
-  int per_process = std::max(1, total_cpus / n_primary);
-  next_arena_index_ = n;  // restarts recycle slots from the free pool
-
-  int primary_ordinal = 0;
+  int per_process = std::max(1, total_cpus / n);
   for (int i = 0; i < n; ++i) {
-    const workload::WorkloadSpec& spec = workloads[static_cast<size_t>(i)];
     std::vector<int> cpus;
-    if (spec.antagonist) {
-      cpus.resize(static_cast<size_t>(total_cpus));
-      for (int c = 0; c < total_cpus; ++c) cpus[static_cast<size_t>(c)] = c;
-    } else {
-      int first = (primary_ordinal * per_process) % total_cpus;
-      for (int c = 0; c < per_process; ++c) {
-        cpus.push_back((first + c) % total_cpus);
-      }
-      ++primary_ordinal;
+    int first = (i * per_process) % total_cpus;
+    for (int c = 0; c < per_process; ++c) {
+      cpus.push_back((first + c) % total_cpus);
     }
     // Seeds fork in the same order as before faults existed (LLC first,
     // then driver), keeping fault-free machines bit-identical to history.
     uint64_t llc_seed = rng.Fork();
     uint64_t driver_seed = rng.Fork();
-    processes_.push_back(MakeProcess(i, spec, std::move(cpus), llc_seed,
-                                     driver_seed, /*arena_index=*/i));
+    processes_.push_back(MakeProcess(i, workloads[static_cast<size_t>(i)],
+                                     std::move(cpus), llc_seed, driver_seed));
   }
-}
-
-int Machine::AcquireArenaSlot() {
-  if (!free_arena_slots_.empty()) {
-    int slot = free_arena_slots_.back();
-    free_arena_slots_.pop_back();
-    return slot;
-  }
-  return next_arena_index_++;
-}
-
-void Machine::ReleaseArenaSlot(int slot) {
-  // Keep the pool sorted descending so Acquire pops the smallest slot:
-  // reuse is deterministic and the densest prefix of the table stays hot.
-  auto it = std::lower_bound(free_arena_slots_.begin(),
-                             free_arena_slots_.end(), slot,
-                             [](int a, int b) { return a > b; });
-  free_arena_slots_.insert(it, slot);
 }
 
 std::unique_ptr<Machine::Process> Machine::MakeProcess(
     int workload_index, const workload::WorkloadSpec& spec,
-    std::vector<int> cpus, uint64_t llc_seed, uint64_t driver_seed,
-    int arena_index, SimTime start_time) {
+    std::vector<int> cpus, uint64_t llc_seed, uint64_t driver_seed) {
   auto process = std::make_unique<Process>();
   process->spec = spec;
   process->workload_index = workload_index;
   process->cpus = cpus;
-  process->arena_slot = arena_index;
-  process->start_time = start_time;
-  process->last_sample = start_time;
 
   tcmalloc::AllocatorConfig config = ResolveTopology(base_config_, topology_);
   if (config.per_thread_front_end) {
@@ -127,10 +85,11 @@ std::unique_ptr<Machine::Process> Machine::MakeProcess(
                                   static_cast<int>(cpus.size())));
   }
   // Disjoint arenas per process on the same machine (16 TiB stride, larger
-  // than any arena). Restarted processes take a fresh slot: a fresh exec
-  // maps a fresh address space.
+  // than any arena), one slot per workload. A restarted process reuses its
+  // predecessor's slot: like a fresh exec, its new allocator maps an empty
+  // arena there.
   config.arena_base =
-      (uintptr_t{1} << 44) * (1 + static_cast<uintptr_t>(arena_index));
+      (uintptr_t{1} << 44) * (1 + static_cast<uintptr_t>(workload_index));
 
   process->allocator = std::make_unique<tcmalloc::Allocator>(config);
   if (trace_capacity_ > 0) {
@@ -145,17 +104,14 @@ std::unique_ptr<Machine::Process> Machine::MakeProcess(
   }
   if (timeseries_interval_ > 0) {
     process->series = std::make_unique<telemetry::IntervalSeries>();
-    // First boundary strictly after the local-timeline origin (deploy
-    // replacements rejoin the shared clock mid-run).
-    process->next_capture =
-        (start_time / timeseries_interval_ + 1) * timeseries_interval_;
+    process->next_capture = timeseries_interval_;
   }
   process->tlb = std::make_unique<hw::TlbSimulator>();
   process->llc =
       std::make_unique<hw::LlcModel>(&topology_, kLlcLinesPerDomain, llc_seed);
   process->driver = std::make_unique<workload::Driver>(
       process->spec, process->allocator.get(), &topology_, std::move(cpus),
-      process->llc.get(), process->tlb.get(), driver_seed, start_time);
+      process->llc.get(), process->tlb.get(), driver_seed);
   return process;
 }
 
@@ -222,17 +178,6 @@ void Machine::Run(SimTime duration, uint64_t max_requests) {
         lowest->driver->now() >= faults_.oom_kill_time) {
       oom_fired_ = true;
       OomKillAndRestart(next_sample);
-      any_active = true;
-      continue;
-    }
-    // Deploy wave: when the machine's local timeline (the minimum process
-    // clock — exactly `lowest`) crosses the next scheduled restart, every
-    // live process is retired and respawned in place. Restarting
-    // invalidates `lowest`, so re-select next iteration.
-    if (next_deploy_ < deploys_.restart_times.size() &&
-        lowest->driver->now() >= deploys_.restart_times[next_deploy_]) {
-      DeployRestartAll(next_sample, next_deploy_);
-      ++next_deploy_;
       any_active = true;
       continue;
     }
@@ -311,7 +256,7 @@ ProcessResult Machine::FinalizeResult(Process& p) const {
   r.workload_index = p.workload_index;
   r.driver = p.driver->metrics();
   r.heap = p.allocator->CollectStats();
-  SimTime elapsed = std::max<SimTime>(p.driver->now() - p.start_time, 1);
+  SimTime elapsed = std::max<SimTime>(p.driver->now(), 1);
   r.avg_heap_bytes = p.heap_byte_seconds / static_cast<double>(elapsed);
   r.avg_live_bytes = p.live_byte_seconds / static_cast<double>(elapsed);
   if (r.avg_heap_bytes == 0) {
@@ -371,54 +316,18 @@ void Machine::OomKillAndRestart(std::vector<SimTime>& next_sample) {
 
   // Restart in place: same binary and CPU mask, fresh allocator and
   // hardware-model state, a seed forked from the planned restart seed, and
-  // a fresh local timeline (like a fresh exec). The dead instance's arena
-  // slot returns to the pool and the replacement takes the smallest free
-  // slot, so restart storms never grow the stride table. The replacement
-  // re-experiences its fault plan from call index zero.
+  // a fresh local timeline (like a fresh exec). The replacement takes the
+  // dead instance's arena slot, and re-experiences its fault plan from
+  // call index zero.
   Rng rng(faults_.restart_seed + 0x9E3779B9u * static_cast<uint64_t>(victim));
   uint64_t llc_seed = rng.Fork();
   uint64_t driver_seed = rng.Fork();
   int workload_index = p.workload_index;
   workload::WorkloadSpec spec = p.spec;
   std::vector<int> cpus = p.cpus;
-  ReleaseArenaSlot(p.arena_slot);
   processes_[victim] = MakeProcess(workload_index, spec, std::move(cpus),
-                                   llc_seed, driver_seed, AcquireArenaSlot());
+                                   llc_seed, driver_seed);
   next_sample[victim] = kSamplePeriod;
-}
-
-void Machine::DeployRestartAll(std::vector<SimTime>& next_sample,
-                               size_t wave) {
-  for (size_t i = 0; i < processes_.size(); ++i) {
-    Process& p = *processes_[i];
-    if (p.done) continue;
-    // Graceful shutdown: the outgoing instance drains (frees everything,
-    // flushes samplers) and its metrics become its retirement report.
-    SampleFootprint(p);
-    p.driver->Drain();
-    ProcessResult retired = FinalizeResult(p);
-    retired.deploy_restarted = true;
-    killed_results_.push_back(std::move(retired));
-    ++deploy_restarts_;
-
-    // The replacement rejoins the shared clock where its predecessor
-    // stopped (a deploy restarts a serving process mid-run; it does not
-    // rewind the machine's timeline) and recycles the freed arena slot.
-    SimTime start = p.driver->now();
-    int workload_index = p.workload_index;
-    workload::WorkloadSpec spec = p.spec;
-    std::vector<int> cpus = p.cpus;
-    Rng rng(deploys_.restart_seed +
-            0x9E3779B97F4A7C15ULL * static_cast<uint64_t>(wave + 1) +
-            0x9E3779B9u * static_cast<uint64_t>(i));
-    uint64_t llc_seed = rng.Fork();
-    uint64_t driver_seed = rng.Fork();
-    ReleaseArenaSlot(p.arena_slot);
-    processes_[i] = MakeProcess(workload_index, spec, std::move(cpus),
-                                llc_seed, driver_seed, AcquireArenaSlot(),
-                                start);
-    next_sample[i] = start + kSamplePeriod;
-  }
 }
 
 }  // namespace wsc::fleet

@@ -51,22 +51,11 @@ struct PressureEvent {
 // local timeline (the minimum process clock) crosses it, the
 // biggest-footprint process is killed — its result is captured with
 // `oom_killed` set — and restarted in place with a seed forked from
-// `restart_seed`, a fresh arena, and a fresh local timeline.
+// `restart_seed`, a fresh allocator on its predecessor's arena slot, and a
+// fresh local timeline.
 struct MachineFaults {
   std::vector<tcmalloc::FaultPlan> fault_plans;
   SimTime oom_kill_time = 0;  // 0 = no kill
-  uint64_t restart_seed = 0;
-};
-
-// Deploy-wave schedule, planned by the fleet scenario layer after the
-// machine-seed fork. Each time in `restart_times` (sorted ascending, on
-// the machine's local timeline) restarts every live process in place: the
-// old instance drains and reports (tagged deploy_restarted), and its
-// replacement — seeded from `restart_seed` — rejoins the shared clock at
-// the restart instant and recycles the old instance's arena slot, so even
-// hundred-restart waves keep the arena stride table bounded.
-struct DeploySchedule {
-  std::vector<SimTime> restart_times;
   uint64_t restart_seed = 0;
 };
 
@@ -89,9 +78,6 @@ struct ProcessResult {
   // True when this result belongs to a process the machine OOM killer
   // terminated mid-run (a restarted instance reports separately).
   bool oom_killed = false;
-  // True when this result belongs to an instance retired by a deploy-wave
-  // restart (its replacement reports separately).
-  bool deploy_restarted = false;
   workload::DriverMetrics driver;
   tcmalloc::HeapStats heap;            // final heap snapshot
   double avg_heap_bytes = 0;           // time-averaged footprint
@@ -141,7 +127,7 @@ class Machine {
           const tcmalloc::AllocatorConfig& base_config, uint64_t seed,
           std::vector<PressureEvent> pressure_events = {},
           size_t trace_events_per_process = 0, MachineFaults faults = {},
-          SimTime timeseries_interval = 0, DeploySchedule deploys = {});
+          SimTime timeseries_interval = 0);
 
   // Runs every process until its local clock reaches `duration` or it has
   // executed `max_requests` requests, whichever comes first, then drains.
@@ -155,14 +141,6 @@ class Machine {
   const hw::CpuTopology& topology() const { return topology_; }
   int num_processes() const { return static_cast<int>(processes_.size()); }
   int oom_kills() const { return oom_kills_; }
-  int deploy_restarts() const { return deploy_restarts_; }
-  // Arena stride slots ever handed out: the slot table's high-water mark.
-  // With recycling this stays at the co-location count no matter how many
-  // restarts a run performs (the bounded-table guarantee).
-  int arena_slots_high_water() const { return next_arena_index_; }
-  int free_arena_slots() const {
-    return static_cast<int>(free_arena_slots_.size());
-  }
   workload::Driver& driver(int i) { return *processes_[i]->driver; }
   tcmalloc::Allocator& allocator(int i) { return *processes_[i]->allocator; }
 
@@ -171,10 +149,6 @@ class Machine {
     workload::WorkloadSpec spec;
     int workload_index = 0;
     std::vector<int> cpus;  // control-plane CPU mask (kept for restarts)
-    int arena_slot = 0;     // arena stride slot (recycled on restart)
-    // Local-timeline origin: 0 except for deploy-restarted replacements,
-    // which rejoin the shared clock at the restart instant.
-    SimTime start_time = 0;
     // Declared before the allocator: ~Allocator drains leftover large
     // objects through the page heap, which emits trace events, so the
     // recorder must outlive it. The fault injector likewise outlives the
@@ -209,20 +183,13 @@ class Machine {
   void ApplyPressure(Process& p);
 
   // Builds one fully wired process: placement-resolved allocator (arena at
-  // `arena_index` stride), optional flight recorder and fault injector,
+  // `workload_index` stride), optional flight recorder and fault injector,
   // hardware models, and driver. Used at construction and for OOM
   // restarts.
   std::unique_ptr<Process> MakeProcess(int workload_index,
                                        const workload::WorkloadSpec& spec,
                                        std::vector<int> cpus,
-                                       uint64_t llc_seed, uint64_t driver_seed,
-                                       int arena_index,
-                                       SimTime start_time = 0);
-
-  // Arena slot pool: Acquire returns the smallest recycled slot, or grows
-  // the table when none is free; Release returns a dead instance's slot.
-  int AcquireArenaSlot();
-  void ReleaseArenaSlot(int slot);
+                                       uint64_t llc_seed, uint64_t driver_seed);
 
   // Captures one timeseries interval for `p`: telemetry deltas plus the
   // footprint and per-interval alloc-latency sketches.
@@ -238,27 +205,13 @@ class Machine {
   // its result with oom_killed set) and restarts it in place.
   void OomKillAndRestart(std::vector<SimTime>& next_sample);
 
-  // One deploy-wave restart: retires every live process (results tagged
-  // deploy_restarted) and respawns each in place at its own local time,
-  // recycling arena slots. `wave` indexes the restart within the schedule
-  // and salts the replacement seeds.
-  void DeployRestartAll(std::vector<SimTime>& next_sample, size_t wave);
-
   hw::CpuTopology topology_;
   tcmalloc::AllocatorConfig base_config_;
   size_t trace_capacity_ = 0;
   SimTime timeseries_interval_ = 0;
   MachineFaults faults_;
-  DeploySchedule deploys_;
-  size_t next_deploy_ = 0;  // cursor into deploys_.restart_times
   bool oom_fired_ = false;
   int oom_kills_ = 0;
-  int deploy_restarts_ = 0;
-  // Arena stride slot table: slots ever handed out number
-  // [0, next_arena_index_); dead instances' slots return to the pool and
-  // are reused smallest-first, keeping the table bounded across restarts.
-  int next_arena_index_ = 0;
-  std::vector<int> free_arena_slots_;  // sorted descending (smallest last)
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<ProcessResult> results_;
   std::vector<ProcessResult> killed_results_;

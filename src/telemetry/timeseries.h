@@ -11,8 +11,8 @@
 // fleet run produces is byte-identical for any --threads value.
 //
 // Deltas telescope: the sum of a process's interval deltas equals its
-// end-of-run snapshot exactly (asserted by tests), so streaming fleet
-// aggregation loses nothing relative to buffering every ProcessResult.
+// end-of-run snapshot exactly (asserted by tests), so a merged fleet
+// series totals to the merged fleet snapshot.
 // Named QuantileSketch instances ride along for distributions (footprint,
 // per-interval alloc latency) that need fleet percentiles without
 // per-machine retention.

@@ -37,8 +37,7 @@ MixtureDistribution BuildMix(const WorkloadSpec& spec) {
 
 Driver::Driver(const WorkloadSpec& spec, tcmalloc::Allocator* allocator,
                const hw::CpuTopology* topology, std::vector<int> cpus,
-               hw::LlcModel* llc, hw::TlbSimulator* tlb, uint64_t seed,
-               SimTime start_time)
+               hw::LlcModel* llc, hw::TlbSimulator* tlb, uint64_t seed)
     : spec_(spec),
       allocator_(allocator),
       topology_(topology),
@@ -49,13 +48,6 @@ Driver::Driver(const WorkloadSpec& spec, tcmalloc::Allocator* allocator,
       behavior_mix_(BuildMix(spec)) {
   WSC_CHECK(allocator != nullptr);
   WSC_CHECK(!cpus_.empty());
-  if (start_time > 0) {
-    // Deploy-restarted replacement: the whole local timeline (startup
-    // allocations included) begins at the restart instant.
-    clock_.AdvanceTo(start_time);
-    last_thread_update_ = start_time;
-    last_maintain_ = start_time;
-  }
   recent_per_vcpu_.resize(allocator_->config().num_vcpus);
   recent_global_.reserve(kGlobalRingSize);
   thread_phase_ = rng_.UniformDouble() * 2.0 * M_PI;
@@ -117,9 +109,6 @@ void Driver::UpdateThreads() {
   double load = 0.5 + 0.5 * std::sin(2.0 * M_PI * t + thread_phase_);
   load *= 1.0 + spec_.thread_noise * (2.0 * rng_.UniformDouble() - 1.0);
   if (rng_.Bernoulli(spec_.spike_probability)) load = 1.0;
-  // Scenario modulation scales the organic curve; the branch keeps the
-  // phase-free floating-point path bit-identical.
-  if (load_multiplier_ != 1.0) load *= load_multiplier_;
   load = std::clamp(load, 0.0, 1.0);
   int range = spec_.max_threads - spec_.min_threads;
   active_threads_ = spec_.min_threads +
@@ -165,71 +154,7 @@ double Driver::FreeDead(int vcpu) {
   return ns;
 }
 
-void Driver::UpdateLoadMultiplier() {
-  if (spec_.load_phases.empty()) return;
-  load_multiplier_ =
-      LoadMultiplierAt(spec_.load_phases, clock_.now(), load_phase_hint_);
-}
-
-double Driver::FreeEpochObjects(std::vector<EpochObject>& objects, int vcpu) {
-  double ns = 0.0;
-  SimTime now = clock_.now();
-  for (const EpochObject& obj : objects) {
-    allocator_->Free(obj.addr, vcpu, now, obj.callsite);
-    ns += allocator_->last_op_ns();
-    live_bytes_ -= obj.size;
-    --epoch_live_objects_;
-    ++metrics_.frees;
-  }
-  objects.clear();
-  return ns;
-}
-
-double Driver::CloseEpoch(int vcpu) {
-  double ns = 0.0;
-  // Retire closed buckets whose lag has expired.
-  size_t kept = 0;
-  for (EpochBucket& bucket : epoch_closed_) {
-    if (bucket.release_epoch <= epoch_index_) {
-      ns += FreeEpochObjects(bucket.objects, vcpu);
-    } else {
-      epoch_closed_[kept++] = std::move(bucket);
-    }
-  }
-  epoch_closed_.resize(kept);
-  // Close the open bucket. kChurn alternates immediate churn (even
-  // epochs: inference-step activations) with retained epochs (odd: replay
-  // buffer / KV-cache state held for epoch_free_lag).
-  int lag = spec_.epoch_free_lag;
-  if (spec_.epoch_shape == EpochShape::kChurn && epoch_index_ % 2 == 0) {
-    lag = 0;
-  }
-  if (lag <= 0) {
-    ns += FreeEpochObjects(epoch_open_, vcpu);
-  } else if (!epoch_open_.empty()) {
-    epoch_closed_.push_back(EpochBucket{
-        epoch_index_ + static_cast<uint64_t>(lag), std::move(epoch_open_)});
-    epoch_open_.clear();
-  }
-  ++epoch_index_;
-  ++metrics_.epochs_closed;
-  return ns;
-}
-
 double Driver::Step() {
-  UpdateLoadMultiplier();
-  if (load_multiplier_ <= 0.0) {
-    // Idled by the scenario (e.g. a zero-load antagonist): no requests,
-    // no RNG draws, held memory stays put. The clock still advances so
-    // the machine's event loop and allocator maintenance make progress.
-    clock_.Advance(std::max<SimTime>(spec_.request_interval_ns,
-                                     kThreadUpdatePeriod));
-    if (clock_.now() - last_maintain_ >= kMaintainPeriod) {
-      last_maintain_ = clock_.now();
-      allocator_->Maintain(clock_.now());
-    }
-    return 0.0;
-  }
   UpdateThreads();
   SimTime now = clock_.now();
 
@@ -318,18 +243,8 @@ double Driver::Step() {
       }
     }
 
-    // Epoch binding (temporal slabs): the RNG is consulted only for
-    // epochal shapes, so kNone specs keep their exact random streams.
-    if (spec_.epochal() && rng_.Bernoulli(spec_.epoch_bound_fraction)) {
-      epoch_open_.push_back(
-          EpochObject{addr, static_cast<uint32_t>(size), callsite});
-      ++epoch_live_objects_;
-      live_bytes_ += size;
-    } else {
-      live_.push(
-          LiveObject{death, addr, static_cast<uint32_t>(size), callsite});
-      live_bytes_ += size;
-    }
+    live_.push(LiveObject{death, addr, static_cast<uint32_t>(size), callsite});
+    live_bytes_ += size;
     ReservoirAdd(recent_per_vcpu_[vcpu], kVcpuRingSize, addr,
                  static_cast<uint32_t>(size));
     if (rng_.Bernoulli(0.1)) {
@@ -352,16 +267,6 @@ double Driver::Step() {
     stall_ns += Touch(addr + offset, size - offset, 1, cpu);
   }
 
-  // Request-epoch retirement rides the closing request's allocator time.
-  if (spec_.epochal()) {
-    ++epoch_requests_;
-    if (epoch_requests_ >=
-        static_cast<uint64_t>(std::max(1, spec_.epoch_close_requests))) {
-      epoch_requests_ = 0;
-      malloc_ns += CloseEpoch(vcpu);
-    }
-  }
-
   // Base application work with +-20% jitter.
   double work_ns =
       spec_.request_work_ns * (0.8 + 0.4 * rng_.UniformDouble());
@@ -373,11 +278,8 @@ double Driver::Step() {
   ++metrics_.requests;
 
   // Wall-clock advance: active threads process requests concurrently, and
-  // a thread that finishes before its request interval sits idle. Scenario
-  // load multipliers shrink (or stretch) the think time; the branch keeps
-  // the multiplier-free floating-point path bit-identical.
+  // a thread that finishes before its request interval sits idle.
   double interval_ns = static_cast<double>(spec_.request_interval_ns);
-  if (load_multiplier_ != 1.0) interval_ns /= load_multiplier_;
   double per_thread_ns = std::max(service_ns, interval_ns);
   clock_.Advance(static_cast<SimTime>(
       std::max(1.0, per_thread_ns / std::max(1, active_threads_))));
@@ -418,12 +320,6 @@ void Driver::Drain() {
     live_bytes_ -= obj.size;
     ++metrics_.frees;
   }
-  // Flush request-epoch buckets (open and lagged) the same way.
-  for (EpochBucket& bucket : epoch_closed_) {
-    FreeEpochObjects(bucket.objects, /*vcpu=*/0);
-  }
-  epoch_closed_.clear();
-  FreeEpochObjects(epoch_open_, /*vcpu=*/0);
   allocator_->sampler().FlushOutstanding(now);
 }
 

@@ -39,8 +39,6 @@ struct DriverMetrics {
   // only guarded allocations, so with guarded sampling on these match.
   uint64_t injected_bugs = 0;
   uint64_t detected_bugs = 0;
-  // Request epochs retired (0 unless the spec sets an epoch shape).
-  uint64_t epochs_closed = 0;
   double cpu_ns = 0;        // total CPU time consumed
   double base_work_ns = 0;  // application compute share
   double malloc_ns = 0;     // allocator share
@@ -72,14 +70,9 @@ class Driver {
   // control-plane CPU mask); thread i runs on vCPU i which is pinned to
   // cpus[i % cpus.size()]. `llc` and `tlb` may be null (no hardware
   // modeling; used by pure-allocator tests and benches).
-  // `start_time` places the process's whole local timeline (startup
-  // allocations included) at an absolute logical time — deploy-wave
-  // restarts use it so a replacement process rejoins the machine's clock
-  // instead of rewinding to zero.
   Driver(const WorkloadSpec& spec, tcmalloc::Allocator* allocator,
          const hw::CpuTopology* topology, std::vector<int> cpus,
-         hw::LlcModel* llc, hw::TlbSimulator* tlb, uint64_t seed,
-         SimTime start_time = 0);
+         hw::LlcModel* llc, hw::TlbSimulator* tlb, uint64_t seed);
 
   // Executes one request on some active thread and advances the local
   // clock. Returns the simulated service time in ns.
@@ -99,10 +92,8 @@ class Driver {
   void ResetMetrics() { metrics_ = DriverMetrics(); }
 
   int active_threads() const { return active_threads_; }
-  uint64_t live_objects() const { return live_.size() + epoch_live_objects_; }
+  uint64_t live_objects() const { return live_.size(); }
   size_t live_bytes() const { return live_bytes_; }
-  // Load multiplier most recently applied by Step() (1.0 without phases).
-  double load_multiplier() const { return load_multiplier_; }
 
   tcmalloc::Allocator* allocator() { return allocator_; }
   const WorkloadSpec& spec() const { return spec_; }
@@ -116,35 +107,11 @@ class Driver {
     bool operator>(const LiveObject& o) const { return death > o.death; }
   };
 
-  // An allocation bound to a request epoch (freed when the epoch retires,
-  // not at a sampled death time).
-  struct EpochObject {
-    uintptr_t addr;
-    uint32_t size;
-    uint64_t callsite;
-  };
-  struct EpochBucket {
-    uint64_t release_epoch;  // freed when this epoch index closes
-    std::vector<EpochObject> objects;
-  };
-
   // Updates the active thread count (diurnal curve + noise + spikes).
   void UpdateThreads();
 
-  // Refreshes load_multiplier_ from spec_.load_phases (no-op when empty).
-  void UpdateLoadMultiplier();
-
   // Frees objects whose death time has passed, from vCPU `vcpu`.
   double FreeDead(int vcpu);
-
-  // Retires the open request epoch: frees every closed bucket whose lag
-  // has expired, then closes (or immediately frees) the open bucket.
-  // Returns allocator ns spent freeing.
-  double CloseEpoch(int vcpu);
-
-  // Frees one epoch bucket's objects from vCPU `vcpu`; returns allocator
-  // ns.
-  double FreeEpochObjects(std::vector<EpochObject>& objects, int vcpu);
 
   // Touches `lines` cache lines starting at `addr` from `cpu`; returns
   // stall ns.
@@ -188,19 +155,6 @@ class Driver {
 
   DriverMetrics metrics_;
   SimTime last_maintain_ = 0;
-
-  // Scenario load modulation: cursor into spec_.load_phases plus the
-  // multiplier currently in force. Both stay at their defaults (and cost
-  // nothing) when the spec has no phases.
-  size_t load_phase_hint_ = 0;
-  double load_multiplier_ = 1.0;
-
-  // Request-epoch state (unused for EpochShape::kNone).
-  std::vector<EpochObject> epoch_open_;
-  std::vector<EpochBucket> epoch_closed_;
-  uint64_t epoch_requests_ = 0;
-  uint64_t epoch_index_ = 0;
-  size_t epoch_live_objects_ = 0;
 };
 
 }  // namespace wsc::workload

@@ -344,130 +344,6 @@ WorkloadSpec SpecLikeProfile() {
   return spec;
 }
 
-WorkloadSpec BurstEpochProfile() {
-  // Snippet 2's burst pattern: every request opens a temporal slab, fills
-  // it with scratch, and closes it before returning — frees arrive in the
-  // exact reverse of a steady mixed stream, stressing per-CPU cache
-  // overflow into the transfer cache.
-  WorkloadSpec spec;
-  spec.name = "burst-epoch";
-  spec.behaviors = {
-      // Request-scoped scratch (epoch-bound in the common case).
-      MakeBehavior(0.90, SizeLognormal(128, 2.5),
-                   LifetimeLognormal(Microseconds(200), 3.0)),
-      // Response buffers.
-      MakeBehavior(0.09, SizeLognormal(8 * 1024, 2.0),
-                   LifetimeLognormal(Milliseconds(2), 3.0)),
-      // Occasional cross-request state.
-      MakeBehavior(0.01, SizeLognormal(2048, 2.0),
-                   LifetimeLognormal(Seconds(2), 3.0)),
-  };
-  spec.epoch_shape = EpochShape::kBurst;
-  spec.epoch_bound_fraction = 0.9;
-  spec.epoch_close_requests = 1;  // one epoch per request
-  spec.epoch_free_lag = 0;
-  spec.allocs_per_request = 24;
-  spec.request_work_ns = 3000;
-  spec.request_interval_ns = Milliseconds(1);
-  spec.touches_per_alloc = 2;
-  spec.reuse_touches_per_request = 8;
-  spec.min_threads = 4;
-  spec.max_threads = 16;
-  spec.thread_period = Seconds(6);
-  spec.startup_bytes = 100e6;
-  spec.startup_object_size = SizeLognormal(256, 2.0);
-  return spec;
-}
-
-WorkloadSpec SteadyEpochProfile() {
-  // Snippet 2's steady pattern: a constant request stream whose frees lag
-  // allocation by one batch epoch, holding a rolling window of live
-  // batches (the allocator sees a stable live set with batched turnover).
-  WorkloadSpec spec = BurstEpochProfile();
-  spec.name = "steady-epoch";
-  spec.epoch_shape = EpochShape::kSteady;
-  spec.epoch_bound_fraction = 0.8;
-  spec.epoch_close_requests = 16;  // batch epoch of 16 requests
-  spec.epoch_free_lag = 1;         // freed one epoch behind
-  spec.allocs_per_request = 12;
-  spec.request_work_ns = 4000;
-  spec.request_interval_ns = Microseconds(200);  // ~5000 req/s per thread
-  return spec;
-}
-
-WorkloadSpec LaggedFreeEpochProfile() {
-  // Lagged-free: epochs retire several batches late, so the live set is a
-  // deep window of whole epochs — span reuse is deferred and the page
-  // heap sees saw-tooth release pressure.
-  WorkloadSpec spec = BurstEpochProfile();
-  spec.name = "lagged-free-epoch";
-  spec.epoch_shape = EpochShape::kLaggedFree;
-  spec.epoch_bound_fraction = 0.85;
-  spec.epoch_close_requests = 16;
-  spec.epoch_free_lag = 4;
-  spec.allocs_per_request = 10;
-  spec.request_work_ns = 5000;
-  spec.request_interval_ns = Microseconds(500);
-  return spec;
-}
-
-WorkloadSpec InferenceChurnProfile() {
-  // Snippet 1's RL/inference serving shape: each step allocates a burst
-  // of small short-lived activations freed at step end (even epochs),
-  // while replay-buffer / KV-cache state (odd epochs) is retained across
-  // many steps — extreme churn against a slowly rolling retained set.
-  WorkloadSpec spec;
-  spec.name = "inference-churn";
-  spec.behaviors = {
-      // Activation tensors: small, hot, freed at step end.
-      MakeBehavior(0.80, SizeLognormal(512, 2.5),
-                   LifetimeLognormal(Microseconds(300), 3.0)),
-      // Intermediate feature maps.
-      MakeBehavior(0.15, SizeLognormal(32 * 1024, 2.0),
-                   LifetimeLognormal(Milliseconds(5), 3.0)),
-      // Per-step output logits / sampled tokens.
-      MakeBehavior(0.05, SizeLognormal(4096, 1.8),
-                   LifetimeLognormal(Milliseconds(20), 3.0)),
-  };
-  spec.epoch_shape = EpochShape::kChurn;
-  spec.epoch_bound_fraction = 0.85;
-  spec.epoch_close_requests = 4;  // a serving "step" every 4 requests
-  spec.epoch_free_lag = 8;        // retained epochs live 8 steps
-  spec.allocs_per_request = 32;
-  spec.request_work_ns = 9000;
-  spec.request_interval_ns = Milliseconds(2);
-  spec.touches_per_alloc = 4;
-  spec.reuse_touches_per_request = 12;
-  spec.min_threads = 2;
-  spec.max_threads = 12;
-  spec.thread_period = Seconds(6);
-  // Model weights resident for the whole run.
-  spec.startup_bytes = 400e6;
-  spec.startup_object_size = SizeLognormal(4.0 * 1024 * 1024, 1.4);
-  return spec;
-}
-
-std::vector<WorkloadSpec> EpochProfiles() {
-  return {BurstEpochProfile(), SteadyEpochProfile(), LaggedFreeEpochProfile(),
-          InferenceChurnProfile()};
-}
-
-WorkloadSpec AntagonistProfile() {
-  // The scenario layer's noisy neighbor: allocation-heavy, cache-hostile
-  // churn sharing the victims' allocator and LLC. Its request rate is
-  // scaled (or zeroed) through spec.load_phases by the scenario planner.
-  WorkloadSpec spec = InferenceChurnProfile();
-  spec.name = "antagonist";
-  spec.antagonist = true;
-  spec.allocs_per_request = 48;
-  spec.request_work_ns = 1500;  // little compute per byte: pure pressure
-  spec.request_interval_ns = Microseconds(500);
-  spec.touches_per_alloc = 6;
-  spec.reuse_touches_per_request = 24;
-  spec.startup_bytes = 50e6;
-  return spec;
-}
-
 std::vector<WorkloadSpec> TopFiveProfiles() {
   return {SpannerProfile(), MonarchProfile(), BigtableProfile(),
           F1QueryProfile(), DiskProfile()};

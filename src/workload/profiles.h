@@ -36,23 +36,6 @@ WorkloadSpec TensorflowProfile();       // InceptionV3 serving
 // --- Contrast workload ---
 WorkloadSpec SpecLikeProfile();  // allocate-at-start, near-zero steady malloc
 
-// --- Request-epoch shaped workloads (SNIPPETS Snippets 1-2) ---
-// Temporal-slab epoch patterns: allocations bound to request epochs that
-// retire in bulk, instead of independently sampled lifetimes.
-WorkloadSpec BurstEpochProfile();       // free-within-request, epoch/request
-WorkloadSpec SteadyEpochProfile();      // 16-request epochs, one-epoch lag
-WorkloadSpec LaggedFreeEpochProfile();  // 16-request epochs, 4-epoch lag
-WorkloadSpec InferenceChurnProfile();   // RL/inference step churn + retained
-                                        // replay/KV state (alternating lag)
-
-// The four epoch-shaped workloads above, in that order.
-std::vector<WorkloadSpec> EpochProfiles();
-
-// Noisy neighbor co-located by the antagonist scenario: churny,
-// cache-hostile, and marked spec.antagonist so the machine composes it
-// after (and invisibly to) the victim processes.
-WorkloadSpec AntagonistProfile();
-
 // The paper's top-5 production workloads, in its reporting order.
 std::vector<WorkloadSpec> TopFiveProfiles();
 

@@ -36,13 +36,4 @@ std::shared_ptr<const Distribution> LifetimePoint(double ns) {
   return std::make_shared<PointDistribution>(ns);
 }
 
-double LoadMultiplierAt(const std::vector<LoadPhase>& phases, SimTime t,
-                        size_t& hint) {
-  while (hint < phases.size() && phases[hint].end <= t) ++hint;
-  if (hint < phases.size() && phases[hint].start <= t) {
-    return phases[hint].multiplier;
-  }
-  return 1.0;
-}
-
 }  // namespace wsc::workload

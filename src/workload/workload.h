@@ -28,28 +28,6 @@ struct Behavior {
   std::shared_ptr<const Distribution> lifetime_ns;
 };
 
-// One piecewise-constant load-multiplier segment on the logical clock.
-// Phases are sorted by `start` and non-overlapping; time not covered by
-// any phase runs at multiplier 1.0. A multiplier of 0 idles the process
-// (no requests, held memory stays put) for the segment.
-struct LoadPhase {
-  SimTime start = 0;
-  SimTime end = 0;
-  double multiplier = 1.0;
-};
-
-// Request-epoch shapes (temporal-slab patterns): instead of sampling an
-// independent lifetime per object, a share of allocations is bound to the
-// current request epoch and freed when the epoch retires.
-enum class EpochShape {
-  kNone,        // classic lifetime-sampled frees (the default)
-  kBurst,       // epoch per request, freed at close (free-within-request)
-  kSteady,      // batched epochs retired with a short fixed lag
-  kLaggedFree,  // batched epochs retired with a long fixed lag
-  kChurn,       // alternating immediate churn / retained epochs (RL or
-                // inference steps vs replay-buffer and KV-cache state)
-};
-
 // Static description of one application.
 struct WorkloadSpec {
   std::string name;
@@ -110,32 +88,6 @@ struct WorkloadSpec {
            overrun_probability > 0;
   }
 
-  // ---- Traffic-scenario load modulation (src/fleet/scenario) ----
-  // Sorted, non-overlapping load-multiplier segments on the logical clock.
-  // Empty means a flat 1.0 multiplier, and the driver then takes code and
-  // RNG paths bit-identical to a spec without phases.
-  std::vector<LoadPhase> load_phases;
-
-  // ---- Request-epoch shape (SNIPPETS Snippets 1-2) ----
-  // With a shape other than kNone, each allocation is bound to the current
-  // request epoch with probability epoch_bound_fraction (the rest keep
-  // sampled lifetimes). The epoch closes every epoch_close_requests
-  // requests and its objects are freed epoch_free_lag epochs after close
-  // (0 = freed at close). kChurn alternates: even epochs free at close,
-  // odd epochs are retained for epoch_free_lag.
-  EpochShape epoch_shape = EpochShape::kNone;
-  double epoch_bound_fraction = 0.8;
-  int epoch_close_requests = 16;
-  int epoch_free_lag = 0;
-
-  bool epochal() const { return epoch_shape != EpochShape::kNone; }
-
-  // Marks a fleet-scenario antagonist (noisy neighbor). The machine
-  // composes antagonists strictly after its primary processes: victim CPU
-  // partitions, seeds, and arena slots are identical with or without the
-  // antagonist present.
-  bool antagonist = false;
-
   // If true the workload is effectively single-threaded (Redis).
   bool single_threaded() const { return max_threads <= 1; }
 };
@@ -153,12 +105,6 @@ std::shared_ptr<const Distribution> SizePareto(double scale, double alpha,
 std::shared_ptr<const Distribution> LifetimeLognormal(double median_ns,
                                                       double spread);
 std::shared_ptr<const Distribution> LifetimePoint(double ns);
-
-// Multiplier of the phase covering `t`, or 1.0 when uncovered. `hint` is a
-// cursor advanced across calls with monotonically non-decreasing `t`
-// (phases must be sorted by start and non-overlapping).
-double LoadMultiplierAt(const std::vector<LoadPhase>& phases, SimTime t,
-                        size_t& hint);
 
 }  // namespace wsc::workload
 

@@ -132,8 +132,11 @@ TEST(FaultRun, FaultedFleetSurvivesWithNonzeroFailureTelemetry) {
 TEST(FaultDeterminism, ThreadCountDoesNotChangeFaultedRuns) {
   // Bit-identical results for --threads=1 and --threads=8, faults and all:
   // fault points are call-indexed, plans are drawn seed-ordered, and the
-  // OOM kill rides the machine's own local timeline.
+  // OOM kill rides the machine's own local timeline. Interval capture is
+  // on, so the killed instances' series and their replacements' fresh
+  // ones are merged into the fleet series and compared too.
   FleetConfig config = SmallFaultFleet();
+  config.timeseries_interval = Milliseconds(500);
   tcmalloc::AllocatorConfig allocator = GuardedAllocator();
 
   Fleet sequential(config, allocator, 31337);
@@ -144,8 +147,10 @@ TEST(FaultDeterminism, ThreadCountDoesNotChangeFaultedRuns) {
   const auto& a = sequential.observations();
   const auto& b = parallel.observations();
   ASSERT_EQ(a.size(), b.size());
+  int oom_kills = 0;
   for (size_t i = 0; i < a.size(); ++i) {
     SCOPED_TRACE(i);
+    if (a[i].result.oom_killed) ++oom_kills;
     EXPECT_EQ(a[i].result.workload_index, b[i].result.workload_index);
     EXPECT_EQ(a[i].result.oom_killed, b[i].result.oom_killed);
     EXPECT_EQ(a[i].result.driver.requests, b[i].result.driver.requests);
@@ -155,8 +160,12 @@ TEST(FaultDeterminism, ThreadCountDoesNotChangeFaultedRuns) {
     EXPECT_EQ(a[i].result.driver.cpu_ns, b[i].result.driver.cpu_ns);
     EXPECT_EQ(a[i].result.avg_heap_bytes, b[i].result.avg_heap_bytes);
     EXPECT_EQ(a[i].result.telemetry, b[i].result.telemetry);
+    EXPECT_FALSE(a[i].result.timeseries.empty());
+    EXPECT_EQ(a[i].result.timeseries, b[i].result.timeseries);
   }
+  EXPECT_GT(oom_kills, 0);
   EXPECT_EQ(MergedTelemetry(a), MergedTelemetry(b));
+  EXPECT_EQ(MergedTimeSeries(a), MergedTimeSeries(b));
 }
 
 TEST(FaultRun, DisabledFaultsLeaveFailureCountersAtZero) {

@@ -74,8 +74,17 @@ TRACE_CHECKER="$(dirname "$0")/check_trace_json.py"
 MALLOCZ="$(dirname "$0")/mallocz.py"
 fig03="$BENCH_DIR/fig03_fleet_cdf"
 fig04="$BENCH_DIR/fig04_alloc_latency"
+fig_ts="$BENCH_DIR/fig_pressure_reclaim"
 
-if [ -x "$fig03" ]; then
+# A missing binary fails its smoke instead of silently skipping it.
+require() {
+  [ -x "$1" ] && return 0
+  echo "bench_smoke: missing bench binary $1" >&2
+  failures=$((failures + 1))
+  return 1
+}
+
+if require "$fig03"; then
   echo "=== fig03_fleet_cdf --trace/--profile"
   t1="$TMPDIR_SMOKE/fig03.t1.trace.json"
   p1="$TMPDIR_SMOKE/fig03.t1.heap.json"
@@ -129,9 +138,31 @@ EOF
   then
     failures=$((failures + 1))
   fi
+
+  # --timeseries overhead, gauged the same way: the logical-clock capture
+  # is a few map updates per 500ms sim interval (the paper's <2% GWP
+  # budget), but CI wall-clock noise needs the loose envelope.
+  o1="$TMPDIR_SMOKE/fig03.ts_base1.out"; o2="$TMPDIR_SMOKE/fig03.ts_base2.out"
+  o3="$TMPDIR_SMOKE/fig03.ts_on.out"
+  "$fig03" $FLAGS >"$o1" 2>&1
+  "$fig03" $FLAGS >"$o2" 2>&1
+  "$fig03" $FLAGS --timeseries="$TMPDIR_SMOKE/fig03.ovh.ts.ndjson" >"$o3" 2>&1
+  if ! python3 - "$(wall "$o1")" "$(wall "$o2")" "$(wall "$o3")" <<'EOF'
+import sys
+base1, base2, with_ts = (float(a) for a in sys.argv[1:4])
+budget = 5.0 * max(base1, base2) + 0.5
+ok = with_ts <= budget
+print(f"bench_smoke: timeseries overhead {with_ts:.3f}s vs plain "
+      f"{base1:.3f}/{base2:.3f}s (budget {budget:.3f}s): "
+      f"{'OK' if ok else 'FAILED'}")
+sys.exit(0 if ok else 1)
+EOF
+  then
+    failures=$((failures + 1))
+  fi
 fi
 
-if [ -x "$fig04" ]; then
+if require "$fig04"; then
   echo "=== fig04_alloc_latency --trace/--profile/--timeseries"
   t="$TMPDIR_SMOKE/fig04.trace.json"
   p="$TMPDIR_SMOKE/fig04.heap.json"
@@ -152,45 +183,21 @@ if [ -x "$fig04" ]; then
   fi
 fi
 
-# --timeseries smoke: the flagship time-series bench writes the NDJSON
-# sidecar, the validator checks the interval/sketch contract, and
-# mallocz.py must render it. Overhead is gauged like tracing above: two
-# plain fig03 runs bound the noise, the timeseries run must stay within
-# 5x the slower one plus fixed slack (the logical-clock capture itself
-# is a few map updates per 500ms sim interval — the paper's <2% GWP
-# budget — but CI wall-clock noise needs the loose envelope).
-fig_ts="$BENCH_DIR/fig_fleet_timeseries"
-if [ -x "$fig_ts" ] && [ -x "$fig03" ]; then
-  echo "=== fig_fleet_timeseries --timeseries"
+# --timeseries smoke: a paired A/B fleet under pressure events writes
+# the NDJSON sidecar (both arms), the validator checks the
+# interval/sketch contract, and mallocz.py must render it.
+if require "$fig_ts"; then
+  echo "=== fig_pressure_reclaim --timeseries"
   ts="$TMPDIR_SMOKE/fleet.timeseries.ndjson"
   tso="$TMPDIR_SMOKE/fig_ts.out"
   if ! "$fig_ts" $FLAGS --timeseries="$ts" >"$tso" 2>&1; then
-    echo "bench_smoke: fig_fleet_timeseries --timeseries run failed" >&2
+    echo "bench_smoke: fig_pressure_reclaim --timeseries run failed" >&2
     failures=$((failures + 1))
-  elif ! python3 "$CHECKER" --min-lines 4 --timeseries "$ts" "$tso"; then
-    echo "bench_smoke: fig_fleet_timeseries sidecar failed validation" >&2
+  elif ! python3 "$CHECKER" --min-lines 3 --timeseries "$ts" "$tso"; then
+    echo "bench_smoke: fig_pressure_reclaim sidecar failed validation" >&2
     failures=$((failures + 1))
   elif ! python3 "$MALLOCZ" --timeseries "$ts" >/dev/null; then
     echo "bench_smoke: mallocz.py failed to render the timeseries" >&2
-    failures=$((failures + 1))
-  fi
-
-  o1="$TMPDIR_SMOKE/fig03.ts_base1.out"; o2="$TMPDIR_SMOKE/fig03.ts_base2.out"
-  o3="$TMPDIR_SMOKE/fig03.ts_on.out"
-  "$fig03" $FLAGS >"$o1" 2>&1
-  "$fig03" $FLAGS >"$o2" 2>&1
-  "$fig03" $FLAGS --timeseries="$TMPDIR_SMOKE/fig03.ovh.ts.ndjson" >"$o3" 2>&1
-  if ! python3 - "$(wall "$o1")" "$(wall "$o2")" "$(wall "$o3")" <<'EOF'
-import sys
-base1, base2, with_ts = (float(a) for a in sys.argv[1:4])
-budget = 5.0 * max(base1, base2) + 0.5
-ok = with_ts <= budget
-print(f"bench_smoke: timeseries overhead {with_ts:.3f}s vs plain "
-      f"{base1:.3f}/{base2:.3f}s (budget {budget:.3f}s): "
-      f"{'OK' if ok else 'FAILED'}")
-sys.exit(0 if ok else 1)
-EOF
-  then
     failures=$((failures + 1))
   fi
 fi

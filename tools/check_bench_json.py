@@ -13,12 +13,10 @@ Usage:
 
 Line kinds validated: throughput, telemetry, timeseries (per-interval
 counter deltas, monotone interval index), sketch (quantile-sketch
-summaries), stream (streaming-collector bookkeeping), scenario
-(traffic-scenario leg bookkeeping from fig_scenarios), preload and
-skipped (bench/preload/compare_allocators.sh arms). timeseries, sketch,
-preload and skipped lines carry no "threads" field by design —
-timeseries output is byte-identical for any --threads, and the preload
-arms come from a shell driver.
+summaries), preload and skipped (bench/preload/compare_allocators.sh
+arms). timeseries, sketch, preload and skipped lines carry no "threads"
+field by design — timeseries output is byte-identical for any
+--threads, and the preload arms come from a shell driver.
 
 Exit status is non-zero when any line is malformed or fewer than
 --min-lines BENCH_JSON lines were seen.
@@ -64,11 +62,8 @@ EXEC_MODES = ("real-threads",)
 
 THROUGHPUT_FIELDS = ("sim_requests", "wall_seconds", "sim_requests_per_sec")
 
-KNOWN_KINDS = ("throughput", "telemetry", "timeseries", "sketch", "stream",
-               "scenario", "preload", "skipped")
-
-# Names fig_scenarios accepts via --scenario= (fleet::ScenarioNames()).
-SCENARIO_NAMES = ("diurnal", "flash-crowd", "deploy-wave", "antagonist")
+KNOWN_KINDS = ("throughput", "telemetry", "timeseries", "sketch", "preload",
+               "skipped")
 
 # Kinds whose lines intentionally omit "threads": timeseries/sketch lines
 # must be byte-identical for any --threads (check_determinism.sh diffs
@@ -213,34 +208,6 @@ def check_sketch(errors, line_no, obj):
         fail(errors, line_no, "sketch point counts do not sum to 'count'")
 
 
-def check_stream(errors, line_no, obj):
-    for field in ("machines", "processes", "total_requests", "intervals",
-                  "collector_peak_pending", "peak_rss_kb"):
-        value = obj.get(field)
-        if not isinstance(value, int) or value < 0:
-            fail(errors, line_no, f"bad '{field}': {value!r}")
-
-
-def check_scenario(errors, line_no, obj):
-    """One kind=scenario line: a fig_scenarios leg's bookkeeping.
-
-    Every field is deterministic across --threads values (host-dependent
-    fields like peak_rss_kb intentionally stay on the human-readable
-    lines), so this line is part of the determinism byte-compare.
-    """
-    if obj.get("scenario") not in SCENARIO_NAMES:
-        fail(errors, line_no, f"unknown scenario {obj.get('scenario')!r}")
-    for field in ("machines", "processes", "total_requests", "oom_kills",
-                  "deploy_restarts", "antagonists", "failed_allocations",
-                  "intervals"):
-        value = obj.get(field)
-        if not isinstance(value, int) or value < 0:
-            fail(errors, line_no, f"bad '{field}': {value!r}")
-    if obj.get("scenario") == "deploy-wave" and obj.get(
-            "deploy_restarts") == 0:
-        fail(errors, line_no, "deploy-wave leg saw no deploy restarts")
-
-
 def check_preload(errors, line_no, obj):
     for field in ("arm", "bench_binary", "allocator"):
         if not isinstance(obj.get(field), str) or not obj[field]:
@@ -366,10 +333,6 @@ def main():
                 check_timeseries(errors, line_no, obj, last_intervals)
             elif kind == "sketch":
                 check_sketch(errors, line_no, obj)
-            elif kind == "stream":
-                check_stream(errors, line_no, obj)
-            elif kind == "scenario":
-                check_scenario(errors, line_no, obj)
             elif kind == "preload":
                 check_preload(errors, line_no, obj)
             elif kind == "skipped":

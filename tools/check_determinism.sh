@@ -4,12 +4,13 @@
 # The simulator is this repo's oracle: for a pinned fleet shape its output
 # must be byte-identical for ANY --threads value (machine-level
 # parallelism only changes wall clock, never results). This script runs
-# fig03_fleet_cdf, fig_pressure_reclaim, fig_fleet_timeseries and
-# fig_scenarios at --threads=1 and --threads=8 and compares, per bench:
+# three fleet benches at --threads=1 and --threads=8: fig03_fleet_cdf
+# (the paper's Fig. 3 fleet), fig_pressure_reclaim (a paired A/B under
+# planned pressure events) and fig_fault_resilience (a paired A/B under
+# planned faults). Per bench it compares:
 #   - the BENCH_JSON stream, after masking the only legitimately
-#     thread-dependent fields: the echoed "threads" count, the
-#     wall-clock-derived wall_seconds / sim_requests_per_sec, and the host
-#     bookkeeping listed at normalize() below;
+#     thread-dependent fields: the echoed "threads" count and the
+#     wall-clock-derived wall_seconds / sim_requests_per_sec;
 #   - the --timeseries NDJSON sidecar, unmasked.
 #
 #   cmake -B build -S . && cmake --build build -j
@@ -23,24 +24,17 @@ FLAGS="--machines=2 --duration=1 --max-requests=300"
 TMPDIR_DET="$(mktemp -d)"
 trap 'rm -rf "$TMPDIR_DET"' EXIT
 
-# BENCH_JSON lines with wall-clock and thread-count fields masked. The
-# stream line's peak_rss_kb (host RSS) and collector_peak_pending (size
-# of the streaming reorder buffer, bounded by 2*threads) legitimately
-# vary with the worker count; everything else must not.
+# BENCH_JSON lines with wall-clock and thread-count fields masked;
+# everything else must not vary with the worker count.
 normalize() {
   grep '^BENCH_JSON' "$1" | sed -E \
     -e 's/"threads":[0-9]+/"threads":_/' \
-    -e 's/"(wall_seconds|sim_requests_per_sec)":[0-9.eE+-]+/"\1":_/g' \
-    -e 's/"(peak_rss_kb|collector_peak_pending)":[0-9]+/"\1":_/g'
+    -e 's/"(wall_seconds|sim_requests_per_sec)":[0-9.eE+-]+/"\1":_/g'
 }
 
 failures=0
 checked=0
-# fig_scenarios runs all four traffic presets per invocation (diurnal,
-# flash-crowd, deploy-wave, antagonist), so the byte-compare covers the
-# deploy-wave restart path and antagonist co-location too.
-for name in fig03_fleet_cdf fig_pressure_reclaim fig_fleet_timeseries \
-            fig_scenarios; do
+for name in fig03_fleet_cdf fig_pressure_reclaim fig_fault_resilience; do
   bench="$BENCH_DIR/$name"
   if [ ! -x "$bench" ]; then
     echo "check_determinism: missing bench binary $bench" >&2

@@ -22,9 +22,6 @@
 //   --max-requests=N  override the per-process request bound
 //   --statsz=PATH     write the merged telemetry dump; ".json" suffix
 //                     selects the JSON form, "-" prints text to stdout
-//   --trace=PATH      attach a flight recorder to every simulated process
-//                     and write the merged Chrome-tracing JSON (load it in
-//                     chrome://tracing or ui.perfetto.dev)
 //   --profile=PATH    write the merged pprof-style heap profile; ".json"
 //                     suffix selects the JSON form (tools/mallocz.py reads
 //                     it), "-" prints text to stdout
@@ -61,7 +58,6 @@
 #include "fleet/parallel.h"
 #include "telemetry/timeseries.h"
 #include "telemetry/statsz.h"
-#include "trace/chrome_trace.h"
 #include "trace/heap_profile.h"
 #include "workload/profiles.h"
 
@@ -86,20 +82,10 @@ inline std::string g_statsz_path;
 // rewritten to g_statsz_path after each report so the file always holds
 // the bench-wide aggregate.
 inline telemetry::Snapshot g_statsz_accum;
-// --trace / --profile destinations ("" = disabled).
-inline std::string g_trace_path;
+// --profile destination ("" = disabled) and the heap-profile aggregate
+// across every report in this process, rewritten to the file after each
+// report (same contract as --statsz).
 inline std::string g_profile_path;
-// Flight-recorder ring capacity per process when --trace is on: 64 Ki
-// 32-byte events (2 MiB) keeps the full event stream for the CI smoke
-// shapes; longer runs wrap and report the dropped count in the trace
-// metadata, exactly like a production flight recorder.
-inline constexpr size_t kBenchTraceRingEvents = size_t{1} << 16;
-// Trace and heap-profile aggregates across every report in this process,
-// rewritten to their files after each report (same contract as --statsz).
-// pids are remapped through g_trace_pid_base so successive fleets in one
-// bench stay distinct rows in the trace viewer.
-inline std::vector<trace::ProcessTrace> g_trace_accum;
-inline int g_trace_pid_base = 0;
 inline trace::HeapProfile g_profile_accum;
 // --timeseries destination ("" = disabled) and its bench-wide aggregate,
 // one merged series per arm label ("" = single-arm) so A/B benches keep
@@ -133,7 +119,6 @@ inline constexpr BenchFlag kBenchFlags[] = {
        g_bench_max_requests = static_cast<uint64_t>(std::atoll(v));
      }},
     {"--statsz=", [](const char* v) { g_statsz_path = v; }},
-    {"--trace=", [](const char* v) { g_trace_path = v; }},
     {"--profile=", [](const char* v) { g_profile_path = v; }},
     {"--timeseries=", [](const char* v) { g_timeseries_path = v; }},
 };
@@ -192,9 +177,6 @@ inline void ApplyBenchOverrides(fleet::FleetConfig& config) {
     config.max_requests_per_process = g_bench_max_requests;
   }
   config.num_threads = g_bench_threads;
-  if (!g_trace_path.empty()) {
-    config.trace_events_per_process = kBenchTraceRingEvents;
-  }
   if (!g_timeseries_path.empty()) {
     config.timeseries_interval = kBenchTimeseriesInterval;
   }
@@ -223,8 +205,8 @@ inline fleet::FleetConfig ChipletFleet() {
   return config;
 }
 
-// Writes `body` to `path` ("-" prints to stdout). Shared by the --trace
-// and --profile rewrites.
+// Writes `body` to `path` ("-" prints to stdout). Shared by the --profile
+// and --timeseries rewrites.
 inline void WriteBenchFile(const std::string& path, const std::string& body) {
   if (path == "-") {
     std::fputs(body.c_str(), stdout);
@@ -239,33 +221,19 @@ inline void WriteBenchFile(const std::string& path, const std::string& body) {
   std::fclose(f);
 }
 
-// Folds per-process traces and a merged heap profile into the bench-wide
-// aggregates and rewrites the --trace/--profile files, so (like --statsz)
-// the final write holds everything the bench simulated. Incoming traces
-// are machine-index ordered and pids are remapped past everything already
-// accumulated, so successive fleets stay distinct viewer rows and the
-// files are bit-identical for any --threads value.
-inline void ReportTraceAndProfile(std::vector<trace::ProcessTrace> traces,
-                                  const trace::HeapProfile& profile) {
-  if (!g_trace_path.empty() && !traces.empty()) {
-    int next_base = g_trace_pid_base;
-    for (trace::ProcessTrace& t : traces) {
-      t.pid += g_trace_pid_base;
-      next_base = std::max(next_base, t.pid + 1);
-      g_trace_accum.push_back(std::move(t));
-    }
-    g_trace_pid_base = next_base;
-    WriteBenchFile(g_trace_path, trace::RenderChromeTrace(g_trace_accum));
-  }
-  if (!g_profile_path.empty()) {
-    g_profile_accum.MergeFrom(profile);
-    bool json = g_profile_path.size() >= 5 &&
-                g_profile_path.compare(g_profile_path.size() - 5, 5,
-                                       ".json") == 0;
-    WriteBenchFile(g_profile_path,
-                   json ? trace::RenderHeapProfileJson(g_profile_accum)
-                        : trace::RenderHeapProfileText(g_profile_accum));
-  }
+// Folds a merged heap profile into the bench-wide aggregate and rewrites
+// the --profile file, so (like --statsz) the final write holds everything
+// the bench simulated. Profiles arrive merged in machine-index order, so
+// the file is bit-identical for any --threads value.
+inline void ReportProfile(const trace::HeapProfile& profile) {
+  if (g_profile_path.empty()) return;
+  g_profile_accum.MergeFrom(profile);
+  bool json = g_profile_path.size() >= 5 &&
+              g_profile_path.compare(g_profile_path.size() - 5, 5,
+                                     ".json") == 0;
+  WriteBenchFile(g_profile_path,
+                 json ? trace::RenderHeapProfileJson(g_profile_accum)
+                      : trace::RenderHeapProfileText(g_profile_accum));
 }
 
 // Folds a merged interval series into the bench-wide aggregate for its
@@ -286,26 +254,22 @@ inline void ReportTimeSeries(const std::string& bench,
   WriteBenchFile(g_timeseries_path, body);
 }
 
-// Trace/profile of a set of fleet observations.
-inline void ReportTraceAndProfile(
+// Heap profile of a set of fleet observations.
+inline void ReportProfile(
     const std::vector<fleet::FleetObservation>& observations) {
-  if (g_trace_path.empty() && g_profile_path.empty()) return;
-  ReportTraceAndProfile(fleet::MergedTrace(observations),
-                        fleet::MergedHeapProfile(observations));
+  if (g_profile_path.empty()) return;
+  ReportProfile(fleet::MergedHeapProfile(observations));
 }
 
-// Trace/profile of one machine run (pid = next free viewer row, tid =
-// process index within the machine).
-inline void ReportTraceAndProfile(
-    const std::vector<fleet::ProcessResult>& results) {
-  if (g_trace_path.empty() && g_profile_path.empty()) return;
-  std::vector<trace::ProcessTrace> traces;
+// Heap profile of one machine run (merged across its co-located
+// processes).
+inline void ReportProfile(const std::vector<fleet::ProcessResult>& results) {
+  if (g_profile_path.empty()) return;
   trace::HeapProfile profile;
-  for (size_t i = 0; i < results.size(); ++i) {
-    traces.push_back({0, static_cast<int>(i), results[i].trace});
-    profile.MergeFrom(results[i].heap_profile);
+  for (const fleet::ProcessResult& r : results) {
+    profile.MergeFrom(r.heap_profile);
   }
-  ReportTraceAndProfile(std::move(traces), profile);
+  ReportProfile(profile);
 }
 
 // Builder for one `BENCH_JSON {...}` line. Every bench emission goes
@@ -398,7 +362,7 @@ inline void ReportTelemetry(
     const char* arm = nullptr) {
   ReportTelemetry(bench, fleet::MergedTelemetry(observations), arm);
   ReportTimeSeries(bench, fleet::MergedTimeSeries(observations), arm);
-  ReportTraceAndProfile(observations);
+  ReportProfile(observations);
 }
 
 // Telemetry of one machine run (merged across its co-located processes).
@@ -413,7 +377,7 @@ inline void ReportTelemetry(const std::string& bench,
   }
   ReportTelemetry(bench, merged, arm);
   ReportTimeSeries(bench, series, arm);
-  ReportTraceAndProfile(results);
+  ReportProfile(results);
 }
 
 // Telemetry of both arms of an A/B delta (two lines).

@@ -138,8 +138,6 @@ int main(int argc, char** argv) {
   // lines from a small allocator exercise that touches every tier.
   wsc::bench::BenchTimer timer("fig04_alloc_latency");
   Allocator alloc(BenchConfig());
-  wsc::trace::FlightRecorder recorder(wsc::bench::kBenchTraceRingEvents);
-  if (!wsc::bench::g_trace_path.empty()) alloc.SetFlightRecorder(&recorder);
   const uint64_t iters = wsc::bench::BenchMaxRequests(20000);
   std::vector<uintptr_t> live;
   for (uint64_t i = 0; i < iters; ++i) {
@@ -159,10 +157,8 @@ int main(int argc, char** argv) {
   wsc::bench::ReportTelemetry(
       timer.bench(),
       wsc::tcmalloc::MallocExtension(&alloc).GetTelemetrySnapshot());
-  if (!wsc::bench::g_trace_path.empty() ||
-      !wsc::bench::g_profile_path.empty()) {
-    wsc::bench::ReportTraceAndProfile({{0, 0, recorder.Drain()}},
-                                      alloc.CollectHeapProfile());
+  if (!wsc::bench::g_profile_path.empty()) {
+    wsc::bench::ReportProfile(alloc.CollectHeapProfile());
   }
   return 0;
 }

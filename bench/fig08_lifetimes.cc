@@ -30,10 +30,7 @@ tcmalloc::LifetimeProfile CollectProfile(
   for (const auto& spec : specs) {
     fleet::Machine machine(
         hw::PlatformSpecFor(hw::PlatformGeneration::kGenD), {spec},
-        tcmalloc::AllocatorConfig(), seed++, /*pressure_events=*/{},
-        wsc::bench::g_trace_path.empty()
-            ? 0
-            : wsc::bench::kBenchTraceRingEvents);
+        tcmalloc::AllocatorConfig(), seed++);
     machine.Run(wsc::bench::BenchDuration(Seconds(12)),
                 wsc::bench::BenchMaxRequests(60000));
     machine.driver(0).Drain();  // finalize censored lifetimes
@@ -43,7 +40,7 @@ tcmalloc::LifetimeProfile CollectProfile(
     profile.Merge(extension.GetLifetimeProfile());
     g_sim_requests += machine.results()[0].driver.requests;
     g_telemetry.MergeFrom(machine.results()[0].telemetry);
-    wsc::bench::ReportTraceAndProfile(machine.results());
+    wsc::bench::ReportProfile(machine.results());
   }
   return profile;
 }

@@ -39,12 +39,6 @@ class SimClock {
     now_ += delta;
   }
 
-  // Advances the clock to an absolute time that must not be in the past.
-  void AdvanceTo(SimTime t) {
-    WSC_DCHECK_GE(t, now_);
-    now_ = t;
-  }
-
  private:
   SimTime now_ = 0;
 };

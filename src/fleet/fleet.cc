@@ -144,8 +144,7 @@ std::vector<FleetObservation> Fleet::RunMachine(
   faults.oom_kill_time = plan.oom_kill_time;
   faults.restart_seed = plan.restart_seed;
   Machine machine(plan.platform, plan.workloads, allocator_config_,
-                  plan.machine_seed, plan.pressure_events,
-                  config_.trace_events_per_process, std::move(faults),
+                  plan.machine_seed, plan.pressure_events, std::move(faults),
                   config_.timeseries_interval);
   machine.Run(config_.duration, config_.max_requests_per_process);
   std::vector<FleetObservation> observations;
@@ -193,16 +192,6 @@ telemetry::Snapshot MergedTelemetry(
     merged.MergeFrom(obs.result.telemetry);
   }
   return merged;
-}
-
-std::vector<trace::ProcessTrace> MergedTrace(
-    const std::vector<FleetObservation>& observations) {
-  std::vector<trace::ProcessTrace> traces;
-  traces.reserve(observations.size());
-  for (const FleetObservation& obs : observations) {
-    traces.push_back({obs.machine, obs.process, obs.result.trace});
-  }
-  return traces;
 }
 
 trace::HeapProfile MergedHeapProfile(

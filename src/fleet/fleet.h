@@ -17,7 +17,7 @@
 #include "hw/topology.h"
 #include "tcmalloc/config.h"
 #include "tcmalloc/fault_injection.h"
-#include "trace/chrome_trace.h"
+#include "trace/heap_profile.h"
 #include "workload/profiles.h"
 
 namespace wsc::fleet {
@@ -112,11 +112,6 @@ struct FleetConfig {
   // Deterministic fault injection (off by default).
   FaultConfig faults;
 
-  // Flight-recorder ring capacity per process (0 = tracing off). When set,
-  // every process's drained ring lands in its ProcessResult::trace and the
-  // fleet trace is exported via MergedTrace.
-  size_t trace_events_per_process = 0;
-
   // Telemetry time-series capture cadence on the logical clock (0 = off).
   // When set, every process captures counter/histogram deltas and gauge
   // samples at each boundary into ProcessResult::timeseries; series merge
@@ -137,13 +132,6 @@ struct FleetObservation {
 // snapshot in observation order (machine-index order, the order Run()
 // produces), so the result is bit-identical for any worker-thread count.
 telemetry::Snapshot MergedTelemetry(
-    const std::vector<FleetObservation>& observations);
-
-// Per-process trace buffers tagged pid = machine index, tid = process
-// index, in observation order — ready for trace::RenderChromeTrace.
-// Observation order is machine-index order, so the rendered trace is
-// bit-identical for any worker-thread count.
-std::vector<trace::ProcessTrace> MergedTrace(
     const std::vector<FleetObservation>& observations);
 
 // Fleet-wide heap profile: every observation's profile merged in

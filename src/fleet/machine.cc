@@ -34,11 +34,9 @@ Machine::Machine(const hw::PlatformSpec& platform,
                  std::vector<workload::WorkloadSpec> workloads,
                  const tcmalloc::AllocatorConfig& base_config, uint64_t seed,
                  std::vector<PressureEvent> pressure_events,
-                 size_t trace_events_per_process, MachineFaults faults,
-                 SimTime timeseries_interval)
+                 MachineFaults faults, SimTime timeseries_interval)
     : topology_(platform),
       base_config_(base_config),
-      trace_capacity_(trace_events_per_process),
       timeseries_interval_(timeseries_interval),
       faults_(std::move(faults)),
       pressure_events_(std::move(pressure_events)) {
@@ -92,10 +90,6 @@ std::unique_ptr<Machine::Process> Machine::MakeProcess(
       (uintptr_t{1} << 44) * (1 + static_cast<uintptr_t>(workload_index));
 
   process->allocator = std::make_unique<tcmalloc::Allocator>(config);
-  if (trace_capacity_ > 0) {
-    process->recorder = std::make_unique<trace::FlightRecorder>(trace_capacity_);
-    process->allocator->SetFlightRecorder(process->recorder.get());
-  }
   size_t wi = static_cast<size_t>(workload_index);
   if (wi < faults_.fault_plans.size() && !faults_.fault_plans[wi].Empty()) {
     process->injector =
@@ -283,7 +277,6 @@ ProcessResult Machine::FinalizeResult(Process& p) const {
     r.timeseries = std::move(*p.series);
     *p.series = telemetry::IntervalSeries();
   }
-  if (p.recorder != nullptr) r.trace = p.recorder->Drain();
   r.heap_profile = p.allocator->CollectHeapProfile();
   r.ghz = topology_.spec().ghz;
   return r;

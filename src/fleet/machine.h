@@ -23,7 +23,6 @@
 #include "tcmalloc/fault_injection.h"
 #include "telemetry/registry.h"
 #include "telemetry/timeseries.h"
-#include "trace/flight_recorder.h"
 #include "trace/heap_profile.h"
 #include "workload/driver.h"
 #include "workload/profiles.h"
@@ -91,10 +90,8 @@ struct ProcessResult {
   // process drains (its last sim-interval boundary). Snapshots merge
   // across processes/machines in index order (see fleet::MergedTelemetry).
   telemetry::Snapshot telemetry;
-  // Drained flight-recorder contents (empty with capacity 0 when tracing
-  // was off) and the process's heap profile, both taken at the same point
-  // as `telemetry`. Merged machine-index ordered like telemetry.
-  trace::TraceBuffer trace;
+  // The process's heap profile, taken at the same point as `telemetry`.
+  // Merged machine-index ordered like telemetry.
   trace::HeapProfile heap_profile;
   // Interval time series of this process's telemetry (empty unless the
   // machine ran with timeseries_interval > 0): counter/histogram deltas
@@ -117,17 +114,13 @@ struct ProcessResult {
 // One simulated server.
 class Machine {
  public:
-  // `trace_events_per_process` > 0 attaches a flight recorder of that
-  // capacity to every process's allocator; the drained ring lands in
-  // ProcessResult::trace. `timeseries_interval` > 0 captures every
-  // process's telemetry deltas at that logical-clock cadence into
-  // ProcessResult::timeseries.
+  // `timeseries_interval` > 0 captures every process's telemetry deltas
+  // at that logical-clock cadence into ProcessResult::timeseries.
   Machine(const hw::PlatformSpec& platform,
           std::vector<workload::WorkloadSpec> workloads,
           const tcmalloc::AllocatorConfig& base_config, uint64_t seed,
           std::vector<PressureEvent> pressure_events = {},
-          size_t trace_events_per_process = 0, MachineFaults faults = {},
-          SimTime timeseries_interval = 0);
+          MachineFaults faults = {}, SimTime timeseries_interval = 0);
 
   // Runs every process until its local clock reaches `duration` or it has
   // executed `max_requests` requests, whichever comes first, then drains.
@@ -149,11 +142,8 @@ class Machine {
     workload::WorkloadSpec spec;
     int workload_index = 0;
     std::vector<int> cpus;  // control-plane CPU mask (kept for restarts)
-    // Declared before the allocator: ~Allocator drains leftover large
-    // objects through the page heap, which emits trace events, so the
-    // recorder must outlive it. The fault injector likewise outlives the
-    // allocator that consults it.
-    std::unique_ptr<trace::FlightRecorder> recorder;  // null: tracing off
+    // Declared before the allocator, so it outlives the allocator that
+    // consults it.
     std::unique_ptr<tcmalloc::FaultInjector> injector;  // null: no faults
     std::unique_ptr<tcmalloc::Allocator> allocator;
     std::unique_ptr<hw::TlbSimulator> tlb;
@@ -183,9 +173,8 @@ class Machine {
   void ApplyPressure(Process& p);
 
   // Builds one fully wired process: placement-resolved allocator (arena at
-  // `workload_index` stride), optional flight recorder and fault injector,
-  // hardware models, and driver. Used at construction and for OOM
-  // restarts.
+  // `workload_index` stride), optional fault injector, hardware models,
+  // and driver. Used at construction and for OOM restarts.
   std::unique_ptr<Process> MakeProcess(int workload_index,
                                        const workload::WorkloadSpec& spec,
                                        std::vector<int> cpus,
@@ -207,7 +196,6 @@ class Machine {
 
   hw::CpuTopology topology_;
   tcmalloc::AllocatorConfig base_config_;
-  size_t trace_capacity_ = 0;
   SimTime timeseries_interval_ = 0;
   MachineFaults faults_;
   bool oom_fired_ = false;

@@ -127,12 +127,17 @@ void ReturnThreadCache(void* tc) {
   g_alloc->UnregisterThread(static_cast<RealThreadCache*>(tc));
 }
 
+// A MiB count from the environment, in bytes. A count too large for a
+// size_t of bytes saturates at its maximum instead of wrapping; that
+// includes "-1", which strtoull returns as ULLONG_MAX.
 size_t EnvBytesMb(const char* name, size_t fallback) {
   const char* v = getenv(name);
   if (v == nullptr || *v == '\0') return fallback;
   char* end = nullptr;
   unsigned long long mb = strtoull(v, &end, 10);
   if (end == v) return fallback;
+  constexpr size_t kMaxBytes = ~size_t{0};
+  if (mb > (kMaxBytes >> 20)) return kMaxBytes;
   return static_cast<size_t>(mb) << 20;
 }
 

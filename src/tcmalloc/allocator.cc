@@ -154,7 +154,6 @@ double Allocator::MmapNsTotal() const {
 uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
                               uint64_t callsite) {
   WSC_CHECK_GT(size, 0u);
-  if (trace_) trace_->set_now(now);
   if (!reclaimer_->AdmitAllocation(size)) {
     // Hard memory limit: a counted, surfaced failure (not an allocation).
     last_op_ns_ = kCostModel.other_ns;
@@ -176,16 +175,8 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
     if (span == nullptr) {
       // Arena growth denied (injected mmap failure / hugepage scarcity):
       // mobilize cached memory back toward the page heap, then retry once.
-      if (trace_) {
-        trace_->Emit(trace::EventType::kGrowthFailure, vcpu,
-                     vcpu_domain_[vcpu], -1, -1, size, 0);
-      }
       if (reclaimer_->EmergencyReclaimForGrowth()) {
         fail_emergency_recoveries_->Add();
-        if (trace_) {
-          trace_->Emit(trace::EventType::kEmergencyRecovery, vcpu,
-                       vcpu_domain_[vcpu], -1, -1, size, 0);
-        }
         span = nodes_[node]->page_heap.NewLargeSpan(pages);
       }
       if (span == nullptr) {
@@ -218,15 +209,10 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
       cycles_.cpu_cache_ns += kCostModel.cpu_cache_hit_ns;
       last_op_ns_ += kCostModel.cpu_cache_hit_ns;
     } else {
-      if (trace_) {
-        trace_->Emit(trace::EventType::kCpuCacheMiss, vcpu,
-                     vcpu_domain_[vcpu], cls, -1, allocated_bytes, 0);
-      }
       addr = SlowPathAllocate(cls, vcpu, node);
       if (addr == 0) {
         // Growth denied at every tier and the emergency cascade ran dry:
-        // a counted, surfaced failure (trace events were emitted inside
-        // the slow path).
+        // a counted, surfaced failure.
         fail_alloc_failures_->Add();
         return 0;
       }
@@ -260,10 +246,6 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
   if (sampler_.RecordAllocation(addr, size, allocated_bytes, now, callsite)) {
     cycles_.sampled_ns += kCostModel.sampled_alloc_ns;
     last_op_ns_ += kCostModel.sampled_alloc_ns;
-    if (trace_) {
-      trace_->Emit(trace::EventType::kSampledAlloc, vcpu, -1, -1, -1,
-                   allocated_bytes, callsite);
-    }
   }
   return addr;
 }
@@ -312,16 +294,8 @@ uintptr_t Allocator::SlowPathAllocate(int cls, int vcpu, int node) {
     // failure / simulated OOM). Run one rate-limited emergency reclaim to
     // mobilize cached objects back down the hierarchy, then retry the
     // central free list once before surfacing the failure.
-    if (trace_) {
-      trace_->Emit(trace::EventType::kGrowthFailure, vcpu, domain, cls, -1,
-                   size_classes_->class_size(cls), 0);
-    }
     if (reclaimer_->EmergencyReclaimForGrowth()) {
       fail_emergency_recoveries_->Add();
-      if (trace_) {
-        trace_->Emit(trace::EventType::kEmergencyRecovery, vcpu, domain, cls,
-                     -1, size_classes_->class_size(cls), 0);
-      }
       got = backend.cfls[cls]->RemoveRange(batch_.data(), batch);
       cycles_.central_free_list_ns += kCostModel.central_free_list_ns;
       last_op_ns_ += kCostModel.central_free_list_ns;
@@ -353,34 +327,22 @@ uintptr_t Allocator::SlowPathAllocate(int cls, int vcpu, int node) {
 
 void Allocator::Free(uintptr_t addr, int vcpu, SimTime now,
                      uint64_t callsite) {
-  if (trace_) trace_->set_now(now);
   if (sampler_.guarded()) {
     Sampler::Tombstone tomb;
     if (sampler_.TakeTombstone(addr, &tomb)) {
       // Double free of a guarded (sampled) object: the tombstone proves
-      // the address was already freed and not yet reused. Report with the
-      // allocating callsite and swallow the free instead of corrupting
-      // span bookkeeping.
+      // the address was already freed and not yet reused. Count it and
+      // swallow the free instead of corrupting span bookkeeping.
       fail_guard_double_frees_->Add();
       last_op_ns_ = kCostModel.other_ns;
       cycles_.other_ns += kCostModel.other_ns;
-      if (trace_) {
-        trace_->Emit(
-            trace::EventType::kGuardReport, vcpu, -1, -1,
-            static_cast<int16_t>(trace::GuardReportKind::kDoubleFree),
-            tomb.allocated, tomb.callsite);
-      }
       return;
     }
   }
   free_ops_->Add();
   last_op_ns_ = kCostModel.other_ns;
   cycles_.other_ns += kCostModel.other_ns;
-  Sampler::FreeRecord sampled = sampler_.RecordFree(addr, now);
-  if (sampled.sampled && trace_) {
-    trace_->Emit(trace::EventType::kSampledFree, vcpu, -1, -1, -1,
-                 sampled.allocated, sampled.callsite);
-  }
+  sampler_.RecordFree(addr, now);
 
   Span* span = pagemap_.LookupAddr(addr);
   WSC_CHECK(span != nullptr);  // wild free otherwise
@@ -431,28 +393,16 @@ void Allocator::Free(uintptr_t addr, int vcpu, SimTime now,
     last_op_ns_ += kCostModel.cpu_cache_hit_ns;
     return;
   }
-  if (trace_) {
-    trace_->Emit(trace::EventType::kCpuCacheOverflow, vcpu,
-                 vcpu_domain_[vcpu], cls, -1, size, 0);
-  }
   SlowPathFree(cls, vcpu, addr);
 }
 
-bool Allocator::ProbeAccess(uintptr_t addr, size_t offset, int vcpu,
-                            SimTime now) {
+bool Allocator::ProbeAccess(uintptr_t addr, size_t offset) {
   if (!sampler_.guarded()) return false;
-  if (trace_) trace_->set_now(now);
   Sampler::Tombstone tomb;
   if (sampler_.TakeTombstone(addr, &tomb)) {
     // Access through a tombstoned guard: use-after-free, caught because
     // the freed address has not been reused (GWP-ASan's quarantined page).
     fail_guard_use_after_frees_->Add();
-    if (trace_) {
-      trace_->Emit(
-          trace::EventType::kGuardReport, vcpu, -1, -1,
-          static_cast<int16_t>(trace::GuardReportKind::kUseAfterFree),
-          tomb.allocated, tomb.callsite);
-    }
     return true;
   }
   const Sampler::Sample* sample = sampler_.FindLiveSample(addr);
@@ -460,12 +410,6 @@ bool Allocator::ProbeAccess(uintptr_t addr, size_t offset, int vcpu,
     // Access past the requested size of a live guard: buffer overrun into
     // the canary redzone. The guard stays live (the object still is).
     fail_guard_overruns_->Add();
-    if (trace_) {
-      trace_->Emit(
-          trace::EventType::kGuardReport, vcpu, -1, -1,
-          static_cast<int16_t>(trace::GuardReportKind::kBufferOverrun),
-          sample->allocated, sample->callsite);
-    }
     return true;
   }
   return false;
@@ -511,7 +455,6 @@ void Allocator::ReturnToCfl(int cls, const uintptr_t* objs, int n) {
 }
 
 void Allocator::Maintain(SimTime now) {
-  if (trace_) trace_->set_now(now);
   if (now - last_resize_ >= config_.cpu_cache_resize_interval) {
     last_resize_ = now;
     cpu_caches_.ResizeStep([this](int cls, const uintptr_t* objs, int n) {
@@ -761,17 +704,6 @@ telemetry::Snapshot Allocator::TelemetrySnapshot() {
                         sum);
   }
   return reg.TakeSnapshot();
-}
-
-void Allocator::SetFlightRecorder(trace::FlightRecorder* recorder) {
-  trace_ = recorder;
-  cpu_caches_.set_flight_recorder(recorder);
-  for (auto& node : nodes_) {
-    node->transfer_cache.set_flight_recorder(recorder);
-    for (auto& cfl : node->cfls) cfl->set_flight_recorder(recorder);
-    node->page_heap.set_flight_recorder(recorder);
-  }
-  reclaimer_->set_flight_recorder(recorder);
 }
 
 void Allocator::SetFaultInjector(FaultInjector* injector) {

@@ -47,7 +47,6 @@
 #include "tcmalloc/system_alloc.h"
 #include "tcmalloc/transfer_cache.h"
 #include "telemetry/registry.h"
-#include "trace/flight_recorder.h"
 #include "trace/heap_profile.h"
 
 namespace wsc::tcmalloc {
@@ -147,9 +146,9 @@ class Allocator {
   // Frees an address previously returned by Allocate. Fatal on wild or
   // double frees (span bookkeeping catches both) — except double frees of
   // guarded (sampled) objects under config.guarded_sampling, which are
-  // detected, reported under the "failure" component with the allocating
-  // callsite, and otherwise ignored. `callsite` must match the allocating
-  // call's (the workload driver stores it per object).
+  // detected, counted under the "failure" component, and otherwise
+  // ignored. `callsite` must match the allocating call's (the workload
+  // driver stores it per object).
   void Free(uintptr_t addr, int vcpu, SimTime now, uint64_t callsite = 0);
 
   // Models a memory access at `addr + offset` for guard checking (the
@@ -159,7 +158,7 @@ class Allocator {
   // requested size of a live guard (buffer overrun). Without guarded
   // sampling (or on unguarded addresses) always false — the bug goes
   // undetected, exactly like an unsampled allocation under GWP-ASan.
-  bool ProbeAccess(uintptr_t addr, size_t offset, int vcpu, SimTime now);
+  bool ProbeAccess(uintptr_t addr, size_t offset);
 
   // Simulated nanoseconds charged to the most recent Allocate/Free.
   double last_op_ns() const { return last_op_ns_; }
@@ -201,15 +200,6 @@ class Allocator {
   // allocator-level aggregates. The fleet layer snapshots each process and
   // merges the results in machine-index order.
   telemetry::Snapshot TelemetrySnapshot();
-
-  // --- Flight recorder (src/trace) ---
-  //
-  // Attaches (or detaches, with nullptr) the tier-event flight recorder,
-  // propagating the pointer to every cache tier. With no recorder attached
-  // every hook is a single null check — tracing disabled costs nothing on
-  // the hot path.
-  void SetFlightRecorder(trace::FlightRecorder* recorder);
-  trace::FlightRecorder* flight_recorder() const { return trace_; }
 
   // --- Fault injection (fault_injection.h) ---
   //
@@ -376,9 +366,6 @@ class Allocator {
     uint64_t cum_bytes = 0;
   };
   std::map<uint64_t, CallsiteStats> callsites_;
-
-  // Null unless a trace is being recorded; every tier shares this pointer.
-  trace::FlightRecorder* trace_ = nullptr;
 
   // Metric registry plus the hot-path handles registered into it. The
   // allocation/free counts live directly in the registry (single-writer

@@ -161,10 +161,6 @@ size_t BackgroundReclaimer::ReclaimTiers(size_t target_bytes) {
     size_t flushed =
         allocator_->cpu_caches_.ShrinkForPressure(floor, to_cfl);
     tier_cpu_cache_hist_->Record(static_cast<double>(flushed));
-    if (trace_) {
-      trace_->Emit(trace::EventType::kPressureStep, -1, -1, -1, 0, flushed,
-                   footprint);
-    }
     released += ReleaseBackend(footprint - target_bytes);
     footprint = allocator_->FootprintBytes();
   }
@@ -179,10 +175,6 @@ size_t BackgroundReclaimer::ReclaimTiers(size_t target_bytes) {
       drained += node->transfer_cache.DrainAll(to_cfl);
     }
     tier_transfer_cache_hist_->Record(static_cast<double>(drained));
-    if (trace_) {
-      trace_->Emit(trace::EventType::kPressureStep, -1, -1, -1, 1, drained,
-                   footprint);
-    }
     released += ReleaseBackend(footprint - target_bytes);
     footprint = allocator_->FootprintBytes();
   }
@@ -192,10 +184,6 @@ size_t BackgroundReclaimer::ReclaimTiers(size_t target_bytes) {
   // eagerly; this attributes those bytes to the cascade).
   size_t span_bytes = ReturnedSpanBytesSince(spans_before);
   tier_central_free_list_hist_->Record(static_cast<double>(span_bytes));
-  if (trace_) {
-    trace_->Emit(trace::EventType::kPressureStep, -1, -1, -1, 2, span_bytes,
-                 footprint);
-  }
 
   // Tier 4: whatever deficit remains comes straight out of the back end —
   // aggressive subrelease of sparse hugepages, no demand guard.
@@ -204,10 +192,6 @@ size_t BackgroundReclaimer::ReclaimTiers(size_t target_bytes) {
   }
 
   tier_page_heap_hist_->Record(static_cast<double>(released));
-  if (trace_) {
-    trace_->Emit(trace::EventType::kPressureStep, -1, -1, -1, 3, released,
-                 footprint);
-  }
   reclaimed_bytes_->Add(released);
   footprint_cache_valid_ = false;
   return released;

@@ -35,7 +35,6 @@
 
 #include "common/sim_clock.h"
 #include "telemetry/registry.h"
-#include "trace/flight_recorder.h"
 
 namespace wsc::tcmalloc {
 
@@ -96,12 +95,6 @@ class BackgroundReclaimer {
   // Allocator::TelemetrySnapshot between BeginExport and TakeSnapshot.
   void ContributeTelemetry(telemetry::MetricRegistry& registry) const;
 
-  // Attaches (or detaches, with nullptr) the flight recorder this actor
-  // emits kPressureStep events into (one per cascade tier).
-  void set_flight_recorder(trace::FlightRecorder* recorder) {
-    trace_ = recorder;
-  }
-
  private:
   // Runs the tier cascade until the footprint is at or under
   // `target_bytes` or every tier is exhausted. Returns bytes released to
@@ -144,7 +137,6 @@ class BackgroundReclaimer {
   telemetry::FixedHistogram* tier_transfer_cache_hist_;
   telemetry::FixedHistogram* tier_central_free_list_hist_;
   telemetry::FixedHistogram* tier_page_heap_hist_;
-  trace::FlightRecorder* trace_ = nullptr;
 };
 
 }  // namespace wsc::tcmalloc

@@ -88,11 +88,6 @@ int CentralFreeList::RemoveRange(uintptr_t* out, int n) {
       free_objects_ += static_cast<size_t>(span->capacity());
       lists_[ListIndexFor(0)].PushFront(span);
       span->list_index = ListIndexFor(0);
-      if (trace_) {
-        trace_->Emit(trace::EventType::kCflSpanAllocate, -1, -1, cls_,
-                     static_cast<int16_t>(span->list_index), span->span_id,
-                     static_cast<uint64_t>(span->capacity()));
-      }
     }
     while (produced < n && !span->full()) {
       out[produced++] = span->AllocateObject();
@@ -116,11 +111,6 @@ void CentralFreeList::InsertObject(Span* span, uintptr_t obj) {
       full_.Remove(span);
     } else if (span->list_index >= 0) {
       lists_[span->list_index].Remove(span);
-    }
-    if (trace_) {
-      trace_->Emit(trace::EventType::kCflSpanReturn, -1, -1, cls_,
-                   static_cast<int16_t>(span->list_index), span->span_id,
-                   static_cast<uint64_t>(span->capacity()));
     }
     span->list_index = -1;
     WSC_CHECK_GE(free_objects_, static_cast<size_t>(span->capacity()));

@@ -18,7 +18,6 @@
 #include "tcmalloc/size_classes.h"
 #include "tcmalloc/span.h"
 #include "telemetry/registry.h"
-#include "trace/flight_recorder.h"
 
 namespace wsc::tcmalloc {
 
@@ -102,12 +101,6 @@ class CentralFreeList {
   // the snapshot carries the tier aggregate.
   void ContributeTelemetry(telemetry::MetricRegistry& registry) const;
 
-  // Attaches (or detaches, with nullptr) the flight recorder this tier
-  // emits kCflSpanAllocate/Return events into.
-  void set_flight_recorder(trace::FlightRecorder* recorder) {
-    trace_ = recorder;
-  }
-
  private:
   // Occupancy list index for a span with `live` allocated objects (live>=1).
   int ListIndexFor(int live) const;
@@ -128,7 +121,6 @@ class CentralFreeList {
   CentralFreeListStats stats_;
   uint64_t span_fetch_failures_ = 0;
   std::vector<uint64_t> returned_span_ids_;
-  trace::FlightRecorder* trace_ = nullptr;
 };
 
 }  // namespace wsc::tcmalloc

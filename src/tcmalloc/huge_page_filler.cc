@@ -196,11 +196,6 @@ PageId HugePageFiller::Allocate(Length n, int span_capacity) {
   int offset = t->Allocate(n);
   WSC_CHECK_GE(offset, 0);
   ListInsert(t);
-  if (trace_) {
-    trace_->Emit(trace::EventType::kFillerPlace, -1, -1, -1,
-                 static_cast<int16_t>(set), t->hugepage().index,
-                 static_cast<uint64_t>(n));
-  }
   if (was_released) {
     // Pages on a broken hugepage get recommitted on use; they stop counting
     // as released. (The hugepage itself stays broken until fully free.)
@@ -345,12 +340,6 @@ Length HugePageFiller::ReleaseSparsest(Length need) {
       confirmed_bytes += backing_->ReleasePageRange(t->hugepage(), offset,
                                                     len);
     });
-    if (trace_) {
-      trace_->Emit(trace::EventType::kFillerSubrelease, -1, -1, -1,
-                   static_cast<int16_t>(t->lifetime_set()),
-                   t->hugepage().index,
-                   static_cast<uint64_t>(t->free_pages()));
-    }
   }
   // Report what the backing confirmed, not what was marked: this is the
   // figure ReleaseMemoryToSystem surfaces to callers.

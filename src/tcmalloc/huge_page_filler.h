@@ -24,7 +24,6 @@
 #include "common/flat_map.h"
 #include "tcmalloc/pages.h"
 #include "telemetry/registry.h"
-#include "trace/flight_recorder.h"
 
 namespace wsc::tcmalloc {
 
@@ -235,12 +234,6 @@ class HugePageFiller {
   // `registry`.
   void ContributeTelemetry(telemetry::MetricRegistry& registry) const;
 
-  // Attaches (or detaches, with nullptr) the flight recorder this tier
-  // emits kFillerPlace/Subrelease events into.
-  void set_flight_recorder(trace::FlightRecorder* recorder) {
-    trace_ = recorder;
-  }
-
  private:
   // lists_[set][free_pages] -> trackers with exactly that many free pages.
   // Index 0 (full trackers) through kPagesPerHugePage.
@@ -276,7 +269,6 @@ class HugePageFiller {
   FlatPtrMap<PageTracker*> tracker_index_;
 
   FillerStats stats_;
-  trace::FlightRecorder* trace_ = nullptr;
 };
 
 }  // namespace wsc::tcmalloc

@@ -10,7 +10,11 @@
 namespace wsc::tcmalloc {
 
 RealMemoryBacking::RealMemoryBacking(size_t reserve_bytes) {
-  size_t want = std::max(reserve_bytes, kMinReserveBytes);
+  // No mapping spans half the address space, so a larger request
+  // saturates there; the hugepage round-up and the over-map slack below
+  // then cannot wrap.
+  constexpr size_t kMaxReserveBytes = size_t{1} << 63;
+  size_t want = std::clamp(reserve_bytes, kMinReserveBytes, kMaxReserveBytes);
   want = (want + kHugePageSize - 1) & ~(kHugePageSize - 1);
   // Over-map by one hugepage so the working base can be aligned up to a
   // 2 MiB boundary; the slack stays mapped (NORESERVE, never touched).

@@ -73,23 +73,13 @@ Span* PageHeap::NewSpan(int cls) {
   WSC_CHECK_LT(info.pages_per_span, kPagesPerHugePage);
   PageId first = filler_.Allocate(info.pages_per_span, info.objects_per_span);
   if (!IsValid(first)) return nullptr;  // growth denied; CFLs degrade
-  Span* span = RegisterSpan(new Span(first, info.pages_per_span, cls,
-                                     info.size, info.objects_per_span));
-  if (trace_) {
-    trace_->Emit(trace::EventType::kPageHeapSpanAlloc, -1, -1, cls, -1,
-                 span->span_id, static_cast<uint64_t>(span->num_pages()));
-  }
-  return span;
+  return RegisterSpan(new Span(first, info.pages_per_span, cls, info.size,
+                              info.objects_per_span));
 }
 
 void PageHeap::ReturnSpan(Span* span) {
   WSC_CHECK(!span->is_large());
   WSC_CHECK(span->empty());
-  if (trace_) {
-    trace_->Emit(trace::EventType::kPageHeapSpanFree, -1, -1,
-                 static_cast<int16_t>(span->size_class()), -1, span->span_id,
-                 static_cast<uint64_t>(span->num_pages()));
-  }
   pagemap_->Erase(span);
   filler_.Free(span->first_page(), span->num_pages());
   delete span;
@@ -165,19 +155,11 @@ Span* PageHeap::NewLargeSpan(Length pages) {
   }
   Span* span = RegisterSpan(new Span(first, pages));
   large_allocs_.Insert(span->start_addr(), record);
-  if (trace_) {
-    trace_->Emit(trace::EventType::kPageHeapSpanAlloc, -1, -1, -1, -1,
-                 span->span_id, static_cast<uint64_t>(pages));
-  }
   return span;
 }
 
 void PageHeap::FreeLargeSpan(Span* span) {
   WSC_CHECK(span->is_large());
-  if (trace_) {
-    trace_->Emit(trace::EventType::kPageHeapSpanFree, -1, -1, -1, -1,
-                 span->span_id, static_cast<uint64_t>(span->num_pages()));
-  }
   LargeAlloc* found = large_allocs_.Find(span->start_addr());
   WSC_CHECK(found != nullptr);
   LargeAlloc record = *found;

@@ -115,13 +115,6 @@ class PageHeap : public SpanSource, private HugePageBacking {
 
   uint64_t spans_created() const { return next_span_id_; }
 
-  // Attaches (or detaches, with nullptr) the flight recorder for this tier
-  // and the filler it composes.
-  void set_flight_recorder(trace::FlightRecorder* recorder) {
-    trace_ = recorder;
-    filler_.set_flight_recorder(recorder);
-  }
-
  private:
   enum class LargeKind { kFiller, kRegion, kCache };
   struct LargeAlloc {
@@ -163,7 +156,6 @@ class PageHeap : public SpanSource, private HugePageBacking {
   // scarcity); consulted by IsHugepageBacked, erased on free. Regions and
   // filler hugepages track their own backing.
   std::unordered_set<uintptr_t> unbacked_;
-  trace::FlightRecorder* trace_ = nullptr;
 
   // Sliding window of recent filler demand (used pages), sampled once per
   // BackgroundRelease call; its peak guards subrelease against transient

@@ -20,7 +20,6 @@
 #include "tcmalloc/config.h"
 #include "tcmalloc/size_classes.h"
 #include "telemetry/registry.h"
-#include "trace/flight_recorder.h"
 
 namespace wsc::tcmalloc {
 
@@ -116,13 +115,6 @@ class CpuCacheSet {
   // TakeSnapshot().
   void ContributeTelemetry(telemetry::MetricRegistry& registry) const;
 
-  // Attaches (or detaches, with nullptr) the flight recorder this tier
-  // emits kCpuCacheResize events into. The allocator owns the timestamp:
-  // it stamps the recorder's `now` at operation entry.
-  void set_flight_recorder(trace::FlightRecorder* recorder) {
-    trace_ = recorder;
-  }
-
  private:
   struct VcpuCache {
     bool populated = false;
@@ -159,7 +151,6 @@ class CpuCacheSet {
   std::vector<VcpuCache> vcpus_;
   int steal_cursor_ = 0;  // round-robin position for capacity stealing
   size_t pressure_cap_bytes_ = kNoPressureCap;
-  trace::FlightRecorder* trace_ = nullptr;
 };
 
 // --- fast-path implementations ---
@@ -326,10 +317,6 @@ void CpuCacheSet::ResizeStep(Flush&& flush) {
       for (size_t i = 0; i < growers.size(); ++i) {
         size_t granted = share + (i == 0 ? remainder : 0);
         vcpus_[growers[i]].capacity_bytes += granted;
-        if (trace_) {
-          trace_->Emit(trace::EventType::kCpuCacheResize, growers[i], -1, -1,
-                       -1, granted, victims.size());
-        }
       }
     }
   }

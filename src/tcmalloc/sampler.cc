@@ -46,9 +46,9 @@ bool Sampler::RecordAllocation(uintptr_t addr, size_t requested,
   return true;
 }
 
-Sampler::FreeRecord Sampler::RecordFree(uintptr_t addr, SimTime now) {
+void Sampler::RecordFree(uintptr_t addr, SimTime now) {
   auto it = live_samples_.find(addr);
-  if (it == live_samples_.end()) return {};
+  if (it == live_samples_.end()) return;
   const Sample& sample = it->second;
   double lifetime_ns = static_cast<double>(now - sample.alloc_time);
   int bucket = LifetimeProfile::SizeBucketFor(sample.allocated);
@@ -59,13 +59,11 @@ Sampler::FreeRecord Sampler::RecordFree(uintptr_t addr, SimTime now) {
   cs.live_bytes -= sample.allocated;
   ++cs.lifetimes;
   cs.lifetime_sum_ns += lifetime_ns;
-  FreeRecord record{true, sample.allocated, sample.callsite};
   if (guarded_) {
     InsertTombstone(addr, Tombstone{sample.requested, sample.allocated,
                                     sample.callsite, now});
   }
   live_samples_.erase(it);
-  return record;
 }
 
 void Sampler::InsertTombstone(uintptr_t addr, const Tombstone& tombstone) {

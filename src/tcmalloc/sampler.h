@@ -57,16 +57,9 @@ class Sampler {
     uint64_t callsite;
   };
 
-  // What RecordFree learned about the freed address.
-  struct FreeRecord {
-    bool sampled = false;
-    size_t allocated = 0;
-    uint64_t callsite = 0;
-  };
-
   // GWP-ASan-style guard state left behind when a guarded (sampled)
   // allocation is freed. A later free or access of the same address hits
-  // the tombstone and is reported with the original allocation's callsite.
+  // the tombstone and is reported as a heap bug.
   struct Tombstone {
     size_t requested = 0;
     size_t allocated = 0;
@@ -87,10 +80,8 @@ class Sampler {
   bool RecordAllocation(uintptr_t addr, size_t requested, size_t allocated,
                         SimTime now, uint64_t callsite = 0);
 
-  // Finalizes a sampled allocation if `addr` was sampled; the returned
-  // record carries the sample's payload so the caller can emit trace
-  // events without a second lookup.
-  FreeRecord RecordFree(uintptr_t addr, SimTime now);
+  // Finalizes a sampled allocation if `addr` was sampled.
+  void RecordFree(uintptr_t addr, SimTime now);
 
   // Marks every outstanding sampled object as living until `now` (used at
   // the end of a simulation so long-lived objects contribute their

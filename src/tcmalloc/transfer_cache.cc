@@ -59,10 +59,6 @@ int TransferCache::Remove(int domain, int cls, uintptr_t* out, int n) {
     taken += from_central;
   }
   if (taken < n) ++stats_.misses;
-  if (trace_) {
-    trace_->Emit(trace::EventType::kTransferRemove, -1, domain, cls, -1,
-                 static_cast<uint64_t>(n), static_cast<uint64_t>(taken));
-  }
   return taken;
 }
 
@@ -92,10 +88,6 @@ int TransferCache::Insert(int domain, int cls, const uintptr_t* objs, int n) {
   }
   stats_.inserts_accepted += accepted;
   stats_.inserts_overflowed += n - accepted;
-  if (trace_) {
-    trace_->Emit(trace::EventType::kTransferInsert, -1, domain, cls, -1,
-                 static_cast<uint64_t>(n), static_cast<uint64_t>(n - accepted));
-  }
   return accepted;
 }
 
@@ -104,7 +96,6 @@ void TransferCache::Plunder() {
   for (size_t domain = 0; domain < shards_.size(); ++domain) {
     auto& shard = shards_[domain];
     if (shard.empty()) continue;
-    uint64_t moved = 0;
     for (int cls = 0; cls < size_classes_->num_classes(); ++cls) {
       ClassCache& c = shard[cls];
       // Objects below the low-water mark were never touched during the
@@ -120,17 +111,12 @@ void TransferCache::Plunder() {
         if (central_[cls].objects.size() < central_[cls].capacity) {
           central_[cls].objects.push_back(obj);
           ++stats_.plundered_objects;
-          ++moved;
         } else {
           c.objects.push_back(obj);
           break;
         }
       }
       c.low_water = c.objects.size();
-    }
-    if (trace_ && moved > 0) {
-      trace_->Emit(trace::EventType::kTransferPlunder, -1,
-                   static_cast<int16_t>(domain), -1, -1, moved, 0);
     }
   }
 }

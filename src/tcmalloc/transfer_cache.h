@@ -21,7 +21,6 @@
 #include "tcmalloc/config.h"
 #include "tcmalloc/size_classes.h"
 #include "telemetry/registry.h"
-#include "trace/flight_recorder.h"
 
 namespace wsc::tcmalloc {
 
@@ -98,12 +97,6 @@ class TransferCache {
   // `registry`; NUMA-node instances accumulate into the same metrics.
   void ContributeTelemetry(telemetry::MetricRegistry& registry) const;
 
-  // Attaches (or detaches, with nullptr) the flight recorder this tier
-  // emits kTransferInsert/Remove/Plunder events into.
-  void set_flight_recorder(trace::FlightRecorder* recorder) {
-    trace_ = recorder;
-  }
-
  private:
   // Per-size-class object stack with a fixed capacity and a low-water mark.
   struct ClassCache {
@@ -122,7 +115,6 @@ class TransferCache {
   std::vector<std::vector<ClassCache>> shards_;
   TransferCacheStats stats_;
   int shard_batches_;
-  trace::FlightRecorder* trace_ = nullptr;
 };
 
 template <typename Sink>

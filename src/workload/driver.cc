@@ -228,7 +228,7 @@ double Driver::Step() {
         malloc_ns += allocator_->last_op_ns();
         ++metrics_.frees;
         ++metrics_.injected_bugs;
-        if (allocator_->ProbeAccess(addr, 0, vcpu, now)) {
+        if (allocator_->ProbeAccess(addr, 0)) {
           ++metrics_.detected_bugs;
         }
         continue;
@@ -237,7 +237,7 @@ double Driver::Step() {
         // Buffer overrun: touch one byte past the requested size. The
         // object stays live and dies normally later.
         ++metrics_.injected_bugs;
-        if (allocator_->ProbeAccess(addr, size, vcpu, now)) {
+        if (allocator_->ProbeAccess(addr, size)) {
           ++metrics_.detected_bugs;
         }
       }

@@ -69,6 +69,15 @@ TEST(RealMemoryBackingTest, ReleaseZeroesAndCounts) {
   EXPECT_EQ(backing.stats().recommitted_bytes, kHugePageSize);
 }
 
+// An out-of-range request (the shim's WSC_SHIM_RESERVE_MB=-1 saturates to
+// this) must not wrap the hugepage round-up below the ladder's floor.
+TEST(RealMemoryBackingTest, SizeMaxRequestGetsTheLargestReservation) {
+  RealMemoryBacking backing(~size_t{0});
+  ASSERT_TRUE(backing.ok());
+  EXPECT_EQ(backing.base() % kHugePageSize, 0u);
+  EXPECT_GE(backing.reserved_bytes(), RealMemoryBacking::kMinReserveBytes);
+}
+
 // ---- The real-threads allocator on real memory.
 
 TEST(RealMemoryModeTest, SmallRoundTripIsWritable) {

@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "fleet/fleet.h"
 #include "fleet/machine.h"
 #include "hw/topology.h"
 #include "tcmalloc/config.h"
@@ -18,6 +19,15 @@ fleet::Machine RunMachine(uint64_t seed) {
                          tcmalloc::AllocatorConfig(), seed);
   machine.Run(Seconds(3), /*max_requests=*/4000);
   return machine;
+}
+
+fleet::FleetConfig SmallFleet() {
+  fleet::FleetConfig config;
+  config.num_machines = 4;
+  config.num_binaries = 8;
+  config.duration = Seconds(2);
+  config.max_requests_per_process = 1200;
+  return config;
 }
 
 TEST(CallsiteIdTest, IsDeterministicNonZeroAndCollisionFreeHere) {
@@ -123,6 +133,22 @@ TEST(HeapProfilerTest, ProfilesMergeBySummingRows) {
                          : 0;
     EXPECT_EQ(it->second.live_bytes, row.live_bytes + other);
   }
+}
+
+TEST(HeapProfilerTest, MergedHeapProfileIsIdenticalAcrossThreadCounts) {
+  fleet::Fleet one(SmallFleet(), tcmalloc::AllocatorConfig(), /*seed=*/13);
+  fleet::Fleet eight(SmallFleet(), tcmalloc::AllocatorConfig(), /*seed=*/13);
+  one.Run(1);
+  eight.Run(8);
+
+  trace::HeapProfile profile_one =
+      fleet::MergedHeapProfile(one.observations());
+  trace::HeapProfile profile_eight =
+      fleet::MergedHeapProfile(eight.observations());
+  EXPECT_EQ(profile_one, profile_eight);
+  EXPECT_GT(profile_one.total_live_bytes, 0u);
+  EXPECT_EQ(RenderHeapProfileJson(profile_one),
+            RenderHeapProfileJson(profile_eight));
 }
 
 }  // namespace

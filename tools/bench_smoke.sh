@@ -64,13 +64,11 @@ for bench in "$BENCH_DIR"/fig* "$BENCH_DIR"/table* "$BENCH_DIR"/ablation* \
   ran=$((ran + 1))
 done
 
-# --trace / --profile smoke: fig03 exercises the fleet path end to end,
-# fig04 the raw-allocator path plus the google-benchmark flag handoff
-# (its main strips --trace/--profile before benchmark::Initialize sees
-# them). Traces must load as Chrome-tracing JSON with events from every
-# tier; profiles must attribute >= 95% of live bytes; both must be
-# bit-identical across worker-thread counts.
-TRACE_CHECKER="$(dirname "$0")/check_trace_json.py"
+# --profile smoke: fig03 exercises the fleet path end to end, fig04 the
+# raw-allocator path plus the google-benchmark flag handoff (its main
+# strips the shared flags before benchmark::Initialize sees them).
+# Profiles must attribute >= 95% of live bytes and be bit-identical
+# across worker-thread counts.
 MALLOCZ="$(dirname "$0")/mallocz.py"
 fig03="$BENCH_DIR/fig03_fleet_cdf"
 fig04="$BENCH_DIR/fig04_alloc_latency"
@@ -85,63 +83,38 @@ require() {
 }
 
 if require "$fig03"; then
-  echo "=== fig03_fleet_cdf --trace/--profile"
-  t1="$TMPDIR_SMOKE/fig03.t1.trace.json"
+  echo "=== fig03_fleet_cdf --profile"
   p1="$TMPDIR_SMOKE/fig03.t1.heap.json"
-  t4="$TMPDIR_SMOKE/fig03.t4.trace.json"
   p4="$TMPDIR_SMOKE/fig03.t4.heap.json"
   if ! "$fig03" --machines=2 --threads=1 --duration=1 --max-requests=300 \
-         --trace="$t1" --profile="$p1" >/dev/null 2>&1 ||
+         --profile="$p1" >/dev/null 2>&1 ||
      ! "$fig03" --machines=2 --threads=4 --duration=1 --max-requests=300 \
-         --trace="$t4" --profile="$p4" >/dev/null 2>&1; then
-    echo "bench_smoke: fig03 --trace/--profile run failed" >&2
+         --profile="$p4" >/dev/null 2>&1; then
+    echo "bench_smoke: fig03 --profile run failed" >&2
     failures=$((failures + 1))
   else
-    if ! python3 "$TRACE_CHECKER" --trace "$t1" --require-tiers \
-           --profile "$p1" --min-attribution 0.95; then
-      echo "bench_smoke: fig03 trace/profile failed validation" >&2
+    if ! python3 "$CHECKER" --min-lines 0 --profile "$p1" \
+           --min-attribution 0.95 /dev/null; then
+      echo "bench_smoke: fig03 profile failed validation" >&2
       failures=$((failures + 1))
     fi
-    if ! cmp -s "$t1" "$t4" || ! cmp -s "$p1" "$p4"; then
-      echo "bench_smoke: fig03 trace/profile differ across --threads" >&2
+    if ! cmp -s "$p1" "$p4"; then
+      echo "bench_smoke: fig03 profile differs across --threads" >&2
       failures=$((failures + 1))
     fi
-    if ! python3 "$MALLOCZ" "$p1" --top 5 --trace "$t1" >/dev/null; then
-      echo "bench_smoke: mallocz.py failed to render fig03 outputs" >&2
+    if ! python3 "$MALLOCZ" "$p1" --top 5 >/dev/null; then
+      echo "bench_smoke: mallocz.py failed to render the fig03 profile" >&2
       failures=$((failures + 1))
     fi
   fi
 
-  # Overhead smoke: tracing off must stay within the noise envelope of
-  # itself, and tracing on must not blow the run up (the hooks are one
-  # branch; rendering happens once at exit). Two untraced runs gauge the
-  # noise; the traced run must stay within 5x the slower one plus fixed
-  # slack — loose enough never to flake, tight enough to catch tracing
-  # accidentally doing per-event work on the hot path.
+  # --timeseries overhead smoke: the logical-clock capture is a few map
+  # updates per 500ms sim interval (the paper's <2% GWP budget), so it
+  # must not blow the run up. Two plain runs gauge the noise; the run
+  # with capture on must stay within 5x the slower one plus fixed slack,
+  # the loose envelope CI wall-clock noise needs.
   wall() { grep '"kind":"throughput"' "$1" | head -1 |
            sed 's/.*"wall_seconds":\([0-9.e+-]*\).*/\1/'; }
-  o1="$TMPDIR_SMOKE/fig03.base1.out"; o2="$TMPDIR_SMOKE/fig03.base2.out"
-  o3="$TMPDIR_SMOKE/fig03.traced.out"
-  "$fig03" $FLAGS >"$o1" 2>&1
-  "$fig03" $FLAGS >"$o2" 2>&1
-  "$fig03" $FLAGS --trace="$TMPDIR_SMOKE/fig03.ovh.trace.json" >"$o3" 2>&1
-  if ! python3 - "$(wall "$o1")" "$(wall "$o2")" "$(wall "$o3")" <<'EOF'
-import sys
-base1, base2, traced = (float(a) for a in sys.argv[1:4])
-budget = 5.0 * max(base1, base2) + 0.5
-ok = traced <= budget
-print(f"bench_smoke: trace overhead {traced:.3f}s vs untraced "
-      f"{base1:.3f}/{base2:.3f}s (budget {budget:.3f}s): "
-      f"{'OK' if ok else 'FAILED'}")
-sys.exit(0 if ok else 1)
-EOF
-  then
-    failures=$((failures + 1))
-  fi
-
-  # --timeseries overhead, gauged the same way: the logical-clock capture
-  # is a few map updates per 500ms sim interval (the paper's <2% GWP
-  # budget), but CI wall-clock noise needs the loose envelope.
   o1="$TMPDIR_SMOKE/fig03.ts_base1.out"; o2="$TMPDIR_SMOKE/fig03.ts_base2.out"
   o3="$TMPDIR_SMOKE/fig03.ts_on.out"
   "$fig03" $FLAGS >"$o1" 2>&1
@@ -163,22 +136,15 @@ EOF
 fi
 
 if require "$fig04"; then
-  echo "=== fig04_alloc_latency --trace/--profile/--timeseries"
-  t="$TMPDIR_SMOKE/fig04.trace.json"
-  p="$TMPDIR_SMOKE/fig04.heap.json"
-  # --timeseries rides along purely as the flag-strip proof: every shared
-  # wsc flag (including the newest) must be stripped from argv before
-  # benchmark::Initialize rejects it as unrecognized.
-  if ! "$fig04" --max-requests=2000 --trace="$t" --profile="$p" \
+  echo "=== fig04_alloc_latency --profile/--timeseries"
+  # Both flags ride along purely as the flag-strip proof: every shared
+  # wsc flag must be stripped from argv before benchmark::Initialize
+  # rejects it as unrecognized.
+  if ! "$fig04" --max-requests=2000 --profile="$TMPDIR_SMOKE/fig04.heap.json" \
          --timeseries="$TMPDIR_SMOKE/fig04.ts.ndjson" \
          --benchmark_filter='^$' >/dev/null 2>&1; then
-    echo "bench_smoke: fig04 --trace/--profile/--timeseries run failed" \
+    echo "bench_smoke: fig04 --profile/--timeseries run failed" \
          "(flag leak into google-benchmark?)" >&2
-    failures=$((failures + 1))
-  # fig04's exercise is raw Allocate/Free calls with no registered
-  # callsites, so only the trace (not attribution) is checked there.
-  elif ! python3 "$TRACE_CHECKER" --trace "$t" --require-tiers; then
-    echo "bench_smoke: fig04 trace failed validation" >&2
     failures=$((failures + 1))
   fi
 fi
@@ -207,4 +173,4 @@ if [ "$failures" -ne 0 ]; then
   echo "bench_smoke: FAILED ($failures bench(es))"
   exit 1
 fi
-echo "bench_smoke: all $ran benches passed (+ trace/profile/timeseries smoke)"
+echo "bench_smoke: all $ran benches passed (+ profile/timeseries smoke)"

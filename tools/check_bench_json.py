@@ -3,13 +3,15 @@
 
 Every bench prints machine-readable `BENCH_JSON {...}` lines through the
 schema-versioned serializer in bench/bench_util.h. CI pipes each bench's
-output through this checker; it also validates --statsz JSON dumps and
---timeseries NDJSON sidecar files.
+output through this checker; it also validates --statsz JSON dumps,
+--timeseries NDJSON sidecar files and --profile heap-profile JSON files.
 
 Usage:
   some_bench | tools/check_bench_json.py [--min-lines N] [--statsz FILE]
   tools/check_bench_json.py --min-lines 2 < bench_output.txt
   tools/check_bench_json.py --timeseries out/timeseries.ndjson /dev/null
+  tools/check_bench_json.py --profile heap.json [--min-attribution 0.95] \
+      /dev/null
 
 Line kinds validated: throughput, telemetry, timeseries (per-interval
 counter deltas, monotone interval index), sketch (quantile-sketch
@@ -17,6 +19,10 @@ summaries), preload and skipped (bench/preload/compare_allocators.sh
 arms). timeseries, sketch, preload and skipped lines carry no "threads"
 field by design — timeseries output is byte-identical for any
 --threads, and the preload arms come from a shell driver.
+
+Heap profiles (--profile=heap.json, read by tools/mallocz.py) are checked
+for their schema version, well-formed callsite rows, and
+attributed_live_bytes / total_live_bytes at or above --min-attribution.
 
 Exit status is non-zero when any line is malformed or fewer than
 --min-lines BENCH_JSON lines were seen.
@@ -28,6 +34,7 @@ import sys
 
 SCHEMA_VERSION = 2
 TELEMETRY_SCHEMA_VERSION = 1
+PROFILE_SCHEMA_VERSION = 1
 
 # The allocator tiers the paper's telemetry reports on, plus the
 # memory-pressure control plane, the heap/lifetime sampler, and the
@@ -293,6 +300,51 @@ def check_statsz(errors, path):
         errors.append(f"statsz {path}: missing tiers: {', '.join(missing)}")
 
 
+def check_profile(errors, path, min_attribution):
+    """--profile FILE: a RenderHeapProfileJson document.
+
+    Returns (callsite rows, attribution) for the summary line.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        errors.append(f"profile {path}: {exc}")
+        return 0, 0.0
+    if doc.get("schema_version") != PROFILE_SCHEMA_VERSION:
+        errors.append(f"profile {path}: bad schema_version "
+                      f"{doc.get('schema_version')!r}")
+    for field in ("total_live_bytes", "attributed_live_bytes",
+                  "samples_taken"):
+        if not isinstance(doc.get(field), int) or doc[field] < 0:
+            errors.append(f"profile {path}: bad '{field}'")
+            return 0, 0.0
+    callsites = doc.get("callsites")
+    if not isinstance(callsites, list) or not callsites:
+        errors.append(f"profile {path}: missing or empty 'callsites'")
+        return 0, 0.0
+    for i, row in enumerate(callsites):
+        if not isinstance(row.get("name"), str) or not row["name"]:
+            errors.append(f"profile {path}: callsite {i} bad 'name'")
+        for field in ("id", "allocs", "frees", "live_bytes",
+                      "peak_live_bytes", "cum_bytes", "samples"):
+            if not isinstance(row.get(field), int) or row[field] < 0:
+                errors.append(f"profile {path}: callsite {i} bad "
+                              f"'{field}'")
+        if row.get("live_bytes", 0) > row.get("peak_live_bytes", 0):
+            errors.append(f"profile {path}: callsite {i} live_bytes above "
+                          "its peak")
+
+    total = doc["total_live_bytes"]
+    attributed = doc["attributed_live_bytes"]
+    coverage = attributed / total if total > 0 else 1.0
+    if coverage < min_attribution:
+        errors.append(f"profile {path}: attribution {coverage:.1%} below "
+                      f"the {min_attribution:.0%} floor "
+                      f"({attributed}/{total} bytes)")
+    return len(callsites), coverage
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--min-lines", type=int, default=1,
@@ -301,6 +353,12 @@ def main():
                         help="also validate this statsz JSON dump")
     parser.add_argument("--timeseries", default=None,
                         help="also validate this --timeseries NDJSON file")
+    parser.add_argument("--profile", default=None,
+                        help="also validate this --profile heap-profile "
+                        "JSON file")
+    parser.add_argument("--min-attribution", type=float, default=0.95,
+                        help="minimum attributed/total live-byte ratio "
+                        "of the --profile file")
     parser.add_argument("input", nargs="?", default="-",
                         help="bench output file ('-' = stdin)")
     args = parser.parse_args()
@@ -346,6 +404,9 @@ def main():
     ts_lines = 0
     if args.timeseries:
         ts_lines = check_timeseries_file(errors, args.timeseries)
+    if args.profile:
+        profile_rows, attribution = check_profile(errors, args.profile,
+                                                  args.min_attribution)
 
     if errors:
         for error in errors:
@@ -356,7 +417,9 @@ def main():
     print(f"check_bench_json: OK ({seen} line(s): {summary}"
           + (", statsz valid" if args.statsz else "")
           + (f", timeseries file valid ({ts_lines} lines)"
-             if args.timeseries else "") + ")")
+             if args.timeseries else "")
+          + (f", profile valid ({profile_rows} callsites, attribution "
+             f"{attribution:.1%})" if args.profile else "") + ")")
     return 0
 
 

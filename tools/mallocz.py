@@ -1,24 +1,22 @@
 #!/usr/bin/env python3
-"""mallocz: render wsc-tcmalloc heap profiles and traces for humans.
+"""mallocz: render wsc-tcmalloc heap profiles and time series for humans.
 
 Production TCMalloc exposes /mallocz and heapz handlers; this is their
-offline stand-in. It reads the JSON files written by the bench binaries
-(--profile=heap.json, --trace=trace.json) and prints pprof-style tables.
+offline stand-in. It reads the files written by the bench binaries
+(--profile=heap.json, --timeseries=ts.ndjson) and prints pprof-style
+tables.
 
 Usage:
   tools/mallocz.py heap.json                 # callsite tables
   tools/mallocz.py heap.json --top 10        # only the 10 largest rows
-  tools/mallocz.py --trace trace.json        # Fig. 6-style tier breakdown
   tools/mallocz.py --timeseries ts.ndjson    # interval series + sketches
 
 Heap-profile views: live heap by callsite (with attribution coverage),
 peak and cumulative bytes, sampled mean lifetimes, and per-callsite
 hugepage-fragmentation attribution (stranded free bytes on hugepages the
-callsite pins). Trace view: event counts per tier and per event type,
-plus drop counts per process, answering "which tier did the work?" like
-the paper's Fig. 6 cycle breakdown. Timeseries view: the --timeseries
-NDJSON sidecar rendered as a per-interval fleet table (footprint spark
-line, allocation/reclaim/failure deltas) plus the merged quantile-sketch
+callsite pins). Timeseries view: the --timeseries NDJSON sidecar
+rendered as a per-interval fleet table (footprint spark line,
+allocation/reclaim/failure deltas) plus the merged quantile-sketch
 percentiles — the offline stand-in for a GWP time-series dashboard.
 """
 
@@ -111,45 +109,6 @@ def render_profile(path, top):
         print_table(["size_bucket", "samples", "mean_life_ms"], rows)
 
 
-def render_trace(path):
-    with open(path, encoding="utf-8") as handle:
-        doc = json.load(handle)
-    events = doc.get("traceEvents", [])
-    by_tier = collections.Counter()
-    by_name = collections.Counter()
-    drops = []
-    for event in events:
-        if event.get("ph") == "M":
-            if event.get("name") == "thread_name":
-                args = event.get("args", {})
-                drops.append((event.get("pid"), event.get("tid"),
-                              args.get("emitted", 0),
-                              args.get("dropped", 0)))
-            continue
-        by_tier[event.get("cat", "?")] += 1
-        by_name[(event.get("cat", "?"), event.get("name", "?"))] += 1
-
-    total = sum(by_tier.values())
-    print(f"Trace: {total} events from {len(drops)} process(es)")
-    print("\n-- Events by tier (Fig. 6-style breakdown) --")
-    rows = [[str(n), f"{100.0 * n / total:.1f}%" if total else "0%", tier]
-            for tier, n in by_tier.most_common()]
-    print_table(["events", "share", "tier"], rows)
-
-    print("\n-- Events by type --")
-    rows = [[str(n), f"{100.0 * n / total:.1f}%" if total else "0%",
-             f"{tier}/{name}"]
-            for (tier, name), n in by_name.most_common()]
-    print_table(["events", "share", "event"], rows)
-
-    wrapped = [(pid, tid, e, d) for pid, tid, e, d in drops if d]
-    if wrapped:
-        print("\n-- Ring wraparound (oldest events dropped) --")
-        rows = [[f"machine{pid}/process{tid}", str(e), str(d)]
-                for pid, tid, e, d in wrapped]
-        print_table(["process", "emitted", "dropped"], rows)
-
-
 SPARK_CHARS = " .:-=+*#%@"
 
 
@@ -231,26 +190,19 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("profile", nargs="?", default=None,
                         help="heap-profile JSON (--profile=heap.json)")
-    parser.add_argument("--trace", default=None,
-                        help="Chrome-tracing JSON (--trace=trace.json)")
     parser.add_argument("--timeseries", default=None,
                         help="interval-series NDJSON "
                         "(--timeseries=timeseries.ndjson)")
     parser.add_argument("--top", type=int, default=0,
                         help="show only the N largest callsites (0 = all)")
     args = parser.parse_args()
-    if args.profile is None and args.trace is None and \
-            args.timeseries is None:
-        parser.error("nothing to render: pass a heap profile, --trace "
-                     "and/or --timeseries")
+    if args.profile is None and args.timeseries is None:
+        parser.error("nothing to render: pass a heap profile and/or "
+                     "--timeseries")
     if args.profile:
         render_profile(args.profile, args.top)
-    if args.trace:
-        if args.profile:
-            print()
-        render_trace(args.trace)
     if args.timeseries:
-        if args.profile or args.trace:
+        if args.profile:
             print()
         render_timeseries(args.timeseries)
 

@@ -94,44 +94,6 @@ std::vector<Fleet::MachinePlan> Fleet::PlanMachines() const {
         plan.pressure_events.push_back(spike);
       }
     }
-
-    // Fault plans follow the same discipline as pressure events: drawn
-    // after the seed fork, and only when enabled, so a faulted fleet
-    // shares machine composition and seeds with a fault-free one.
-    if (config_.faults.enabled) {
-      const FaultConfig& fc = config_.faults;
-      for (size_t i = 0; i < plan.workloads.size(); ++i) {
-        tcmalloc::FaultPlan fault;
-        for (int w = 0; w < fc.mmap_windows; ++w) {
-          uint64_t begin = rng.UniformInt(std::max<uint64_t>(
-              fc.mmap_call_horizon, 1));
-          fault.mmap_windows.push_back({begin, begin + fc.mmap_window_calls});
-        }
-        for (int w = 0; w < fc.huge_backing_windows; ++w) {
-          uint64_t begin = rng.UniformInt(std::max<uint64_t>(
-              fc.huge_backing_call_horizon, 1));
-          fault.huge_backing_windows.push_back(
-              {begin, begin + fc.huge_backing_window_calls});
-        }
-        plan.fault_plans.push_back(std::move(fault));
-        // Bug injection is a spec stamp, not an RNG draw: the driver rolls
-        // the dice itself, and only on guarded allocations.
-        plan.workloads[i].double_free_probability = fc.double_free_probability;
-        plan.workloads[i].use_after_free_probability =
-            fc.use_after_free_probability;
-        plan.workloads[i].overrun_probability = fc.overrun_probability;
-      }
-      if (fc.oom_kill_probability > 0 &&
-          rng.UniformDouble() < fc.oom_kill_probability) {
-        double span =
-            std::max(0.0, fc.oom_kill_max_frac - fc.oom_kill_min_frac);
-        double frac = fc.oom_kill_min_frac + rng.UniformDouble() * span;
-        plan.oom_kill_time = std::max<SimTime>(
-            static_cast<SimTime>(static_cast<double>(config_.duration) * frac),
-            1);
-        plan.restart_seed = rng.Fork();
-      }
-    }
     plans.push_back(std::move(plan));
   }
   return plans;
@@ -139,12 +101,8 @@ std::vector<Fleet::MachinePlan> Fleet::PlanMachines() const {
 
 std::vector<FleetObservation> Fleet::RunMachine(
     int m, const MachinePlan& plan) const {
-  MachineFaults faults;
-  faults.fault_plans = plan.fault_plans;
-  faults.oom_kill_time = plan.oom_kill_time;
-  faults.restart_seed = plan.restart_seed;
   Machine machine(plan.platform, plan.workloads, allocator_config_,
-                  plan.machine_seed, plan.pressure_events, std::move(faults),
+                  plan.machine_seed, plan.pressure_events,
                   config_.timeseries_interval);
   machine.Run(config_.duration, config_.max_requests_per_process);
   std::vector<FleetObservation> observations;
@@ -154,9 +112,7 @@ std::vector<FleetObservation> Fleet::RunMachine(
     FleetObservation obs;
     obs.machine = m;
     obs.process = static_cast<int>(i);
-    // Rank attribution goes through workload_index: OOM restarts make a
-    // machine emit more results than workloads.
-    obs.binary_rank = plan.ranks[static_cast<size_t>(result.workload_index)];
+    obs.binary_rank = plan.ranks[i];
     obs.result = result;
     observations.push_back(std::move(obs));
   }

@@ -16,7 +16,6 @@
 #include "fleet/machine.h"
 #include "hw/topology.h"
 #include "tcmalloc/config.h"
-#include "tcmalloc/fault_injection.h"
 #include "trace/heap_profile.h"
 #include "workload/profiles.h"
 
@@ -40,45 +39,6 @@ struct PressureConfig {
   double spike_probability = 0.25;
   double spike_fraction = 0.45;
   double spike_duration_frac = 0.15;
-};
-
-// Fleet-wide deterministic fault injection: mmap failures, hugepage
-// scarcity, driver-injected heap bugs, and machine OOM kills. Like
-// pressure events, everything here is planned per machine in PlanMachines
-// strictly after the machine-seed fork and draws the RNG only when
-// enabled, so a faulted fleet shares machine composition (and every
-// fault-free result) with an unfaulted one. Fault points are windows over
-// per-kind *call indices* (see tcmalloc::FaultPlan), which keeps results
-// bit-identical for any --threads value.
-struct FaultConfig {
-  bool enabled = false;
-
-  // Per-process mmap-failure windows: `mmap_windows` windows, each denying
-  // `mmap_window_calls` consecutive SystemAllocator hugepage requests,
-  // starting at call indices drawn uniformly from [0, mmap_call_horizon).
-  int mmap_windows = 1;
-  uint64_t mmap_window_calls = 4;
-  uint64_t mmap_call_horizon = 256;
-
-  // Hugepage-scarcity windows: address ranges are granted but THP backing
-  // is denied (the range runs at 4 KiB TLB reach until released).
-  int huge_backing_windows = 1;
-  uint64_t huge_backing_window_calls = 32;
-  uint64_t huge_backing_call_horizon = 256;
-
-  // Driver-injected heap bugs, stamped onto every workload spec (see
-  // WorkloadSpec: exercised only against guarded/sampled allocations, so
-  // pair with AllocatorConfig guarded_sampling to detect them).
-  double double_free_probability = 0.0;
-  double use_after_free_probability = 0.0;
-  double overrun_probability = 0.0;
-
-  // With this probability a machine schedules one OOM kill at a uniformly
-  // drawn fraction of the run in [oom_kill_min_frac, oom_kill_max_frac):
-  // the biggest-footprint process dies and restarts (fleet::MachineFaults).
-  double oom_kill_probability = 0.0;
-  double oom_kill_min_frac = 0.3;
-  double oom_kill_max_frac = 0.7;
 };
 
 // Fleet shape and run-length parameters.
@@ -108,9 +68,6 @@ struct FleetConfig {
 
   // Memory-pressure event injection (off by default).
   PressureConfig pressure;
-
-  // Deterministic fault injection (off by default).
-  FaultConfig faults;
 
   // Telemetry time-series capture cadence on the logical clock (0 = off).
   // When set, every process captures counter/histogram deltas and gauge
@@ -167,12 +124,6 @@ class Fleet {
     // enabled). Planned seed-ordered, after the machine seed fork, so a
     // pressure run shares machine composition with a pressure-free run.
     std::vector<PressureEvent> pressure_events;
-    // Per-process fault plans plus the machine's OOM-kill schedule (empty
-    // and zero unless config.faults is enabled). Planned after the seed
-    // fork, exactly like pressure events.
-    std::vector<tcmalloc::FaultPlan> fault_plans;
-    SimTime oom_kill_time = 0;  // 0 = no kill planned
-    uint64_t restart_seed = 0;
   };
 
   // The deterministic composition of every machine (exposed for tests).

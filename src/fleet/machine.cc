@@ -34,11 +34,10 @@ Machine::Machine(const hw::PlatformSpec& platform,
                  std::vector<workload::WorkloadSpec> workloads,
                  const tcmalloc::AllocatorConfig& base_config, uint64_t seed,
                  std::vector<PressureEvent> pressure_events,
-                 MachineFaults faults, SimTime timeseries_interval)
+                 SimTime timeseries_interval)
     : topology_(platform),
       base_config_(base_config),
       timeseries_interval_(timeseries_interval),
-      faults_(std::move(faults)),
       pressure_events_(std::move(pressure_events)) {
   WSC_CHECK(!workloads.empty());
   Rng rng(seed);
@@ -54,8 +53,7 @@ Machine::Machine(const hw::PlatformSpec& platform,
     for (int c = 0; c < per_process; ++c) {
       cpus.push_back((first + c) % total_cpus);
     }
-    // Seeds fork in the same order as before faults existed (LLC first,
-    // then driver), keeping fault-free machines bit-identical to history.
+    // The fork order (LLC, then driver) is part of every recorded golden.
     uint64_t llc_seed = rng.Fork();
     uint64_t driver_seed = rng.Fork();
     processes_.push_back(MakeProcess(i, workloads[static_cast<size_t>(i)],
@@ -68,8 +66,6 @@ std::unique_ptr<Machine::Process> Machine::MakeProcess(
     std::vector<int> cpus, uint64_t llc_seed, uint64_t driver_seed) {
   auto process = std::make_unique<Process>();
   process->spec = spec;
-  process->workload_index = workload_index;
-  process->cpus = cpus;
 
   tcmalloc::AllocatorConfig config = ResolveTopology(base_config_, topology_);
   if (config.per_thread_front_end) {
@@ -83,19 +79,11 @@ std::unique_ptr<Machine::Process> Machine::MakeProcess(
                                   static_cast<int>(cpus.size())));
   }
   // Disjoint arenas per process on the same machine (16 TiB stride, larger
-  // than any arena), one slot per workload. A restarted process reuses its
-  // predecessor's slot: like a fresh exec, its new allocator maps an empty
-  // arena there.
+  // than any arena), one slot per workload.
   config.arena_base =
       (uintptr_t{1} << 44) * (1 + static_cast<uintptr_t>(workload_index));
 
   process->allocator = std::make_unique<tcmalloc::Allocator>(config);
-  size_t wi = static_cast<size_t>(workload_index);
-  if (wi < faults_.fault_plans.size() && !faults_.fault_plans[wi].Empty()) {
-    process->injector =
-        std::make_unique<tcmalloc::FaultInjector>(faults_.fault_plans[wi]);
-    process->allocator->SetFaultInjector(process->injector.get());
-  }
   if (timeseries_interval_ > 0) {
     process->series = std::make_unique<telemetry::IntervalSeries>();
     process->next_capture = timeseries_interval_;
@@ -165,16 +153,6 @@ void Machine::Run(SimTime duration, uint64_t max_requests) {
       }
     }
     if (lowest == nullptr) break;
-    // Machine OOM kill: fires once, when the machine's local timeline (the
-    // minimum process clock — exactly `lowest`) crosses the planned kill
-    // time. Restarting invalidates `lowest`, so re-select next iteration.
-    if (!oom_fired_ && faults_.oom_kill_time > 0 &&
-        lowest->driver->now() >= faults_.oom_kill_time) {
-      oom_fired_ = true;
-      OomKillAndRestart(next_sample);
-      any_active = true;
-      continue;
-    }
     lowest->driver->Step();
     if (lowest->driver->now() >= next_sample[lowest_idx]) {
       SampleFootprint(*lowest);
@@ -208,17 +186,11 @@ void Machine::Run(SimTime duration, uint64_t max_requests) {
     }
   }
 
-  // Finalize results: surviving processes first (process order), then the
-  // OOM-killed instances captured mid-run (kill order).
   results_.clear();
-  results_.reserve(processes_.size() + killed_results_.size());
+  results_.reserve(processes_.size());
   for (const auto& p : processes_) {
     results_.push_back(FinalizeResult(*p));
   }
-  for (ProcessResult& r : killed_results_) {
-    results_.push_back(std::move(r));
-  }
-  killed_results_.clear();
 }
 
 void Machine::CaptureTimeseries(Process& p, uint64_t index, double t_seconds,
@@ -247,7 +219,6 @@ void Machine::CaptureTimeseries(Process& p, uint64_t index, double t_seconds,
 ProcessResult Machine::FinalizeResult(Process& p) const {
   ProcessResult r;
   r.workload_name = p.spec.name;
-  r.workload_index = p.workload_index;
   r.driver = p.driver->metrics();
   r.heap = p.allocator->CollectStats();
   SimTime elapsed = std::max<SimTime>(p.driver->now(), 1);
@@ -265,8 +236,7 @@ ProcessResult Machine::FinalizeResult(Process& p) const {
   r.telemetry = p.allocator->TelemetrySnapshot();
   if (p.series != nullptr) {
     // Drain interval: whatever accumulated since the last boundary, at an
-    // index strictly past every captured one so restarts and stragglers
-    // merge cleanly.
+    // index strictly past every captured one so stragglers merge cleanly.
     uint64_t boundary =
         static_cast<uint64_t>(p.driver->now() / timeseries_interval_) + 1;
     if (!p.series->intervals().empty()) {
@@ -280,47 +250,6 @@ ProcessResult Machine::FinalizeResult(Process& p) const {
   r.heap_profile = p.allocator->CollectHeapProfile();
   r.ghz = topology_.spec().ghz;
   return r;
-}
-
-void Machine::OomKillAndRestart(std::vector<SimTime>& next_sample) {
-  // The machine OOM killer picks the biggest-footprint live process (ties
-  // break to the lowest index, keeping the choice deterministic).
-  size_t victim = processes_.size();
-  size_t best = 0;
-  for (size_t i = 0; i < processes_.size(); ++i) {
-    if (processes_[i]->done) continue;
-    size_t fp = processes_[i]->allocator->FootprintBytes();
-    if (victim == processes_.size() || fp > best) {
-      victim = i;
-      best = fp;
-    }
-  }
-  if (victim == processes_.size()) return;
-  Process& p = *processes_[victim];
-
-  // Process death: drain frees every live object at once, and the dying
-  // instance's metrics become its kill report.
-  SampleFootprint(p);
-  p.driver->Drain();
-  ProcessResult killed = FinalizeResult(p);
-  killed.oom_killed = true;
-  killed_results_.push_back(std::move(killed));
-  ++oom_kills_;
-
-  // Restart in place: same binary and CPU mask, fresh allocator and
-  // hardware-model state, a seed forked from the planned restart seed, and
-  // a fresh local timeline (like a fresh exec). The replacement takes the
-  // dead instance's arena slot, and re-experiences its fault plan from
-  // call index zero.
-  Rng rng(faults_.restart_seed + 0x9E3779B9u * static_cast<uint64_t>(victim));
-  uint64_t llc_seed = rng.Fork();
-  uint64_t driver_seed = rng.Fork();
-  int workload_index = p.workload_index;
-  workload::WorkloadSpec spec = p.spec;
-  std::vector<int> cpus = p.cpus;
-  processes_[victim] = MakeProcess(workload_index, spec, std::move(cpus),
-                                   llc_seed, driver_seed);
-  next_sample[victim] = kSamplePeriod;
 }
 
 }  // namespace wsc::fleet

@@ -20,7 +20,6 @@
 #include "hw/tlb.h"
 #include "hw/topology.h"
 #include "tcmalloc/allocator.h"
-#include "tcmalloc/fault_injection.h"
 #include "telemetry/registry.h"
 #include "telemetry/timeseries.h"
 #include "trace/heap_profile.h"
@@ -42,22 +41,6 @@ struct PressureEvent {
   double limit_fraction = 1.0;
 };
 
-// Machine-level fault script, planned by the fleet after the machine-seed
-// fork (fleet.cc) so that enabling faults never perturbs machine
-// composition. `fault_plans[i]` is installed on process i's allocator as a
-// FaultInjector; an empty vector (or an empty plan) means no injection.
-// `oom_kill_time` > 0 schedules one machine OOM kill: when the machine's
-// local timeline (the minimum process clock) crosses it, the
-// biggest-footprint process is killed — its result is captured with
-// `oom_killed` set — and restarted in place with a seed forked from
-// `restart_seed`, a fresh allocator on its predecessor's arena slot, and a
-// fresh local timeline.
-struct MachineFaults {
-  std::vector<tcmalloc::FaultPlan> fault_plans;
-  SimTime oom_kill_time = 0;  // 0 = no kill
-  uint64_t restart_seed = 0;
-};
-
 // Resolves topology-derived knobs in `config` for a process placed on
 // `topology`: the LLC domain count always comes from the machine, and the
 // NUMA node count from its socket count when NUMA mode is on. This is the
@@ -70,13 +53,6 @@ tcmalloc::AllocatorConfig ResolveTopology(tcmalloc::AllocatorConfig config,
 // Final metrics of one process after a machine run.
 struct ProcessResult {
   std::string workload_name;
-  // Index into the machine's workload list (and the fleet plan's `ranks`).
-  // With OOM restarts a machine emits more results than workloads, so rank
-  // attribution must go through this, not the result position.
-  int workload_index = 0;
-  // True when this result belongs to a process the machine OOM killer
-  // terminated mid-run (a restarted instance reports separately).
-  bool oom_killed = false;
   workload::DriverMetrics driver;
   tcmalloc::HeapStats heap;            // final heap snapshot
   double avg_heap_bytes = 0;           // time-averaged footprint
@@ -120,37 +96,28 @@ class Machine {
           std::vector<workload::WorkloadSpec> workloads,
           const tcmalloc::AllocatorConfig& base_config, uint64_t seed,
           std::vector<PressureEvent> pressure_events = {},
-          MachineFaults faults = {}, SimTime timeseries_interval = 0);
+          SimTime timeseries_interval = 0);
 
   // Runs every process until its local clock reaches `duration` or it has
   // executed `max_requests` requests, whichever comes first, then drains.
   void Run(SimTime duration, uint64_t max_requests);
 
-  // Results are valid after Run(). Surviving processes come first in
-  // process order; results of OOM-killed instances are appended after, in
-  // kill order, tagged with their workload_index and oom_killed.
+  // Results are valid after Run(), one per workload in workload order.
   const std::vector<ProcessResult>& results() const { return results_; }
 
   const hw::CpuTopology& topology() const { return topology_; }
   int num_processes() const { return static_cast<int>(processes_.size()); }
-  int oom_kills() const { return oom_kills_; }
   workload::Driver& driver(int i) { return *processes_[i]->driver; }
   tcmalloc::Allocator& allocator(int i) { return *processes_[i]->allocator; }
 
  private:
   struct Process {
     workload::WorkloadSpec spec;
-    int workload_index = 0;
-    std::vector<int> cpus;  // control-plane CPU mask (kept for restarts)
-    // Declared before the allocator, so it outlives the allocator that
-    // consults it.
-    std::unique_ptr<tcmalloc::FaultInjector> injector;  // null: no faults
     std::unique_ptr<tcmalloc::Allocator> allocator;
     std::unique_ptr<hw::TlbSimulator> tlb;
     std::unique_ptr<hw::LlcModel> llc;
     std::unique_ptr<workload::Driver> driver;
-    // Interval time series (null: timeseries off). Restarted processes get
-    // a fresh series starting at interval 0, like a fresh exec.
+    // Interval time series (null: timeseries off).
     std::unique_ptr<telemetry::IntervalSeries> series;
     SimTime next_capture = 0;  // next timeseries boundary
     // Driver totals at the last capture, for per-interval alloc latency.
@@ -173,8 +140,7 @@ class Machine {
   void ApplyPressure(Process& p);
 
   // Builds one fully wired process: placement-resolved allocator (arena at
-  // `workload_index` stride), optional fault injector, hardware models,
-  // and driver. Used at construction and for OOM restarts.
+  // `workload_index` stride), hardware models, and driver.
   std::unique_ptr<Process> MakeProcess(int workload_index,
                                        const workload::WorkloadSpec& spec,
                                        std::vector<int> cpus,
@@ -185,24 +151,15 @@ class Machine {
   void CaptureTimeseries(Process& p, uint64_t index, double t_seconds,
                          const telemetry::Snapshot& snapshot) const;
 
-  // Captures the final metrics of one process (used at the end of Run and
-  // at OOM-kill time for the dying instance), including the series' final
-  // drain interval.
+  // Captures the final metrics of one process at the end of Run, including
+  // the series' final drain interval.
   ProcessResult FinalizeResult(Process& p) const;
-
-  // Kills the biggest-footprint live process (draining it and recording
-  // its result with oom_killed set) and restarts it in place.
-  void OomKillAndRestart(std::vector<SimTime>& next_sample);
 
   hw::CpuTopology topology_;
   tcmalloc::AllocatorConfig base_config_;
   SimTime timeseries_interval_ = 0;
-  MachineFaults faults_;
-  bool oom_fired_ = false;
-  int oom_kills_ = 0;
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<ProcessResult> results_;
-  std::vector<ProcessResult> killed_results_;
   std::vector<PressureEvent> pressure_events_;
 };
 

@@ -101,13 +101,6 @@ Allocator::Allocator(const AllocatorConfig& config,
       registry_.RegisterCounter("failure", "recovered_allocations");
   fail_partial_batches_ =
       registry_.RegisterCounter("failure", "partial_batches");
-  fail_guard_double_frees_ =
-      registry_.RegisterCounter("failure", "double_frees_detected");
-  fail_guard_use_after_frees_ =
-      registry_.RegisterCounter("failure", "use_after_frees_detected");
-  fail_guard_overruns_ =
-      registry_.RegisterCounter("failure", "buffer_overruns_detected");
-  sampler_.set_guarded(config_.guarded_sampling);
 
   // Last: the reclaimer registers its own telemetry and reads the limits
   // out of the (validated) config.
@@ -173,8 +166,8 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
     Length pages = BytesToLengthCeil(size);
     Span* span = nodes_[node]->page_heap.NewLargeSpan(pages);
     if (span == nullptr) {
-      // Arena growth denied (injected mmap failure / hugepage scarcity):
-      // mobilize cached memory back toward the page heap, then retry once.
+      // Arena growth denied (arena exhaustion): mobilize cached memory back
+      // toward the page heap, then retry once.
       if (reclaimer_->EmergencyReclaimForGrowth()) {
         fail_emergency_recoveries_->Add();
         span = nodes_[node]->page_heap.NewLargeSpan(pages);
@@ -243,7 +236,7 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
     if (cs.live_bytes > cs.peak_live_bytes) cs.peak_live_bytes = cs.live_bytes;
   }
 
-  if (sampler_.RecordAllocation(addr, size, allocated_bytes, now, callsite)) {
+  if (sampler_.RecordAllocation(addr, allocated_bytes, now, callsite)) {
     cycles_.sampled_ns += kCostModel.sampled_alloc_ns;
     last_op_ns_ += kCostModel.sampled_alloc_ns;
   }
@@ -290,10 +283,10 @@ uintptr_t Allocator::SlowPathAllocate(int cls, int vcpu, int node) {
     ++alloc_hits_.transfer_cache;
   }
   if (got == 0) {
-    // Every tier is empty and the page heap cannot grow (injected mmap
-    // failure / simulated OOM). Run one rate-limited emergency reclaim to
-    // mobilize cached objects back down the hierarchy, then retry the
-    // central free list once before surfacing the failure.
+    // Every tier is empty and the page heap cannot grow (simulated OOM).
+    // Run one rate-limited emergency reclaim to mobilize cached objects
+    // back down the hierarchy, then retry the central free list once
+    // before surfacing the failure.
     if (reclaimer_->EmergencyReclaimForGrowth()) {
       fail_emergency_recoveries_->Add();
       got = backend.cfls[cls]->RemoveRange(batch_.data(), batch);
@@ -327,18 +320,6 @@ uintptr_t Allocator::SlowPathAllocate(int cls, int vcpu, int node) {
 
 void Allocator::Free(uintptr_t addr, int vcpu, SimTime now,
                      uint64_t callsite) {
-  if (sampler_.guarded()) {
-    Sampler::Tombstone tomb;
-    if (sampler_.TakeTombstone(addr, &tomb)) {
-      // Double free of a guarded (sampled) object: the tombstone proves
-      // the address was already freed and not yet reused. Count it and
-      // swallow the free instead of corrupting span bookkeeping.
-      fail_guard_double_frees_->Add();
-      last_op_ns_ = kCostModel.other_ns;
-      cycles_.other_ns += kCostModel.other_ns;
-      return;
-    }
-  }
   free_ops_->Add();
   last_op_ns_ = kCostModel.other_ns;
   cycles_.other_ns += kCostModel.other_ns;
@@ -394,25 +375,6 @@ void Allocator::Free(uintptr_t addr, int vcpu, SimTime now,
     return;
   }
   SlowPathFree(cls, vcpu, addr);
-}
-
-bool Allocator::ProbeAccess(uintptr_t addr, size_t offset) {
-  if (!sampler_.guarded()) return false;
-  Sampler::Tombstone tomb;
-  if (sampler_.TakeTombstone(addr, &tomb)) {
-    // Access through a tombstoned guard: use-after-free, caught because
-    // the freed address has not been reused (GWP-ASan's quarantined page).
-    fail_guard_use_after_frees_->Add();
-    return true;
-  }
-  const Sampler::Sample* sample = sampler_.FindLiveSample(addr);
-  if (sample != nullptr && offset >= sample->requested) {
-    // Access past the requested size of a live guard: buffer overrun into
-    // the canary redzone. The guard stays live (the object still is).
-    fail_guard_overruns_->Add();
-    return true;
-  }
-  return false;
 }
 
 void Allocator::SlowPathFree(int cls, int vcpu, uintptr_t obj) {
@@ -631,24 +593,22 @@ telemetry::Snapshot Allocator::TelemetrySnapshot() {
   }
   reclaimer_->ContributeTelemetry(reg);
 
-  // Failure component: the guard/recovery live handles registered at
+  // Failure component: the recovery live handles registered at
   // construction are joined by the per-tier denial counts, so
-  // GetProperty("failure.*") sees the whole fault-injection story in one
-  // place.
+  // GetProperty("failure.*") sees every growth failure and recovery in
+  // one place.
   {
-    uint64_t mmap_denied = 0, backing_denied = 0, huge_alloc_failures = 0;
-    uint64_t filler_growth = 0, cross_set = 0, unbacked = 0;
+    uint64_t mmap_denied = 0, huge_alloc_failures = 0;
+    uint64_t filler_growth = 0, cross_set = 0;
     uint64_t region_growth = 0, span_fetch = 0;
     uint64_t large_fallbacks = 0, large_failures = 0;
     for (const auto& node : nodes_) {
       mmap_denied += node->system.stats().mmap_failures;
-      const HugeCacheStats cache = node->page_heap.cache_stats();
-      backing_denied += cache.backing_denied;
-      huge_alloc_failures += cache.allocation_failures;
+      huge_alloc_failures +=
+          node->page_heap.cache_stats().allocation_failures;
       const FillerStats filler = node->page_heap.filler_stats();
       filler_growth += filler.growth_failures;
       cross_set += filler.cross_set_fallbacks;
-      unbacked += filler.unbacked_hugepages;
       region_growth += node->page_heap.region_growth_failures();
       large_fallbacks += node->page_heap.large_fallbacks();
       large_failures += node->page_heap.large_failures();
@@ -657,19 +617,14 @@ telemetry::Snapshot Allocator::TelemetrySnapshot() {
       }
     }
     reg.ExportCounter("failure", "mmap_denied", mmap_denied);
-    reg.ExportCounter("failure", "hugepage_backing_denied", backing_denied);
     reg.ExportCounter("failure", "huge_cache_allocation_failures",
                       huge_alloc_failures);
     reg.ExportCounter("failure", "filler_growth_failures", filler_growth);
     reg.ExportCounter("failure", "filler_cross_set_fallbacks", cross_set);
-    reg.ExportCounter("failure", "unbacked_hugepages", unbacked);
     reg.ExportCounter("failure", "region_growth_failures", region_growth);
     reg.ExportCounter("failure", "span_fetch_failures", span_fetch);
     reg.ExportCounter("failure", "large_fallbacks", large_fallbacks);
     reg.ExportCounter("failure", "large_failures", large_failures);
-    reg.ExportCounter("failure", "guarded_samples", sampler_.guarded_allocs());
-    reg.ExportGauge("failure", "live_tombstones",
-                    static_cast<double>(sampler_.tombstone_count()));
   }
 
   // Sampler component: sample counts plus the all-sizes lifetime
@@ -704,11 +659,6 @@ telemetry::Snapshot Allocator::TelemetrySnapshot() {
                         sum);
   }
   return reg.TakeSnapshot();
-}
-
-void Allocator::SetFaultInjector(FaultInjector* injector) {
-  fault_injector_ = injector;
-  for (auto& node : nodes_) node->system.SetFaultInjector(injector);
 }
 
 void Allocator::RegisterCallsite(uint64_t id, std::string_view name) {

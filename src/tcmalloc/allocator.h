@@ -38,7 +38,6 @@
 #include "tcmalloc/background.h"
 #include "tcmalloc/central_free_list.h"
 #include "tcmalloc/config.h"
-#include "tcmalloc/fault_injection.h"
 #include "tcmalloc/page_heap.h"
 #include "tcmalloc/pagemap.h"
 #include "tcmalloc/per_cpu_cache.h"
@@ -134,8 +133,8 @@ class Allocator {
   // Allocates `size` bytes on virtual CPU `vcpu` at simulated time `now`.
   // Returns the object address, or 0 when the allocation fails as a
   // counted, surfaced failure: a hard memory limit would be exceeded (see
-  // background.h), or injected mmap/hugepage faults denied arena growth
-  // and one emergency reclaim could not recover (failure.alloc_failures).
+  // background.h), or the arena could not grow and one emergency reclaim
+  // could not recover (failure.alloc_failures).
   // Never 0 otherwise. Fatal on size == 0.
   // `callsite` is a synthetic callsite ID (the heap profiler's stand-in
   // for a stack trace; see RegisterCallsite); 0 leaves the allocation
@@ -144,21 +143,9 @@ class Allocator {
                      uint64_t callsite = 0);
 
   // Frees an address previously returned by Allocate. Fatal on wild or
-  // double frees (span bookkeeping catches both) — except double frees of
-  // guarded (sampled) objects under config.guarded_sampling, which are
-  // detected, counted under the "failure" component, and otherwise
-  // ignored. `callsite` must match the allocating call's (the workload
-  // driver stores it per object).
+  // double frees (span bookkeeping catches both). `callsite` must match
+  // the allocating call's (the workload driver stores it per object).
   void Free(uintptr_t addr, int vcpu, SimTime now, uint64_t callsite = 0);
-
-  // Models a memory access at `addr + offset` for guard checking (the
-  // workload driver probes here when injecting use-after-free / overrun
-  // bugs). Returns true when a guarded-sampling canary caught a bug: a
-  // tombstoned guard address (use-after-free) or an offset past the
-  // requested size of a live guard (buffer overrun). Without guarded
-  // sampling (or on unguarded addresses) always false — the bug goes
-  // undetected, exactly like an unsampled allocation under GWP-ASan.
-  bool ProbeAccess(uintptr_t addr, size_t offset);
 
   // Simulated nanoseconds charged to the most recent Allocate/Free.
   double last_op_ns() const { return last_op_ns_; }
@@ -200,16 +187,6 @@ class Allocator {
   // allocator-level aggregates. The fleet layer snapshots each process and
   // merges the results in machine-index order.
   telemetry::Snapshot TelemetrySnapshot();
-
-  // --- Fault injection (fault_injection.h) ---
-  //
-  // Attaches (or detaches, with nullptr) the deterministic fault injector,
-  // propagating it to every NUMA node's system allocator. The injector
-  // fails mmap-style arena growth and denies THP backing at planned call
-  // indices; every tier above degrades gracefully and the recoveries are
-  // published under the "failure" telemetry component.
-  void SetFaultInjector(FaultInjector* injector);
-  FaultInjector* fault_injector() const { return fault_injector_; }
 
   // --- Heap profiler ---
   //
@@ -376,19 +353,12 @@ class Allocator {
   telemetry::FixedHistogram* heap_sample_hist_;
 
   // "failure" component live handles, registered at construction so the
-  // component appears in every snapshot (fault-free runs assert the
-  // zeros). Tier-side denial counts join them at snapshot time.
+  // component appears in every snapshot (healthy runs assert the zeros).
+  // Tier-side denial counts join them at snapshot time.
   telemetry::Counter* fail_alloc_failures_;
   telemetry::Counter* fail_emergency_recoveries_;
   telemetry::Counter* fail_recovered_allocations_;
   telemetry::Counter* fail_partial_batches_;
-  telemetry::Counter* fail_guard_double_frees_;
-  telemetry::Counter* fail_guard_use_after_frees_;
-  telemetry::Counter* fail_guard_overruns_;
-
-  // Null unless the fleet layer planned faults for this process; shared by
-  // every node's system allocator.
-  FaultInjector* fault_injector_ = nullptr;
 
   double last_op_ns_ = 0;
 

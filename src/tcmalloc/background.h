@@ -3,10 +3,9 @@
 // Production TCMalloc gives memory back under pressure — cache shrinking,
 // transfer-cache plundering, hugepage subrelease — coordinated by a
 // background thread against soft/hard memory limits (Section 4.4's
-// deployment story; the paper's "handles as many scenarios as you can
-// imagine" robustness axis). This simulated actor runs at sim-interval
-// boundaries (Allocator::Maintain) and degrades the hierarchy gracefully
-// in tier order when the footprint exceeds the soft limit:
+// deployment story). This simulated actor runs at sim-interval boundaries
+// (Allocator::Maintain) and degrades the hierarchy gracefully in tier
+// order when the footprint exceeds the soft limit:
 //
 //   tier 1  shrink cold per-CPU caches below their configured floor
 //   tier 2  plunder NUCA transfer-cache shards and drain the whole tier
@@ -75,10 +74,10 @@ class BackgroundReclaimer {
   // would push the footprint past the hard limit; the failure is counted.
   bool AdmitAllocation(size_t size);
 
-  // Emergency response to denied arena growth (fault injection / simulated
-  // OOM): runs the tier cascade once to mobilize cached memory back down
-  // to the page heap, so the failed allocation can retry against existing
-  // hugepages instead of fresh mmap. Rate-limited by footprint, capping
+  // Emergency response to denied arena growth (arena exhaustion): runs the
+  // tier cascade once to mobilize cached memory back down to the page
+  // heap, so the failed allocation can retry against existing hugepages
+  // instead of fresh mmap. Rate-limited by footprint, capping
   // the backoff: when the footprint has not moved since the last emergency
   // run the cascade already ran dry, and the caller must surface the
   // failure instead of retrying. Returns true when a retry is worthwhile.

@@ -55,9 +55,9 @@ class CentralFreeList {
 
   // Removes up to `n` objects into `out`, fetching spans from the page heap
   // as needed. Returns the number of objects produced: n in the common
-  // case, fewer (possibly zero) when the page heap cannot grow (fault
-  // injection or simulated OOM) — callers proceed with the partial batch
-  // or surface the failure upward.
+  // case, fewer (possibly zero) when the page heap cannot grow (simulated
+  // OOM) — callers proceed with the partial batch or surface the failure
+  // upward.
   int RemoveRange(uintptr_t* out, int n);
 
   // Span fetches refused by the page heap (growth denied).

@@ -193,12 +193,6 @@ AllocatorConfig::Builder& AllocatorConfig::Builder::WithSampleIntervalBytes(
   return *this;
 }
 
-AllocatorConfig::Builder& AllocatorConfig::Builder::WithGuardedSampling(
-    bool on) {
-  config_.guarded_sampling = on;
-  return *this;
-}
-
 AllocatorConfig::Builder& AllocatorConfig::Builder::WithArena(uintptr_t base,
                                                               size_t bytes) {
   config_.arena_base = base;

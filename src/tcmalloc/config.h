@@ -80,12 +80,6 @@ struct AllocatorConfig {
   // ---- Sampling (Section 3) ----
   // Sample one allocation for every this many allocated bytes.
   size_t sample_interval_bytes = 2 * 1024 * 1024;
-  // GWP-ASan-style guarded sampling: sampled allocations double as guarded
-  // allocations whose frees leave tombstones, so double frees and
-  // use-after-frees of sampled objects are detected and attributed to the
-  // allocating callsite instead of corrupting the heap (reported under the
-  // "failure" telemetry component).
-  bool guarded_sampling = false;
 
   // ---- Memory limits (background.h control plane) ----
   // Soft limit: the background reclaimer degrades the cache hierarchy in
@@ -186,7 +180,6 @@ class AllocatorConfig::Builder {
 
   // ---- Sampling / arena ----
   Builder& WithSampleIntervalBytes(size_t bytes);
-  Builder& WithGuardedSampling(bool on = true);
   Builder& WithArena(uintptr_t base, size_t bytes);
 
   // ---- Memory backing ----

@@ -40,24 +40,17 @@ HugePageId HugeCache::Allocate(int n) {
     }
     stats_.in_use_hugepages += n;
     ++stats_.reuse_hits;
-    last_allocation_backed_ = true;
     return HugePageId{start};
   }
   HugePageId hp = system_->AllocateHugePages(n);
   if (!IsValid(hp)) {
-    // The system refused (planned fault or arena exhaustion): nothing was
-    // handed out, so no accounting moves. Callers degrade.
+    // The system refused (arena exhaustion): nothing was handed out, so no
+    // accounting moves. Callers degrade.
     ++stats_.allocation_failures;
     return kInvalidHugePage;
   }
   ++stats_.os_allocations;
   stats_.in_use_hugepages += n;
-  // Fresh mappings can come up without THP backing under hugepage
-  // scarcity; the memory is usable, just not huge.
-  FaultInjector* injector = system_->fault_injector();
-  last_allocation_backed_ =
-      injector == nullptr || !injector->ShouldDenyHugeBacking();
-  if (!last_allocation_backed_) stats_.backing_denied += n;
   return hp;
 }
 
@@ -144,8 +137,6 @@ void HugeCache::ContributeTelemetry(
   registry.ExportCounter("huge_cache", "reuse_hits", stats_.reuse_hits);
   registry.ExportCounter("huge_cache", "allocation_failures",
                          stats_.allocation_failures);
-  registry.ExportCounter("huge_cache", "backing_denied",
-                         stats_.backing_denied);
 }
 
 }  // namespace wsc::tcmalloc

@@ -28,7 +28,6 @@ struct HugeCacheStats {
   uint64_t os_allocations = 0;    // runs obtained from the system
   uint64_t reuse_hits = 0;        // runs served from the cache
   uint64_t allocation_failures = 0;  // system refused to grow the arena
-  uint64_t backing_denied = 0;       // granted, but without THP backing
 };
 
 // Free-run pool with coalescing and a bounded cached-footprint.
@@ -40,16 +39,9 @@ class HugeCache {
 
   // Allocates `n` contiguous hugepages (from the cache if a run fits,
   // otherwise from the system). Returns kInvalidHugePage when the system
-  // refuses to grow the arena (planned mmap fault or simulated OOM);
-  // callers must check IsValid(). After a successful call,
-  // last_allocation_backed() says whether the kernel granted THP backing —
-  // hugepage scarcity (a planned fault) yields usable but non-huge memory.
+  // refuses to grow the arena (simulated OOM); callers must check
+  // IsValid().
   HugePageId Allocate(int n);
-
-  // Whether the most recent successful Allocate() came THP-backed. Cached
-  // runs are always backed (released pages refault on reuse); only the
-  // system path can be denied backing.
-  bool last_allocation_backed() const { return last_allocation_backed_; }
 
   // Returns a run of `n` hugepages to the cache. `intact` = false means the
   // pages were already returned to the OS (e.g. the run drained out of a
@@ -81,7 +73,6 @@ class HugeCache {
   // Free hugepages already released to the OS (subset of free_runs_ pages).
   std::unordered_set<uintptr_t> released_;
   HugeCacheStats stats_;
-  bool last_allocation_backed_ = true;
 };
 
 }  // namespace wsc::tcmalloc

@@ -162,14 +162,6 @@ PageId HugePageFiller::Allocate(Length n, int span_capacity) {
     if (IsValid(hp)) {
       t = new PageTracker(hp);
       t->set_lifetime_set(set);
-      if (!backing_->LastHugePageBacked()) {
-        // Hugepage scarcity: the mapping is usable but the kernel refused
-        // THP backing, so the tracker starts life broken, exactly like a
-        // subreleased hugepage (the dTLB model charges 4 KiB walks).
-        t->set_released(true);
-        ++stats_.released_hugepages;
-        ++stats_.unbacked_hugepages;
-      }
       tracker_index_.Insert(hp.index, t);
       ++stats_.total_hugepages;
       ListInsert(t);
@@ -224,17 +216,12 @@ void HugePageFiller::Free(PageId page, Length n) {
   ListInsert(t);
 }
 
-void HugePageFiller::Donate(HugePageId hp, int donated_offset, bool backed) {
+void HugePageFiller::Donate(HugePageId hp, int donated_offset) {
   WSC_CHECK_GE(donated_offset, 0);
   WSC_CHECK_LT(static_cast<Length>(donated_offset), kPagesPerHugePage);
   WSC_CHECK(FindTracker(hp) == nullptr);
   auto* t = new PageTracker(hp);
   t->set_donated(true);
-  if (!backed) {
-    t->set_released(true);
-    ++stats_.released_hugepages;
-    ++stats_.unbacked_hugepages;
-  }
   // The head [0, donated_offset) belongs to the large span.
   if (donated_offset > 0) t->MarkAllocated(0, donated_offset);
   tracker_index_.Insert(hp.index, t);
@@ -408,8 +395,6 @@ void HugePageFiller::ContributeTelemetry(
                          s.growth_failures);
   registry.ExportCounter("huge_page_filler", "cross_set_fallbacks",
                          s.cross_set_fallbacks);
-  registry.ExportCounter("huge_page_filler", "unbacked_hugepages",
-                         s.unbacked_hugepages);
 }
 
 }  // namespace wsc::tcmalloc

@@ -113,7 +113,6 @@ struct FillerStats {
   uint64_t hugepages_freed = 0;   // became fully empty and left the filler
   uint64_t growth_failures = 0;   // backing refused a hugepage, no fallback
   uint64_t cross_set_fallbacks = 0;  // placed across the lifetime boundary
-  uint64_t unbacked_hugepages = 0;   // born without THP backing (scarcity)
 };
 
 // Supplier/consumer of the whole hugepages backing the filler: the page
@@ -127,13 +126,9 @@ class HugePageBacking {
   virtual ~HugePageBacking() = default;
 
   // Provides a fresh hugepage for the filler to pack spans into, or
-  // kInvalidHugePage when the system refuses to grow (fault injection or
-  // simulated OOM) — the filler then falls back or propagates the failure.
+  // kInvalidHugePage when the system refuses to grow (simulated OOM) —
+  // the filler then falls back or propagates the failure.
   virtual HugePageId GetHugePage() = 0;
-
-  // Whether the hugepage from the most recent successful GetHugePage came
-  // THP-backed; under hugepage scarcity the mapping is usable but not huge.
-  virtual bool LastHugePageBacked() const { return true; }
 
   // Accepts a fully-empty hugepage leaving the filler; `intact` tells
   // whether it left THP-intact.
@@ -188,9 +183,7 @@ class HugePageFiller {
   // Accepts the tail of a large allocation: pages [donated_offset, 256) of
   // `hp` are free for the filler to pack spans into; pages before the
   // offset belong to the large span and are freed via FreeDonatedHead.
-  // `backed` = false (injected hugepage scarcity) makes the tracker start
-  // life broken, like a subreleased hugepage.
-  void Donate(HugePageId hp, int donated_offset, bool backed = true);
+  void Donate(HugePageId hp, int donated_offset);
 
   // Frees the large-span head of a donated hugepage.
   void FreeDonatedHead(HugePageId hp, Length head_pages);

@@ -4,8 +4,7 @@
 
 namespace wsc::tcmalloc {
 
-HugeRegion::HugeRegion(HugePageId first, bool backed)
-    : first_(first), backed_(backed) {
+HugeRegion::HugeRegion(HugePageId first) : first_(first) {
   bitmap_.assign(kRegionPages / 64, 0);
 }
 
@@ -82,8 +81,7 @@ PageId HugeRegionSet::Allocate(Length n) {
     ++growth_failures_;
     return kInvalidPageId;
   }
-  regions_.push_back(
-      std::make_unique<HugeRegion>(hp, cache_->last_allocation_backed()));
+  regions_.push_back(std::make_unique<HugeRegion>(hp));
   int offset = regions_.back()->Allocate(n);
   WSC_CHECK_GE(offset, 0);
   return PageId{regions_.back()->first_page().index +
@@ -95,8 +93,7 @@ bool HugeRegionSet::Free(PageId page, Length n) {
   if (region == nullptr) return false;
   region->Free(static_cast<int>(page.index - region->first_page().index), n);
   if (region->empty()) {
-    cache_->Release(region->first_hugepage(), HugeRegion::kRegionHugePages,
-                    /*intact=*/region->backed());
+    cache_->Release(region->first_hugepage(), HugeRegion::kRegionHugePages);
     for (auto it = regions_.begin(); it != regions_.end(); ++it) {
       if (it->get() == region) {
         regions_.erase(it);
@@ -117,14 +114,6 @@ HugeRegion* HugeRegionSet::RegionFor(PageId page) const {
 Length HugeRegionSet::used_pages() const {
   Length used = 0;
   for (const auto& region : regions_) used += region->used_pages();
-  return used;
-}
-
-Length HugeRegionSet::backed_used_pages() const {
-  Length used = 0;
-  for (const auto& region : regions_) {
-    if (region->backed()) used += region->used_pages();
-  }
   return used;
 }
 

@@ -26,12 +26,9 @@ class HugeRegion {
   static constexpr Length kRegionPages =
       kRegionHugePages * kPagesPerHugePage;
 
-  // `backed` records whether the kernel granted THP backing for the run
-  // (false under injected hugepage scarcity).
-  explicit HugeRegion(HugePageId first, bool backed = true);
+  explicit HugeRegion(HugePageId first);
 
   HugePageId first_hugepage() const { return first_; }
-  bool backed() const { return backed_; }
   PageId first_page() const { return first_.first_page(); }
   Length used_pages() const { return used_; }
   Length free_pages() const { return kRegionPages - used_; }
@@ -51,7 +48,6 @@ class HugeRegion {
 
  private:
   HugePageId first_;
-  bool backed_;
   Length used_ = 0;
   std::vector<uint64_t> bitmap_;  // kRegionPages bits; set => used
 };
@@ -65,8 +61,8 @@ class HugeRegionSet {
   // Allocates `n` contiguous pages from some region (creating one if
   // needed). n must fit in a region. Returns kInvalidPageId when no
   // existing region fits and the huge cache refuses a fresh region run
-  // (fault injection or simulated OOM); the page heap then falls back to
-  // whole cache hugepages.
+  // (simulated OOM); the page heap then falls back to whole cache
+  // hugepages.
   PageId Allocate(Length n);
 
   uint64_t growth_failures() const { return growth_failures_; }
@@ -77,17 +73,8 @@ class HugeRegionSet {
   // True if any region contains `page`.
   bool Owns(PageId page) const { return RegionFor(page) != nullptr; }
 
-  // True if the region containing `page` is THP-backed (true for pages no
-  // region owns — the caller resolves ownership first).
-  bool IsBacked(PageId page) const {
-    const HugeRegion* region = RegionFor(page);
-    return region == nullptr || region->backed();
-  }
-
   Length used_pages() const;
   Length free_pages() const;
-  // Used pages on THP-backed regions only (hugepage-coverage numerator).
-  Length backed_used_pages() const;
   size_t num_regions() const { return regions_.size(); }
 
   // Publishes this tier's metrics (component "huge_region") into

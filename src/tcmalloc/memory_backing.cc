@@ -18,7 +18,9 @@ RealMemoryBacking::RealMemoryBacking(size_t reserve_bytes) {
   want = (want + kHugePageSize - 1) & ~(kHugePageSize - 1);
   // Over-map by one hugepage so the working base can be aligned up to a
   // 2 MiB boundary; the slack stays mapped (NORESERVE, never touched).
-  for (; want >= kMinReserveBytes; want /= 2) {
+  // Each refused rung halves, rounded down to whole hugepages.
+  for (; want >= kMinReserveBytes;
+       want = (want / 2) & ~(kHugePageSize - 1)) {
     void* p = mmap(nullptr, want + kHugePageSize, PROT_READ | PROT_WRITE,
                    MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
     if (p != MAP_FAILED) {

@@ -27,8 +27,8 @@ struct MemoryBackingStats {
 class RealMemoryBacking {
  public:
   // Reserves `reserve_bytes` (rounded up to a hugepage), walking a
-  // fallback ladder of halved sizes down to kMinReserveBytes if the mmap
-  // is refused. A request above 2^63 bytes starts the ladder at 2^63, so
+  // fallback ladder of halved sizes, each rounded down to whole hugepages,
+  // down to kMinReserveBytes if the mmap is refused. A request above 2^63 bytes starts the ladder at 2^63, so
   // any value, ~size_t{0} included, gets the largest reservation the
   // ladder can map. ok() is false only if even the smallest rung failed.
   explicit RealMemoryBacking(size_t reserve_bytes);

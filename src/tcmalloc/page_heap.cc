@@ -45,21 +45,8 @@ void PageHeap::CommitPageRange(HugePageId hp, int offset, Length n) {
   system_->Commit(hp.Addr() + LengthToBytes(offset), LengthToBytes(n));
 }
 
-bool PageHeap::LastHugePageBacked() const {
-  return cache_.last_allocation_backed();
-}
-
 void PageHeap::PutHugePage(HugePageId hp, bool intact) {
   cache_.Release(hp, 1, intact);
-}
-
-bool PageHeap::TakeUnbacked(HugePageId hp, int n) {
-  if (unbacked_.empty()) return false;
-  bool found = unbacked_.count(hp.index) > 0;
-  for (int i = 0; i < n; ++i) {
-    unbacked_.erase(hp.index + static_cast<uintptr_t>(i));
-  }
-  return found;
 }
 
 Span* PageHeap::RegisterSpan(Span* span) {
@@ -107,33 +94,25 @@ Span* PageHeap::NewLargeSpan(Length pages) {
     HugePageId hp = cache_.Allocate(k);
     if (!IsValid(hp)) return;
     record.cache_hugepages = k;
-    bool backed = cache_.last_allocation_backed();
     first = hp.first_page();
     Length slack = static_cast<Length>(k) * kPagesPerHugePage - pages;
-    int owned = k;  // hugepages fully owned by the span (not donated)
     if (slack > 0) {
       // The allocation's tail partially covers the last hugepage; donate
       // the slack to the filler so small spans can use it.
       Length head = kPagesPerHugePage - slack;
       record.donated_head_pages = head;
       HugePageId last{hp.index + static_cast<uintptr_t>(k - 1)};
-      filler_.Donate(last, static_cast<int>(head), backed);
+      filler_.Donate(last, static_cast<int>(head));
       cache_span_pages_ += pages - head;
-      owned = k - 1;
     } else {
       cache_span_pages_ += pages;
     }
-    if (!backed) {
-      for (int i = 0; i < owned; ++i) {
-        unbacked_.insert(hp.index + static_cast<uintptr_t>(i));
-      }
-    }
   };
 
-  // The placement ladder. When a rung's supply line is cut (fault
-  // injection or simulated OOM) the next rung gets a chance: sub-hugepage
-  // spans retry in the shared regions (which may have room without
-  // growing), awkward region sizes round up to whole cache hugepages.
+  // The placement ladder. When a rung's supply line is cut (simulated
+  // OOM) the next rung gets a chance: sub-hugepage spans retry in the
+  // shared regions (which may have room without growing), awkward region
+  // sizes round up to whole cache hugepages.
   if (pages < kPagesPerHugePage) {
     try_filler();
     if (!IsValid(first)) {
@@ -179,13 +158,12 @@ void PageHeap::FreeLargeSpan(Span* span) {
       if (record.donated_head_pages > 0) {
         // Release the fully-owned hugepages; the donated tail hugepage is
         // handed back page-wise through the filler.
-        bool intact = !TakeUnbacked(hp, k - 1);
-        if (k > 1) cache_.Release(hp, k - 1, intact);
+        if (k > 1) cache_.Release(hp, k - 1);
         HugePageId last{hp.index + static_cast<uintptr_t>(k - 1)};
         filler_.FreeDonatedHead(last, record.donated_head_pages);
         cache_span_pages_ -= span->num_pages() - record.donated_head_pages;
       } else {
-        cache_.Release(hp, k, /*intact=*/!TakeUnbacked(hp, k));
+        cache_.Release(hp, k);
         cache_span_pages_ -= span->num_pages();
       }
       break;
@@ -227,14 +205,7 @@ size_t PageHeap::ReleaseForPressure(size_t target_bytes) {
 
 bool PageHeap::IsHugepageBacked(uintptr_t addr) const {
   if (filler_.Owns(addr)) return filler_.IsIntactHugepage(addr);
-  PageId page = PageIdContaining(addr);
-  if (regions_.Owns(page)) return regions_.IsBacked(page);
-  // Whole cache hugepages never subrelease while occupied, but injected
-  // hugepage scarcity can have granted them without THP backing.
-  if (!unbacked_.empty() &&
-      unbacked_.count(HugePageContainingAddr(addr).index) > 0) {
-    return false;
-  }
+  // Regions and whole cache hugepages never subrelease while occupied.
   return true;
 }
 
@@ -246,11 +217,9 @@ double PageHeap::HugepageCoverage() const {
   PageHeapStats s = stats();
   size_t in_use = s.TotalInUse();
   if (in_use == 0) return 1.0;
-  // Unbacked region/cache hugepages (injected scarcity) do not count as
-  // covered; owned unbacked cache hugepages are fully used by their span.
+  // Regions and whole cache hugepages are always intact.
   size_t intact_used = LengthToBytes(filler_.UsedPagesOnIntactHugepages()) +
-                       LengthToBytes(regions_.backed_used_pages()) +
-                       (s.cache_used - unbacked_.size() * kHugePageSize);
+                       s.region_used + s.cache_used;
   return static_cast<double>(intact_used) / static_cast<double>(in_use);
 }
 

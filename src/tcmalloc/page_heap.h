@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <deque>
-#include <unordered_set>
 
 #include "common/flat_map.h"
 #include "tcmalloc/central_free_list.h"
@@ -57,8 +56,8 @@ class PageHeap : public SpanSource, private HugePageBacking {
   PageHeap& operator=(const PageHeap&) = delete;
 
   // SpanSource: small-object spans for the central free lists. Returns
-  // nullptr when the filler cannot grow (fault injection or simulated
-  // OOM); central free lists degrade to partial batches.
+  // nullptr when the filler cannot grow (simulated OOM); central free
+  // lists degrade to partial batches.
   Span* NewSpan(int cls) override;
   void ReturnSpan(Span* span) override;
 
@@ -127,15 +126,9 @@ class PageHeap : public SpanSource, private HugePageBacking {
 
   // HugePageBacking: the filler's hugepage supply line.
   HugePageId GetHugePage() override;
-  bool LastHugePageBacked() const override;
   void PutHugePage(HugePageId hp, bool intact) override;
   size_t ReleasePageRange(HugePageId hp, int offset, Length n) override;
   void CommitPageRange(HugePageId hp, int offset, Length n) override;
-
-  // Erases up to `n` hugepages starting at `hp` from the unbacked set;
-  // returns true if the run was unbacked (scarcity runs are uniform, so
-  // checking the first index suffices).
-  bool TakeUnbacked(HugePageId hp, int n);
 
   const SizeClasses* size_classes_;
   SystemAllocator* system_;
@@ -152,10 +145,6 @@ class PageHeap : public SpanSource, private HugePageBacking {
   uint64_t next_span_id_ = 0;
   uint64_t large_fallbacks_ = 0;  // ladder rung failed, next rung served
   uint64_t large_failures_ = 0;   // whole ladder failed -> nullptr
-  // Whole cache hugepages granted without THP backing (hugepage
-  // scarcity); consulted by IsHugepageBacked, erased on free. Regions and
-  // filler hugepages track their own backing.
-  std::unordered_set<uintptr_t> unbacked_;
 
   // Sliding window of recent filler demand (used pages), sampled once per
   // BackgroundRelease call; its peak guards subrelease against transient

@@ -48,8 +48,8 @@ constexpr PageId PageIdContaining(uintptr_t addr) {
 // Index 0 doubles as the "growth failed" sentinel: every process arena
 // starts at or above 1 << 44 (machine.cc), so no real page or hugepage can
 // ever have index 0. Tiers return these when SystemAllocator growth is
-// denied (fault injection or arena exhaustion) and callers must check
-// IsValid() before using the result.
+// denied (arena exhaustion) and callers must check IsValid() before using
+// the result.
 inline constexpr PageId kInvalidPageId{0};
 
 constexpr bool IsValid(PageId p) { return p.index != 0; }

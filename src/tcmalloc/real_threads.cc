@@ -107,7 +107,7 @@ RealPageHeap::RealPageHeap(size_t reserve_bytes) : backing_(reserve_bytes) {
   // Every run holds at least one page, so there are never more runs than
   // pages.
   max_records_ = total_pages_ + 1;
-  // The backing reserves whole, aligned hugepages.
+  WSC_CHECK_EQ(total_pages_ % kPagesPerHugePage, 0u);  // whole hugepages
   total_hugepages_ = total_pages_ / kPagesPerHugePage;
   dir_ = reinterpret_cast<std::atomic<uint32_t>*>(
       RealMemoryBacking::MapMetadata(total_pages_ * sizeof(uint32_t)));

@@ -51,34 +51,18 @@ class Sampler {
   };
 
   struct Sample {
-    size_t requested;   // caller-requested bytes (guard overrun boundary)
     size_t allocated;
     SimTime alloc_time;
     uint64_t callsite;
   };
 
-  // GWP-ASan-style guard state left behind when a guarded (sampled)
-  // allocation is freed. A later free or access of the same address hits
-  // the tombstone and is reported as a heap bug.
-  struct Tombstone {
-    size_t requested = 0;
-    size_t allocated = 0;
-    uint64_t callsite = 0;
-    SimTime free_time = 0;
-  };
-
   explicit Sampler(size_t sample_interval_bytes);
-
-  // Enables guarded sampling (config.guarded_sampling): sampled
-  // allocations become guards and their frees leave bounded tombstones.
-  void set_guarded(bool on) { guarded_ = on; }
-  bool guarded() const { return guarded_; }
 
   // Returns true if this allocation is sampled (caller charges the extra
   // sampling cost). Must be called once per allocation. `callsite` is the
   // synthetic callsite ID tagged by the workload driver (0 = untagged).
-  bool RecordAllocation(uintptr_t addr, size_t requested, size_t allocated,
-                        SimTime now, uint64_t callsite = 0);
+  bool RecordAllocation(uintptr_t addr, size_t allocated, SimTime now,
+                        uint64_t callsite = 0);
 
   // Finalizes a sampled allocation if `addr` was sampled.
   void RecordFree(uintptr_t addr, SimTime now);
@@ -101,42 +85,11 @@ class Sampler {
   // used for fragmentation attribution.
   std::vector<std::pair<uintptr_t, Sample>> SortedLiveSamples() const;
 
-  // --- Guard queries (all no-ops / misses unless guarded sampling is on) ---
-  //
-  // True when `addr` is a live guarded allocation.
-  bool IsGuarded(uintptr_t addr) const {
-    return guarded_ && live_samples_.count(addr) > 0;
-  }
-  // The live sample at `addr`, or nullptr.
-  const Sample* FindLiveSample(uintptr_t addr) const;
-  // The tombstone at `addr`, or nullptr (the address was never a guard, or
-  // its tombstone was retired by reuse or FIFO eviction).
-  const Tombstone* FindTombstone(uintptr_t addr) const;
-  // Removes and returns the tombstone at `addr` (a detection consumes its
-  // guard so one bug yields one report). Returns false on a miss.
-  bool TakeTombstone(uintptr_t addr, Tombstone* out);
-
-  size_t tombstone_count() const { return tombstones_.size(); }
-  uint64_t guarded_allocs() const { return guarded_allocs_; }
-
  private:
-  // Bounded tombstone pool, like GWP-ASan's fixed guard slots: the oldest
-  // tombstone is retired when a new one would exceed this.
-  static constexpr size_t kMaxTombstones = 512;
-
-  void InsertTombstone(uintptr_t addr, const Tombstone& tombstone);
-
   size_t interval_;
   size_t bytes_until_sample_;
-  bool guarded_ = false;
   uint64_t samples_taken_ = 0;
-  uint64_t guarded_allocs_ = 0;
   std::unordered_map<uintptr_t, Sample> live_samples_;
-  std::unordered_map<uintptr_t, Tombstone> tombstones_;
-  // FIFO of tombstone addresses for bounded eviction; entries whose
-  // tombstone was already retired (address reuse) are skipped lazily.
-  std::vector<uintptr_t> tombstone_fifo_;
-  size_t tombstone_fifo_head_ = 0;
   LifetimeProfile profile_;
   std::map<uint64_t, CallsiteSamples> by_callsite_;
 };

@@ -73,12 +73,8 @@ SystemAllocator::SystemAllocator(uintptr_t base, size_t arena_bytes,
 HugePageId SystemAllocator::AllocateHugePages(int n) {
   WSC_CHECK_GT(n, 0);
   size_t bytes = static_cast<size_t>(n) * kHugePageSize;
-  // A planned mmap fault or reservation exhaustion (OOM) is a counted
-  // failure, never fatal: the tiers above fall back or surface nullptr.
-  if (injector_ != nullptr && injector_->ShouldFailMmap()) {
-    ++stats_.mmap_failures;
-    return kInvalidHugePage;
-  }
+  // Reservation exhaustion (OOM) is a counted failure, never fatal: the
+  // tiers above fall back or surface nullptr.
   if (next_ + bytes > base_ + arena_bytes_) {
     ++stats_.mmap_failures;
     return kInvalidHugePage;

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <map>
 
-#include "tcmalloc/fault_injection.h"
 #include "tcmalloc/pages.h"
 #include "telemetry/registry.h"
 
@@ -47,7 +46,7 @@ struct SystemStats {
   uint64_t mmap_calls = 0;
   uint64_t mapped_bytes = 0;
   double mmap_ns = 0.0;  // cumulative simulated syscall latency
-  uint64_t mmap_failures = 0;  // denied by fault injection or exhaustion
+  uint64_t mmap_failures = 0;  // denied by arena exhaustion
   uint64_t released_bytes = 0;  // newly released (re-releases count 0)
   uint64_t recommitted_bytes = 0;  // released bytes brought back into use
 };
@@ -61,9 +60,9 @@ class SystemAllocator {
                   double mmap_latency_ns = 8000.0);
 
   // Returns `n` contiguous hugepages (hugepage-aligned), or
-  // kInvalidHugePage when the (simulated) mmap fails — a planned fault from
-  // the installed injector, or reservation exhaustion (OOM). Callers must
-  // check IsValid() and degrade; nothing in this path is fatal.
+  // kInvalidHugePage when the (simulated) mmap fails on reservation
+  // exhaustion (OOM). Callers must check IsValid() and degrade; nothing in
+  // this path is fatal.
   HugePageId AllocateHugePages(int n);
 
   // Returns [addr, addr+bytes) to the (simulated) OS. Returns the bytes
@@ -73,11 +72,6 @@ class SystemAllocator {
 
   // Declares a previously released range in use again.
   void Commit(uintptr_t addr, size_t bytes);
-
-  // Installs (or clears, with nullptr) the fault injector consulted before
-  // every simulated mmap. Borrowed, not owned.
-  void SetFaultInjector(FaultInjector* injector) { injector_ = injector; }
-  FaultInjector* fault_injector() const { return injector_; }
 
   uintptr_t base() const { return base_; }
   size_t arena_bytes() const { return arena_bytes_; }
@@ -97,7 +91,6 @@ class SystemAllocator {
   ReleasedRangeSet released_;
   double mmap_latency_ns_;
   SystemStats stats_;
-  FaultInjector* injector_ = nullptr;  // null: no faults
 };
 
 }  // namespace wsc::tcmalloc

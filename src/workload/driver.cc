@@ -201,48 +201,6 @@ double Driver::Step() {
     }
     ++metrics_.allocations;
 
-    // Opt-in heap-bug injection, exercised only against guarded (sampled)
-    // allocations so detection is deterministic and unguarded bookkeeping
-    // is never corrupted. The RNG is consulted only when the spec enables
-    // bugs, so bug-free runs keep their exact random streams.
-    if (spec_.injects_bugs() && allocator_->sampler().IsGuarded(addr)) {
-      double u = rng_.UniformDouble();
-      double p_df = spec_.double_free_probability;
-      double p_uaf = p_df + spec_.use_after_free_probability;
-      double p_or = p_uaf + spec_.overrun_probability;
-      if (u < p_df) {
-        // Double free: the first Free is legitimate (and, being guarded,
-        // leaves a tombstone); the second is the bug the guard catches.
-        allocator_->Free(addr, vcpu, now, callsite);
-        malloc_ns += allocator_->last_op_ns();
-        ++metrics_.frees;
-        allocator_->Free(addr, vcpu, now, callsite);
-        malloc_ns += allocator_->last_op_ns();
-        ++metrics_.injected_bugs;
-        ++metrics_.detected_bugs;
-        continue;
-      }
-      if (u < p_uaf) {
-        // Use after free: free legitimately, then touch the dead object.
-        allocator_->Free(addr, vcpu, now, callsite);
-        malloc_ns += allocator_->last_op_ns();
-        ++metrics_.frees;
-        ++metrics_.injected_bugs;
-        if (allocator_->ProbeAccess(addr, 0)) {
-          ++metrics_.detected_bugs;
-        }
-        continue;
-      }
-      if (u < p_or) {
-        // Buffer overrun: touch one byte past the requested size. The
-        // object stays live and dies normally later.
-        ++metrics_.injected_bugs;
-        if (allocator_->ProbeAccess(addr, size)) {
-          ++metrics_.detected_bugs;
-        }
-      }
-    }
-
     live_.push(LiveObject{death, addr, static_cast<uint32_t>(size), callsite});
     live_bytes_ += size;
     ReservoirAdd(recent_per_vcpu_[vcpu], kVcpuRingSize, addr,

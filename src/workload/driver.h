@@ -34,11 +34,6 @@ struct DriverMetrics {
   // growth denial (Allocate returned 0); surfaced failures, not counted in
   // `allocations`.
   uint64_t failed_allocations = 0;
-  // Heap bugs deliberately injected by the driver (spec probabilities) and
-  // the subset the allocator's guarded sampler caught. Injection targets
-  // only guarded allocations, so with guarded sampling on these match.
-  uint64_t injected_bugs = 0;
-  uint64_t detected_bugs = 0;
   double cpu_ns = 0;        // total CPU time consumed
   double base_work_ns = 0;  // application compute share
   double malloc_ns = 0;     // allocator share

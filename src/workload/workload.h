@@ -71,23 +71,6 @@ struct WorkloadSpec {
   double startup_bytes = 0;
   std::shared_ptr<const Distribution> startup_object_size;
 
-  // ---- Injected heap bugs (fault-resilience studies; all default 0) ----
-  // Per-allocation probabilities of the driver deliberately misusing a
-  // fresh object: freeing it twice, touching it after free, or writing one
-  // byte past the requested size. Bugs are exercised only against guarded
-  // (sampled) allocations — config.guarded_sampling — so every injected
-  // bug is detectable and the run never corrupts allocator bookkeeping,
-  // mirroring GWP-ASan's sampled-coverage contract. The three
-  // probabilities are exclusive per allocation (their sum must be <= 1).
-  double double_free_probability = 0.0;
-  double use_after_free_probability = 0.0;
-  double overrun_probability = 0.0;
-
-  bool injects_bugs() const {
-    return double_free_probability > 0 || use_after_free_probability > 0 ||
-           overrun_probability > 0;
-  }
-
   // If true the workload is effectively single-threaded (Redis).
   bool single_threaded() const { return max_threads <= 1; }
 };

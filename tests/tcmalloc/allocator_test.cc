@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
+#include "tcmalloc/malloc_extension.h"
 
 namespace wsc::tcmalloc {
 namespace {
@@ -247,6 +249,127 @@ TEST(AllocatorDeathTest, InvalidDomainIsFatal) {
   AllocatorConfig config = TestBuilder().WithLlcDomains(2).Build();
   Allocator alloc(config);
   EXPECT_DEATH(alloc.SetVcpuDomain(0, 5), "CHECK failed");
+}
+
+// ---- Growth failure: an arena that cannot grow degrades, never crashes,
+// and every recovery shows up in the "failure" telemetry component.
+
+constexpr uintptr_t kBase = uintptr_t{1} << 44;
+
+AllocatorConfig::Builder SmallArenaBuilder(size_t arena_bytes) {
+  return AllocatorConfig::Builder().WithVcpus(2).WithArena(kBase, arena_bytes);
+}
+
+TEST(FaultHardening, ArenaExhaustionSurfacesAndRecoversAfterFrees) {
+  // A tiny arena fills up; allocations start failing (simulated OOM) with
+  // counted failures. After everything is freed the allocator serves again
+  // from its own caches — no fresh mmap needed.
+  AllocatorConfig config = SmallArenaBuilder(8 * kHugePageSize).Build();
+  Allocator alloc(config);
+
+  std::vector<uintptr_t> live;
+  uintptr_t addr = 0;
+  int failures = 0;
+  for (int i = 0; i < 100000; ++i) {
+    addr = alloc.Allocate(8192, 0, 0);
+    if (addr == 0) {
+      ++failures;
+      if (failures >= 3) break;  // keep failing, keep not crashing
+      continue;
+    }
+    live.push_back(addr);
+  }
+  ASSERT_GE(failures, 3);
+  ASSERT_FALSE(live.empty());
+
+  MallocExtension extension(&alloc);
+  EXPECT_GE(extension.GetProperty("failure.alloc_failures").value(), 3.0);
+
+  for (uintptr_t p : live) alloc.Free(p, 0, 0);
+  EXPECT_NE(alloc.Allocate(8192, 0, 0), 0u);
+}
+
+TEST(FaultHardening, LargeAllocationBeyondArenaFailsGracefully) {
+  // A large request the arena can never hold comes back as 0 — a counted
+  // failure — without crashing, and the arena keeps serving.
+  AllocatorConfig config = SmallArenaBuilder(8 * kHugePageSize).Build();
+  Allocator alloc(config);
+
+  EXPECT_EQ(alloc.Allocate(16 * kHugePageSize, 0, 0), 0u);
+  EXPECT_EQ(alloc.num_allocations(), 0u);  // failures don't count
+
+  MallocExtension extension(&alloc);
+  EXPECT_GE(extension.GetProperty("failure.alloc_failures").value(), 1.0);
+  EXPECT_GT(extension.GetProperty("failure.mmap_denied").value(), 0.0);
+  EXPECT_GT(extension.GetProperty("failure.large_failures").value(), 0.0);
+  EXPECT_NE(alloc.Allocate(64, 0, 0), 0u);
+}
+
+TEST(FaultHardening, EmergencyReclaimRecoversDeniedGrowth) {
+  // Park most of a small arena in vCPU 0's oversized cache (every size
+  // class filled to its per-CPU cap), then keep allocating from vCPU 1.
+  // Once the page heap's leftovers run out, the arena refuses to grow and
+  // the only way to serve vCPU 1 is the emergency cascade mobilizing vCPU
+  // 0's cached bytes — allocations must keep succeeding, with the recovery
+  // counted.
+  AllocatorConfig config = SmallArenaBuilder(8 * kHugePageSize)
+                               .WithCpuCacheBytes(32 * kHugePageSize)
+                               .Build();
+  Allocator alloc(config);
+
+  const SizeClasses& classes = alloc.size_classes();
+  for (int cls = 0; cls < classes.num_classes(); ++cls) {
+    std::vector<uintptr_t> parked;
+    for (int i = 0; i < classes.info(cls).max_per_cpu_objects; ++i) {
+      uintptr_t addr = alloc.Allocate(classes.class_size(cls), /*vcpu=*/0, 0);
+      ASSERT_NE(addr, 0u);
+      parked.push_back(addr);
+    }
+    for (uintptr_t p : parked) alloc.Free(p, /*vcpu=*/0, 0);
+  }
+  ASSERT_GT(alloc.CollectStats().cpu_cache_free, 4 * kHugePageSize);
+
+  MallocExtension extension(&alloc);
+  for (int i = 0; i < 3000; ++i) {
+    ASSERT_NE(alloc.Allocate(8192, /*vcpu=*/1, 0), 0u) << "iteration " << i;
+    if (extension.GetProperty("failure.recovered_allocations").value() > 0) {
+      break;
+    }
+  }
+  EXPECT_GT(extension.GetProperty("failure.emergency_recoveries").value(),
+            0.0);
+  EXPECT_GT(extension.GetProperty("failure.recovered_allocations").value(),
+            0.0);
+  EXPECT_GT(extension.GetProperty("failure.mmap_denied").value(), 0.0);
+}
+
+TEST(FaultHardening, FailureComponentAlwaysPresentInSnapshots) {
+  // The live "failure" handles exist from construction, so fleet merges
+  // and statsz dumps always see the component even on healthy runs.
+  AllocatorConfig config = SmallArenaBuilder(size_t{1} << 30).Build();
+  Allocator alloc(config);
+  uintptr_t p = alloc.Allocate(64, 0, 0);
+  alloc.Free(p, 0, 0);
+
+  telemetry::Snapshot snapshot = alloc.TelemetrySnapshot();
+  const std::vector<std::string> names = {
+      "alloc_failures",         "emergency_recoveries",
+      "recovered_allocations",  "partial_batches",
+      "mmap_denied",            "huge_cache_allocation_failures",
+      "filler_growth_failures", "filler_cross_set_fallbacks",
+      "region_growth_failures", "span_fetch_failures",
+      "large_fallbacks",        "large_failures"};
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    const telemetry::MetricSample* sample = snapshot.Find("failure", name);
+    ASSERT_NE(sample, nullptr);
+    EXPECT_EQ(sample->ScalarValue(), 0.0);  // healthy run: all zero
+  }
+  size_t failure_metrics = 0;
+  for (const telemetry::MetricSample& sample : snapshot.samples) {
+    if (sample.component == "failure") ++failure_metrics;
+  }
+  EXPECT_EQ(failure_metrics, names.size());
 }
 
 }  // namespace

@@ -96,9 +96,10 @@ TEST_F(PageHeapTest, ExactHugepageMultipleHasNoDonation) {
 }
 
 TEST_F(PageHeapTest, CoverageIsFullWithoutSubrelease) {
-  heap_.NewSpan(3);
+  Span* span = heap_.NewSpan(3);
   EXPECT_DOUBLE_EQ(heap_.HugepageCoverage(), 1.0);
   EXPECT_TRUE(heap_.IsHugepageBacked(config_.arena_base));
+  heap_.ReturnSpan(span);
 }
 
 TEST_F(PageHeapTest, SubreleaseLowersCoverage) {
@@ -118,18 +119,22 @@ TEST_F(PageHeapTest, SubreleaseLowersCoverage) {
     if (!heap_.IsHugepageBacked(spans[i]->start_addr())) any_broken = true;
   }
   EXPECT_TRUE(any_broken);
+  for (size_t i = 0; i < 150; ++i) heap_.ReturnSpan(spans[i]);
 }
 
 TEST_F(PageHeapTest, Fig15StyleBreakdownCoversComponents) {
-  heap_.NewSpan(0);             // filler
-  heap_.NewLargeSpan(300);      // region
-  heap_.NewLargeSpan(1024);     // cache (4 hugepages, no slack)
+  Span* filler = heap_.NewSpan(0);
+  Span* region = heap_.NewLargeSpan(300);
+  Span* cache = heap_.NewLargeSpan(1024);  // 4 hugepages, no slack
   PageHeapStats stats = heap_.stats();
   EXPECT_GT(stats.filler_used, 0u);
   EXPECT_GT(stats.region_used, 0u);
   EXPECT_GT(stats.cache_used, 0u);
   EXPECT_EQ(stats.TotalInUse(),
             stats.filler_used + stats.region_used + stats.cache_used);
+  heap_.ReturnSpan(filler);
+  heap_.FreeLargeSpan(region);
+  heap_.FreeLargeSpan(cache);
 }
 
 TEST_F(PageHeapTest, MmapChargedOnlyOnSystemGrowth) {

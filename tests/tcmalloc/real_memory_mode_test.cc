@@ -7,9 +7,13 @@
 // storms live in real_threads_test.cc.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <utility>
 #include <vector>
@@ -76,6 +80,47 @@ TEST(RealMemoryBackingTest, SizeMaxRequestGetsTheLargestReservation) {
   ASSERT_TRUE(backing.ok());
   EXPECT_EQ(backing.base() % kHugePageSize, 0u);
   EXPECT_GE(backing.reserved_bytes(), RealMemoryBacking::kMinReserveBytes);
+}
+
+// This process's mapped address space (VmSize), in bytes; 0 if unknown.
+size_t VmSizeBytes() {
+  FILE* status = std::fopen("/proc/self/status", "r");
+  if (status == nullptr) return 0;
+  char line[256];
+  size_t kib = 0;
+  while (std::fgets(line, sizeof(line), status) != nullptr) {
+    if (std::sscanf(line, "VmSize: %zu kB", &kib) == 1) break;
+  }
+  std::fclose(status);
+  return kib * 1024;
+}
+
+// A refused rung of an odd number of hugepages must halve to whole
+// hugepages: RealPageHeap sizes its per-hugepage counters by whole
+// hugepages, so a reservation ending inside one would index past them.
+TEST(RealMemoryBackingTest, RefusedRungHalvesToWholeHugepages) {
+  const size_t vm_bytes = VmSizeBytes();
+  ASSERT_GT(vm_bytes, 0u);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    // 2 GiB of address-space headroom refuses the 3 GiB + 2 MiB rung (1537
+    // hugepages) and admits the next one down.
+    struct rlimit cap;
+    cap.rlim_cur = cap.rlim_max = vm_bytes + (size_t{2} << 30);
+    if (setrlimit(RLIMIT_AS, &cap) != 0) _exit(10);
+    RealMemoryBacking backing((size_t{3} << 30) + kHugePageSize);
+    if (!backing.ok()) _exit(1);
+    if (backing.reserved_bytes() < (size_t{1} << 30)) _exit(2);
+    if (backing.reserved_bytes() % kHugePageSize != 0) _exit(3);
+    _exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: nothing reserved, 2: under 1 GiB, 3: partial hugepage, "
+         "10: setrlimit failed";
 }
 
 // ---- The real-threads allocator on real memory.

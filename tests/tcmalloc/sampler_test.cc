@@ -12,7 +12,7 @@ TEST(Sampler, SamplesOncePerIntervalBytes) {
   int sampled = 0;
   // 100 allocations of 100 B = 10000 B -> ~10 samples.
   for (int i = 0; i < 100; ++i) {
-    if (sampler.RecordAllocation(1000 + i, 100, 100, 0)) ++sampled;
+    if (sampler.RecordAllocation(1000 + i, 100, 0)) ++sampled;
   }
   EXPECT_EQ(sampled, 10);
   EXPECT_EQ(sampler.samples_taken(), 10u);
@@ -20,12 +20,12 @@ TEST(Sampler, SamplesOncePerIntervalBytes) {
 
 TEST(Sampler, LargeAllocationAlwaysSampledWhenExceedingInterval) {
   Sampler sampler(1000);
-  EXPECT_TRUE(sampler.RecordAllocation(42, 5000, 5000, 0));
+  EXPECT_TRUE(sampler.RecordAllocation(42, 5000, 0));
 }
 
 TEST(Sampler, LifetimeRecordedOnFree) {
   Sampler sampler(100);
-  ASSERT_TRUE(sampler.RecordAllocation(0xAB, 512, 512, Nanoseconds(1000)));
+  ASSERT_TRUE(sampler.RecordAllocation(0xAB, 512, Nanoseconds(1000)));
   sampler.RecordFree(0xAB, Nanoseconds(6000));
   const LifetimeProfile& profile = sampler.profile();
   EXPECT_EQ(profile.all_lifetimes.count(), 1u);
@@ -37,15 +37,15 @@ TEST(Sampler, LifetimeRecordedOnFree) {
 
 TEST(Sampler, UnsampledFreesAreIgnored) {
   Sampler sampler(size_t{1} << 40);  // samples (almost) nothing
-  EXPECT_FALSE(sampler.RecordAllocation(0xCD, 64, 64, 0));
+  EXPECT_FALSE(sampler.RecordAllocation(0xCD, 64, 0));
   sampler.RecordFree(0xCD, 100);  // no crash, no record
   EXPECT_EQ(sampler.profile().all_lifetimes.count(), 0u);
 }
 
 TEST(Sampler, FlushOutstandingCensorsLiveObjects) {
   Sampler sampler(100);
-  ASSERT_TRUE(sampler.RecordAllocation(0x1, 256, 256, 0));
-  ASSERT_TRUE(sampler.RecordAllocation(0x2, 256, 256, Seconds(1)));
+  ASSERT_TRUE(sampler.RecordAllocation(0x1, 256, 0));
+  ASSERT_TRUE(sampler.RecordAllocation(0x2, 256, Seconds(1)));
   sampler.FlushOutstanding(Seconds(10));
   EXPECT_EQ(sampler.profile().all_lifetimes.count(), 2u);
   // Censored lifetimes: 10 s and 9 s.

@@ -41,21 +41,6 @@ TEST(SystemAllocator, ExhaustionReturnsInvalidAndCounts) {
   EXPECT_EQ(sys.stats().mapped_bytes, 2 * kHugePageSize);
 }
 
-TEST(SystemAllocator, InjectedMmapFaultWindowDenies) {
-  SystemAllocator sys(kBase, 64 * kHugePageSize);
-  FaultPlan plan;
-  plan.mmap_windows.push_back({1, 3});  // calls 1 and 2 fail
-  FaultInjector injector(plan);
-  sys.SetFaultInjector(&injector);
-  EXPECT_TRUE(IsValid(sys.AllocateHugePages(1)));   // call 0
-  EXPECT_FALSE(IsValid(sys.AllocateHugePages(1)));  // call 1
-  EXPECT_FALSE(IsValid(sys.AllocateHugePages(1)));  // call 2
-  EXPECT_TRUE(IsValid(sys.AllocateHugePages(1)));   // call 3
-  EXPECT_EQ(sys.stats().mmap_failures, 2u);
-  EXPECT_EQ(injector.mmap_denied(), 2u);
-  EXPECT_EQ(injector.stats().calls[static_cast<int>(FaultKind::kMmap)], 4u);
-}
-
 // The dedupe that keeps release accounting honest.
 TEST(ReleasedRangeSetTest, AddDedupesOverlaps) {
   ReleasedRangeSet set;

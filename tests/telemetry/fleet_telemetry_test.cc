@@ -98,6 +98,27 @@ TEST(FleetTelemetry, BitIdenticalAcrossThreadCounts) {
   }
 }
 
+TEST(FleetTelemetry, HealthyFleetLeavesFailureCountersAtZero) {
+  Fleet fleet(SmallFleet(), tcmalloc::AllocatorConfig(), /*seed=*/777);
+  fleet.Run(2);
+
+  telemetry::Snapshot merged = MergedTelemetry(fleet.observations());
+  for (const char* name :
+       {"alloc_failures", "emergency_recoveries", "recovered_allocations",
+        "partial_batches", "mmap_denied", "huge_cache_allocation_failures",
+        "filler_growth_failures", "filler_cross_set_fallbacks",
+        "region_growth_failures", "span_fetch_failures", "large_fallbacks",
+        "large_failures"}) {
+    SCOPED_TRACE(name);
+    const telemetry::MetricSample* sample = merged.Find("failure", name);
+    ASSERT_NE(sample, nullptr);  // live handles: present even when healthy
+    EXPECT_EQ(sample->ScalarValue(), 0.0);
+  }
+  for (const FleetObservation& obs : fleet.observations()) {
+    EXPECT_EQ(obs.result.driver.failed_allocations, 0u);
+  }
+}
+
 TEST(AbTelemetry, FleetAbFillsBothArms) {
   tcmalloc::AllocatorConfig control;
   tcmalloc::AllocatorConfig experiment =
@@ -154,6 +175,34 @@ TEST(FleetTimeseries, TimeseriesCaptureIsObserverEffectFree) {
     EXPECT_TRUE(b.timeseries.empty());
     EXPECT_FALSE(a.timeseries.empty());
   }
+}
+
+TEST(FleetTimeseries, ThreadCountDoesNotChangeResultsOrSeries) {
+  // Bit-identical per-process results, telemetry, and interval series for
+  // --threads=1 and --threads=8, and the fleet-wide merges with them.
+  tcmalloc::AllocatorConfig allocator;
+  Fleet sequential(TimeseriesFleet(), allocator, 31337);
+  sequential.Run(1);
+  Fleet parallel(TimeseriesFleet(), allocator, 31337);
+  parallel.Run(8);
+
+  const auto& a = sequential.observations();
+  const auto& b = parallel.observations();
+  ASSERT_EQ(a.size(), b.size());
+  for (size_t i = 0; i < a.size(); ++i) {
+    SCOPED_TRACE(i);
+    EXPECT_EQ(a[i].binary_rank, b[i].binary_rank);
+    EXPECT_EQ(a[i].result.driver.requests, b[i].result.driver.requests);
+    EXPECT_EQ(a[i].result.driver.failed_allocations,
+              b[i].result.driver.failed_allocations);
+    EXPECT_EQ(a[i].result.driver.cpu_ns, b[i].result.driver.cpu_ns);
+    EXPECT_EQ(a[i].result.avg_heap_bytes, b[i].result.avg_heap_bytes);
+    EXPECT_EQ(a[i].result.telemetry, b[i].result.telemetry);
+    EXPECT_FALSE(a[i].result.timeseries.empty());
+    EXPECT_EQ(a[i].result.timeseries, b[i].result.timeseries);
+  }
+  EXPECT_EQ(MergedTelemetry(a), MergedTelemetry(b));
+  EXPECT_EQ(MergedTimeSeries(a), MergedTimeSeries(b));
 }
 
 TEST(FleetTimeseries, DrainCaptureCoversFullRun) {

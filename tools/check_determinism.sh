@@ -4,10 +4,9 @@
 # The simulator is this repo's oracle: for a pinned fleet shape its output
 # must be byte-identical for ANY --threads value (machine-level
 # parallelism only changes wall clock, never results). This script runs
-# three fleet benches at --threads=1 and --threads=8: fig03_fleet_cdf
-# (the paper's Fig. 3 fleet), fig_pressure_reclaim (a paired A/B under
-# planned pressure events) and fig_fault_resilience (a paired A/B under
-# planned faults). Per bench it compares:
+# two fleet benches at --threads=1 and --threads=8: fig03_fleet_cdf (the
+# paper's Fig. 3 fleet) and fig_pressure_reclaim (a paired A/B under
+# planned pressure events). Per bench it compares:
 #   - the BENCH_JSON stream, after masking the only legitimately
 #     thread-dependent fields: the echoed "threads" count and the
 #     wall-clock-derived wall_seconds / sim_requests_per_sec;
@@ -34,7 +33,7 @@ normalize() {
 
 failures=0
 checked=0
-for name in fig03_fleet_cdf fig_pressure_reclaim fig_fault_resilience; do
+for name in fig03_fleet_cdf fig_pressure_reclaim; do
   bench="$BENCH_DIR/$name"
   if [ ! -x "$bench" ]; then
     echo "check_determinism: missing bench binary $bench" >&2

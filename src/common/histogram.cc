@@ -1,6 +1,7 @@
 #include "common/histogram.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <sstream>
@@ -16,8 +17,11 @@ LogHistogram::LogHistogram() {
 
 int LogHistogram::BucketFor(double value) {
   if (value < 1.0) return 0;
-  int b = static_cast<int>(std::floor(std::log2(value)));
-  return std::min(b, kNumBuckets - 1);
+  // floor(log2(value)) is the unbiased exponent of a normal double; read it
+  // from the bits, exactly and without a libm call.
+  const int exponent =
+      static_cast<int>(std::bit_cast<uint64_t>(value) >> 52) - 1023;
+  return std::min(exponent, kNumBuckets - 1);
 }
 
 void LogHistogram::Add(double value, double weight) {

@@ -236,12 +236,9 @@ ProcessResult Machine::FinalizeResult(Process& p) const {
   r.telemetry = p.allocator->TelemetrySnapshot();
   if (p.series != nullptr) {
     // Drain interval: whatever accumulated since the last boundary, at an
-    // index strictly past every captured one so stragglers merge cleanly.
+    // index strictly past every captured one.
     uint64_t boundary =
         static_cast<uint64_t>(p.driver->now() / timeseries_interval_) + 1;
-    if (!p.series->intervals().empty()) {
-      boundary = std::max(boundary, p.series->intervals().back().index + 1);
-    }
     CaptureTimeseries(p, boundary,
                       static_cast<double>(p.driver->now()) / 1e9, r.telemetry);
     r.timeseries = std::move(*p.series);

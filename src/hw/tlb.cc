@@ -67,12 +67,4 @@ double TlbSimulator::Access(uint64_t addr, bool hugepage_backed) {
   return cycles;
 }
 
-void TlbSimulator::Flush() {
-  for (auto* v : {&l1_4k_, &l1_2m_, &l2_}) {
-    for (Entry& e : *v) e = Entry();
-  }
-  mru_4k_ = ~0ULL;
-  mru_2m_ = ~0ULL;
-}
-
 }  // namespace wsc::hw

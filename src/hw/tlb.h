@@ -66,9 +66,6 @@ class TlbSimulator {
   // size. Returns the stall cycles charged to this access (0 on L1 hit).
   double Access(uint64_t addr, bool hugepage_backed);
 
-  // Invalidates all entries (e.g., after a simulated process restart).
-  void Flush();
-
   const TlbStats& stats() const { return stats_; }
   void ResetStats() { stats_ = TlbStats(); }
 

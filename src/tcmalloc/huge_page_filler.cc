@@ -6,6 +6,23 @@
 
 namespace wsc::tcmalloc {
 
+namespace {
+
+// Calls fn(word, mask) for each bitmap word that pages [offset, offset+n)
+// overlap, `mask` selecting the range's bits within it.
+template <typename Fn>
+void ForEachWord(size_t offset, Length n, Fn&& fn) {
+  for (const size_t end = offset + n; offset < end;) {
+    const size_t bits = std::min<size_t>(end - offset, 64 - offset % 64);
+    const uint64_t ones =
+        bits == 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
+    fn(offset / 64, ones << (offset % 64));
+    offset += bits;
+  }
+}
+
+}  // namespace
+
 // ---------------------------------------------------------------------------
 // PageTracker
 // ---------------------------------------------------------------------------
@@ -14,38 +31,27 @@ PageTracker::PageTracker(HugePageId hp) : hp_(hp) {}
 
 Length PageTracker::LongestFreeRange() const {
   Length longest = 0;
-  Length run = 0;
-  for (size_t p = 0; p < kPagesPerHugePage; ++p) {
-    bool used = (bitmap_[p / 64] >> (p % 64)) & 1;
-    if (used) {
-      longest = std::max(longest, run);
-      run = 0;
-    } else {
-      ++run;
-    }
+  for (size_t start = FindNext(0, false); start < kPagesPerHugePage;) {
+    const size_t end = FindNext(start, true);
+    longest = std::max<Length>(longest, end - start);
+    start = FindNext(end, false);
   }
-  return std::max(longest, run);
+  return longest;
 }
 
 int PageTracker::Allocate(Length n) {
   WSC_CHECK_GT(n, 0u);
   WSC_CHECK_LE(n, kPagesPerHugePage);
-  // First fit over the bitmap.
-  Length run = 0;
-  for (size_t p = 0; p < kPagesPerHugePage; ++p) {
-    bool used = (bitmap_[p / 64] >> (p % 64)) & 1;
-    if (used) {
-      run = 0;
-      continue;
-    }
-    if (++run == n) {
-      size_t start = p + 1 - n;
-      for (size_t q = start; q <= p; ++q) {
-        bitmap_[q / 64] |= uint64_t{1} << (q % 64);
-      }
+  // First fit: the first free run long enough, from its start.
+  for (size_t start = FindNext(0, false); start < kPagesPerHugePage;) {
+    const size_t end = FindNext(start, true);
+    if (end - start >= n) {
+      ForEachWord(start, n,
+                  [&](size_t w, uint64_t mask) { bitmap_[w] |= mask; });
       used_ += n;
       return static_cast<int>(start);
     }
+    start = FindNext(end, false);
   }
   return -1;
 }
@@ -53,22 +59,20 @@ int PageTracker::Allocate(Length n) {
 void PageTracker::MarkAllocated(int offset, Length n) {
   WSC_CHECK_GE(offset, 0);
   WSC_CHECK_LE(static_cast<Length>(offset) + n, kPagesPerHugePage);
-  for (Length q = offset; q < offset + n; ++q) {
-    uint64_t mask = uint64_t{1} << (q % 64);
-    WSC_CHECK_EQ(bitmap_[q / 64] & mask, 0u);
-    bitmap_[q / 64] |= mask;
-  }
+  ForEachWord(offset, n, [&](size_t w, uint64_t mask) {
+    WSC_CHECK_EQ(bitmap_[w] & mask, 0u);
+    bitmap_[w] |= mask;
+  });
   used_ += n;
 }
 
 void PageTracker::Free(int offset, Length n) {
   WSC_CHECK_GE(offset, 0);
   WSC_CHECK_LE(static_cast<Length>(offset) + n, kPagesPerHugePage);
-  for (Length q = offset; q < offset + n; ++q) {
-    uint64_t mask = uint64_t{1} << (q % 64);
-    WSC_CHECK_NE(bitmap_[q / 64] & mask, 0u);  // double free of pages
-    bitmap_[q / 64] &= ~mask;
-  }
+  ForEachWord(offset, n, [&](size_t w, uint64_t mask) {
+    WSC_CHECK_EQ(bitmap_[w] & mask, mask);  // double free of pages
+    bitmap_[w] &= ~mask;
+  });
   WSC_CHECK_GE(used_, n);
   used_ -= n;
 }

@@ -18,6 +18,7 @@
 #ifndef WSC_TCMALLOC_HUGE_PAGE_FILLER_H_
 #define WSC_TCMALLOC_HUGE_PAGE_FILLER_H_
 
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -70,19 +71,10 @@ class PageTracker {
   // backing's release bookkeeping.
   template <typename Fn>
   void ForEachFreeRun(Fn&& fn) const {
-    int run_start = -1;
-    for (int i = 0; i < static_cast<int>(kPagesPerHugePage); ++i) {
-      const bool used = (bitmap_[i / 64] >> (i % 64)) & 1;
-      if (!used && run_start < 0) run_start = i;
-      if (used && run_start >= 0) {
-        fn(run_start, static_cast<Length>(i - run_start));
-        run_start = -1;
-      }
-    }
-    if (run_start >= 0) {
-      fn(run_start,
-         static_cast<Length>(static_cast<int>(kPagesPerHugePage) -
-                             run_start));
+    for (size_t start = FindNext(0, false); start < kPagesPerHugePage;) {
+      const size_t end = FindNext(start, true);
+      fn(static_cast<int>(start), static_cast<Length>(end - start));
+      start = FindNext(end, false);
     }
   }
 
@@ -92,6 +84,18 @@ class PageTracker {
 
  private:
   static constexpr int kWords = kPagesPerHugePage / 64;  // 4
+
+  // First page at or after `p` that is used (`used`) or free (!`used`), or
+  // kPagesPerHugePage if there is none: steps a word of 64 pages at a time.
+  size_t FindNext(size_t p, bool used) const {
+    while (p < kPagesPerHugePage) {
+      const uint64_t word = used ? bitmap_[p / 64] : ~bitmap_[p / 64];
+      const uint64_t ahead = word >> (p % 64);
+      if (ahead != 0) return p + std::countr_zero(ahead);
+      p = (p / 64 + 1) * 64;
+    }
+    return kPagesPerHugePage;
+  }
 
   HugePageId hp_;
   Length used_ = 0;

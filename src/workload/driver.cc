@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <string>
+#include <type_traits>
 
 #include "common/logging.h"
 #include "trace/heap_profile.h"
@@ -98,6 +100,23 @@ Driver::Driver(const WorkloadSpec& spec, tcmalloc::Allocator* allocator,
                    static_cast<uint32_t>(size));
     }
   }
+}
+
+void Driver::LiveHeap::push(const LiveObject& object) {
+  static_assert(std::is_trivially_copyable_v<LiveObject>);
+  if (size_ == capacity_) {
+    capacity_ = std::max<size_t>(2 * capacity_, 1024);
+    data_ = static_cast<LiveObject*>(
+        std::realloc(data_, capacity_ * sizeof(LiveObject)));
+    WSC_CHECK(data_ != nullptr);
+  }
+  data_[size_++] = object;
+  std::push_heap(data_, data_ + size_, std::greater<LiveObject>());
+}
+
+void Driver::LiveHeap::pop() {
+  std::pop_heap(data_, data_ + size_, std::greater<LiveObject>());
+  --size_;
 }
 
 void Driver::UpdateThreads() {

@@ -12,7 +12,7 @@
 #define WSC_WORKLOAD_DRIVER_H_
 
 #include <cstdint>
-#include <queue>
+#include <cstdlib>
 #include <vector>
 
 #include "common/rng.h"
@@ -128,9 +128,32 @@ class Driver {
   std::vector<uint64_t> behavior_callsites_;
   uint64_t startup_callsite_ = 0;
 
-  std::priority_queue<LiveObject, std::vector<LiveObject>,
-                      std::greater<LiveObject>>
-      live_;
+  // Live objects, a min-heap on death time. The buffer grows with
+  // std::realloc, which glibc serves in place with mremap once the block is
+  // large, so the startup objects' pushes neither copy nor refault the
+  // heap's pages. push and pop are std::push_heap/std::pop_heap over the
+  // element sequence a std::priority_queue keeps, so objects with equal
+  // death times pop in the same order.
+  class LiveHeap {
+   public:
+    LiveHeap() = default;
+    LiveHeap(const LiveHeap&) = delete;
+    LiveHeap& operator=(const LiveHeap&) = delete;
+    ~LiveHeap() { std::free(data_); }
+
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
+    const LiveObject& top() const { return data_[0]; }
+    void push(const LiveObject& object);
+    void pop();
+
+   private:
+    LiveObject* data_ = nullptr;
+    size_t size_ = 0;
+    size_t capacity_ = 0;
+  };
+
+  LiveHeap live_;
   size_t live_bytes_ = 0;
 
   // Working-set reservoirs for reuse touches. Most touches go to the

@@ -4,8 +4,22 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 namespace wsc {
 namespace {
+
+// The bucket Add() puts `value` in, read back through BucketWeight.
+int BucketOf(double value) {
+  LogHistogram h;
+  h.Add(value);
+  for (int b = 0; b < LogHistogram::kNumBuckets; ++b) {
+    if (h.BucketWeight(b) > 0) return b;
+  }
+  return -1;
+}
 
 TEST(LogHistogram, EmptyHistogram) {
   LogHistogram h;
@@ -85,6 +99,25 @@ TEST(LogHistogram, ZeroAndHugeValuesClamp) {
   // The zero-value lands in bucket [0,2); the huge value far above it.
   EXPECT_DOUBLE_EQ(h.FractionBelow(2.0), 0.5);
   EXPECT_NEAR(h.FractionBelow(1.0), 0.25, 1e-9);  // interpolated
+}
+
+TEST(LogHistogram, BucketBoundariesMatchDocumentation) {
+  // Bucket b covers [2^b, 2^(b+1)), including the double just below each
+  // power of two, where log2 rounds up to the next integer.
+  for (int k = 1; k < LogHistogram::kNumBuckets; ++k) {
+    const double power = std::ldexp(1.0, k);
+    EXPECT_EQ(BucketOf(power), k) << "2^" << k;
+    EXPECT_EQ(BucketOf(std::nextafter(power, 0.0)), k - 1)
+        << "just below 2^" << k;
+  }
+  for (uint64_t v = 1; v <= (uint64_t{1} << 20); ++v) {
+    ASSERT_EQ(BucketOf(static_cast<double>(v)),
+              static_cast<int>(std::bit_width(v)) - 1)
+        << v;
+  }
+  EXPECT_EQ(BucketOf(0.0), 0);
+  EXPECT_EQ(BucketOf(0.5), 0);
+  EXPECT_EQ(BucketOf(1e300), LogHistogram::kNumBuckets - 1);
 }
 
 TEST(LogHistogram, ToStringMentionsCount) {

@@ -92,13 +92,6 @@ TEST(Tlb, FourKAnd2MDoNotAliasInL2) {
   EXPECT_GT(cost, 0.0);  // not a hit from the 4K entry
 }
 
-TEST(Tlb, FlushInvalidatesEverything) {
-  TlbSimulator tlb;
-  tlb.Access(0x5000, false);
-  tlb.Flush();
-  EXPECT_GT(tlb.Access(0x5000, false), 0.0);
-}
-
 TEST(Tlb, StatsResetKeepsEntries) {
   TlbSimulator tlb;
   tlb.Access(0x5000, false);

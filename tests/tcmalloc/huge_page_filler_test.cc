@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bitset>
 #include <set>
+#include <utility>
 #include <vector>
+
+#include "common/rng.h"
 
 namespace wsc::tcmalloc {
 namespace {
@@ -67,6 +72,131 @@ TEST(PageTrackerDeathTest, MarkAllocatedOverlapIsFatal) {
   PageTracker t(HugePageId{1});
   t.MarkAllocated(0, 10);
   EXPECT_DEATH(t.MarkAllocated(5, 10), "CHECK failed");
+}
+
+// Bit-at-a-time reference for the tracker's word scans.
+class ReferenceTracker {
+ public:
+  using Runs = std::vector<std::pair<int, Length>>;
+
+  Length LongestFreeRange() const {
+    Length longest = 0;
+    Length run = 0;
+    for (size_t p = 0; p < kPagesPerHugePage; ++p) {
+      run = used_[p] ? 0 : run + 1;
+      longest = std::max(longest, run);
+    }
+    return longest;
+  }
+
+  int Allocate(Length n) {
+    Length run = 0;
+    for (size_t p = 0; p < kPagesPerHugePage; ++p) {
+      run = used_[p] ? 0 : run + 1;
+      if (run == n) {
+        for (size_t q = p + 1 - n; q <= p; ++q) used_[q] = true;
+        return static_cast<int>(p + 1 - n);
+      }
+    }
+    return -1;
+  }
+
+  void Set(int offset, Length n, bool used) {
+    for (Length q = 0; q < n; ++q) used_[offset + q] = used;
+  }
+
+  Length used_pages() const { return used_.count(); }
+
+  // Maximal runs of pages whose used bit equals `used`.
+  Runs RunsOf(bool used) const {
+    Runs runs;
+    for (size_t p = 0; p < kPagesPerHugePage; ++p) {
+      if (used_[p] != used) continue;
+      if (p > 0 && used_[p - 1] == used) {
+        ++runs.back().second;
+      } else {
+        runs.push_back({static_cast<int>(p), 1});
+      }
+    }
+    return runs;
+  }
+
+ private:
+  std::bitset<kPagesPerHugePage> used_;
+};
+
+// The tracker's free runs, in order: its bitmap as ForEachFreeRun sees it.
+ReferenceTracker::Runs FreeRuns(const PageTracker& t) {
+  ReferenceTracker::Runs runs;
+  t.ForEachFreeRun(
+      [&](int offset, Length len) { runs.push_back({offset, len}); });
+  return runs;
+}
+
+// Checks every scan of `t` against the reference: the longest free range,
+// the free runs (and so the bitmap), and the offset and bitmap that
+// Allocate(n) leaves for every n.
+void ExpectMatchesReference(const PageTracker& t, const ReferenceTracker& ref) {
+  ASSERT_EQ(t.LongestFreeRange(), ref.LongestFreeRange());
+  ASSERT_EQ(FreeRuns(t), ref.RunsOf(false));
+  ASSERT_EQ(t.used_pages(), ref.used_pages());
+  for (Length n = 1; n <= kPagesPerHugePage; ++n) {
+    PageTracker trial = t;
+    ReferenceTracker trial_ref = ref;
+    ASSERT_EQ(trial.Allocate(n), trial_ref.Allocate(n)) << "n=" << n;
+    ASSERT_EQ(FreeRuns(trial), trial_ref.RunsOf(false)) << "n=" << n;
+    ASSERT_EQ(trial.used_pages(), trial_ref.used_pages()) << "n=" << n;
+  }
+}
+
+TEST(PageTracker, WordScansMatchBitAtATimeReference) {
+  PageTracker t(HugePageId{1});
+  ReferenceTracker ref;
+  ASSERT_NO_FATAL_FAILURE(ExpectMatchesReference(t, ref));  // empty
+
+  // Runs that cross 64-page words, and a full tracker.
+  t.MarkAllocated(60, 10);
+  ref.Set(60, 10, true);
+  t.MarkAllocated(127, 2);
+  ref.Set(127, 2, true);
+  ASSERT_NO_FATAL_FAILURE(ExpectMatchesReference(t, ref));
+  for (int n : {127, 60, 57}) ASSERT_EQ(t.Allocate(n), ref.Allocate(n)) << n;
+  ASSERT_TRUE(t.full());
+  ASSERT_NO_FATAL_FAILURE(ExpectMatchesReference(t, ref));  // full
+  t.Free(0, kPagesPerHugePage);
+  ref.Set(0, kPagesPerHugePage, false);
+
+  // Seeded random Allocate/MarkAllocated/Free sequences.
+  Rng rng(20240427);
+  for (int step = 0; step < 3000; ++step) {
+    const uint64_t op = rng.UniformInt(3);
+    if (op == 0) {
+      // Mostly small spans, sometimes up to a whole hugepage.
+      const Length n = rng.Bernoulli(0.9) ? 1 + rng.UniformInt(16)
+                                          : 1 + rng.UniformInt(256);
+      ASSERT_EQ(t.Allocate(n), ref.Allocate(n)) << "n=" << n;
+    } else {
+      // Mark part of a free run used, or free part of a used run.
+      const bool mark = op == 1;
+      const ReferenceTracker::Runs runs = ref.RunsOf(!mark);
+      if (runs.empty()) continue;
+      const auto [start, len] = runs[rng.UniformInt(runs.size())];
+      const Length skip = rng.UniformInt(len);
+      const Length n = 1 + rng.UniformInt(len - skip);
+      const int offset = start + static_cast<int>(skip);
+      if (mark) {
+        t.MarkAllocated(offset, n);
+      } else {
+        t.Free(offset, n);
+      }
+      ref.Set(offset, n, mark);
+    }
+    if (step % 10 == 0) {
+      ASSERT_NO_FATAL_FAILURE(ExpectMatchesReference(t, ref)) << step;
+    } else {
+      ASSERT_EQ(t.LongestFreeRange(), ref.LongestFreeRange()) << step;
+    }
+  }
 }
 
 // --- HugePageFiller ---

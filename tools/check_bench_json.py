@@ -12,6 +12,8 @@ Usage:
   tools/check_bench_json.py --timeseries out/timeseries.ndjson /dev/null
   tools/check_bench_json.py --profile heap.json [--min-attribution 0.95] \
       /dev/null
+  tools/check_bench_json.py --min-lines 0 --trajectory BENCH_TRAJECTORY.json \
+      /dev/null
 
 Line kinds validated: throughput, telemetry, timeseries (per-interval
 counter deltas, monotone interval index), sketch (quantile-sketch
@@ -23,6 +25,12 @@ field by design — timeseries output is byte-identical for any
 Heap profiles (--profile=heap.json, read by tools/mallocz.py) are checked
 for their schema version, well-formed callsite rows, and
 attributed_live_bytes / total_live_bytes at or above --min-attribution.
+
+The performance trajectory (--trajectory BENCH_TRAJECTORY.json, one record
+appended per change) is checked for its schema version and, in every
+record, the commit and its parent, the box stamp, the wscbench end-to-end
+medians of parent and change for every workload, the preload benches'
+ns/op and RSS, fig03's wall and CPU time and tier-1's wall time.
 
 Exit status is non-zero when any line is malformed or fewer than
 --min-lines BENCH_JSON lines were seen.
@@ -77,6 +85,17 @@ KNOWN_KINDS = ("throughput", "telemetry", "timeseries", "sketch", "preload",
 # them), preload/skipped lines come from the compare_allocators.sh shell
 # driver which has no thread concept of its own.
 NO_THREADS_KINDS = ("timeseries", "sketch", "preload", "skipped")
+
+TRAJECTORY_SCHEMA_VERSION = 1
+
+# What every BENCH_TRAJECTORY.json record measures (see ROADMAP.md, the
+# measurement item): the wscbench workloads and their end-to-end metrics,
+# and the box the numbers come from.
+WSCBENCH_WORKLOADS = ("rpc_server", "phase_heap", "sim_fleet")
+WSCBENCH_END_TO_END = ("setup_s", "ops_per_s", "requests_per_s",
+                       "request_p50_us", "request_p99_us", "peak_rss_mb",
+                       "steady_rss_mb", "drained_rss_mb")
+BOX_FIELDS = ("nproc", "cpu", "kernel", "glibc", "compiler", "build_type")
 
 # Components that must appear in every full-snapshot timeseries interval
 # (same contract as REQUIRED_TIERS for telemetry lines; the allocator
@@ -345,6 +364,129 @@ def check_profile(errors, path, min_attribution):
     return len(callsites), coverage
 
 
+def is_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and value >= 0)
+
+
+def check_arms(errors, where, obj, fields):
+    """obj["parent"] and obj["change"] each carry every one of `fields`."""
+    for arm in ("parent", "change"):
+        values = obj.get(arm)
+        if not isinstance(values, dict):
+            errors.append(f"{where}: missing '{arm}' object")
+            continue
+        for field in fields:
+            if not is_number(values.get(field)):
+                errors.append(f"{where}: bad {arm} '{field}': "
+                              f"{values.get(field)!r}")
+
+
+def check_runs(errors, where, obj, field="runs"):
+    if not isinstance(obj.get(field), int) or obj[field] < 1:
+        errors.append(f"{where}: bad '{field}': {obj.get(field)!r}")
+
+
+def reports_ns_per_op(bench):
+    return (isinstance(bench, dict) and isinstance(bench.get("parent"), dict)
+            and "ns_per_op" in bench["parent"])
+
+
+def check_trajectory_record(errors, where, record):
+    if not isinstance(record.get("commit"), str) or not record["commit"]:
+        errors.append(f"{where}: missing 'commit'")
+    parent = record.get("parent")
+    if (not isinstance(parent, str) or not 7 <= len(parent) <= 40
+            or any(c not in "0123456789abcdef" for c in parent)):
+        errors.append(f"{where}: 'parent' is not a commit hash: {parent!r}")
+    box = record.get("box")
+    if not isinstance(box, dict):
+        errors.append(f"{where}: missing 'box' stamp")
+    else:
+        for field in BOX_FIELDS:
+            if field not in box or box[field] in ("", None):
+                errors.append(f"{where}: box stamp missing '{field}'")
+        if not isinstance(box.get("nproc"), int) or box["nproc"] < 1:
+            errors.append(f"{where}: bad box 'nproc'")
+
+    runs = record.get("wscbench")
+    if not isinstance(runs, list) or not runs:
+        errors.append(f"{where}: missing 'wscbench' runs")
+        runs = []
+    seen = set()
+    for i, run in enumerate(runs):
+        at = f"{where}: wscbench[{i}]"
+        if not isinstance(run, dict):
+            errors.append(f"{at}: not an object")
+            continue
+        if run.get("workload") not in WSCBENCH_WORKLOADS:
+            errors.append(f"{at}: unknown workload {run.get('workload')!r}")
+        seen.add(run.get("workload"))
+        if not isinstance(run.get("seed"), int):
+            errors.append(f"{at}: bad 'seed'")
+        check_runs(errors, at, run, "pairs")
+        check_arms(errors, at, run, WSCBENCH_END_TO_END)
+    missing = [w for w in WSCBENCH_WORKLOADS if w not in seen]
+    if missing:
+        errors.append(f"{where}: no wscbench medians for "
+                      f"{', '.join(missing)}")
+
+    preload = record.get("preload")
+    if not isinstance(preload, list) or not preload:
+        errors.append(f"{where}: missing 'preload' benches")
+        preload = []
+    for i, bench in enumerate(preload):
+        at = f"{where}: preload[{i}]"
+        if not isinstance(bench, dict) or not isinstance(
+                bench.get("bench"), str):
+            errors.append(f"{at}: missing 'bench'")
+            continue
+        check_runs(errors, at, bench)
+        # Every preload bench reports RSS; the throughput benches also
+        # report ns/op (bench_frag measures only memory).
+        fields = ("rss_mb",)
+        if reports_ns_per_op(bench):
+            fields += ("ns_per_op",)
+        check_arms(errors, at, bench, fields)
+    if not any(reports_ns_per_op(bench) for bench in preload):
+        errors.append(f"{where}: no preload bench reports ns_per_op")
+
+    for name, fields in (("fig03", ("wall_s", "cpu_s")),
+                         ("tier1", ("wall_s",))):
+        entry = record.get(name)
+        if not isinstance(entry, dict):
+            errors.append(f"{where}: missing '{name}'")
+            continue
+        if not isinstance(entry.get("command"), str) or not entry["command"]:
+            errors.append(f"{where}: {name} missing 'command'")
+        check_runs(errors, f"{where}: {name}", entry)
+        check_arms(errors, f"{where}: {name}", entry, fields)
+
+
+def check_trajectory(errors, path):
+    """--trajectory FILE: BENCH_TRAJECTORY.json. Returns its record count."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            doc = json.load(handle)
+    except (OSError, json.JSONDecodeError) as exc:
+        errors.append(f"trajectory {path}: {exc}")
+        return 0
+    if doc.get("schema_version") != TRAJECTORY_SCHEMA_VERSION:
+        errors.append(f"trajectory {path}: bad schema_version "
+                      f"{doc.get('schema_version')!r}")
+    records = doc.get("records")
+    if not isinstance(records, list) or not records:
+        errors.append(f"trajectory {path}: missing or empty 'records'")
+        return 0
+    for i, record in enumerate(records):
+        if not isinstance(record, dict):
+            errors.append(f"trajectory {path}: record {i} is not an object")
+            continue
+        check_trajectory_record(errors, f"trajectory {path}: record {i}",
+                                record)
+    return len(records)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--min-lines", type=int, default=1,
@@ -359,6 +501,9 @@ def main():
     parser.add_argument("--min-attribution", type=float, default=0.95,
                         help="minimum attributed/total live-byte ratio "
                         "of the --profile file")
+    parser.add_argument("--trajectory", default=None,
+                        help="also validate this BENCH_TRAJECTORY.json "
+                        "file")
     parser.add_argument("input", nargs="?", default="-",
                         help="bench output file ('-' = stdin)")
     args = parser.parse_args()
@@ -407,6 +552,8 @@ def main():
     if args.profile:
         profile_rows, attribution = check_profile(errors, args.profile,
                                                   args.min_attribution)
+    if args.trajectory:
+        records = check_trajectory(errors, args.trajectory)
 
     if errors:
         for error in errors:
@@ -419,7 +566,9 @@ def main():
           + (f", timeseries file valid ({ts_lines} lines)"
              if args.timeseries else "")
           + (f", profile valid ({profile_rows} callsites, attribution "
-             f"{attribution:.1%})" if args.profile else "") + ")")
+             f"{attribution:.1%})" if args.profile else "")
+          + (f", trajectory valid ({records} records)"
+             if args.trajectory else "") + ")")
     return 0
 
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Tools lint: every tools/*.py must at least byte-compile, and the tools
-# that carry a standalone --self-test must pass it.
+# Tools lint: every tools/*.py must at least byte-compile, the tools
+# that carry a standalone --self-test must pass it, and the checked-in
+# BENCH_TRAJECTORY.json must match its schema.
 #
 # The perf gate and the JSON validators are all Python: a syntax error
 # in one of them would otherwise surface as a mysterious red CI job long
@@ -9,7 +10,8 @@
 #
 #   tools/check_tools.sh
 #
-# Exit status: 0 when every tool compiles and every self-test passes.
+# Exit status: 0 when every tool compiles, every self-test passes and the
+# trajectory is valid.
 
 set -u
 
@@ -36,6 +38,16 @@ for tool in check_preload_conservation.py check_openmetrics.py; do
     FAIL=1
   fi
 done
+
+# The checked-in performance trajectory keeps its schema: every record
+# carries the numbers the next change compares against.
+if python3 "$ROOT/tools/check_bench_json.py" --min-lines 0 \
+     --trajectory "$ROOT/BENCH_TRAJECTORY.json" /dev/null; then
+  echo "check_tools: trajectory OK: BENCH_TRAJECTORY.json"
+else
+  echo "check_tools: FAIL: BENCH_TRAJECTORY.json"
+  FAIL=1
+fi
 
 if [ "$FAIL" -ne 0 ]; then
   echo "check_tools: FAIL"

@@ -116,7 +116,8 @@ struct BusyScope {
 
 // The thread-exit hook: a pthread key whose value is the thread's cache,
 // so that glibc runs ReturnThreadCache when the thread exits. Created
-// with the allocator; if creation fails, caches are never returned.
+// with the allocator; if creation fails, caches are never returned. The
+// exit releases what the cache pinned: the thread's demand is gone.
 pthread_key_t g_cache_key;
 bool g_cache_key_ok = false;
 
@@ -124,7 +125,7 @@ void ReturnThreadCache(void* tc) {
   BusyScope busy;
   t_cache = nullptr;
   t_cache_returned = true;
-  g_alloc->UnregisterThread(static_cast<RealThreadCache*>(tc));
+  g_alloc->UnregisterExitingThread(static_cast<RealThreadCache*>(tc));
 }
 
 // A MiB count from the environment, in bytes. A count too large for a
@@ -325,12 +326,63 @@ void StatszInit() {
   StatszStartThread();
 }
 
+// ---- The pacer ---------------------------------------------------------
+//
+// Memory comes back without being asked: a background thread runs
+// RealThreadsAllocator::BackgroundTick every kPacerTickMs, which drains
+// the transfer caches' cold objects and releases the free pages above
+// recent peak demand. The tick is fixed, not a knob: with the page
+// heap's 8-tick demand window, a free-all's pages come back within
+// about 0.9 s of idle. The thread never calls malloc, so it holds no
+// thread cache and the stats' "threads" does not count it, and it blocks
+// every signal, so no application handler ever runs on it (glibc keeps
+// its two internal signals deliverable, which setuid() needs). It holds
+// g_pacer_mu through each tick; ForkPrepare takes that mutex before
+// quiescing the allocator, so fork never copies a half-done tick, and
+// the atfork child handler starts the child's own pacer.
+
+constexpr long kPacerTickMs = 100;
+
+pthread_mutex_t g_pacer_mu = PTHREAD_MUTEX_INITIALIZER;
+
+void* PacerThreadMain(void*) {
+  for (;;) {
+    struct timespec ts = {0, kPacerTickMs * 1000000};
+    nanosleep(&ts, nullptr);
+    pthread_mutex_lock(&g_pacer_mu);
+    g_alloc->BackgroundTick();
+    pthread_mutex_unlock(&g_pacer_mu);
+  }
+  return nullptr;
+}
+
+// Spawns the pacer, with every signal blocked from its first
+// instruction: a thread inherits its creator's mask. It is detached
+// because nothing outlives it to join it: like the allocator, which is
+// never destroyed, it lasts until the process exits or execs. Called at
+// allocator construction and in the atfork child.
+void PacerStartThread() {
+  sigset_t all, saved;
+  sigfillset(&all);
+  pthread_sigmask(SIG_SETMASK, &all, &saved);
+  pthread_attr_t attr;
+  if (pthread_attr_init(&attr) == 0) {
+    pthread_attr_setdetachstate(&attr, PTHREAD_CREATE_DETACHED);
+    pthread_t tid;
+    pthread_create(&tid, &attr, &PacerThreadMain, nullptr);
+    pthread_attr_destroy(&attr);
+  }
+  pthread_sigmask(SIG_SETMASK, &saved, nullptr);
+}
+
 void ForkPrepare() {
   // Statsz first: once we hold g_statsz_mu no dump is mid-write, and the
   // sampler cannot be inside the allocator either (samples malloc only
   // outside the lock), so the allocator quiesce below cannot deadlock
-  // against the stats thread.
+  // against the stats thread. Then the pacer, whose tick takes allocator
+  // locks while it holds its own.
   pthread_mutex_lock(&g_statsz_mu);
+  pthread_mutex_lock(&g_pacer_mu);
   if (g_state.load(std::memory_order_acquire) == kReady) {
     g_alloc->ForkPrepare();
   }
@@ -340,13 +392,16 @@ void ForkRelease() {
   if (g_state.load(std::memory_order_acquire) == kReady) {
     g_alloc->ForkRelease();
   }
+  pthread_mutex_unlock(&g_pacer_mu);
   pthread_mutex_unlock(&g_statsz_mu);
 }
 
 void ForkChild() {
   ForkRelease();
   // fork() dropped every thread but the forker; give the child image its
-  // own stats thread so longitudinal observation survives process trees.
+  // own pacer, and its own stats thread so longitudinal observation
+  // survives process trees.
+  if (g_state.load(std::memory_order_acquire) == kReady) PacerStartThread();
   if (g_statsz_enabled.load(std::memory_order_acquire)) {
     StatszStartThread();
   }
@@ -377,12 +432,12 @@ RealThreadsAllocator* GetAllocator() {
   }
   g_alloc = new (g_alloc_storage)
       RealThreadsAllocator(*built, /*expected_threads=*/0);
-  size_t release_mb = EnvBytesMb("WSC_SHIM_RELEASE_MB", size_t{256} << 20);
-  g_alloc->SetLargeReleaseThreshold(release_mb);
   g_cache_key_ok = pthread_key_create(&g_cache_key, &ReturnThreadCache) == 0;
   pthread_atfork(&ForkPrepare, &ForkRelease, &ForkChild);
   g_state.store(kReady, std::memory_order_release);
-  StatszInit();  // after kReady: the thread samples the live allocator
+  // After kReady: both threads work on the live allocator.
+  PacerStartThread();
+  StatszInit();
   return g_alloc;
 }
 
@@ -637,14 +692,21 @@ size_t ShimStatsJson(char* buf, size_t cap) {
       "\"allocations\":%.0f,\"frees\":%.0f,"
       "\"live_bytes\":%.0f,\"footprint_bytes\":%zu,"
       "\"released_bytes\":%.0f,\"recommitted_bytes\":%.0f,"
-      "\"reserved_bytes\":%.0f,\"large_pending_bytes\":%.0f,"
+      "\"reserved_bytes\":%.0f,"
+      "\"explicit_release_bytes\":%.0f,\"exit_release_bytes\":%.0f,"
+      "\"pacer_release_bytes\":%.0f,\"eager_release_bytes\":%.0f,"
+      "\"pacer_ticks\":%.0f,"
       "\"threads\":%d,\"bootstrap_bytes\":%zu}",
       metric("allocator", "allocations"),
       metric("allocator", "frees"), metric("allocator", "live_bytes"),
       g_alloc->FootprintBytes(), metric("system", "released_bytes"),
       metric("system", "recommitted_bytes"),
       metric("system", "reserved_bytes"),
-      metric("allocator", "large_pending_bytes"),
+      metric("page_heap", "explicit_release_bytes"),
+      metric("page_heap", "exit_release_bytes"),
+      metric("page_heap", "pacer_release_bytes"),
+      metric("page_heap", "eager_release_bytes"),
+      metric("page_heap", "pacer_ticks"),
       g_alloc->registered_threads(), boot_bytes);
   return n < 0 ? 0
                : (static_cast<size_t>(n) < cap ? static_cast<size_t>(n)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <iterator>
 #include <utility>
 
 #include "tcmalloc/transfer_cache.h"
@@ -329,6 +330,7 @@ RealSpan* RealPageHeap::NewSpan(int cls, Length pages) {
   RealSpan* span = AllocateLocked(pages, 1);
   if (span != nullptr) {
     CountLive(span, +1);
+    NoteDemand();
     span->state = RealSpan::kSmall;
     span->allocated = 0;
     span->list = RealSpan::kUnlisted;
@@ -352,6 +354,7 @@ RealSpan* RealPageHeap::NewLarge(Length pages, Length align_pages) {
   RealSpan* span = AllocateLocked(pages, align_pages);
   if (span != nullptr) {
     CountLive(span, +1);
+    NoteDemand();
     if (top_page_ != top_before) ++large_fresh_;
     span->state = RealSpan::kLarge;
     MapBoundaries(span);
@@ -381,8 +384,9 @@ void RealPageHeap::Delete(RealSpan* const* runs, int n) {
   }
   const size_t free_bytes = LengthToBytes(free_[0].pages);
   if (release_threshold_bytes_ > 0 && free_bytes > release_threshold_bytes_) {
-    ReleaseLocked(free_bytes - release_threshold_bytes_ / 2,
-                  /*split_hugepages=*/false);
+    released_by_[kEager] +=
+        ReleaseLocked(free_bytes - release_threshold_bytes_ / 2,
+                      /*split_hugepages=*/false);
   }
   lock_.Unlock();
 }
@@ -422,12 +426,17 @@ size_t RealPageHeap::ReleaseLocked(size_t want_bytes, bool split_hugepages) {
     RealSpan* run = pending;
     pending = run->next;
     const uintptr_t lo = RoundUp(run->first_page, kPagesPerHugePage);
-    const uintptr_t hi =
+    uintptr_t hi =
         (run->first_page + run->pages) / kPagesPerHugePage * kPagesPerHugePage;
     if (done >= want_bytes || lo >= hi) {
       InsertFree(run);
       continue;
     }
+    // No more whole hugepages than the rest of the request needs: a
+    // small request must not take a long coalesced run with it.
+    const uintptr_t need = RoundUp((want_bytes - done - 1) / kPageSize + 1,
+                                   kPagesPerHugePage);
+    if (hi - lo > need) hi = lo + need;
     done += ReleaseRun(run, lo - run->first_page, hi - lo);
   }
   if (!split_hugepages) return done;
@@ -464,9 +473,28 @@ size_t RealPageHeap::ReleaseLocked(size_t want_bytes, bool split_hugepages) {
   return done;
 }
 
-size_t RealPageHeap::Release(size_t bytes) {
+size_t RealPageHeap::Release(size_t bytes, ReleaseTrigger trigger) {
   lock_.Lock();
-  size_t released = ReleaseLocked(bytes, /*split_hugepages=*/true);
+  const size_t released = ReleaseLocked(bytes, /*split_hugepages=*/true);
+  released_by_[trigger] += released;
+  lock_.Unlock();
+  return released;
+}
+
+size_t RealPageHeap::ReleaseAboveRecentPeak() {
+  lock_.Lock();
+  const Length in_use = InUsePages();
+  window_peaks_[ticks_ % kDemandWindowTicks] = tick_peak_pages_;
+  ++ticks_;
+  tick_peak_pages_ = in_use;
+  const Length peak =
+      *std::max_element(std::begin(window_peaks_), std::end(window_peaks_));
+  const Length resident = in_use + free_[0].pages;
+  const size_t released =
+      resident > peak ? ReleaseLocked(LengthToBytes(resident - peak),
+                                      /*split_hugepages=*/true)
+                      : 0;
+  released_by_[kPacer] += released;
   lock_.Unlock();
   return released;
 }
@@ -481,6 +509,9 @@ RealPageHeap::Stats RealPageHeap::GetStats() const {
   stats.large_fresh = large_fresh_;
   stats.lock_acquisitions = lock_.acquisitions();
   stats.lock_contended = lock_.contended();
+  std::copy(std::begin(released_by_), std::end(released_by_),
+            stats.released_by);
+  stats.ticks = ticks_;
   stats.backing = backing_.stats();
   lock_.Unlock();
   return stats;
@@ -548,6 +579,11 @@ void RealThreadsAllocator::UnregisterThread(RealThreadCache* tc) {
   ++idle_caches_;
 }
 
+size_t RealThreadsAllocator::UnregisterExitingThread(RealThreadCache* tc) {
+  UnregisterThread(tc);
+  return page_heap_.Release(~size_t{0}, RealPageHeap::kThreadExit);
+}
+
 int RealThreadsAllocator::registered_threads() const {
   std::lock_guard<std::mutex> guard(threads_mu_);
   return static_cast<int>(threads_.size()) - idle_caches_;
@@ -573,6 +609,7 @@ uintptr_t RealThreadsAllocator::SlowAllocate(RealThreadCache* tc, int cls) {
   tx.lock.Lock();
   ++tx.removes;
   int got = TakeIntrusive(tx.head, tx.count, buf, batch);
+  tx.low_water = std::min(tx.low_water, tx.count);
   tx.removed_objects += static_cast<uint64_t>(got);
   if (got == 0) ++tx.remove_misses;
   if (got < batch) ++tx.short_removes;
@@ -747,13 +784,44 @@ size_t RealThreadsAllocator::ReleaseMemoryToSystem(size_t bytes) {
     tx.lock.Lock();
     uintptr_t head = std::exchange(tx.head, 0);
     uint32_t count = std::exchange(tx.count, 0);
+    tx.low_water = 0;
     tx.lock.Unlock();
     while (count > 0) {
       int moved = TakeIntrusive(head, count, buf, kMaxBatch);
       InsertToCentral(cls, buf, moved);
     }
   }
-  return page_heap_.Release(bytes);
+  return page_heap_.Release(bytes, RealPageHeap::kExplicit);
+}
+
+size_t RealThreadsAllocator::BackgroundTick() {
+  uintptr_t buf[kMaxBatch];
+  for (int cls = 0; cls < num_classes_; ++cls) {
+    RealTransferCache& tx = transfer_[cls];
+    tx.lock.Lock();
+    // The cold objects are the bottom of the stack, below the low-water
+    // mark: cut the list after its top count - low_water objects.
+    uint32_t cold = std::min(tx.low_water, tx.count);
+    uintptr_t head = 0;
+    if (cold == tx.count) {
+      head = std::exchange(tx.head, 0);
+    } else if (cold > 0) {
+      uintptr_t last_kept = tx.head;
+      for (uint32_t i = 1; i < tx.count - cold; ++i) {
+        last_kept = *reinterpret_cast<uintptr_t*>(last_kept);
+      }
+      head = std::exchange(*reinterpret_cast<uintptr_t*>(last_kept), 0);
+    }
+    tx.count -= cold;
+    tx.low_water = tx.count;
+    tx.plundered_objects += cold;
+    tx.lock.Unlock();
+    while (cold > 0) {
+      int moved = TakeIntrusive(head, cold, buf, kMaxBatch);
+      InsertToCentral(cls, buf, moved);
+    }
+  }
+  return page_heap_.ReleaseAboveRecentPeak();
 }
 
 void RealThreadsAllocator::ForkPrepare() {
@@ -861,15 +929,17 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
     }
   }
 
-  // Transfer aggregates.
+  // Transfer aggregates, each class read under its lock: a background
+  // tick may be writing it.
   uint64_t transfer_acq = 0, transfer_contended = 0;
   uint64_t transfer_inserts = 0, transfer_inserted = 0;
   uint64_t transfer_overflows = 0, transfer_overflowed = 0;
   uint64_t transfer_removes = 0, transfer_removed = 0, transfer_misses = 0;
-  uint64_t transfer_short = 0, transfer_cached = 0;
+  uint64_t transfer_short = 0, transfer_cached = 0, transfer_plundered = 0;
   double transfer_cached_bytes = 0;
   for (int cls = 0; cls < num_classes_; ++cls) {
-    const RealTransferCache& tx = transfer_[cls];
+    RealTransferCache& tx = transfer_[cls];
+    tx.lock.Lock();
     transfer_acq += tx.lock.acquisitions();
     transfer_contended += tx.lock.contended();
     transfer_inserts += tx.inserts;
@@ -880,20 +950,23 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
     transfer_removed += tx.removed_objects;
     transfer_misses += tx.remove_misses;
     transfer_short += tx.short_removes;
+    transfer_plundered += tx.plundered_objects;
     transfer_cached += tx.count;
     transfer_cached_bytes +=
         static_cast<double>(tx.count) *
         static_cast<double>(size_classes_->class_size(cls));
+    tx.lock.Unlock();
   }
 
-  // Central free list aggregates.
+  // Central free list aggregates, under each list's lock likewise.
   uint64_t cfl_acq = 0, cfl_contended = 0;
   uint64_t refills = 0, refill_stalls = 0;
   uint64_t fetched_spans = 0, returned_spans = 0, spans = 0;
   uint64_t span_objects = 0, cfl_free = 0;
   double cfl_free_bytes = 0;
   for (int cls = 0; cls < num_classes_; ++cls) {
-    const RealCentralFreeList& cfl = central_[cls];
+    RealCentralFreeList& cfl = central_[cls];
+    cfl.lock.Lock();
     cfl_acq += cfl.lock.acquisitions();
     cfl_contended += cfl.lock.contended();
     refills += cfl.refills;
@@ -905,6 +978,7 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
     cfl_free += cfl.free_objects;
     cfl_free_bytes += static_cast<double>(cfl.free_objects) *
                       static_cast<double>(cfl.object_size);
+    cfl.lock.Unlock();
   }
 
   // The page heap's counters, copied under its lock before the registry
@@ -932,10 +1006,6 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
                        static_cast<double>(FootprintBytes()));
   registry.ExportGauge("allocator", "arena_used_bytes",
                        static_cast<double>(ArenaUsedBytes()));
-  // Free page-heap bytes, released or not (the shim's statsz field).
-  registry.ExportGauge(
-      "allocator", "large_pending_bytes",
-      static_cast<double>(heap.free_bytes + heap.released_bytes));
 
   registry.ExportCounter("thread_cache", "fast_alloc_hits", fast_alloc_hits);
   registry.ExportCounter("thread_cache", "fast_free_hits", fast_free_hits);
@@ -957,6 +1027,8 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
   registry.ExportCounter("transfer_cache", "misses", transfer_short);
   registry.ExportGauge("transfer_cache", "cached_bytes",
                        transfer_cached_bytes);
+  registry.ExportCounter("transfer_cache", "plundered_objects",
+                         transfer_plundered);
   registry.ExportCounter("sharded_transfer", "inserts", transfer_inserts);
   registry.ExportCounter("sharded_transfer", "inserted_objects",
                          transfer_inserted);
@@ -991,6 +1063,16 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
                        static_cast<double>(heap.free_runs));
   registry.ExportGauge("page_heap", "released_runs",
                        static_cast<double>(heap.released_runs));
+  // What released the memory: bytes per trigger, and the ticks run.
+  registry.ExportCounter("page_heap", "explicit_release_bytes",
+                         heap.released_by[RealPageHeap::kExplicit]);
+  registry.ExportCounter("page_heap", "exit_release_bytes",
+                         heap.released_by[RealPageHeap::kThreadExit]);
+  registry.ExportCounter("page_heap", "pacer_release_bytes",
+                         heap.released_by[RealPageHeap::kPacer]);
+  registry.ExportCounter("page_heap", "eager_release_bytes",
+                         heap.released_by[RealPageHeap::kEager]);
+  registry.ExportCounter("page_heap", "pacer_ticks", heap.ticks);
 
   // The contention component fig_mt_scaling and check_bench_json.py key
   // on: lock traffic per tier and the refills that had to fetch a span.

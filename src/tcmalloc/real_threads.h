@@ -36,9 +36,18 @@
 //    heap grows by its bump pointer only when no run fits. Release
 //    madvises whole free 2 MiB hugepages first (§4.4: keep hugepages
 //    intact where possible), and splits a hugepage that still holds a
-//    live run only for the rest of an explicit request, and only where
-//    the split pays: for a free run of at least an eighth of a hugepage,
-//    or inside a hugepage that is at most an eighth live.
+//    live run only for the rest of the request, and only where the split
+//    pays: for a free run of at least an eighth of a hugepage, or inside
+//    a hugepage that is at most an eighth live.
+//
+// Memory comes back in three ways, each counted by the page heap: an
+// explicit ReleaseMemoryToSystem(), a thread's exit
+// (UnregisterExitingThread(), which releases with no demand guard), and
+// BackgroundTick(), the simulator's background actions on real memory:
+// it drains transfer caches' cold objects (TransferCache::DrainCold's
+// low-water rule) and releases the resident free pages above the peak
+// demand of the last kDemandWindowTicks ticks (the skip-subrelease guard
+// of Maas et al., ISMM'21). The shim runs it from its own thread.
 //
 // Every hot per-thread / per-class structure is alignas(64) so two
 // threads' hot state never share a cache line; static_asserts at the end
@@ -57,20 +66,24 @@
 // Telemetry: TelemetrySnapshot() exports "allocator", "thread_cache",
 // "transfer_cache", "central_free_list" and "page_heap" components (the
 // last three with the simulator's metric names where the concept is
-// shared), plus "contention" (lock acquisitions and contended
+// shared; "page_heap" also counts released bytes per trigger and the
+// background ticks), plus "contention" (lock acquisitions and contended
 // acquisitions per tier, refill stalls, arena carves) and "system"
 // (madvise traffic). The "sharded_transfer" and "sharded_cfl" components
 // and the contention component's steal counters keep the names the
 // benchmark reads; nothing is sharded any more, so the steal counters
-// read 0. A snapshot requires quiescence — call it after worker threads
-// joined; the join gives the happens-before edge that makes the plain
-// counter reads race-free. thread_cache/registered_threads counts the
-// caches in use (the live threads), thread_cache/idle_caches the ones
-// UnregisterThread() parked.
+// read 0. The thread caches' counters need quiescence — take a snapshot
+// after the worker threads joined; the join gives the happens-before
+// edge that makes those plain reads race-free. The transfer caches,
+// central lists and page heap are read under their locks, so a
+// background tick may run alongside. thread_cache/registered_threads
+// counts the caches in use (the live threads), thread_cache/idle_caches
+// the ones UnregisterThread() parked.
 
 #ifndef WSC_TCMALLOC_REAL_THREADS_H_
 #define WSC_TCMALLOC_REAL_THREADS_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -119,7 +132,7 @@ class ContendedLock {
 
   void Unlock() { locked_.store(false, std::memory_order_release); }
 
-  // Quiescent reads (no concurrent holders).
+  // Read while holding the lock, or with no concurrent holders.
   uint64_t acquisitions() const { return acquisitions_; }
   uint64_t contended() const { return contended_; }
 
@@ -141,6 +154,9 @@ struct alignas(kCacheLineSize) RealTransferCache {
   // object's first word).
   uintptr_t head = 0;
   uint32_t count = 0;
+  // The fewest objects held since the last background tick: the bottom
+  // `low_water` objects sat untouched all that time.
+  uint32_t low_water = 0;
 
   uint64_t inserts = 0;
   uint64_t inserted_objects = 0;
@@ -150,6 +166,7 @@ struct alignas(kCacheLineSize) RealTransferCache {
   uint64_t removed_objects = 0;
   uint64_t remove_misses = 0;  // removes that found the cache empty
   uint64_t short_removes = 0;  // removes the central list had to top up
+  uint64_t plundered_objects = 0;  // cold objects drained by ticks
 };
 
 // Metadata for one run of pages: a span of small objects that a central
@@ -231,6 +248,19 @@ class RealPageHeap {
  public:
   static constexpr uint32_t kDirLargeFlag = 0x80000000u;
 
+  // What asked for a release. The heap counts released bytes per trigger.
+  enum ReleaseTrigger : int {
+    kExplicit,    // ReleaseMemoryToSystem()
+    kThreadExit,  // a thread's exit
+    kPacer,       // a background tick
+    kEager,       // free resident bytes above the eager threshold
+    kNumTriggers,
+  };
+
+  // The demand guard's window: a background tick keeps resident the free
+  // pages a return to the peak demand of the last this-many ticks needs.
+  static constexpr int kDemandWindowTicks = 8;
+
   explicit RealPageHeap(size_t reserve_bytes);
   ~RealPageHeap();
 
@@ -252,18 +282,26 @@ class RealPageHeap {
   void Delete(RealSpan* const* runs, int n);
 
   // Releases free pages until `bytes` are confirmed: whole free
-  // hugepages first, then, for the rest, free runs in hugepages that
-  // still hold a live run — those of at least kMinSubreleasePages pages,
-  // and any inside hugepages with at most kMinSubreleasePages live pages.
-  // Returns the bytes madvised.
-  size_t Release(size_t bytes);
+  // hugepages first, no more of them than `bytes` needs, then, for the
+  // rest, free runs in hugepages that still hold a live run — those of
+  // at least kMinSubreleasePages pages, and any inside hugepages with at
+  // most kMinSubreleasePages live pages. Returns the bytes madvised,
+  // which count toward `trigger`.
+  size_t Release(size_t bytes, ReleaseTrigger trigger);
+
+  // One background tick's release: closes the tick's demand peak into
+  // the window, then releases, as Release() does, the resident free
+  // pages above the window's peak demand. Demand is the pages spans and
+  // large blocks hold; its peak is a high-water mark that NewSpan and
+  // NewLarge raise, so a peak between two ticks counts too. Returns the
+  // bytes released.
+  size_t ReleaseAboveRecentPeak();
 
   // Releasing part of a hugepage splits its transparent huge page for
   // good: the live data left in it is mapped with 4 KiB pages, and
   // reusing the released pages refaults them one 4 KiB page at a time.
-  // An explicit release only splits a hugepage for a free run of at
-  // least this many pages, or when the hugepage holds at most this many
-  // live pages.
+  // Release only splits a hugepage for a free run of at least this many
+  // pages, or when the hugepage holds at most this many live pages.
   static constexpr Length kMinSubreleasePages = kPagesPerHugePage / 8;
 
   // Free resident bytes above `bytes` trigger a whole-hugepage release
@@ -305,6 +343,8 @@ class RealPageHeap {
     uint64_t large_fresh = 0;  // large blocks that grew the heap
     uint64_t lock_acquisitions = 0;
     uint64_t lock_contended = 0;
+    uint64_t released_by[kNumTriggers] = {};  // bytes, per trigger
+    uint64_t ticks = 0;                       // ReleaseAboveRecentPeak calls
     MemoryBackingStats backing;
   };
   Stats GetStats() const;
@@ -339,6 +379,15 @@ class RealPageHeap {
   void MapBoundaries(RealSpan* span);
   // Adds `delta` (+1 or -1) times the pages of `run` to live_pages_.
   void CountLive(const RealSpan* run, int delta);
+  // The pages spans and large blocks hold: the heap's extent less its
+  // free runs.
+  Length InUsePages() const {
+    return (top_page_ - base_page_) - free_[0].pages - free_[1].pages;
+  }
+  // Raises this tick's demand peak to the current demand.
+  void NoteDemand() {
+    tick_peak_pages_ = std::max(tick_peak_pages_, InUsePages());
+  }
   // Whether the hugepage holding `page` has at most kMinSubreleasePages
   // live pages.
   bool NearlyEmpty(uintptr_t page) const;
@@ -390,6 +439,12 @@ class RealPageHeap {
   std::atomic<size_t> released_pages_{0};
   uint64_t large_fresh_ = 0;
   size_t release_threshold_bytes_ = size_t{256} << 20;
+  uint64_t released_by_[kNumTriggers] = {};
+  // The demand guard: the peak demand since the last tick, and the peaks
+  // of the last kDemandWindowTicks ticks, the oldest overwritten first.
+  Length tick_peak_pages_ = 0;
+  Length window_peaks_[kDemandWindowTicks] = {};
+  uint64_t ticks_ = 0;
 };
 
 // Per-thread cache: the lock-free fast path. Owned and written by exactly
@@ -469,8 +524,14 @@ class RealThreadsAllocator {
   // The thread is done with `tc`: flushes it to the central free lists
   // and parks it for the next RegisterThread(). Call from the owning
   // thread (or after it joined); the caller must not touch `tc`
-  // afterwards.
+  // afterwards. Releases nothing.
   void UnregisterThread(RealThreadCache* tc);
+
+  // A thread's exit: UnregisterThread(tc), then releases free pages as
+  // an explicit release does, with no demand guard: the thread's demand
+  // left with it. Objects in the transfer caches stay there. Returns the
+  // bytes released.
+  size_t UnregisterExitingThread(RealThreadCache* tc);
 
   // Returns every object cached by `tc` to the central free lists, which
   // hand spans that become fully free back to the page heap. Must be
@@ -581,6 +642,15 @@ class RealThreadsAllocator {
   // caches stay where they are.
   size_t ReleaseMemoryToSystem(size_t bytes);
 
+  // One step of the background actions; the shim's pacer thread runs it
+  // every 100 ms. First, from each transfer cache, moves the objects
+  // that stayed below its low-water mark since the previous step to the
+  // central free list (TransferCache::DrainCold's rule). Then releases
+  // the resident free pages above the peak demand of the last
+  // RealPageHeap::kDemandWindowTicks steps. Allocates nothing. Returns
+  // the bytes released.
+  size_t BackgroundTick();
+
   // Free, unreleased page-heap bytes above this watermark trigger an
   // eager release of whole free hugepages on the free path; 0 disables
   // eager release. Set before worker threads start (plain write).
@@ -616,8 +686,10 @@ class RealThreadsAllocator {
     return used > released ? used - released : 0;
   }
 
-  // Quiescent: call only after all worker threads joined (the join is the
-  // synchronization point for the plain per-thread/per-class counters).
+  // Call only after all worker threads joined (the join is the
+  // synchronization point for the plain per-thread counters). The
+  // per-class tiers and the page heap are read under their locks, so
+  // BackgroundTick() may run concurrently.
   telemetry::Snapshot TelemetrySnapshot() const;
 
  private:

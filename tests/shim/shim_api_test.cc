@@ -9,10 +9,17 @@
 // usable size) rather than allocator internals, which
 // tests/tcmalloc/real_threads_test.cc covers.
 
+#include <dirent.h>
 #include <malloc.h>
 #include <pthread.h>
+#include <signal.h>
+#include <sys/syscall.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -338,6 +345,131 @@ TEST(ShimApi, CallsAfterThreadExitDoNotGrowRegistry) {
   EXPECT_EQ(Threads(), threads_before);
   EXPECT_EQ(BootstrapBytes(), boot_before);
   pthread_key_delete(g_late_key);
+}
+
+// Allocates `blocks` blocks of log-uniform sizes in [16 B, max_bytes],
+// writes them in full and frees them all.
+void AllocateWriteFreeAll(uint64_t seed, int blocks, double max_bytes) {
+  std::vector<void*> live(blocks);
+  uint64_t state = seed;
+  for (void*& p : live) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const double u = static_cast<double>(state >> 11) * 0x1.0p-53;
+    const size_t size = static_cast<size_t>(16 * std::pow(max_bytes / 16, u));
+    p = malloc(size);
+    ASSERT_NE(p, nullptr);
+    std::memset(p, 0x3c, size);
+  }
+  for (void* p : live) free(p);
+}
+
+// Memory comes back without being asked. Threads that free what they
+// allocated and exit leave little behind once they joined: each exit
+// releases what the thread's cache pinned. A free-all on a thread that
+// stays comes back within 2 s of idle: the pacer drains the transfer
+// caches' cold objects, and once the peak leaves its window releases
+// the free pages. No release call is made.
+TEST(ShimApi, FootprintComesBackAfterJoinAndAfterIdle) {
+  constexpr size_t kMiB = size_t{1} << 20;
+  // About 55 MiB per thread at its peak, 220 MiB in all.
+  std::vector<std::thread> pool;
+  for (int t = 0; t < 4; ++t) {
+    pool.emplace_back(AllocateWriteFreeAll, 100 + t, 4000, 128.0 * 1024);
+  }
+  for (std::thread& t : pool) t.join();
+  // The transfer caches still hold what the threads pushed down, and
+  // pin the spans under it until the pacer drains them.
+  EXPECT_LT(StatsField("footprint_bytes"), 32 * kMiB);
+
+  // About 100 MiB at its peak, on this thread.
+  AllocateWriteFreeAll(7, 2000, 512.0 * 1024);
+  size_t footprint = StatsField("footprint_bytes");
+  for (int waited_ms = 0; waited_ms < 2000 && footprint >= 16 * kMiB;
+       waited_ms += 50) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    footprint = StatsField("footprint_bytes");
+  }
+  EXPECT_LT(footprint, 16 * kMiB);
+  EXPECT_GT(StatsField("pacer_release_bytes"), 0u);
+  EXPECT_GT(StatsField("exit_release_bytes"), 0u);
+}
+
+// The ids of this process's threads other than the caller.
+std::vector<long> OtherThreads() {
+  std::vector<long> tids;
+  DIR* dir = opendir("/proc/self/task");
+  if (dir == nullptr) return tids;
+  const long self = static_cast<long>(syscall(SYS_gettid));
+  while (dirent* entry = readdir(dir)) {
+    const long tid = std::strtol(entry->d_name, nullptr, 10);
+    if (tid > 0 && tid != self) tids.push_back(tid);
+  }
+  closedir(dir);
+  return tids;
+}
+
+// One hex field ("SigBlk:", ...) of a thread's /proc status.
+uint64_t ThreadStatusHex(long tid, const char* field) {
+  char path[64];
+  std::snprintf(path, sizeof(path), "/proc/self/task/%ld/status", tid);
+  FILE* f = std::fopen(path, "r");
+  if (f == nullptr) return 0;
+  char line[256];
+  uint64_t value = 0;
+  while (std::fgets(line, sizeof(line), f) != nullptr) {
+    if (std::strncmp(line, field, std::strlen(field)) == 0) {
+      value = std::strtoull(line + std::strlen(field), nullptr, 16);
+      break;
+    }
+  }
+  std::fclose(f);
+  return value;
+}
+
+// The pacer runs beside this process's threads: it blocks every signal
+// (the kernel drops SIGKILL and SIGSTOP from any mask), and it never
+// calls malloc, so it holds no thread cache and "threads" counts only
+// the threads that did.
+TEST(ShimApi, PacerBlocksSignalsAndHoldsNoCache) {
+  const size_t ticks = StatsField("pacer_ticks");
+  for (int waited_ms = 0;
+       waited_ms < 2000 && StatsField("pacer_ticks") < ticks + 2;
+       waited_ms += 10) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_GE(StatsField("pacer_ticks"), ticks + 2);
+  const std::vector<long> others = OtherThreads();
+  ASSERT_EQ(others.size(), 1u) << "the pacer should be the only other thread";
+  const uint64_t kStandard = 0x7fffffff;  // signals 1-31
+  const uint64_t kUnblockable = (uint64_t{1} << (SIGKILL - 1)) |
+                                (uint64_t{1} << (SIGSTOP - 1));
+  EXPECT_EQ(ThreadStatusHex(others[0], "SigBlk:") & kStandard,
+            kStandard & ~kUnblockable);
+  EXPECT_EQ(Threads(), 1u);
+}
+
+// fork() keeps only the forking thread; the child starts its own pacer,
+// which gives a freed population back with no release call.
+TEST(ShimApi, ForkChildsPacerRuns) {
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const size_t ticks = StatsField("pacer_ticks");
+    const size_t pacer_released = StatsField("pacer_release_bytes");
+    AllocateWriteFreeAll(11, 2000, 512.0 * 1024);
+    for (int waited_ms = 0; waited_ms < 3000; waited_ms += 50) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+      if (StatsField("pacer_release_bytes") > pacer_released + (32 << 20)) {
+        _exit(StatsField("pacer_ticks") > ticks ? 0 : 2);
+      }
+    }
+    _exit(1);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "1: the child's pacer released nothing; 2: it never ticked";
 }
 
 TEST(ShimApi, ReleaseMemoryReturnsConfirmedBytes) {

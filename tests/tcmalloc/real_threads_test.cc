@@ -18,6 +18,7 @@
 #include <atomic>
 #include <barrier>
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <iterator>
 #include <mutex>
@@ -522,17 +523,14 @@ TEST(RealThreadsAllocatorTest, UnregisteredCachesAreReused) {
   EXPECT_GT(Metric(snap, "thread_cache", "idle_caches"), 0);
 }
 
-// Spans come back after a storm: four threads churn mixed sizes with
-// cross-thread frees and unregister, the main thread frees what was still
-// in flight, and a full release leaves the heap holding only what the
-// main thread's own cache pins. Release keeps a hugepage whole while it
-// is more than an eighth live, so the cache pins the hugepages its
-// objects' spans lie in; once it is flushed too, nothing is left.
-TEST(RealThreadsAllocatorTest, StormThenReleaseKeepsOnlyCallerPinnedSpans) {
+// Four threads churn mixed sizes with cross-thread frees and then leave
+// through `unregister`; the main thread registers and frees what was
+// still in flight. Returns the main thread's cache.
+RealThreadCache* StormThenFreeInFlight(
+    RealThreadsAllocator& alloc,
+    const std::function<void(RealThreadCache*)>& unregister) {
   constexpr int kThreads = 4;
   constexpr int kOpsPerThread = 20000;
-  RealThreadsAllocator alloc(TestConfig(), kThreads);
-
   struct Mailbox {
     std::mutex mu;
     std::vector<std::pair<uintptr_t, uint32_t>> objects;
@@ -569,7 +567,7 @@ TEST(RealThreadsAllocatorTest, StormThenReleaseKeepsOnlyCallerPinnedSpans) {
       }
     }
     for (const auto& [addr, size] : local) alloc.Free(tc, addr, size);
-    alloc.UnregisterThread(tc);
+    unregister(tc);
   };
   std::vector<std::thread> pool;
   for (int tid = 0; tid < kThreads; ++tid) pool.emplace_back(worker, tid);
@@ -581,16 +579,18 @@ TEST(RealThreadsAllocatorTest, StormThenReleaseKeepsOnlyCallerPinnedSpans) {
       alloc.Free(main_tc, addr, size);
     }
   }
-  alloc.ReleaseMemoryToSystem(~size_t{0});
+  return main_tc;
+}
 
-  // The hugepages a cached object's span can lie in: the object's own,
-  // and the neighbours its span may reach into.
+// The hugepages a cache's objects can pin: each object's own, and the
+// neighbours its span may reach into.
+std::vector<uintptr_t> HugepagesPinnedBy(const RealThreadCache& tc) {
   const SizeClasses& sc = SizeClasses::Default();
   std::vector<uintptr_t> pinned;
   for (int cls = 0; cls < sc.num_classes(); ++cls) {
     const size_t span_bytes = LengthToBytes(sc.pages_per_span(cls));
-    uintptr_t obj = main_tc->lists[cls].head;
-    for (uint32_t i = 0; i < main_tc->lists[cls].count; ++i) {
+    uintptr_t obj = tc.lists[cls].head;
+    for (uint32_t i = 0; i < tc.lists[cls].count; ++i) {
       for (uintptr_t addr : {obj - span_bytes + 1, obj, obj + span_bytes - 1}) {
         pinned.push_back(addr >> kHugePageShift);
       }
@@ -599,7 +599,22 @@ TEST(RealThreadsAllocatorTest, StormThenReleaseKeepsOnlyCallerPinnedSpans) {
   }
   std::sort(pinned.begin(), pinned.end());
   pinned.erase(std::unique(pinned.begin(), pinned.end()), pinned.end());
-  EXPECT_LE(alloc.FootprintBytes(), pinned.size() * kHugePageSize);
+  return pinned;
+}
+
+// Spans come back after a storm: four threads churn mixed sizes with
+// cross-thread frees and unregister, the main thread frees what was still
+// in flight, and a full release leaves the heap holding only what the
+// main thread's own cache pins. Release keeps a hugepage whole while it
+// is more than an eighth live, so the cache pins the hugepages its
+// objects' spans lie in; once it is flushed too, nothing is left.
+TEST(RealThreadsAllocatorTest, StormThenReleaseKeepsOnlyCallerPinnedSpans) {
+  RealThreadsAllocator alloc(TestConfig(), 4);
+  RealThreadCache* main_tc = StormThenFreeInFlight(
+      alloc, [&](RealThreadCache* tc) { alloc.UnregisterThread(tc); });
+  alloc.ReleaseMemoryToSystem(~size_t{0});
+  EXPECT_LE(alloc.FootprintBytes(),
+            HugepagesPinnedBy(*main_tc).size() * kHugePageSize);
 
   telemetry::Snapshot snap = alloc.TelemetrySnapshot();
   EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0);
@@ -687,6 +702,294 @@ TEST(RealThreadsAllocatorTest, PopulationsDieWhileReleaseRuns) {
   EXPECT_EQ(Metric(snap, "central_free_list", "returned_spans"),
             Metric(snap, "central_free_list", "fetched_spans"));
   EXPECT_GT(Metric(snap, "system", "released_bytes"), 0);
+}
+
+// A thread that allocates a population of every small class (fewer
+// objects than its cache holds, so nothing reaches the transfer caches)
+// and 16 MiB of large blocks, writes them, frees them all and exits
+// through `exit`. Returns what the exit released.
+size_t RunPopulationThenExit(
+    RealThreadsAllocator& alloc,
+    const std::function<size_t(RealThreadCache*)>& exit) {
+  size_t released = 0;
+  std::thread([&] {
+    RealThreadCache* tc = alloc.RegisterThread();
+    const SizeClasses& sc = SizeClasses::Default();
+    std::vector<std::pair<uintptr_t, size_t>> blocks;
+    for (int cls = 0; cls < sc.num_classes(); ++cls) {
+      for (int i = 0; i < sc.batch_size(cls); ++i) {
+        blocks.emplace_back(alloc.Allocate(tc, sc.class_size(cls)),
+                            sc.class_size(cls));
+      }
+    }
+    for (int i = 0; i < 16; ++i) {
+      blocks.emplace_back(alloc.Allocate(tc, size_t{1} << 20), size_t{1} << 20);
+    }
+    for (const auto& [addr, size] : blocks) {
+      ASSERT_NE(addr, 0u);
+      std::memset(reinterpret_cast<void*>(addr), 0x5a, size);
+    }
+    for (const auto& [addr, size] : blocks) alloc.Free(tc, addr, size);
+    released = exit(tc);
+  }).join();
+  return released;
+}
+
+// A thread's exit releases what the thread's cache pinned, with no demand
+// guard, so what stays resident is only what the remaining caches pin:
+// the bound StormThenReleaseKeepsOnlyCallerPinnedSpans uses. Storm
+// threads exit the same way while others still churn.
+TEST(RealThreadsAllocatorTest, ThreadExitLeavesOnlyWhatRemainingCachesPin) {
+  RealThreadsAllocator alloc(TestConfig(), 4);
+  RealThreadCache* main_tc = StormThenFreeInFlight(
+      alloc,
+      [&](RealThreadCache* tc) { alloc.UnregisterExitingThread(tc); });
+  // A zero-byte release moves the transfer caches' objects to the
+  // central lists and releases nothing, so the only cache left holding
+  // objects is the main thread's.
+  EXPECT_EQ(alloc.ReleaseMemoryToSystem(0), 0u);
+
+  const size_t released = RunPopulationThenExit(
+      alloc, [&](RealThreadCache* tc) {
+        return alloc.UnregisterExitingThread(tc);
+      });
+  EXPECT_GE(released, size_t{16} << 20);
+  EXPECT_LE(alloc.FootprintBytes(),
+            HugepagesPinnedBy(*main_tc).size() * kHugePageSize);
+
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0);
+  EXPECT_EQ(Metric(snap, "transfer_cache", "cached_bytes"), 0);
+  // Every released byte was an exit's.
+  EXPECT_EQ(Metric(snap, "page_heap", "explicit_release_bytes"), 0);
+  EXPECT_EQ(Metric(snap, "page_heap", "pacer_release_bytes"), 0);
+  EXPECT_EQ(Metric(snap, "page_heap", "eager_release_bytes"), 0);
+  EXPECT_EQ(Metric(snap, "page_heap", "exit_release_bytes"),
+            Metric(snap, "system", "released_bytes"));
+}
+
+// The shim gives a borrowed cache back (a call a thread makes after its
+// exit hook ran) with a plain UnregisterThread: the flush happens, but
+// nothing is released, so a late free in an exiting thread does not pay
+// for a release.
+TEST(RealThreadsAllocatorTest, BorrowedCacheReturnReleasesNothing) {
+  RealThreadsAllocator alloc(TestConfig(), 1);
+  const size_t released = RunPopulationThenExit(
+      alloc, [&](RealThreadCache* tc) {
+        const size_t footprint = alloc.FootprintBytes();
+        alloc.UnregisterThread(tc);
+        EXPECT_EQ(alloc.FootprintBytes(), footprint);
+        return size_t{0};
+      });
+  EXPECT_EQ(released, 0u);
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "thread_cache", "cached_objects"), 0);
+  EXPECT_GE(Metric(snap, "page_heap", "free_bytes"), 16.0 * (1 << 20));
+  EXPECT_EQ(Metric(snap, "system", "released_bytes"), 0);
+}
+
+// The demand guard keeps a peak that came and went between two ticks:
+// it is a high-water mark the page heap raises on every allocation, not
+// a sample taken at the ticks (a guard sampled at the ticks sees only
+// the trough and releases everything at once). Once the peak has left
+// the window, the next tick releases the rest.
+TEST(RealThreadsAllocatorTest, TickKeepsAPeakBetweenTicksForTheWindow) {
+  constexpr size_t kBlock = size_t{1} << 20;
+  constexpr int kBlocks = 64;
+  RealThreadsAllocator alloc(TestConfig(), 1);
+  RealThreadCache* tc = alloc.RegisterThread();
+  // A small standing heap, and a first tick that closes its demand.
+  std::vector<uintptr_t> standing;
+  for (int i = 0; i < 1000; ++i) standing.push_back(alloc.Allocate(tc, 256));
+  alloc.BackgroundTick();
+
+  // Between this tick and the next, demand peaks at 64 MiB more and
+  // falls back.
+  std::vector<uintptr_t> blocks;
+  for (int i = 0; i < kBlocks; ++i) {
+    blocks.push_back(alloc.Allocate(tc, kBlock));
+    std::memset(reinterpret_cast<void*>(blocks.back()), 1, kBlock);
+  }
+  for (uintptr_t addr : blocks) alloc.Free(tc, addr, kBlock);
+  const size_t footprint = alloc.FootprintBytes();
+  ASSERT_GE(footprint, kBlocks * kBlock);
+
+  // For the window's ticks a return to the peak needs those pages.
+  for (int i = 0; i < RealPageHeap::kDemandWindowTicks; ++i) {
+    EXPECT_EQ(alloc.BackgroundTick(), 0u) << "tick " << i;
+    EXPECT_EQ(alloc.FootprintBytes(), footprint) << "tick " << i;
+  }
+  // Then the peak leaves the window and the pages go.
+  EXPECT_GE(alloc.BackgroundTick(), kBlocks * kBlock);
+  EXPECT_LE(alloc.FootprintBytes(), footprint - kBlocks * kBlock);
+
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "page_heap", "pacer_ticks"),
+            RealPageHeap::kDemandWindowTicks + 2);
+  EXPECT_GE(Metric(snap, "page_heap", "pacer_release_bytes"),
+            static_cast<double>(kBlocks * kBlock));
+  EXPECT_EQ(Metric(snap, "page_heap", "pacer_release_bytes"),
+            Metric(snap, "system", "released_bytes"));
+  for (uintptr_t addr : standing) alloc.Free(tc, addr, 256);
+}
+
+// A tick drains from each transfer cache exactly the objects that stayed
+// below its low-water mark since the previous tick, the bottom of the
+// stack (TransferCache::DrainCold's rule), and leaves the rest.
+TEST(RealThreadsAllocatorTest, TickDrainsExactlyTheLowWaterObjects) {
+  RealThreadsAllocator alloc(TestConfig(), /*expected_threads=*/2);
+  RealThreadCache* a = alloc.RegisterThread();
+  RealThreadCache* b = alloc.RegisterThread();
+  const SizeClasses& sc = SizeClasses::Default();
+  const int cls = sc.ClassFor(96);
+  const int batch = sc.batch_size(cls);
+  // The batch A's next overflow pushes down: the top of its list.
+  auto top_batch = [&] {
+    std::vector<uintptr_t> top;
+    uintptr_t obj = a->lists[cls].head;
+    for (int i = 0; i < batch; ++i) {
+      top.push_back(obj);
+      obj = *reinterpret_cast<uintptr_t*>(obj);
+    }
+    std::sort(top.begin(), top.end());
+    return top;
+  };
+  auto transfer_objects = [&] {
+    return Metric(alloc.TelemetrySnapshot(), "transfer_cache",
+                  "cached_bytes") /
+           96;
+  };
+
+  // A frees three batches more than its list holds: three batches go
+  // down to the transfer cache.
+  std::vector<uintptr_t> objs;
+  for (uint32_t i = 0; i < a->lists[cls].cap + 3 * batch; ++i) {
+    objs.push_back(alloc.Allocate(a, 96));
+  }
+  for (uintptr_t obj : objs) alloc.Free(a, obj, 96);
+  ASSERT_EQ(transfer_objects(), 3 * batch);
+  // Nothing has been cold for a whole tick yet.
+  alloc.BackgroundTick();
+  ASSERT_EQ(transfer_objects(), 3 * batch);
+
+  // B takes one batch (the low-water mark falls to two batches), then A
+  // pushes one batch down again, above the mark.
+  const uintptr_t one = alloc.Allocate(b, 96);
+  const std::vector<uintptr_t> pushed = top_batch();
+  alloc.Free(a, one, 96);
+  ASSERT_EQ(transfer_objects(), 3 * batch);
+
+  alloc.BackgroundTick();
+  EXPECT_EQ(transfer_objects(), batch);
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "transfer_cache", "plundered_objects"), 2 * batch);
+
+  // What stayed is exactly the batch pushed after the mark.
+  RealThreadCache* c = alloc.RegisterThread();
+  std::vector<uintptr_t> refilled;
+  for (int i = 0; i < batch; ++i) refilled.push_back(alloc.Allocate(c, 96));
+  std::sort(refilled.begin(), refilled.end());
+  EXPECT_EQ(refilled, pushed);
+  for (uintptr_t obj : refilled) alloc.Free(c, obj, 96);
+
+  // The drained objects went to the central list: nothing was lost.
+  snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "live_objects"), 0);
+  EXPECT_EQ(Metric(snap, "allocator", "carved_objects"),
+            Metric(snap, "allocator", "cached_objects"));
+}
+
+// Background ticks race whole populations dying, as in
+// PopulationsDieWhileReleaseRuns, with workers exiting through the exit
+// release. A live page released under an object would zero its tags.
+// Once the threads are gone, the window's ticks give every page back.
+TEST(RealThreadsAllocatorTest, TicksRaceDyingPopulations) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 8;
+  constexpr int kPopulation = 4096;
+  RealThreadsAllocator alloc(TestConfig(), kThreads);
+  std::atomic<uint64_t> clobbered{0};
+  std::atomic<bool> done{false};
+
+  auto last_word = [](uintptr_t addr, uint32_t size) {
+    return reinterpret_cast<uint64_t*>(addr + ((size - 8) & ~uint32_t{7}));
+  };
+  auto worker = [&](int tid) {
+    RealThreadCache* tc = alloc.RegisterThread();
+    Rng rng(555 + tid);
+    std::vector<std::pair<uintptr_t, uint32_t>> population;
+    for (int round = 0; round < kRounds; ++round) {
+      for (int i = 0; i < kPopulation; ++i) {
+        uint32_t size = static_cast<uint32_t>(8 + rng.UniformInt(8192));
+        uintptr_t addr = alloc.Allocate(tc, size);
+        ASSERT_NE(addr, 0u);
+        *reinterpret_cast<uint64_t*>(addr) = addr;
+        *last_word(addr, size) = addr;
+        population.emplace_back(addr, size);
+      }
+      for (size_t i = population.size(); i > 1; --i) {
+        std::swap(population[i - 1], population[rng.UniformInt(i)]);
+      }
+      for (const auto& [addr, size] : population) {
+        if (*reinterpret_cast<uint64_t*>(addr) != addr ||
+            *last_word(addr, size) != addr) {
+          clobbered.fetch_add(1, std::memory_order_relaxed);
+        }
+        alloc.Free(tc, addr, size);
+      }
+      population.clear();
+    }
+    alloc.UnregisterExitingThread(tc);
+  };
+  std::thread pacer([&] {
+    while (!done.load(std::memory_order_relaxed)) {
+      alloc.BackgroundTick();
+      std::this_thread::yield();
+    }
+  });
+  std::vector<std::thread> pool;
+  for (int tid = 0; tid < kThreads; ++tid) pool.emplace_back(worker, tid);
+  for (std::thread& t : pool) t.join();
+  done.store(true, std::memory_order_relaxed);
+  pacer.join();
+
+  EXPECT_EQ(clobbered.load(), 0u);
+  // Two ticks drain the transfer caches (the first sets their low-water
+  // marks); the window's ticks after that let the last peak go.
+  for (int i = 0; i < RealPageHeap::kDemandWindowTicks + 2; ++i) {
+    alloc.BackgroundTick();
+  }
+  EXPECT_EQ(alloc.FootprintBytes(), 0u);
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0);
+  EXPECT_EQ(Metric(snap, "central_free_list", "spans"), 0);
+  EXPECT_EQ(Metric(snap, "central_free_list", "returned_spans"),
+            Metric(snap, "central_free_list", "fetched_spans"));
+  EXPECT_GT(Metric(snap, "transfer_cache", "plundered_objects"), 0);
+  EXPECT_GT(Metric(snap, "page_heap", "pacer_release_bytes"), 0);
+}
+
+// In the shim the pacer ticks while any thread may take a snapshot
+// (wscmalloc_stats_json, the statsz thread), so a snapshot reads the
+// tiers a tick writes, the transfer caches, the central lists and the
+// page heap, under their locks.
+TEST(RealThreadsAllocatorTest, SnapshotsRaceTicks) {
+  RealThreadsAllocator alloc(TestConfig(), 1);
+  RealThreadCache* tc = alloc.RegisterThread();
+  std::vector<uintptr_t> objs;
+  for (int i = 0; i < 20000; ++i) objs.push_back(alloc.Allocate(tc, 96));
+  for (uintptr_t obj : objs) alloc.Free(tc, obj, 96);
+  std::thread pacer([&] {
+    for (int i = 0; i < 200; ++i) alloc.BackgroundTick();
+  });
+  double plundered = 0;
+  for (int i = 0; i < 200; ++i) {
+    plundered = Metric(alloc.TelemetrySnapshot(), "transfer_cache",
+                       "plundered_objects");
+  }
+  pacer.join();
+  EXPECT_LE(plundered, Metric(alloc.TelemetrySnapshot(), "transfer_cache",
+                              "plundered_objects"));
 }
 
 TEST(RealThreadsAllocatorTest, TelemetryExportsContentionComponent) {

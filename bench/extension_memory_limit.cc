@@ -1,25 +1,22 @@
-// Extension: the memory-pressure control plane driven through the
-// MallocExtension facade (the sanctioned public API).
+// Extension: the memory-pressure control plane, driven through the
+// allocator's BackgroundReclaimer.
 //
 // Three scenarios on one dedicated allocator:
 //   1. soft limit   — footprint is pushed past a soft limit; the background
 //                     reclaimer degrades the tiers (cache shrink, transfer
 //                     drain, span return, hugepage subrelease) until the
 //                     footprint is back under it.
-//   2. explicit     — MallocExtension::ReleaseMemoryToSystem returns free
-//                     back-end memory on demand.
+//   2. explicit     — ReleaseMemoryToSystem returns free back-end memory
+//                     on demand.
 //   3. hard limit   — allocations that would exceed a hard limit fail
 //                     (Allocate returns 0) and are counted, not fatal.
-//
-// All introspection flows through MallocExtension: GetFootprintBytes,
-// GetProperty("pressure.*"), GetTelemetrySnapshot.
 
 #include <cstdio>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/rng.h"
-#include "tcmalloc/malloc_extension.h"
+#include "tcmalloc/allocator.h"
 
 using namespace wsc;
 
@@ -49,7 +46,7 @@ std::vector<std::pair<uintptr_t, int>> BuildWorkingSet(
 
 int main(int argc, char** argv) {
   bench::ParseBenchFlags(argc, argv);
-  PrintBanner("Extension: memory limits & backpressure (MallocExtension)");
+  PrintBanner("Extension: memory limits & backpressure");
   bench::BenchTimer timer("extension_memory_limit");
   uint64_t sim_requests = 0;
   telemetry::Snapshot merged_telemetry;
@@ -63,7 +60,7 @@ int main(int argc, char** argv) {
             .WithLlcDomains(4)
             .Build();
     tcmalloc::Allocator alloc(config);
-    tcmalloc::MallocExtension extension(&alloc);
+    tcmalloc::BackgroundReclaimer& reclaimer = alloc.reclaimer();
 
     Rng rng(77);
     auto live = BuildWorkingSet(alloc, rng, size_t{384} << 20,
@@ -76,15 +73,14 @@ int main(int argc, char** argv) {
     }
     alloc.Maintain(now);
 
-    size_t before = extension.GetFootprintBytes();
+    size_t before = alloc.FootprintBytes();
     size_t soft = static_cast<size_t>(0.6 * static_cast<double>(before));
-    extension.SetMemoryLimit(tcmalloc::MemoryLimitKind::kSoft, soft);
+    reclaimer.SetLimit(tcmalloc::MemoryLimitKind::kSoft, soft);
     // The next maintenance boundary runs the background actor.
     alloc.Maintain(now + Seconds(2));
-    size_t after = extension.GetFootprintBytes();
-    double reclaimed =
-        extension.GetProperty("pressure.reclaimed_bytes").value_or(0);
-    double runs = extension.GetProperty("pressure.reclaim_runs").value_or(0);
+    size_t after = alloc.FootprintBytes();
+    double reclaimed = static_cast<double>(reclaimer.reclaimed_bytes());
+    double runs = static_cast<double>(reclaimer.reclaim_runs());
 
     TablePrinter table({"phase", "footprint", "soft limit", "reclaimed"});
     table.AddRow({"before", FormatBytes(static_cast<double>(before)),
@@ -99,10 +95,10 @@ int main(int argc, char** argv) {
     for (size_t i = 1; i < live.size(); i += 2) {
       alloc.Free(live[i].first, live[i].second, now);
     }
-    merged_telemetry.MergeFrom(extension.GetTelemetrySnapshot());
+    merged_telemetry.MergeFrom(alloc.TelemetrySnapshot());
   }
 
-  // ---- 2. Explicit release through the facade ----
+  // ---- 2. Explicit release ----
   // A load trough: a burst of large buffers comes and goes, leaving whole
   // hugepages cached in the back end; ReleaseMemoryToSystem hands them to
   // the OS on demand.
@@ -110,7 +106,6 @@ int main(int argc, char** argv) {
     tcmalloc::AllocatorConfig config =
         tcmalloc::AllocatorConfig::Builder().WithVcpus(8).Build();
     tcmalloc::Allocator alloc(config);
-    tcmalloc::MallocExtension extension(&alloc);
 
     std::vector<uintptr_t> bufs;
     for (int i = 0; i < 64; ++i) {
@@ -119,16 +114,16 @@ int main(int argc, char** argv) {
     }
     for (uintptr_t p : bufs) alloc.Free(p, 0, Seconds(1));
 
-    size_t free_backend = extension.GetFootprintBytes();
+    size_t free_backend = alloc.FootprintBytes();
     size_t asked = size_t{64} << 20;
-    size_t released = extension.ReleaseMemoryToSystem(asked);
+    size_t released = alloc.reclaimer().ReleaseMemoryToSystem(asked);
     std::printf(
         "  load trough left %s cached; ReleaseMemoryToSystem(%s) "
         "released %s\n\n",
         FormatBytes(static_cast<double>(free_backend)).c_str(),
         FormatBytes(static_cast<double>(asked)).c_str(),
         FormatBytes(static_cast<double>(released)).c_str());
-    merged_telemetry.MergeFrom(extension.GetTelemetrySnapshot());
+    merged_telemetry.MergeFrom(alloc.TelemetrySnapshot());
   }
 
   // ---- 3. Hard limit: counted allocation failures ----
@@ -140,7 +135,6 @@ int main(int argc, char** argv) {
             .WithHardMemoryLimit(hard)
             .Build();
     tcmalloc::Allocator alloc(config);
-    tcmalloc::MallocExtension extension(&alloc);
 
     Rng rng(78);
     uint64_t failures = 0, attempts = 0;
@@ -161,7 +155,7 @@ int main(int argc, char** argv) {
       now += 200;
     }
     double counted =
-        extension.GetProperty("pressure.hard_limit_failures").value_or(0);
+        static_cast<double>(alloc.reclaimer().hard_limit_failures());
     std::printf(
         "  hard limit %s: %llu of %llu allocations failed "
         "(telemetry counted %.0f)\n",
@@ -169,11 +163,11 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(failures),
         static_cast<unsigned long long>(attempts), counted);
     std::printf("  footprint at refusal: %s (stays under the limit)\n\n",
-                FormatBytes(static_cast<double>(
-                    extension.GetFootprintBytes())).c_str());
+                FormatBytes(static_cast<double>(alloc.FootprintBytes()))
+                    .c_str());
 
     for (auto& [p, v] : live) alloc.Free(p, v, now);
-    merged_telemetry.MergeFrom(extension.GetTelemetrySnapshot());
+    merged_telemetry.MergeFrom(alloc.TelemetrySnapshot());
   }
 
   bench::PaperVsMeasured("pressure handling", "graceful degradation (§4.4)",

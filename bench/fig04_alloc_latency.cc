@@ -15,7 +15,6 @@
 
 #include "bench/bench_util.h"
 #include "tcmalloc/allocator.h"
-#include "tcmalloc/malloc_extension.h"
 
 namespace {
 
@@ -154,9 +153,7 @@ int main(int argc, char** argv) {
   }
   for (uintptr_t p : live) alloc.Free(p, 0, 0);
   timer.Report(iters);
-  wsc::bench::ReportTelemetry(
-      timer.bench(),
-      wsc::tcmalloc::MallocExtension(&alloc).GetTelemetrySnapshot());
+  wsc::bench::ReportTelemetry(timer.bench(), alloc.TelemetrySnapshot());
   if (!wsc::bench::g_profile_path.empty()) {
     wsc::bench::ReportProfile(alloc.CollectHeapProfile());
   }

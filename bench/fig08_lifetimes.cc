@@ -14,7 +14,6 @@
 
 #include "bench/bench_util.h"
 #include "fleet/machine.h"
-#include "tcmalloc/malloc_extension.h"
 #include "tcmalloc/sampler.h"
 
 using namespace wsc;
@@ -34,10 +33,7 @@ tcmalloc::LifetimeProfile CollectProfile(
     machine.Run(wsc::bench::BenchDuration(Seconds(12)),
                 wsc::bench::BenchMaxRequests(60000));
     machine.driver(0).Drain();  // finalize censored lifetimes
-    // Read the sampler through the public MallocExtension surface, like a
-    // production profiler would (not via allocator internals).
-    tcmalloc::MallocExtension extension(&machine.allocator(0));
-    profile.Merge(extension.GetLifetimeProfile());
+    profile.Merge(machine.allocator(0).sampler().profile());
     g_sim_requests += machine.results()[0].driver.requests;
     g_telemetry.MergeFrom(machine.results()[0].telemetry);
     wsc::bench::ReportProfile(machine.results());

@@ -10,7 +10,6 @@
 
 #include "bench/bench_util.h"
 #include "fleet/machine.h"
-#include "tcmalloc/malloc_extension.h"
 
 using namespace wsc;
 
@@ -88,6 +87,6 @@ int main(int argc, char** argv) {
       "\nshape check: low-indexed vCPU caches absorb most misses; the\n"
       "statically sized high-indexed caches are used inefficiently.\n");
   timer.Report(driver.metrics().requests);
-  bench::ReportTelemetry(timer.bench(), tcmalloc::MallocExtension(&alloc).GetTelemetrySnapshot());
+  bench::ReportTelemetry(timer.bench(), alloc.TelemetrySnapshot());
   return 0;
 }

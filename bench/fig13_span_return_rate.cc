@@ -22,7 +22,6 @@
 #include "bench/bench_util.h"
 #include "common/rng.h"
 #include "tcmalloc/allocator.h"
-#include "tcmalloc/malloc_extension.h"
 
 using namespace wsc;
 
@@ -137,6 +136,6 @@ int main(int argc, char** argv) {
       "\nshape check: the more live allocations a span carries, the less\n"
       "likely it is released — allocating from fuller spans is safer.\n");
   timer.Report(static_cast<uint64_t>(kEpochs));
-  bench::ReportTelemetry(timer.bench(), tcmalloc::MallocExtension(&alloc).GetTelemetrySnapshot());
+  bench::ReportTelemetry(timer.bench(), alloc.TelemetrySnapshot());
   return 0;
 }

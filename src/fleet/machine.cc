@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "tcmalloc/malloc_extension.h"
 
 namespace wsc::fleet {
 
@@ -24,9 +23,6 @@ constexpr SimTime kSamplePeriod = Milliseconds(500);
 tcmalloc::AllocatorConfig ResolveTopology(tcmalloc::AllocatorConfig config,
                                           const hw::CpuTopology& topology) {
   config.num_llc_domains = topology.num_domains();
-  if (config.numa_aware) {
-    config.num_numa_nodes = topology.spec().sockets;
-  }
   return config;
 }
 
@@ -121,16 +117,16 @@ void Machine::ApplyPressure(Process& p) {
       fraction = std::min(fraction, e.limit_fraction);
     }
   }
-  tcmalloc::MallocExtension extension(p.allocator.get());
+  tcmalloc::BackgroundReclaimer& reclaimer = p.allocator->reclaimer();
   if (fraction < 1.0 && p.peak_heap_bytes > 0) {
     size_t target = static_cast<size_t>(
         static_cast<double>(p.peak_heap_bytes) * fraction);
-    extension.SetMemoryLimit(tcmalloc::MemoryLimitKind::kSoft,
-                             std::max<size_t>(target, 1));
+    reclaimer.SetLimit(tcmalloc::MemoryLimitKind::kSoft,
+                       std::max<size_t>(target, 1));
   } else {
     // Event window over: restore the configured limit (0 = none).
-    extension.SetMemoryLimit(tcmalloc::MemoryLimitKind::kSoft,
-                             p.allocator->config().soft_limit_bytes);
+    reclaimer.SetLimit(tcmalloc::MemoryLimitKind::kSoft,
+                       p.allocator->config().soft_limit_bytes);
   }
 }
 

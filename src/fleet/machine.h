@@ -42,11 +42,10 @@ struct PressureEvent {
 };
 
 // Resolves topology-derived knobs in `config` for a process placed on
-// `topology`: the LLC domain count always comes from the machine, and the
-// NUMA node count from its socket count when NUMA mode is on. This is the
-// resolution Machine applies at placement time, exposed so tests can build
-// placement-resolved configs (e.g. NUCA on a monolithic platform) without
-// assigning config fields directly.
+// `topology`: the LLC domain count always comes from the machine. This is
+// the resolution Machine applies at placement time, exposed so tests can
+// build placement-resolved configs (e.g. NUCA on a monolithic platform)
+// without assigning config fields directly.
 tcmalloc::AllocatorConfig ResolveTopology(tcmalloc::AllocatorConfig config,
                                           const hw::CpuTopology& topology);
 

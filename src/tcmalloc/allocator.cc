@@ -38,22 +38,6 @@ const AllocatorConfig& ValidatedOrDie(const AllocatorConfig& config) {
 
 }  // namespace
 
-Allocator::NodeBackend::NodeBackend(const AllocatorConfig& config,
-                                    const SizeClasses* size_classes,
-                                    uintptr_t base, size_t bytes,
-                                    PageMap* pagemap)
-    : system(base, bytes, kCostModel.mmap_ns),
-      page_heap(size_classes, config, &system, pagemap),
-      transfer_cache(size_classes, config) {
-  int n = size_classes->num_classes();
-  cfls.reserve(n);
-  int cfl_lists = config.span_prioritization ? config.cfl_num_lists : 1;
-  for (int cls = 0; cls < n; ++cls) {
-    cfls.push_back(std::make_unique<CentralFreeList>(
-        cls, size_classes->info(cls), cfl_lists, &page_heap));
-  }
-}
-
 Allocator::Allocator(const AllocatorConfig& config,
                      const SizeClasses* size_classes)
     : config_(ValidatedOrDie(config)),
@@ -61,22 +45,21 @@ Allocator::Allocator(const AllocatorConfig& config,
       pagemap_(PageIdContaining(config_.arena_base),
                config_.arena_bytes >> kPageShift),
       cpu_caches_(size_classes, config),
-      sampler_(config.sample_interval_bytes) {
-  int num_nodes = config.numa_aware ? std::max(1, config.num_numa_nodes) : 1;
-  // Split the arena into hugepage-aligned node slices.
-  node_arena_bytes_ = config_.arena_bytes / static_cast<size_t>(num_nodes);
-  node_arena_bytes_ &= ~(kHugePageSize - 1);
-  WSC_CHECK_GT(node_arena_bytes_, 0u);
-  for (int node = 0; node < num_nodes; ++node) {
-    nodes_.push_back(std::make_unique<NodeBackend>(
-        config, size_classes,
-        config_.arena_base + static_cast<uintptr_t>(node) * node_arena_bytes_,
-        node_arena_bytes_, &pagemap_));
+      sampler_(config.sample_interval_bytes),
+      // The arena, trimmed to whole hugepages (validation guarantees one).
+      system_(config_.arena_base, config_.arena_bytes & ~(kHugePageSize - 1),
+              kCostModel.mmap_ns),
+      page_heap_(size_classes, config, &system_, &pagemap_),
+      transfer_cache_(size_classes, config) {
+  int n = size_classes_->num_classes();
+  cfls_.reserve(n);
+  int cfl_lists = config.span_prioritization ? config.cfl_num_lists : 1;
+  for (int cls = 0; cls < n; ++cls) {
+    cfls_.push_back(std::make_unique<CentralFreeList>(
+        cls, size_classes->info(cls), cfl_lists, &page_heap_));
   }
 
-  int n = size_classes_->num_classes();
   vcpu_domain_.assign(config.num_vcpus, 0);
-  vcpu_node_.assign(config.num_vcpus, 0);
   live_objects_per_class_.assign(n, 0);
   cumulative_requested_per_class_.assign(n, 0.0);
   cumulative_allocs_per_class_.assign(n, 0);
@@ -109,8 +92,8 @@ Allocator::Allocator(const AllocatorConfig& config,
 
 Allocator::~Allocator() {
   // Large spans never flow through the CFLs, so free their metadata here.
-  large_objects_.ForEach([this](uintptr_t addr, const LargeObject& obj) {
-    nodes_[NodeOfAddr(addr)]->page_heap.FreeLargeSpan(obj.span);
+  large_objects_.ForEach([this](uintptr_t, const LargeObject& obj) {
+    page_heap_.FreeLargeSpan(obj.span);
   });
 }
 
@@ -120,28 +103,6 @@ void Allocator::SetVcpuDomain(int vcpu, int domain) {
   WSC_CHECK_GE(domain, 0);
   WSC_CHECK_LT(domain, std::max(config_.num_llc_domains, 1));
   vcpu_domain_[vcpu] = domain;
-}
-
-void Allocator::SetVcpuNode(int vcpu, int node) {
-  WSC_CHECK_GE(vcpu, 0);
-  WSC_CHECK_LT(vcpu, static_cast<int>(vcpu_node_.size()));
-  WSC_CHECK_GE(node, 0);
-  WSC_CHECK_LT(node, num_numa_nodes());
-  vcpu_node_[vcpu] = node;
-}
-
-int Allocator::NodeOfAddr(uintptr_t addr) const {
-  WSC_DCHECK_GE(addr, config_.arena_base);
-  size_t offset = addr - config_.arena_base;
-  int node = static_cast<int>(offset / node_arena_bytes_);
-  WSC_DCHECK_LT(node, num_numa_nodes());
-  return node;
-}
-
-double Allocator::MmapNsTotal() const {
-  double total = 0;
-  for (const auto& node : nodes_) total += node->system.stats().mmap_ns;
-  return total;
 }
 
 uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
@@ -154,23 +115,21 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
   }
   last_op_ns_ = kCostModel.other_ns;
   cycles_.other_ns += kCostModel.other_ns;
-  int node = vcpu_node_[vcpu];
 
   uintptr_t addr;
   size_t allocated_bytes;
   int cls = size_classes_->ClassFor(size);
   if (cls < 0) {
-    // Large allocation: straight to the (node-local) page heap, bypassing
-    // the caches.
-    double mmap_before = MmapNsTotal();
+    // Large allocation: straight to the page heap, bypassing the caches.
+    double mmap_before = system_.stats().mmap_ns;
     Length pages = BytesToLengthCeil(size);
-    Span* span = nodes_[node]->page_heap.NewLargeSpan(pages);
+    Span* span = page_heap_.NewLargeSpan(pages);
     if (span == nullptr) {
       // Arena growth denied (arena exhaustion): mobilize cached memory back
       // toward the page heap, then retry once.
       if (reclaimer_->EmergencyReclaimForGrowth()) {
         fail_emergency_recoveries_->Add();
-        span = nodes_[node]->page_heap.NewLargeSpan(pages);
+        span = page_heap_.NewLargeSpan(pages);
       }
       if (span == nullptr) {
         fail_alloc_failures_->Add();
@@ -188,7 +147,7 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
     ++alloc_hits_.page_heap;
     cycles_.page_heap_ns += kCostModel.page_heap_ns;
     last_op_ns_ += kCostModel.page_heap_ns;
-    double mmap_delta = MmapNsTotal() - mmap_before;
+    double mmap_delta = system_.stats().mmap_ns - mmap_before;
     if (mmap_delta > 0) {
       cycles_.mmap_ns += mmap_delta;
       last_op_ns_ += mmap_delta;
@@ -202,7 +161,7 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
       cycles_.cpu_cache_ns += kCostModel.cpu_cache_hit_ns;
       last_op_ns_ += kCostModel.cpu_cache_hit_ns;
     } else {
-      addr = SlowPathAllocate(cls, vcpu, node);
+      addr = SlowPathAllocate(cls, vcpu);
       if (addr == 0) {
         // Growth denied at every tier and the emergency cascade ran dry:
         // a counted, surfaced failure.
@@ -243,23 +202,22 @@ uintptr_t Allocator::Allocate(size_t size, int vcpu, SimTime now,
   return addr;
 }
 
-uintptr_t Allocator::SlowPathAllocate(int cls, int vcpu, int node) {
-  NodeBackend& backend = *nodes_[node];
+uintptr_t Allocator::SlowPathAllocate(int cls, int vcpu) {
   int domain = vcpu_domain_[vcpu];
   int batch = size_classes_->batch_size(cls);
   WSC_CHECK_LE(batch, static_cast<int>(batch_.size()));
 
-  // Fetch a batch from the node's transfer cache.
-  int got = backend.transfer_cache.Remove(domain, cls, batch_.data(), batch);
+  // Fetch a batch from the transfer cache.
+  int got = transfer_cache_.Remove(domain, cls, batch_.data(), batch);
   cycles_.transfer_cache_ns += kCostModel.transfer_cache_ns;
   last_op_ns_ += kCostModel.transfer_cache_ns;
 
   if (got < batch) {
     // Transfer cache exhausted: extract the remainder from the central
     // free list (which may fetch spans from the page heap).
-    CentralFreeList& cfl = *backend.cfls[cls];
+    CentralFreeList& cfl = *cfls_[cls];
     uint64_t spans_before = cfl.stats().fetched_spans;
-    double mmap_before = MmapNsTotal();
+    double mmap_before = system_.stats().mmap_ns;
     got += cfl.RemoveRange(batch_.data() + got, batch - got);
     cycles_.central_free_list_ns += kCostModel.central_free_list_ns;
     last_op_ns_ += kCostModel.central_free_list_ns;
@@ -270,7 +228,7 @@ uintptr_t Allocator::SlowPathAllocate(int cls, int vcpu, int node) {
       cycles_.page_heap_ns += ph_ns;
       last_op_ns_ += ph_ns;
       ++alloc_hits_.page_heap;
-      double mmap_delta = MmapNsTotal() - mmap_before;
+      double mmap_delta = system_.stats().mmap_ns - mmap_before;
       if (mmap_delta > 0) {
         cycles_.mmap_ns += mmap_delta;
         last_op_ns_ += mmap_delta;
@@ -289,7 +247,7 @@ uintptr_t Allocator::SlowPathAllocate(int cls, int vcpu, int node) {
     // before surfacing the failure.
     if (reclaimer_->EmergencyReclaimForGrowth()) {
       fail_emergency_recoveries_->Add();
-      got = backend.cfls[cls]->RemoveRange(batch_.data(), batch);
+      got = cfls_[cls]->RemoveRange(batch_.data(), batch);
       cycles_.central_free_list_ns += kCostModel.central_free_list_ns;
       last_op_ns_ += kCostModel.central_free_list_ns;
     }
@@ -309,8 +267,8 @@ uintptr_t Allocator::SlowPathAllocate(int cls, int vcpu, int node) {
   if (accepted < to_cache) {
     // Cache at byte capacity: return the leftovers to the middle tier.
     int leftover = to_cache - accepted;
-    int back = backend.transfer_cache.Insert(
-        domain, cls, batch_.data() + 1 + accepted, leftover);
+    int back = transfer_cache_.Insert(domain, cls,
+                                      batch_.data() + 1 + accepted, leftover);
     if (back < leftover) {
       ReturnToCfl(cls, batch_.data() + 1 + accepted + back, leftover - back);
     }
@@ -336,7 +294,7 @@ void Allocator::Free(uintptr_t addr, int vcpu, SimTime now,
     WSC_CHECK(obj != nullptr);
     large_live_requested_ -= static_cast<double>(obj->requested);
     large_objects_.Erase(addr);
-    nodes_[NodeOfAddr(addr)]->page_heap.FreeLargeSpan(span);
+    page_heap_.FreeLargeSpan(span);
     cycles_.page_heap_ns += kCostModel.page_heap_ns;
     last_op_ns_ += kCostModel.page_heap_ns;
     if (callsite != 0) {
@@ -378,8 +336,9 @@ void Allocator::Free(uintptr_t addr, int vcpu, SimTime now,
 }
 
 void Allocator::SlowPathFree(int cls, int vcpu, uintptr_t obj) {
-  // The cache is full: push a batch down to make room, then retry. Each
-  // extracted object routes to the transfer cache of its owning node.
+  // The cache is full: push a batch down to make room, then retry. The
+  // objects go down one at a time, each to the central free list when the
+  // transfer cache refuses it.
   int domain = vcpu_domain_[vcpu];
   int batch = size_classes_->batch_size(cls);
   int extracted = cpu_caches_.ExtractBatch(vcpu, cls, batch_.data(), batch);
@@ -388,8 +347,7 @@ void Allocator::SlowPathFree(int cls, int vcpu, uintptr_t obj) {
   bool cfl_charged = false;
   for (int i = 0; i < extracted; ++i) {
     uintptr_t o = batch_[i];
-    NodeBackend& backend = *nodes_[NodeOfAddr(o)];
-    if (backend.transfer_cache.Insert(domain, cls, &o, 1) == 0) {
+    if (transfer_cache_.Insert(domain, cls, &o, 1) == 0) {
       if (!cfl_charged) {
         cycles_.central_free_list_ns += kCostModel.central_free_list_ns;
         last_op_ns_ += kCostModel.central_free_list_ns;
@@ -400,11 +358,9 @@ void Allocator::SlowPathFree(int cls, int vcpu, uintptr_t obj) {
   }
   // Retry the fast path; with a freed-up cache this must succeed unless
   // the cache capacity is smaller than one object, in which case bypass.
-  if (!cpu_caches_.Deallocate(vcpu, cls, obj)) {
-    NodeBackend& backend = *nodes_[NodeOfAddr(obj)];
-    if (backend.transfer_cache.Insert(domain, cls, &obj, 1) == 0) {
-      ReturnToCfl(cls, &obj, 1);
-    }
+  if (!cpu_caches_.Deallocate(vcpu, cls, obj) &&
+      transfer_cache_.Insert(domain, cls, &obj, 1) == 0) {
+    ReturnToCfl(cls, &obj, 1);
   }
 }
 
@@ -412,7 +368,7 @@ void Allocator::ReturnToCfl(int cls, const uintptr_t* objs, int n) {
   for (int i = 0; i < n; ++i) {
     Span* span = pagemap_.LookupAddr(objs[i]);
     WSC_CHECK(span != nullptr);
-    nodes_[NodeOfAddr(objs[i])]->cfls[cls]->InsertObject(span, objs[i]);
+    cfls_[cls]->InsertObject(span, objs[i]);
   }
 }
 
@@ -422,8 +378,7 @@ void Allocator::Maintain(SimTime now) {
     cpu_caches_.ResizeStep([this](int cls, const uintptr_t* objs, int n) {
       for (int i = 0; i < n; ++i) {
         uintptr_t obj = objs[i];
-        NodeBackend& backend = *nodes_[NodeOfAddr(obj)];
-        if (backend.transfer_cache.Insert(/*domain=*/0, cls, &obj, 1) == 0) {
+        if (transfer_cache_.Insert(/*domain=*/0, cls, &obj, 1) == 0) {
           ReturnToCfl(cls, &obj, 1);
         }
       }
@@ -431,17 +386,14 @@ void Allocator::Maintain(SimTime now) {
   }
   if (now - last_plunder_ >= kNucaPlunderInterval) {
     last_plunder_ = now;
-    for (auto& node : nodes_) {
-      if (node->transfer_cache.nuca_enabled()) node->transfer_cache.Plunder();
-      node->transfer_cache.DrainCold(
-          [this](int cls, const uintptr_t* objs, int n) {
-            ReturnToCfl(cls, objs, n);
-          });
-    }
+    if (transfer_cache_.nuca_enabled()) transfer_cache_.Plunder();
+    transfer_cache_.DrainCold([this](int cls, const uintptr_t* objs, int n) {
+      ReturnToCfl(cls, objs, n);
+    });
   }
   if (now - last_release_ >= kReleaseInterval) {
     last_release_ = now;
-    for (auto& node : nodes_) node->page_heap.BackgroundRelease();
+    page_heap_.BackgroundRelease();
   }
   // The pressure actor rides the same cadence as the production background
   // thread: every Maintain boundary it compares footprint to the soft
@@ -450,15 +402,11 @@ void Allocator::Maintain(SimTime now) {
 }
 
 size_t Allocator::FootprintBytes() const {
-  size_t footprint =
-      live_bytes_ + large_live_bytes_ + cpu_caches_.TotalCachedBytes();
-  for (const auto& node : nodes_) {
-    footprint += node->transfer_cache.TotalCachedBytes();
-    for (const auto& cfl : node->cfls) {
-      footprint += cfl->FreeObjectBytes();
-    }
-    footprint += node->page_heap.stats().TotalFree();
-  }
+  size_t footprint = live_bytes_ + large_live_bytes_ +
+                     cpu_caches_.TotalCachedBytes() +
+                     transfer_cache_.TotalCachedBytes() +
+                     page_heap_.stats().TotalFree();
+  for (const auto& cfl : cfls_) footprint += cfl->FreeObjectBytes();
   return footprint;
 }
 
@@ -478,60 +426,16 @@ HeapStats Allocator::CollectStats() const {
   stats.requested_bytes = static_cast<size_t>(requested);
 
   stats.cpu_cache_free = cpu_caches_.TotalCachedBytes();
-  for (const auto& node : nodes_) {
-    stats.transfer_cache_free += node->transfer_cache.TotalCachedBytes();
-    for (const auto& cfl : node->cfls) {
-      stats.central_free_list_free += cfl->FreeObjectBytes();
-    }
-    PageHeapStats ph = node->page_heap.stats();
-    // Pages held by CFL spans are "used" from the page heap's perspective;
-    // the page heap's own fragmentation is its free (unreleased) space.
-    stats.page_heap_free += ph.TotalFree();
-    stats.released_bytes += ph.TotalReleased();
+  stats.transfer_cache_free = transfer_cache_.TotalCachedBytes();
+  for (const auto& cfl : cfls_) {
+    stats.central_free_list_free += cfl->FreeObjectBytes();
   }
+  PageHeapStats ph = page_heap_.stats();
+  // Pages held by CFL spans are "used" from the page heap's perspective;
+  // the page heap's own fragmentation is its free (unreleased) space.
+  stats.page_heap_free = ph.TotalFree();
+  stats.released_bytes = ph.TotalReleased();
   return stats;
-}
-
-SystemStats Allocator::system_stats() const {
-  SystemStats total;
-  for (const auto& node : nodes_) {
-    const SystemStats& s = node->system.stats();
-    total.mmap_calls += s.mmap_calls;
-    total.mapped_bytes += s.mapped_bytes;
-    total.mmap_ns += s.mmap_ns;
-  }
-  return total;
-}
-
-PageHeapStats Allocator::page_heap_stats() const {
-  PageHeapStats total;
-  for (const auto& node : nodes_) {
-    PageHeapStats s = node->page_heap.stats();
-    total.filler_used += s.filler_used;
-    total.filler_free += s.filler_free;
-    total.filler_released += s.filler_released;
-    total.region_used += s.region_used;
-    total.region_free += s.region_free;
-    total.cache_used += s.cache_used;
-    total.cache_free += s.cache_free;
-    total.cache_released += s.cache_released;
-  }
-  return total;
-}
-
-bool Allocator::IsHugepageBacked(uintptr_t addr) const {
-  return nodes_[NodeOfAddr(addr)]->page_heap.IsHugepageBacked(addr);
-}
-
-double Allocator::HugepageCoverage() const {
-  double intact_used = 0, in_use = 0;
-  for (const auto& node : nodes_) {
-    PageHeapStats s = node->page_heap.stats();
-    in_use += static_cast<double>(s.TotalInUse());
-    intact_used += node->page_heap.HugepageCoverage() *
-                   static_cast<double>(s.TotalInUse());
-  }
-  return in_use > 0 ? intact_used / in_use : 1.0;
 }
 
 void Allocator::RecordHeapSample(const HeapStats& heap) {
@@ -580,51 +484,38 @@ telemetry::Snapshot Allocator::TelemetrySnapshot() {
                     alloc_hits_.page_heap);
   reg.ExportCounter("allocator", "alloc_hits_mmap", alloc_hits_.mmap);
 
-  // Every tier of every NUMA node contributes into the shared component
-  // namespaces; multi-instance tiers accumulate.
+  // Every tier contributes into the shared component namespaces; the
+  // per-class central free lists accumulate.
   cpu_caches_.ContributeTelemetry(reg);
-  for (const auto& node : nodes_) {
-    node->transfer_cache.ContributeTelemetry(reg);
-    for (const auto& cfl : node->cfls) {
-      cfl->ContributeTelemetry(reg);
-    }
-    node->page_heap.ContributeTelemetry(reg);
-    node->system.ContributeTelemetry(reg);
-  }
+  transfer_cache_.ContributeTelemetry(reg);
+  for (const auto& cfl : cfls_) cfl->ContributeTelemetry(reg);
+  page_heap_.ContributeTelemetry(reg);
+  system_.ContributeTelemetry(reg);
   reclaimer_->ContributeTelemetry(reg);
 
   // Failure component: the recovery live handles registered at
-  // construction are joined by the per-tier denial counts, so
-  // GetProperty("failure.*") sees every growth failure and recovery in
-  // one place.
+  // construction are joined by the per-tier denial counts, so the
+  // snapshot's "failure" component holds every growth failure and
+  // recovery in one place.
   {
-    uint64_t mmap_denied = 0, huge_alloc_failures = 0;
-    uint64_t filler_growth = 0, cross_set = 0;
-    uint64_t region_growth = 0, span_fetch = 0;
-    uint64_t large_fallbacks = 0, large_failures = 0;
-    for (const auto& node : nodes_) {
-      mmap_denied += node->system.stats().mmap_failures;
-      huge_alloc_failures +=
-          node->page_heap.cache_stats().allocation_failures;
-      const FillerStats filler = node->page_heap.filler_stats();
-      filler_growth += filler.growth_failures;
-      cross_set += filler.cross_set_fallbacks;
-      region_growth += node->page_heap.region_growth_failures();
-      large_fallbacks += node->page_heap.large_fallbacks();
-      large_failures += node->page_heap.large_failures();
-      for (const auto& cfl : node->cfls) {
-        span_fetch += cfl->span_fetch_failures();
-      }
-    }
-    reg.ExportCounter("failure", "mmap_denied", mmap_denied);
+    uint64_t span_fetch = 0;
+    for (const auto& cfl : cfls_) span_fetch += cfl->span_fetch_failures();
+    const FillerStats filler = page_heap_.filler_stats();
+    reg.ExportCounter("failure", "mmap_denied",
+                      system_.stats().mmap_failures);
     reg.ExportCounter("failure", "huge_cache_allocation_failures",
-                      huge_alloc_failures);
-    reg.ExportCounter("failure", "filler_growth_failures", filler_growth);
-    reg.ExportCounter("failure", "filler_cross_set_fallbacks", cross_set);
-    reg.ExportCounter("failure", "region_growth_failures", region_growth);
+                      page_heap_.cache_stats().allocation_failures);
+    reg.ExportCounter("failure", "filler_growth_failures",
+                      filler.growth_failures);
+    reg.ExportCounter("failure", "filler_cross_set_fallbacks",
+                      filler.cross_set_fallbacks);
+    reg.ExportCounter("failure", "region_growth_failures",
+                      page_heap_.region_growth_failures());
     reg.ExportCounter("failure", "span_fetch_failures", span_fetch);
-    reg.ExportCounter("failure", "large_fallbacks", large_fallbacks);
-    reg.ExportCounter("failure", "large_failures", large_failures);
+    reg.ExportCounter("failure", "large_fallbacks",
+                      page_heap_.large_fallbacks());
+    reg.ExportCounter("failure", "large_failures",
+                      page_heap_.large_failures());
   }
 
   // Sampler component: sample counts plus the all-sizes lifetime
@@ -711,8 +602,7 @@ trace::HeapProfile Allocator::CollectHeapProfile() const {
   // (callsite, hugepage) pair counts once.
   std::map<std::pair<uint64_t, uint64_t>, bool> seen;
   for (const auto& [addr, sample] : sampler_.SortedLiveSamples()) {
-    const PageHeap& heap = nodes_[NodeOfAddr(addr)]->page_heap;
-    size_t free_bytes = heap.FragmentedBytesOnHugepage(addr);
+    size_t free_bytes = page_heap_.FragmentedBytesOnHugepage(addr);
     if (free_bytes == 0) continue;
     uint64_t hp = addr / kHugePageSize;
     if (!seen.emplace(std::make_pair(sample.callsite, hp), true).second) {

@@ -13,14 +13,6 @@
 // emergent. The allocator manages a virtual arena: returned values are
 // addresses in a reserved numeric address space, and all object state lives
 // in allocator metadata (spans, bitmaps, pagemap).
-//
-// NUMA mode (Section 5): when `numa_aware` is set, the middle tier and the
-// page allocator are duplicated per NUMA node — exactly TCMalloc's NUMA
-// support — with the arena split into one slice per node, so allocations
-// made on a node always return node-local memory and frees route back to
-// the owning node's hierarchy. The per-CPU front end stays shared (as in
-// TCMalloc, whose per-CPU caches are naturally node-local because threads
-// rarely migrate across nodes).
 
 #ifndef WSC_TCMALLOC_ALLOCATOR_H_
 #define WSC_TCMALLOC_ALLOCATOR_H_
@@ -160,22 +152,7 @@ class Allocator {
   void SetVcpuDomain(int vcpu, int domain);
   int DomainOfVcpu(int vcpu) const { return vcpu_domain_[vcpu]; }
 
-  // Updates the vCPU -> NUMA node mapping (no-op in single-node mode).
-  void SetVcpuNode(int vcpu, int node);
-  int NodeOfVcpu(int vcpu) const { return vcpu_node_[vcpu]; }
-
-  // NUMA node owning an arena address.
-  int NodeOfAddr(uintptr_t addr) const;
-
-  int num_numa_nodes() const { return static_cast<int>(nodes_.size()); }
-
   // --- Introspection ---
-  //
-  // NOTE: outside src/tcmalloc/ these raw accessors (and the per-component
-  // ones below) are DEPRECATED in favor of the MallocExtension facade
-  // (malloc_extension.h) — the single sanctioned surface for benches,
-  // tests, and the fleet layer. In-tree white-box tests may still reach
-  // into components directly.
   HeapStats CollectStats() const;
   const MallocCycleBreakdown& cycle_breakdown() const { return cycles_; }
   const TierHitCounts& alloc_tier_hits() const { return alloc_hits_; }
@@ -185,7 +162,8 @@ class Allocator {
   // GWP-style telemetry: every tier publishes named metrics into this
   // process's registry; the returned snapshot carries all of them plus the
   // allocator-level aggregates. The fleet layer snapshots each process and
-  // merges the results in machine-index order.
+  // merges the results in machine-index order. Read one metric with
+  // Snapshot::Find(component, name), e.g. ("pressure", "reclaimed_bytes").
   telemetry::Snapshot TelemetrySnapshot();
 
   // --- Heap profiler ---
@@ -215,7 +193,8 @@ class Allocator {
   // requested-size estimation). O(#vcpus + #classes + #hugepages).
   size_t FootprintBytes() const;
 
-  // The memory-pressure control plane (limits, reclaim cascade).
+  // The memory-pressure control plane: soft and hard limits, the reclaim
+  // cascade and ReleaseMemoryToSystem.
   BackgroundReclaimer& reclaimer() { return *reclaimer_; }
   const BackgroundReclaimer& reclaimer() const { return *reclaimer_; }
 
@@ -225,40 +204,32 @@ class Allocator {
   CpuCacheSet& cpu_caches() { return cpu_caches_; }
   const CpuCacheSet& cpu_caches() const { return cpu_caches_; }
 
-  // Per-node component accessors (node defaults to 0, which is the only
-  // node unless NUMA mode is on).
-  TransferCache& transfer_cache(int node = 0) {
-    return nodes_[node]->transfer_cache;
+  TransferCache& transfer_cache() { return transfer_cache_; }
+  const TransferCache& transfer_cache() const { return transfer_cache_; }
+  CentralFreeList& central_free_list(int cls) { return *cfls_[cls]; }
+  const CentralFreeList& central_free_list(int cls) const {
+    return *cfls_[cls];
   }
-  const TransferCache& transfer_cache(int node = 0) const {
-    return nodes_[node]->transfer_cache;
-  }
-  CentralFreeList& central_free_list(int cls, int node = 0) {
-    return *nodes_[node]->cfls[cls];
-  }
-  const CentralFreeList& central_free_list(int cls, int node = 0) const {
-    return *nodes_[node]->cfls[cls];
-  }
-  PageHeap& page_heap(int node = 0) { return nodes_[node]->page_heap; }
-  const PageHeap& page_heap(int node = 0) const {
-    return nodes_[node]->page_heap;
-  }
+  PageHeap& page_heap() { return page_heap_; }
+  const PageHeap& page_heap() const { return page_heap_; }
   const PageMap& pagemap() const { return pagemap_; }
   Sampler& sampler() { return sampler_; }
   const Sampler& sampler() const { return sampler_; }
 
-  // Aggregated system stats across all nodes' arenas.
-  SystemStats system_stats() const;
+  // The arena's mmap traffic.
+  const SystemStats& system_stats() const { return system_.stats(); }
 
-  // Aggregated page-heap stats across nodes (Fig. 15).
-  PageHeapStats page_heap_stats() const;
+  // The page heap's component breakdown (Fig. 15).
+  PageHeapStats page_heap_stats() const { return page_heap_.stats(); }
 
   // True if the (live) address is backed by an intact transparent
-  // hugepage, whichever node owns it.
-  bool IsHugepageBacked(uintptr_t addr) const;
+  // hugepage.
+  bool IsHugepageBacked(uintptr_t addr) const {
+    return page_heap_.IsHugepageBacked(addr);
+  }
 
-  // In-use-byte-weighted hugepage coverage across nodes (Fig. 17a).
-  double HugepageCoverage() const;
+  // Fraction of in-use page-heap bytes on intact hugepages (Fig. 17a).
+  double HugepageCoverage() const { return page_heap_.HugepageCoverage(); }
 
   // True when `addr` is live from the application's perspective.
   bool IsLiveObject(uintptr_t addr) const;
@@ -268,44 +239,33 @@ class Allocator {
   // allocator's own control plane, not an external client).
   friend class BackgroundReclaimer;
 
-  // One per-NUMA-node middle/back end: its own arena slice, page heap,
-  // central free lists, and transfer cache.
-  struct NodeBackend {
-    NodeBackend(const AllocatorConfig& config,
-                const SizeClasses* size_classes, uintptr_t base,
-                size_t bytes, PageMap* pagemap);
-
-    SystemAllocator system;
-    PageHeap page_heap;
-    std::vector<std::unique_ptr<CentralFreeList>> cfls;
-    TransferCache transfer_cache;
-  };
-
   // Moves one object of class `cls` into the caller after an underflow,
-  // refilling the vCPU cache from node `node`'s middle tier.
-  uintptr_t SlowPathAllocate(int cls, int vcpu, int node);
+  // refilling the vCPU cache from the middle tier.
+  uintptr_t SlowPathAllocate(int cls, int vcpu);
 
-  // Pushes overflow objects down to the transfer cache / central free list
-  // of each object's owning node.
+  // Pushes overflow objects down to the transfer cache / central free
+  // list.
   void SlowPathFree(int cls, int vcpu, uintptr_t obj);
 
-  // Returns objects to the CFLs of their owning spans (per-object node
-  // routing).
+  // Returns objects to the CFLs of their owning spans.
   void ReturnToCfl(int cls, const uintptr_t* objs, int n);
-
-  double MmapNsTotal() const;
 
   AllocatorConfig config_;
   const SizeClasses* size_classes_;
 
   PageMap pagemap_;
-  std::vector<std::unique_ptr<NodeBackend>> nodes_;
-  size_t node_arena_bytes_ = 0;
   CpuCacheSet cpu_caches_;
   Sampler sampler_;
 
+  // The middle and back end, in construction order: the arena, the page
+  // heap on it, the transfer cache, and one central free list per class
+  // (filled in the constructor's body, after the transfer cache).
+  SystemAllocator system_;
+  PageHeap page_heap_;
+  std::vector<std::unique_ptr<CentralFreeList>> cfls_;
+  TransferCache transfer_cache_;
+
   std::vector<int> vcpu_domain_;
-  std::vector<int> vcpu_node_;
 
   // Live accounting. Internal fragmentation is estimated statistically:
   // exact per-object requested sizes are not stored (that would double the

@@ -82,7 +82,7 @@ void BackgroundReclaimer::Tick(SimTime now) {
 }
 
 size_t BackgroundReclaimer::ReleaseMemoryToSystem(size_t bytes) {
-  size_t released = ReleaseBackend(bytes);
+  size_t released = allocator_->page_heap_.ReleaseForPressure(bytes);
   reclaimed_bytes_->Add(released);
   footprint_cache_valid_ = false;
   return released;
@@ -148,6 +148,9 @@ size_t BackgroundReclaimer::ReclaimTiers(size_t target_bytes) {
   auto to_cfl = [this](int cls, const uintptr_t* objs, int n) {
     allocator_->ReturnToCfl(cls, objs, n);
   };
+  // Every tier ends by releasing the deficit from the back end (tier 4's
+  // mechanics); it stops early when the back end runs dry.
+  PageHeap& page_heap = allocator_->page_heap_;
 
   size_t footprint = allocator_->FootprintBytes();
 
@@ -161,21 +164,17 @@ size_t BackgroundReclaimer::ReclaimTiers(size_t target_bytes) {
     size_t flushed =
         allocator_->cpu_caches_.ShrinkForPressure(floor, to_cfl);
     tier_cpu_cache_hist_->Record(static_cast<double>(flushed));
-    released += ReleaseBackend(footprint - target_bytes);
+    released += page_heap.ReleaseForPressure(footprint - target_bytes);
     footprint = allocator_->FootprintBytes();
   }
 
   // Tier 2: plunder NUCA shards, then drain the whole transfer cache.
   if (footprint > target_bytes) {
-    size_t drained = 0;
-    for (auto& node : allocator_->nodes_) {
-      if (node->transfer_cache.nuca_enabled()) {
-        node->transfer_cache.Plunder();
-      }
-      drained += node->transfer_cache.DrainAll(to_cfl);
-    }
+    TransferCache& transfer_cache = allocator_->transfer_cache_;
+    if (transfer_cache.nuca_enabled()) transfer_cache.Plunder();
+    size_t drained = transfer_cache.DrainAll(to_cfl);
     tier_transfer_cache_hist_->Record(static_cast<double>(drained));
-    released += ReleaseBackend(footprint - target_bytes);
+    released += page_heap.ReleaseForPressure(footprint - target_bytes);
     footprint = allocator_->FootprintBytes();
   }
 
@@ -188,7 +187,7 @@ size_t BackgroundReclaimer::ReclaimTiers(size_t target_bytes) {
   // Tier 4: whatever deficit remains comes straight out of the back end —
   // aggressive subrelease of sparse hugepages, no demand guard.
   if (footprint > target_bytes) {
-    released += ReleaseBackend(footprint - target_bytes);
+    released += page_heap.ReleaseForPressure(footprint - target_bytes);
   }
 
   tier_page_heap_hist_->Record(static_cast<double>(released));
@@ -197,31 +196,11 @@ size_t BackgroundReclaimer::ReclaimTiers(size_t target_bytes) {
   return released;
 }
 
-size_t BackgroundReclaimer::ReleaseBackend(size_t deficit) {
-  size_t released = 0;
-  for (auto& node : allocator_->nodes_) {
-    if (released >= deficit) break;
-    released += node->page_heap.ReleaseForPressure(deficit - released);
-  }
-  return released;
-}
-
-size_t BackgroundReclaimer::TotalReleasedBytes() const {
-  size_t total = 0;
-  for (const auto& node : allocator_->nodes_) {
-    total += node->page_heap.stats().TotalReleased();
-  }
-  return total;
-}
-
 std::vector<uint64_t> BackgroundReclaimer::SnapshotReturnedSpans() const {
   std::vector<uint64_t> counts;
-  counts.reserve(allocator_->nodes_.size() *
-                 static_cast<size_t>(allocator_->size_classes().num_classes()));
-  for (const auto& node : allocator_->nodes_) {
-    for (const auto& cfl : node->cfls) {
-      counts.push_back(cfl->stats().returned_spans);
-    }
+  counts.reserve(allocator_->cfls_.size());
+  for (const auto& cfl : allocator_->cfls_) {
+    counts.push_back(cfl->stats().returned_spans);
   }
   return counts;
 }
@@ -230,13 +209,11 @@ size_t BackgroundReclaimer::ReturnedSpanBytesSince(
     const std::vector<uint64_t>& before) const {
   const SizeClasses& classes = allocator_->size_classes();
   size_t bytes = 0;
-  size_t i = 0;
-  for (const auto& node : allocator_->nodes_) {
-    for (int cls = 0; cls < classes.num_classes(); ++cls, ++i) {
-      uint64_t delta = node->cfls[cls]->stats().returned_spans - before[i];
-      bytes += static_cast<size_t>(delta) *
-               LengthToBytes(classes.pages_per_span(cls));
-    }
+  for (int cls = 0; cls < classes.num_classes(); ++cls) {
+    uint64_t delta = allocator_->cfls_[cls]->stats().returned_spans -
+                     before[cls];
+    bytes += static_cast<size_t>(delta) *
+             LengthToBytes(classes.pages_per_span(cls));
   }
   return bytes;
 }

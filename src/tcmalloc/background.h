@@ -46,7 +46,7 @@ enum class MemoryLimitKind {
 };
 
 // One reclaim actor per Allocator (constructed by the allocator itself;
-// reach it through Allocator::reclaimer() or the MallocExtension facade).
+// reach it through Allocator::reclaimer()).
 class BackgroundReclaimer {
  public:
   explicit BackgroundReclaimer(Allocator* allocator);
@@ -66,7 +66,7 @@ class BackgroundReclaimer {
   void Tick(SimTime now);
 
   // Releases up to `bytes` of free back-end memory to the OS immediately
-  // (MallocExtension::ReleaseMemoryToSystem). Returns bytes released.
+  // (TCMalloc's ReleaseMemoryToSystem). Returns bytes released.
   size_t ReleaseMemoryToSystem(size_t bytes);
 
   // Hard-limit admission check for Allocator::Allocate. Returns false —
@@ -100,15 +100,8 @@ class BackgroundReclaimer {
   // the OS.
   size_t ReclaimTiers(size_t target_bytes);
 
-  // Releases free back-end memory (tier 4 mechanics) until `deficit`
-  // bytes are released or the back end runs dry. Returns bytes released.
-  size_t ReleaseBackend(size_t deficit);
-
-  // Sum over nodes of page-heap bytes released to the OS.
-  size_t TotalReleasedBytes() const;
-
-  // Per-(node, class) returned-span counters, used to attribute tier-3
-  // bytes (spans the central free lists return while tiers 1-2 flush).
+  // Per-class returned-span counters, used to attribute tier-3 bytes
+  // (spans the central free lists return while tiers 1-2 flush).
   std::vector<uint64_t> SnapshotReturnedSpans() const;
   size_t ReturnedSpanBytesSince(const std::vector<uint64_t>& before) const;
 

@@ -58,20 +58,14 @@ std::string AllocatorConfig::ValidationError() const {
     return BadKnob("filler_capacity_threshold must be >= 1",
                    "pass a positive threshold to WithFillerCapacityThreshold()");
   }
-  if (num_numa_nodes < 1) {
-    return BadKnob("num_numa_nodes must be >= 1",
-                   "pass a positive count to WithNumaNodes()");
-  }
   if (sample_interval_bytes < 1) {
     return BadKnob("sample_interval_bytes must be >= 1",
                    "pass a positive interval to WithSampleIntervalBytes()");
   }
-  int nodes = numa_aware ? num_numa_nodes : 1;
-  if (arena_bytes / static_cast<size_t>(nodes) < kHugePageSize) {
-    return BadKnob(
-        "arena_bytes too small",
-        "each (per-node) arena slice needs at least one hugepage; enlarge "
-        "WithArena()");
+  if (arena_bytes < kHugePageSize) {
+    return BadKnob("arena_bytes too small",
+                   "the arena needs at least one hugepage; enlarge "
+                   "WithArena()");
   }
   if (soft_limit_bytes != 0 && hard_limit_bytes != 0 &&
       soft_limit_bytes > hard_limit_bytes) {
@@ -181,12 +175,6 @@ AllocatorConfig::Builder::WithFillerCapacityThreshold(int threshold) {
   return *this;
 }
 
-AllocatorConfig::Builder& AllocatorConfig::Builder::WithNumaNodes(int n) {
-  config_.numa_aware = true;
-  config_.num_numa_nodes = n;
-  return *this;
-}
-
 AllocatorConfig::Builder& AllocatorConfig::Builder::WithSampleIntervalBytes(
     size_t bytes) {
   config_.sample_interval_bytes = bytes;
@@ -252,12 +240,6 @@ std::optional<AllocatorConfig> AllocatorConfig::Builder::TryBuild(
         "a NUCA transfer cache shards per LLC domain; pass WithLlcDomains(n "
         ">= 2), or drop WithLlcDomains() to derive the count from the "
         "machine topology"));
-  }
-  if (config_.numa_aware && config_.num_numa_nodes < 2) {
-    return fail(BadKnob(
-        "numa_aware requires num_numa_nodes >= 2",
-        "NUMA mode duplicates the middle/back end per node; pass "
-        "WithNumaNodes(n >= 2)"));
   }
   // Real-memory combination checks: TryBuild reports, never aborts.
   if (!config_.real_memory && config_.real_memory_reserve_bytes != 0) {

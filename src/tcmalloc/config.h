@@ -68,15 +68,6 @@ struct AllocatorConfig {
   // hugepage sets (paper: 16).
   int filler_capacity_threshold = 16;
 
-  // ---- NUMA awareness (Section 5) ----
-  // TCMalloc's NUMA mode duplicates the size-class caches and the page
-  // allocator per NUMA node so allocations always return node-local
-  // memory. When enabled, the arena is split into one slice per node and
-  // every middle/back-end structure is instantiated per node. fleet::Machine
-  // sets the node count from the machine topology when it places a process.
-  bool numa_aware = false;
-  int num_numa_nodes = 1;
-
   // ---- Sampling (Section 3) ----
   // Sample one allocation for every this many allocated bytes.
   size_t sample_interval_bytes = 2 * 1024 * 1024;
@@ -137,11 +128,11 @@ struct AllocatorConfig {
 //
 //   auto config = tcmalloc::AllocatorConfig::Builder()
 //                     .WithDynamicCpuCaches()
-//                     .WithNumaNodes(2)
+//                     .WithSoftMemoryLimit(size_t{1} << 30)
 //                     .Build();
 //
 // Build() aborts with an actionable message on invalid knob combinations
-// (e.g. NUCA with fewer than two LLC domains, NUMA with a single node);
+// (e.g. NUCA with fewer than two LLC domains);
 // TryBuild() reports the error instead. Enabling a topology-dependent
 // feature without an explicit count leaves the count at kTopologyDerived,
 // to be resolved by fleet::Machine at placement time.
@@ -173,10 +164,6 @@ class AllocatorConfig::Builder {
   // ---- Hugepage filler / release ----
   Builder& WithLifetimeAwareFiller(bool on = true);
   Builder& WithFillerCapacityThreshold(int threshold);
-
-  // ---- NUMA ----
-  // Enables NUMA mode with an explicit node count (must be >= 2).
-  Builder& WithNumaNodes(int n);
 
   // ---- Sampling / arena ----
   Builder& WithSampleIntervalBytes(size_t bytes);

@@ -80,7 +80,7 @@ class PageHeap : public SpanSource, private HugePageBacking {
   void BackgroundRelease();
 
   // Pressure-driven release (the background reclaimer's final tier, also
-  // backing MallocExtension::ReleaseMemoryToSystem): returns up to
+  // backing BackgroundReclaimer::ReleaseMemoryToSystem): returns up to
   // `target_bytes` of free back-end memory to the OS — whole cached
   // hugepages first (cheapest: no live THP mapping breaks), then
   // aggressive filler subrelease with no demand guard. Returns the bytes

@@ -15,15 +15,17 @@ namespace {
 constexpr int kMaxBatch = 64;
 
 // Pop / push over an intrusive freelist whose link is the object's first
-// word. TakeIntrusive pops up to `want` objects into `out`.
+// word. TakeIntrusive pops up to `want` objects into `out`. `count`
+// changes through RelaxedAdd: for a thread cache's list a snapshot may
+// read it meanwhile.
 int TakeIntrusive(uintptr_t& head, uint32_t& count, uintptr_t* out,
                   int want) {
-  int take = std::min(want, static_cast<int>(count));
+  int take = std::min(want, static_cast<int>(RelaxedLoad(count)));
   for (int i = 0; i < take; ++i) {
     out[i] = head;
     head = *reinterpret_cast<uintptr_t*>(head);
   }
-  count -= static_cast<uint32_t>(take);
+  RelaxedAdd(count, -take);
   return take;
 }
 
@@ -34,7 +36,7 @@ void PutIntrusive(uintptr_t& head, uint32_t& count, const uintptr_t* objs,
     *reinterpret_cast<uintptr_t*>(objs[i]) = head;
     head = objs[i];
   }
-  count += static_cast<uint32_t>(n);
+  RelaxedAdd(count, n);
 }
 
 // Default reservation. Untouched address space is nearly free, but the
@@ -593,7 +595,7 @@ void RealThreadsAllocator::FlushThreadCache(RealThreadCache* tc) {
   uintptr_t buf[kMaxBatch];
   for (int cls = 0; cls < num_classes_; ++cls) {
     RealThreadCache::ClassList& list = tc->lists[cls];
-    while (list.count > 0) {
+    while (RelaxedLoad(list.count) > 0) {
       int moved = TakeIntrusive(list.head, list.count, buf, kMaxBatch);
       InsertToCentral(cls, buf, moved);
     }
@@ -617,6 +619,10 @@ uintptr_t RealThreadsAllocator::SlowAllocate(RealThreadCache* tc, int cls) {
 
   if (got < batch) got += RemoveFromCentral(cls, buf + got, batch - got);
   if (got == 0) return 0;  // reservation exhausted
+  RelaxedAdd(tc->allocations, 1);
+  RelaxedAdd(tc->underflows, 1);
+  RelaxedAdd(tc->live_bytes,
+             static_cast<int64_t>(size_classes_->class_size(cls)));
 
   // Keep one, cache the rest. The slow path only runs when the list is
   // empty and caps are >= two batches, so the remainder always fits.
@@ -753,11 +759,11 @@ uintptr_t RealThreadsAllocator::AllocateLarge(RealThreadCache* tc,
   RealSpan* span = page_heap_.NewLarge(pages, align >> kPageShift);
   if (span == nullptr) return 0;
   const size_t bytes = LengthToBytes(pages);
-  ++tc->allocations;
-  ++tc->large_allocations;
+  RelaxedAdd(tc->allocations, 1);
+  RelaxedAdd(tc->large_allocations, 1);
   large_live_bytes_.fetch_add(static_cast<int64_t>(bytes),
                               std::memory_order_relaxed);
-  tc->live_bytes += static_cast<int64_t>(bytes);
+  RelaxedAdd(tc->live_bytes, static_cast<int64_t>(bytes));
   return span->base();
 }
 
@@ -766,11 +772,11 @@ void RealThreadsAllocator::FreeLarge(RealThreadCache* tc, uintptr_t addr) {
   WSC_CHECK(entry & RealPageHeap::kDirLargeFlag);
   const size_t bytes =
       static_cast<size_t>(entry & ~RealPageHeap::kDirLargeFlag) << kPageShift;
-  ++tc->frees;
-  ++tc->large_frees;
+  RelaxedAdd(tc->frees, 1);
+  RelaxedAdd(tc->large_frees, 1);
   large_live_bytes_.fetch_sub(static_cast<int64_t>(bytes),
                               std::memory_order_relaxed);
-  tc->live_bytes -= static_cast<int64_t>(bytes);
+  RelaxedAdd(tc->live_bytes, -static_cast<int64_t>(bytes));
   RealSpan* span = page_heap_.SpanOf(addr);
   page_heap_.Delete(&span, 1);
 }
@@ -893,8 +899,8 @@ uintptr_t RealThreadsAllocator::AllocateAligned(RealThreadCache* tc,
 }
 
 telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
-  // Thread-cache aggregates. Quiescence contract: every worker has joined
-  // (or only the caller is running), so plain reads are race-free.
+  // Thread-cache aggregates: relaxed loads of fields their owners may be
+  // updating, each current on its own; the totals balance at quiescence.
   uint64_t allocations = 0, frees = 0;
   uint64_t fast_alloc_hits = 0, fast_free_hits = 0;
   uint64_t underflows = 0, overflows = 0;
@@ -910,17 +916,17 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
     // Parked caches still count: their cumulative counters hold the
     // history of every thread that used them.
     for (const auto& tc : threads_) {
-      allocations += tc->allocations;
-      frees += tc->frees;
-      fast_alloc_hits += tc->fast_alloc_hits;
-      fast_free_hits += tc->fast_free_hits;
-      underflows += tc->underflows;
-      overflows += tc->overflows;
-      large_allocations += tc->large_allocations;
-      large_frees += tc->large_frees;
-      live_bytes += tc->live_bytes;
+      allocations += RelaxedLoad(tc->allocations);
+      frees += RelaxedLoad(tc->frees);
+      fast_alloc_hits += RelaxedLoad(tc->fast_alloc_hits);
+      fast_free_hits += RelaxedLoad(tc->fast_free_hits);
+      underflows += RelaxedLoad(tc->underflows);
+      overflows += RelaxedLoad(tc->overflows);
+      large_allocations += RelaxedLoad(tc->large_allocations);
+      large_frees += RelaxedLoad(tc->large_frees);
+      live_bytes += RelaxedLoad(tc->live_bytes);
       for (int cls = 0; cls < num_classes_; ++cls) {
-        size_t n = tc->lists[cls].count;
+        size_t n = RelaxedLoad(tc->lists[cls].count);
         thread_cached_objects += n;
         thread_cached_bytes +=
             static_cast<double>(n) *
@@ -995,8 +1001,11 @@ telemetry::Snapshot RealThreadsAllocator::TelemetrySnapshot() const {
   // in some tier.
   registry.ExportGauge("allocator", "carved_objects",
                        static_cast<double>(span_objects));
-  registry.ExportGauge("allocator", "live_objects",
-                       static_cast<double>(allocations - frees));
+  // Signed: outside quiescence a free may be counted before its
+  // allocation.
+  registry.ExportGauge(
+      "allocator", "live_objects",
+      static_cast<double>(static_cast<int64_t>(allocations - frees)));
   registry.ExportGauge("allocator", "live_bytes",
                        static_cast<double>(live_bytes));
   registry.ExportGauge("allocator", "cached_objects",

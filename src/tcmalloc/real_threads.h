@@ -72,11 +72,13 @@
 // (madvise traffic). The "sharded_transfer" and "sharded_cfl" components
 // and the contention component's steal counters keep the names the
 // benchmark reads; nothing is sharded any more, so the steal counters
-// read 0. The thread caches' counters need quiescence — take a snapshot
-// after the worker threads joined; the join gives the happens-before
-// edge that makes those plain reads race-free. The transfer caches,
-// central lists and page heap are read under their locks, so a
-// background tick may run alongside. thread_cache/registered_threads
+// read 0. A snapshot may be taken at any time: the thread caches'
+// counters and list counts are single-writer relaxed atomics, and the
+// transfer caches, central lists and page heap are read under their
+// locks, so worker threads and a background tick may run alongside.
+// Each value is then current on its own, but totals across caches and
+// tiers (allocations against frees, say) balance only at quiescence,
+// after the workers joined. thread_cache/registered_threads
 // counts the caches in use (the live threads), thread_cache/idle_caches
 // the ones UnregisterThread() parked.
 
@@ -447,21 +449,41 @@ class RealPageHeap {
   uint64_t ticks_ = 0;
 };
 
+// A thread cache's counters and list counts have one writer, the owning
+// thread, and one concurrent reader, TelemetrySnapshot(). The owner
+// updates them with RelaxedAdd, a relaxed load and a relaxed store, never
+// a read-modify-write: on x86-64 both are plain moves, so the hit path
+// gains no lock-prefixed instruction or fence. The reader uses
+// RelaxedLoad. std::atomic_ref keeps the fields plain values.
+template <typename T>
+inline T RelaxedLoad(T& field) {
+  return std::atomic_ref<T>(field).load(std::memory_order_relaxed);
+}
+
+template <typename T, typename Delta>
+inline void RelaxedAdd(T& field, Delta delta) {
+  std::atomic_ref<T> ref(field);
+  ref.store(static_cast<T>(ref.load(std::memory_order_relaxed) + delta),
+            std::memory_order_relaxed);
+}
+
 // Per-thread cache: the lock-free fast path. Owned and written by exactly
 // one thread between RegisterThread() and UnregisterThread() (or the
 // thread's join, for a thread that never unregisters); only the owner
-// touches `lists` and the counters, so the hit path has no atomics at
-// all. alignas keeps neighbouring caches off each other's lines.
+// touches `lists` and the counters. The counters and each list's `count`
+// change only through RelaxedAdd, so TelemetrySnapshot() may read them
+// while the owner runs. alignas keeps neighbouring caches off each
+// other's lines.
 class alignas(kCacheLineSize) RealThreadCache {
  public:
   struct ClassList {
     // Intrusive freelist threaded through the cached objects.
     uintptr_t head = 0;
-    uint32_t count = 0;
+    uint32_t count = 0;  // changed only through RelaxedAdd
     uint32_t cap = 0;  // per-class object cap (size_classes max_per_cpu)
   };
 
-  // Single-writer counters; read at quiescence by TelemetrySnapshot().
+  // Single-writer counters, changed only through RelaxedAdd.
   uint64_t allocations = 0;
   uint64_t frees = 0;
   uint64_t fast_alloc_hits = 0;
@@ -496,7 +518,7 @@ class alignas(kCacheLineSize) RealThreadCache {
 //   RealThreadCache* tc = alloc.RegisterThread();
 //   uintptr_t p = alloc.Allocate(tc, 48);
 //   alloc.Free(tc, p, 48);           // sized free; any thread may free
-//   // after joining all threads:
+//   // at any time (totals balance after joining all threads):
 //   telemetry::Snapshot snap = alloc.TelemetrySnapshot();
 //
 // Sized frees (the caller passes the request size back, as with C++
@@ -553,25 +575,15 @@ class RealThreadsAllocator {
   // uses this to request a class whose size is a multiple of the
   // alignment.
   uintptr_t AllocateClass(RealThreadCache* tc, int cls) {
-    ++tc->allocations;
-    tc->live_bytes += static_cast<int64_t>(size_classes_->class_size(cls));
     RealThreadCache::ClassList& list = tc->lists[cls];
-    if (list.head != 0) {
-      ++tc->fast_alloc_hits;
-      uintptr_t obj = list.head;
-      list.head = *reinterpret_cast<uintptr_t*>(obj);
-      --list.count;
-      return obj;
-    }
-    ++tc->underflows;
-    uintptr_t obj = SlowAllocate(tc, cls);
-    if (obj == 0) {
-      // Exhaustion: undo the optimistic accounting so the caller can fail
-      // the allocation cleanly (ENOMEM in the shim).
-      --tc->allocations;
-      --tc->underflows;
-      tc->live_bytes -= static_cast<int64_t>(size_classes_->class_size(cls));
-    }
+    if (list.head == 0) return SlowAllocate(tc, cls);
+    RelaxedAdd(tc->allocations, 1);
+    RelaxedAdd(tc->live_bytes,
+               static_cast<int64_t>(size_classes_->class_size(cls)));
+    RelaxedAdd(tc->fast_alloc_hits, 1);
+    uintptr_t obj = list.head;
+    list.head = *reinterpret_cast<uintptr_t*>(obj);
+    RelaxedAdd(list.count, -1);
     return obj;
   }
 
@@ -590,17 +602,18 @@ class RealThreadsAllocator {
 
   // The small-object free fast path with the class already known.
   void FreeClass(RealThreadCache* tc, int cls, uintptr_t addr) {
-    ++tc->frees;
-    tc->live_bytes -= static_cast<int64_t>(size_classes_->class_size(cls));
+    RelaxedAdd(tc->frees, 1);
+    RelaxedAdd(tc->live_bytes,
+               -static_cast<int64_t>(size_classes_->class_size(cls)));
     RealThreadCache::ClassList& list = tc->lists[cls];
-    if (list.count < list.cap) {
-      ++tc->fast_free_hits;
+    if (RelaxedLoad(list.count) < list.cap) {
+      RelaxedAdd(tc->fast_free_hits, 1);
       *reinterpret_cast<uintptr_t*>(addr) = list.head;
       list.head = addr;
-      ++list.count;
+      RelaxedAdd(list.count, 1);
       return;
     }
-    ++tc->overflows;
+    RelaxedAdd(tc->overflows, 1);
     SlowFree(tc, cls, addr);
   }
 
@@ -686,13 +699,17 @@ class RealThreadsAllocator {
     return used > released ? used - released : 0;
   }
 
-  // Call only after all worker threads joined (the join is the
-  // synchronization point for the plain per-thread counters). The
-  // per-class tiers and the page heap are read under their locks, so
-  // BackgroundTick() may run concurrently.
+  // Readable at any time: the thread caches' fields are read with
+  // RelaxedLoad while their owners run, and the per-class tiers and the
+  // page heap under their locks, so worker threads and BackgroundTick()
+  // may run concurrently. Totals across caches are consistent only at
+  // quiescence, after the workers joined.
   telemetry::Snapshot TelemetrySnapshot() const;
 
  private:
+  // The allocation after a miss on `tc`'s list: refills the list and
+  // counts the allocation as an underflow. Returns 0, counting nothing,
+  // when the reservation is exhausted (ENOMEM in the shim).
   uintptr_t SlowAllocate(RealThreadCache* tc, int cls);
   void SlowFree(RealThreadCache* tc, int cls, uintptr_t obj);
 

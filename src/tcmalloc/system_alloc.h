@@ -51,7 +51,7 @@ struct SystemStats {
   uint64_t recommitted_bytes = 0;  // released bytes brought back into use
 };
 
-// OS interface of one allocator node.
+// OS interface of one simulated allocator.
 class SystemAllocator {
  public:
   // Deterministic virtual arena of `arena_bytes` starting at `base`; both

@@ -94,7 +94,7 @@ class TransferCache {
   bool nuca_enabled() const { return nuca_; }
 
   // Publishes this tier's metrics (component "transfer_cache") into
-  // `registry`; NUMA-node instances accumulate into the same metrics.
+  // `registry`.
   void ContributeTelemetry(telemetry::MetricRegistry& registry) const;
 
  private:

@@ -47,8 +47,8 @@ class Counter {
 };
 
 // Point-in-time level. Exported gauges accumulate contributions from
-// multiple tier instances (per-node transfer caches, per-class central
-// free lists) between BeginExport() and TakeSnapshot().
+// multiple tier instances (the per-class central free lists) between
+// BeginExport() and TakeSnapshot().
 class Gauge {
  public:
   void Set(double v) { value_ = v; }

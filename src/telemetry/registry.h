@@ -11,8 +11,8 @@
 //  * Exported metrics — tiers whose stats live in their own structures
 //    publish them at snapshot time through ExportCounter / ExportGauge.
 //    BeginExport() zeroes every exported metric so multi-instance tiers
-//    (per-NUMA-node transfer caches, per-class central free lists) can
-//    each Add their share; live metrics are left untouched.
+//    (the per-class central free lists) can each Add their share; live
+//    metrics are left untouched.
 //
 // Metric identity is (component, name): component is the allocator tier
 // ("cpu_cache", "transfer_cache", "central_free_list", "huge_page_filler",

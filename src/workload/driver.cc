@@ -185,10 +185,6 @@ double Driver::Step() {
   if (topology_ != nullptr && allocator_->config().num_llc_domains > 1) {
     allocator_->SetVcpuDomain(vcpu, topology_->DomainOfCpu(cpu));
   }
-  if (topology_ != nullptr && allocator_->num_numa_nodes() > 1) {
-    allocator_->SetVcpuNode(
-        vcpu, topology_->SocketOfCpu(cpu) % allocator_->num_numa_nodes());
-  }
 
   double malloc_ns = 0.0;
   double stall_ns = 0.0;

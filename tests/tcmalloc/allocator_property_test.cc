@@ -105,7 +105,8 @@ TEST(TraceDeterminism, PrioritizationPreservesContract) {
 }
 
 // The sum of per-tier free bytes always equals what the tiers report
-// individually (accounting consistency under churn).
+// individually, and the exact footprint equals the stats' heap bytes
+// (accounting consistency under churn).
 TEST(HeapAccounting, TierFreeBytesConsistent) {
   AllocatorConfig config = MakeConfig(kConfigs[0]);
   Allocator alloc(config);
@@ -120,6 +121,7 @@ TEST(HeapAccounting, TierFreeBytesConsistent) {
   EXPECT_EQ(stats.cpu_cache_free, alloc.cpu_caches().TotalCachedBytes());
   EXPECT_EQ(stats.transfer_cache_free,
             alloc.transfer_cache().TotalCachedBytes());
+  EXPECT_EQ(alloc.FootprintBytes(), stats.HeapBytes());
 }
 
 }  // namespace

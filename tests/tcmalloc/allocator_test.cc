@@ -7,10 +7,10 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.h"
-#include "tcmalloc/malloc_extension.h"
 
 namespace wsc::tcmalloc {
 namespace {
@@ -106,6 +106,13 @@ TEST(Allocator, NoTwoLiveObjectsOverlap) {
       live.push_back({addr, size});
     }
   }
+  // Random vCPUs hand small and large blocks across caches; a full drain
+  // must still balance.
+  for (const Obj& obj : live) {
+    alloc.Free(obj.addr, static_cast<int>(rng.UniformInt(4)), 20000);
+  }
+  EXPECT_EQ(alloc.CollectStats().live_bytes, 0u);
+  EXPECT_EQ(alloc.num_allocations(), alloc.num_frees());
 }
 
 TEST(AllocatorDeathTest, DoubleFreeOfCachedObjectIsEventuallyFatal) {
@@ -260,6 +267,15 @@ AllocatorConfig::Builder SmallArenaBuilder(size_t arena_bytes) {
   return AllocatorConfig::Builder().WithVcpus(2).WithArena(kBase, arena_bytes);
 }
 
+// One "failure" counter from a fresh snapshot (the component's metrics
+// exist from construction).
+double FailureCount(Allocator& alloc, std::string_view name) {
+  telemetry::Snapshot snapshot = alloc.TelemetrySnapshot();
+  const telemetry::MetricSample* sample = snapshot.Find("failure", name);
+  EXPECT_NE(sample, nullptr) << name;
+  return sample != nullptr ? sample->ScalarValue() : 0;
+}
+
 TEST(FaultHardening, ArenaExhaustionSurfacesAndRecoversAfterFrees) {
   // A tiny arena fills up; allocations start failing (simulated OOM) with
   // counted failures. After everything is freed the allocator serves again
@@ -282,8 +298,7 @@ TEST(FaultHardening, ArenaExhaustionSurfacesAndRecoversAfterFrees) {
   ASSERT_GE(failures, 3);
   ASSERT_FALSE(live.empty());
 
-  MallocExtension extension(&alloc);
-  EXPECT_GE(extension.GetProperty("failure.alloc_failures").value(), 3.0);
+  EXPECT_GE(FailureCount(alloc, "alloc_failures"), 3.0);
 
   for (uintptr_t p : live) alloc.Free(p, 0, 0);
   EXPECT_NE(alloc.Allocate(8192, 0, 0), 0u);
@@ -298,10 +313,9 @@ TEST(FaultHardening, LargeAllocationBeyondArenaFailsGracefully) {
   EXPECT_EQ(alloc.Allocate(16 * kHugePageSize, 0, 0), 0u);
   EXPECT_EQ(alloc.num_allocations(), 0u);  // failures don't count
 
-  MallocExtension extension(&alloc);
-  EXPECT_GE(extension.GetProperty("failure.alloc_failures").value(), 1.0);
-  EXPECT_GT(extension.GetProperty("failure.mmap_denied").value(), 0.0);
-  EXPECT_GT(extension.GetProperty("failure.large_failures").value(), 0.0);
+  EXPECT_GE(FailureCount(alloc, "alloc_failures"), 1.0);
+  EXPECT_GT(FailureCount(alloc, "mmap_denied"), 0.0);
+  EXPECT_GT(FailureCount(alloc, "large_failures"), 0.0);
   EXPECT_NE(alloc.Allocate(64, 0, 0), 0u);
 }
 
@@ -329,18 +343,13 @@ TEST(FaultHardening, EmergencyReclaimRecoversDeniedGrowth) {
   }
   ASSERT_GT(alloc.CollectStats().cpu_cache_free, 4 * kHugePageSize);
 
-  MallocExtension extension(&alloc);
   for (int i = 0; i < 3000; ++i) {
     ASSERT_NE(alloc.Allocate(8192, /*vcpu=*/1, 0), 0u) << "iteration " << i;
-    if (extension.GetProperty("failure.recovered_allocations").value() > 0) {
-      break;
-    }
+    if (FailureCount(alloc, "recovered_allocations") > 0) break;
   }
-  EXPECT_GT(extension.GetProperty("failure.emergency_recoveries").value(),
-            0.0);
-  EXPECT_GT(extension.GetProperty("failure.recovered_allocations").value(),
-            0.0);
-  EXPECT_GT(extension.GetProperty("failure.mmap_denied").value(), 0.0);
+  EXPECT_GT(FailureCount(alloc, "emergency_recoveries"), 0.0);
+  EXPECT_GT(FailureCount(alloc, "recovered_allocations"), 0.0);
+  EXPECT_GT(FailureCount(alloc, "mmap_denied"), 0.0);
 }
 
 TEST(FaultHardening, FailureComponentAlwaysPresentInSnapshots) {

@@ -992,6 +992,47 @@ TEST(RealThreadsAllocatorTest, SnapshotsRaceTicks) {
                               "plundered_objects"));
 }
 
+// The shim's statsz thread, or any wscmalloc_stats_json call, takes a
+// snapshot while other threads allocate: the snapshot reads each thread
+// cache's counters and list counts while their owner writes them. One
+// writer per counter, so a counter never reads lower than it did before,
+// and the totals balance once the owner joined.
+TEST(RealThreadsAllocatorTest, SnapshotsRaceTheCacheOwner) {
+  RealThreadsAllocator alloc(TestConfig(), 2);
+  constexpr int kSnapshots = 100;
+  std::atomic<int> snapshots{0};
+  uint64_t ops = 0;  // the owner's; read after the join
+  std::thread owner([&] {
+    RealThreadCache* tc = alloc.RegisterThread();
+    std::vector<uintptr_t> objs(64);
+    for (int round = 0; snapshots.load(std::memory_order_relaxed) < kSnapshots;
+         ++round) {
+      // Bursts of 64 overflow and underflow the list (the slow paths);
+      // every 16th round takes the large path.
+      size_t size = round % 16 == 0 ? size_t{300} << 10
+                                    : 48 + 64 * static_cast<size_t>(round % 7);
+      for (uintptr_t& obj : objs) obj = alloc.Allocate(tc, size);
+      for (uintptr_t obj : objs) alloc.Free(tc, obj, size);
+      ops += objs.size();
+    }
+  });
+  double last = 0;
+  for (int i = 0; i < kSnapshots; ++i) {
+    double allocations =
+        Metric(alloc.TelemetrySnapshot(), "allocator", "allocations");
+    EXPECT_GE(allocations, last);
+    last = allocations;
+    snapshots.fetch_add(1, std::memory_order_relaxed);
+  }
+  owner.join();
+  telemetry::Snapshot snap = alloc.TelemetrySnapshot();
+  EXPECT_EQ(Metric(snap, "allocator", "allocations"),
+            static_cast<double>(ops));
+  EXPECT_EQ(Metric(snap, "allocator", "frees"), static_cast<double>(ops));
+  EXPECT_EQ(Metric(snap, "allocator", "live_bytes"), 0.0);
+  EXPECT_EQ(Metric(snap, "allocator", "live_objects"), 0.0);
+}
+
 TEST(RealThreadsAllocatorTest, TelemetryExportsContentionComponent) {
   AllocatorConfig config = TestConfig();
   RealThreadsAllocator alloc(config, 2);

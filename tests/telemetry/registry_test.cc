@@ -83,6 +83,10 @@ TEST(MetricRegistry, LiveHandlesSurviveAndSnapshot) {
   EXPECT_EQ(s->buckets[0], 1u);
   EXPECT_EQ(s->buckets[1], 1u);
   EXPECT_DOUBLE_EQ(s->ScalarValue(), 2.0);  // histograms report count
+
+  // Absent names and components find nothing.
+  EXPECT_EQ(snap.Find("cpu_cache", "nonsense"), nullptr);
+  EXPECT_EQ(snap.Find("nonsense", "hits"), nullptr);
 }
 
 TEST(MetricRegistry, SnapshotSortedByComponentThenName) {

@@ -6,7 +6,6 @@
 #include "fleet/machine.h"
 #include "hw/topology.h"
 #include "tcmalloc/config.h"
-#include "tcmalloc/malloc_extension.h"
 #include "trace/heap_profile.h"
 #include "workload/profiles.h"
 
@@ -81,16 +80,16 @@ TEST(HeapProfilerTest, SampledDimensionsArePopulated) {
   EXPECT_GT(size_lifetime_samples, 0u);
 }
 
-TEST(HeapProfilerTest, MallocExtensionExposesProfileAndSampler) {
+TEST(HeapProfilerTest, AllocatorExposesProfileAndSampler) {
   fleet::Machine machine = RunMachine(/*seed=*/44);
-  tcmalloc::MallocExtension extension(&machine.allocator(0));
+  const tcmalloc::Allocator& alloc = machine.allocator(0);
 
-  trace::HeapProfile profile = extension.GetHeapProfileData();
+  trace::HeapProfile profile = alloc.CollectHeapProfile();
   EXPECT_EQ(profile, machine.results()[0].heap_profile);
-  EXPECT_EQ(extension.GetSamplesTaken(), profile.samples_taken);
-  EXPECT_GT(extension.GetLifetimeProfile().all_lifetimes.count(), 0u);
+  EXPECT_EQ(alloc.sampler().samples_taken(), profile.samples_taken);
+  EXPECT_GT(alloc.sampler().profile().all_lifetimes.count(), 0u);
 
-  std::string text = extension.GetHeapProfile();
+  std::string text = trace::RenderHeapProfileText(profile);
   EXPECT_NE(text.find("Heap profile:"), std::string::npos);
   EXPECT_NE(text.find("100.0% attributed"), std::string::npos);
 }

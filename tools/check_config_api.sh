@@ -21,8 +21,8 @@ FIELDS+='|cpu_cache_resize_interval|cpu_cache_grow_candidates'
 FIELDS+='|per_cpu_cache_min_bytes|nuca_transfer_cache|num_llc_domains'
 FIELDS+='|transfer_cache_batches|nuca_shard_batches|span_prioritization'
 FIELDS+='|cfl_num_lists|lifetime_aware_filler|filler_capacity_threshold'
-FIELDS+='|numa_aware|num_numa_nodes|sample_interval_bytes|soft_limit_bytes'
-FIELDS+='|hard_limit_bytes|arena_base|arena_bytes'
+FIELDS+='|sample_interval_bytes|soft_limit_bytes|hard_limit_bytes'
+FIELDS+='|arena_base|arena_bytes'
 FIELDS+='|real_memory|real_memory_reserve_bytes'
 
 # Match `<expr>.<field> =` but not `==` (comparisons stay legal).

@@ -25,15 +25,10 @@
 //   --profile=PATH    write the merged pprof-style heap profile; ".json"
 //                     suffix selects the JSON form (tools/mallocz.py reads
 //                     it), "-" prints text to stdout
-//   --timeseries=PATH capture an interval time series from every
-//                     simulated process (telemetry/timeseries.h: counter
-//                     and histogram deltas plus gauge samples at 500 ms
-//                     logical boundaries) and write the merged fleet
-//                     series as NDJSON — one kind="timeseries" object per
-//                     interval plus one kind="sketch" object per quantile
-//                     sketch. Captures ride the logical clock, so the file
-//                     is byte-identical for any --threads value
-//                     (tools/check_determinism.sh proves it).
+//
+// Both sidecars are merged in machine-index order, so each file is
+// byte-identical for any --threads value (tools/check_determinism.sh
+// proves it for the statsz JSON).
 //
 // Both ParseBenchFlags and StripBenchFlags know every flag above, so
 // benches that hand the remaining argv to google-benchmark (e.g.
@@ -51,12 +46,9 @@
 #include <string>
 #include <vector>
 
-#include <map>
-
 #include "common/table.h"
 #include "fleet/experiment.h"
 #include "fleet/parallel.h"
-#include "telemetry/timeseries.h"
 #include "telemetry/statsz.h"
 #include "trace/heap_profile.h"
 #include "workload/profiles.h"
@@ -87,16 +79,6 @@ inline telemetry::Snapshot g_statsz_accum;
 // report (same contract as --statsz).
 inline std::string g_profile_path;
 inline trace::HeapProfile g_profile_accum;
-// --timeseries destination ("" = disabled) and its bench-wide aggregate,
-// one merged series per arm label ("" = single-arm) so A/B benches keep
-// their arms' series distinct in the NDJSON file. Rewritten after each
-// report (same contract as --statsz).
-inline std::string g_timeseries_path;
-inline std::map<std::string, telemetry::IntervalSeries> g_timeseries_accum;
-// Time-series capture cadence on the logical clock when --timeseries is
-// on: matches the machine footprint-sampling period, so every footprint
-// sample lands in exactly one interval.
-inline constexpr SimTime kBenchTimeseriesInterval = Milliseconds(500);
 
 // One row per shared flag: the "--name=" prefix and the setter that
 // consumes its value. Parse and Strip both walk this table, so a flag
@@ -120,7 +102,6 @@ inline constexpr BenchFlag kBenchFlags[] = {
      }},
     {"--statsz=", [](const char* v) { g_statsz_path = v; }},
     {"--profile=", [](const char* v) { g_profile_path = v; }},
-    {"--timeseries=", [](const char* v) { g_timeseries_path = v; }},
 };
 
 // The flag row matching `arg`, or nullptr if it is not a wsc bench flag.
@@ -177,9 +158,6 @@ inline void ApplyBenchOverrides(fleet::FleetConfig& config) {
     config.max_requests_per_process = g_bench_max_requests;
   }
   config.num_threads = g_bench_threads;
-  if (!g_timeseries_path.empty()) {
-    config.timeseries_interval = kBenchTimeseriesInterval;
-  }
 }
 
 // Standard fleet shape used by the fleet-wide benches. Sized for parallel
@@ -205,8 +183,7 @@ inline fleet::FleetConfig ChipletFleet() {
   return config;
 }
 
-// Writes `body` to `path` ("-" prints to stdout). Shared by the --profile
-// and --timeseries rewrites.
+// Writes `body` to `path` ("-" prints to stdout): the --profile rewrite.
 inline void WriteBenchFile(const std::string& path, const std::string& body) {
   if (path == "-") {
     std::fputs(body.c_str(), stdout);
@@ -234,24 +211,6 @@ inline void ReportProfile(const trace::HeapProfile& profile) {
   WriteBenchFile(g_profile_path,
                  json ? trace::RenderHeapProfileJson(g_profile_accum)
                       : trace::RenderHeapProfileText(g_profile_accum));
-}
-
-// Folds a merged interval series into the bench-wide aggregate for its
-// arm ("" = single-arm) and rewrites the --timeseries NDJSON file: arms in
-// map order, each as interval lines followed by sketch lines. Everything
-// in the file derives from the logical clock and sorted maps, so it is
-// byte-identical for any --threads value.
-inline void ReportTimeSeries(const std::string& bench,
-                             const telemetry::IntervalSeries& series,
-                             const char* arm = nullptr) {
-  if (g_timeseries_path.empty() || series.empty()) return;
-  std::string label = arm != nullptr ? arm : "";
-  g_timeseries_accum[label].MergeFrom(series);
-  std::string body;
-  for (const auto& [name, merged] : g_timeseries_accum) {
-    body += merged.RenderNdjson(bench, name);
-  }
-  WriteBenchFile(g_timeseries_path, body);
 }
 
 // Heap profile of a set of fleet observations.
@@ -361,7 +320,6 @@ inline void ReportTelemetry(
     const std::vector<fleet::FleetObservation>& observations,
     const char* arm = nullptr) {
   ReportTelemetry(bench, fleet::MergedTelemetry(observations), arm);
-  ReportTimeSeries(bench, fleet::MergedTimeSeries(observations), arm);
   ReportProfile(observations);
 }
 
@@ -370,13 +328,10 @@ inline void ReportTelemetry(const std::string& bench,
                             const std::vector<fleet::ProcessResult>& results,
                             const char* arm = nullptr) {
   telemetry::Snapshot merged;
-  telemetry::IntervalSeries series;
   for (const fleet::ProcessResult& r : results) {
     merged.MergeFrom(r.telemetry);
-    series.MergeFrom(r.timeseries);
   }
   ReportTelemetry(bench, merged, arm);
-  ReportTimeSeries(bench, series, arm);
   ReportProfile(results);
 }
 
@@ -385,8 +340,6 @@ inline void ReportTelemetry(const std::string& bench,
                             const fleet::AbDelta& delta) {
   ReportTelemetry(bench, delta.control_telemetry, "control");
   ReportTelemetry(bench, delta.experiment_telemetry, "experiment");
-  ReportTimeSeries(bench, delta.control_timeseries, "control");
-  ReportTimeSeries(bench, delta.experiment_timeseries, "experiment");
 }
 
 // Telemetry of a fleet A/B result's fleet-wide slice.

@@ -75,8 +75,6 @@ AbResult RunFleetAb(const FleetConfig& config,
   result.fleet.label = "fleet";
   result.fleet.control_telemetry = MergedTelemetry(c_obs);
   result.fleet.experiment_telemetry = MergedTelemetry(e_obs);
-  result.fleet.control_timeseries = MergedTimeSeries(c_obs);
-  result.fleet.experiment_timeseries = MergedTimeSeries(e_obs);
   std::vector<std::string> apps = {"spanner", "monarch", "bigtable",
                                    "f1-query", "disk"};
   for (const std::string& app : apps) {

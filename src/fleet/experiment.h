@@ -68,11 +68,6 @@ struct AbDelta {
   telemetry::Snapshot control_telemetry;
   telemetry::Snapshot experiment_telemetry;
 
-  // Merged interval series of each arm (empty unless the fleet config set
-  // a timeseries_interval). Same fill rules as the telemetry snapshots.
-  telemetry::IntervalSeries control_timeseries;
-  telemetry::IntervalSeries experiment_timeseries;
-
   double ThroughputChangePct() const;
   double MemoryChangePct() const;
   double CpiChangePct() const;

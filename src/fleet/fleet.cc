@@ -102,8 +102,7 @@ std::vector<Fleet::MachinePlan> Fleet::PlanMachines() const {
 std::vector<FleetObservation> Fleet::RunMachine(
     int m, const MachinePlan& plan) const {
   Machine machine(plan.platform, plan.workloads, allocator_config_,
-                  plan.machine_seed, plan.pressure_events,
-                  config_.timeseries_interval);
+                  plan.machine_seed, plan.pressure_events);
   machine.Run(config_.duration, config_.max_requests_per_process);
   std::vector<FleetObservation> observations;
   observations.reserve(machine.results().size());
@@ -155,15 +154,6 @@ trace::HeapProfile MergedHeapProfile(
   trace::HeapProfile merged;
   for (const FleetObservation& obs : observations) {
     merged.MergeFrom(obs.result.heap_profile);
-  }
-  return merged;
-}
-
-telemetry::IntervalSeries MergedTimeSeries(
-    const std::vector<FleetObservation>& observations) {
-  telemetry::IntervalSeries merged;
-  for (const FleetObservation& obs : observations) {
-    merged.MergeFrom(obs.result.timeseries);
   }
   return merged;
 }

@@ -68,13 +68,6 @@ struct FleetConfig {
 
   // Memory-pressure event injection (off by default).
   PressureConfig pressure;
-
-  // Telemetry time-series capture cadence on the logical clock (0 = off).
-  // When set, every process captures counter/histogram deltas and gauge
-  // samples at each boundary into ProcessResult::timeseries; series merge
-  // via MergedTimeSeries, aligned by interval index, so the fleet series
-  // is bit-identical for any --threads value.
-  SimTime timeseries_interval = 0;
 };
 
 // One process observation, tagged with provenance.
@@ -94,12 +87,6 @@ telemetry::Snapshot MergedTelemetry(
 // Fleet-wide heap profile: every observation's profile merged in
 // observation order (bit-identical for any worker-thread count).
 trace::HeapProfile MergedHeapProfile(
-    const std::vector<FleetObservation>& observations);
-
-// Fleet-wide time series: every observation's interval series merged in
-// observation order, aligned by interval index (exact bucketwise sums —
-// bit-identical for any worker-thread count).
-telemetry::IntervalSeries MergedTimeSeries(
     const std::vector<FleetObservation>& observations);
 
 // A runnable fleet. Machine composition (platforms, binary placement,

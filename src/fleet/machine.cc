@@ -29,11 +29,9 @@ tcmalloc::AllocatorConfig ResolveTopology(tcmalloc::AllocatorConfig config,
 Machine::Machine(const hw::PlatformSpec& platform,
                  std::vector<workload::WorkloadSpec> workloads,
                  const tcmalloc::AllocatorConfig& base_config, uint64_t seed,
-                 std::vector<PressureEvent> pressure_events,
-                 SimTime timeseries_interval)
+                 std::vector<PressureEvent> pressure_events)
     : topology_(platform),
       base_config_(base_config),
-      timeseries_interval_(timeseries_interval),
       pressure_events_(std::move(pressure_events)) {
   WSC_CHECK(!workloads.empty());
   Rng rng(seed);
@@ -80,10 +78,6 @@ std::unique_ptr<Machine::Process> Machine::MakeProcess(
       (uintptr_t{1} << 44) * (1 + static_cast<uintptr_t>(workload_index));
 
   process->allocator = std::make_unique<tcmalloc::Allocator>(config);
-  if (timeseries_interval_ > 0) {
-    process->series = std::make_unique<telemetry::IntervalSeries>();
-    process->next_capture = timeseries_interval_;
-  }
   process->tlb = std::make_unique<hw::TlbSimulator>();
   process->llc =
       std::make_unique<hw::LlcModel>(&topology_, kLlcLinesPerDomain, llc_seed);
@@ -154,21 +148,6 @@ void Machine::Run(SimTime duration, uint64_t max_requests) {
       SampleFootprint(*lowest);
       next_sample[lowest_idx] = lowest->driver->now() + kSamplePeriod;
     }
-    if (lowest->series != nullptr &&
-        lowest->driver->now() >= lowest->next_capture) {
-      // The interval index is the boundary number on the logical clock, so
-      // co-located processes (and every machine in the fleet) produce
-      // alignable indices. A step that jumps several boundaries captures
-      // once and leaves a gap.
-      uint64_t index = static_cast<uint64_t>(lowest->driver->now() /
-                                             timeseries_interval_);
-      double t = static_cast<double>(index) *
-                 static_cast<double>(timeseries_interval_) / 1e9;
-      CaptureTimeseries(*lowest, index, t,
-                        lowest->allocator->TelemetrySnapshot());
-      lowest->next_capture =
-          static_cast<SimTime>(index + 1) * timeseries_interval_;
-    }
     if (lowest->driver->now() >= duration ||
         lowest->driver->metrics().requests >= max_requests) {
       SampleFootprint(*lowest);
@@ -189,29 +168,6 @@ void Machine::Run(SimTime duration, uint64_t max_requests) {
   }
 }
 
-void Machine::CaptureTimeseries(Process& p, uint64_t index, double t_seconds,
-                                const telemetry::Snapshot& snapshot) const {
-  p.series->Capture(index, t_seconds, snapshot);
-  // Footprint distribution: one point per interval, the fleet CDF input
-  // (Fig. 3-style percentiles without retaining per-machine data).
-  const telemetry::MetricSample* heap =
-      snapshot.Find("allocator", "heap_bytes");
-  if (heap != nullptr) {
-    p.series->Sketch("footprint_bytes").Record(heap->gauge);
-  }
-  // Per-interval mean allocation latency, weighted by the interval's
-  // allocation count — the alloc-latency class distribution.
-  const workload::DriverMetrics& m = p.driver->metrics();
-  uint64_t allocs = m.allocations - p.captured_allocations;
-  if (allocs > 0) {
-    double ns = (m.malloc_ns - p.captured_malloc_ns) /
-                static_cast<double>(allocs);
-    p.series->Sketch("alloc_latency_ns").Record(ns, allocs);
-  }
-  p.captured_malloc_ns = m.malloc_ns;
-  p.captured_allocations = m.allocations;
-}
-
 ProcessResult Machine::FinalizeResult(Process& p) const {
   ProcessResult r;
   r.workload_name = p.spec.name;
@@ -230,16 +186,6 @@ ProcessResult Machine::FinalizeResult(Process& p) const {
   r.malloc_cycles = p.allocator->cycle_breakdown();
   r.tier_hits = p.allocator->alloc_tier_hits();
   r.telemetry = p.allocator->TelemetrySnapshot();
-  if (p.series != nullptr) {
-    // Drain interval: whatever accumulated since the last boundary, at an
-    // index strictly past every captured one.
-    uint64_t boundary =
-        static_cast<uint64_t>(p.driver->now() / timeseries_interval_) + 1;
-    CaptureTimeseries(p, boundary,
-                      static_cast<double>(p.driver->now()) / 1e9, r.telemetry);
-    r.timeseries = std::move(*p.series);
-    *p.series = telemetry::IntervalSeries();
-  }
   r.heap_profile = p.allocator->CollectHeapProfile();
   r.ghz = topology_.spec().ghz;
   return r;

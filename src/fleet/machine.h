@@ -21,7 +21,6 @@
 #include "hw/topology.h"
 #include "tcmalloc/allocator.h"
 #include "telemetry/registry.h"
-#include "telemetry/timeseries.h"
 #include "trace/heap_profile.h"
 #include "workload/driver.h"
 #include "workload/profiles.h"
@@ -68,13 +67,6 @@ struct ProcessResult {
   // The process's heap profile, taken at the same point as `telemetry`.
   // Merged machine-index ordered like telemetry.
   trace::HeapProfile heap_profile;
-  // Interval time series of this process's telemetry (empty unless the
-  // machine ran with timeseries_interval > 0): counter/histogram deltas
-  // and gauge samples at logical interval boundaries, plus footprint and
-  // alloc-latency sketches. Interval indices are boundary numbers on the
-  // shared logical clock, so series from co-located processes (and the
-  // whole fleet) align by index and merge exactly.
-  telemetry::IntervalSeries timeseries;
   double ghz = 2.4;
 
   double LlcMpki() const {
@@ -89,13 +81,10 @@ struct ProcessResult {
 // One simulated server.
 class Machine {
  public:
-  // `timeseries_interval` > 0 captures every process's telemetry deltas
-  // at that logical-clock cadence into ProcessResult::timeseries.
   Machine(const hw::PlatformSpec& platform,
           std::vector<workload::WorkloadSpec> workloads,
           const tcmalloc::AllocatorConfig& base_config, uint64_t seed,
-          std::vector<PressureEvent> pressure_events = {},
-          SimTime timeseries_interval = 0);
+          std::vector<PressureEvent> pressure_events = {});
 
   // Runs every process until its local clock reaches `duration` or it has
   // executed `max_requests` requests, whichever comes first, then drains.
@@ -116,12 +105,6 @@ class Machine {
     std::unique_ptr<hw::TlbSimulator> tlb;
     std::unique_ptr<hw::LlcModel> llc;
     std::unique_ptr<workload::Driver> driver;
-    // Interval time series (null: timeseries off).
-    std::unique_ptr<telemetry::IntervalSeries> series;
-    SimTime next_capture = 0;  // next timeseries boundary
-    // Driver totals at the last capture, for per-interval alloc latency.
-    double captured_malloc_ns = 0;
-    uint64_t captured_allocations = 0;
     // Time-weighted footprint accumulators.
     double heap_byte_seconds = 0;
     double live_byte_seconds = 0;
@@ -145,18 +128,11 @@ class Machine {
                                        std::vector<int> cpus,
                                        uint64_t llc_seed, uint64_t driver_seed);
 
-  // Captures one timeseries interval for `p`: telemetry deltas plus the
-  // footprint and per-interval alloc-latency sketches.
-  void CaptureTimeseries(Process& p, uint64_t index, double t_seconds,
-                         const telemetry::Snapshot& snapshot) const;
-
-  // Captures the final metrics of one process at the end of Run, including
-  // the series' final drain interval.
+  // Captures the final metrics of one process at the end of Run.
   ProcessResult FinalizeResult(Process& p) const;
 
   hw::CpuTopology topology_;
   tcmalloc::AllocatorConfig base_config_;
-  SimTime timeseries_interval_ = 0;
   std::vector<std::unique_ptr<Process>> processes_;
   std::vector<ProcessResult> results_;
   std::vector<PressureEvent> pressure_events_;

@@ -47,9 +47,6 @@ struct TlbStats {
   uint64_t l2_misses = 0;  // == page walks
   double stall_cycles = 0.0;
 
-  double L1MissRate() const {
-    return accesses ? static_cast<double>(l1_misses) / accesses : 0.0;
-  }
   double WalkRate() const {
     return accesses ? static_cast<double>(l2_misses) / accesses : 0.0;
   }

@@ -84,7 +84,6 @@ class Driver {
 
   SimTime now() const { return clock_.now(); }
   const DriverMetrics& metrics() const { return metrics_; }
-  void ResetMetrics() { metrics_ = DriverMetrics(); }
 
   int active_threads() const { return active_threads_; }
   uint64_t live_objects() const { return live_.size(); }

@@ -26,8 +26,9 @@ FleetConfig SmallFleet() {
   return config;
 }
 
-// Exact equality on every metric, including doubles: the parallel engine
-// must not change a single floating-point operation.
+// Exact equality on every metric, including doubles and the full
+// telemetry snapshot: the parallel engine must not change a single
+// floating-point operation.
 void ExpectIdentical(const std::vector<FleetObservation>& a,
                      const std::vector<FleetObservation>& b) {
   ASSERT_EQ(a.size(), b.size());
@@ -40,6 +41,7 @@ void ExpectIdentical(const std::vector<FleetObservation>& a,
     const auto& db = b[i].result.driver;
     EXPECT_EQ(da.requests, db.requests);
     EXPECT_EQ(da.allocations, db.allocations);
+    EXPECT_EQ(da.failed_allocations, db.failed_allocations);
     EXPECT_EQ(da.frees, db.frees);
     EXPECT_EQ(da.cpu_ns, db.cpu_ns);
     EXPECT_EQ(da.malloc_ns, db.malloc_ns);
@@ -51,6 +53,7 @@ void ExpectIdentical(const std::vector<FleetObservation>& a,
     EXPECT_EQ(a[i].result.heap.ExternalFragmentation(),
               b[i].result.heap.ExternalFragmentation());
     EXPECT_EQ(a[i].result.hugepage_coverage, b[i].result.hugepage_coverage);
+    EXPECT_EQ(a[i].result.telemetry, b[i].result.telemetry);
   }
 }
 

@@ -1,8 +1,8 @@
 // Tests for telemetry propagation through the fleet layer: every process
 // result carries a snapshot, fleet merges are machine-index ordered, and
-// the aggregate is bit-identical for any worker-thread count. Interval
-// time series ride the same path: capturing them must not perturb the
-// simulation, and each process's series telescopes to its final snapshot.
+// both A/B arms carry their merged telemetry. That per-process results
+// (snapshots included) are bit-identical for any worker-thread count is
+// parallel_fleet_test's job.
 
 #include <gtest/gtest.h>
 
@@ -10,7 +10,6 @@
 #include "fleet/fleet.h"
 #include "fleet/machine.h"
 #include "telemetry/registry.h"
-#include "telemetry/timeseries.h"
 #include "workload/profiles.h"
 
 namespace wsc::fleet {
@@ -24,18 +23,6 @@ FleetConfig SmallFleet() {
   config.max_colocated = 2;
   config.duration = Milliseconds(300);
   config.max_requests_per_process = 2000;
-  return config;
-}
-
-FleetConfig TimeseriesFleet() {
-  FleetConfig config;
-  config.num_machines = 6;
-  config.num_binaries = 12;
-  config.min_colocated = 1;
-  config.max_colocated = 2;
-  config.duration = Milliseconds(1500);
-  config.max_requests_per_process = 2000;
-  config.timeseries_interval = Milliseconds(500);
   return config;
 }
 
@@ -79,23 +66,6 @@ TEST(FleetTelemetry, MergedTelemetryMatchesManualMerge) {
     total_allocs += obs.result.driver.allocations;
   }
   EXPECT_EQ(merged.Find("allocator", "allocations")->counter, total_allocs);
-}
-
-TEST(FleetTelemetry, BitIdenticalAcrossThreadCounts) {
-  tcmalloc::AllocatorConfig allocator;
-  Fleet sequential(SmallFleet(), allocator, /*seed=*/31337);
-  sequential.Run(1);
-  telemetry::Snapshot base = MergedTelemetry(sequential.observations());
-  ASSERT_FALSE(base.samples.empty());
-
-  for (int threads : {2, 8}) {
-    SCOPED_TRACE(threads);
-    Fleet parallel(SmallFleet(), allocator, /*seed=*/31337);
-    parallel.Run(threads);
-    // operator== compares every sample field, doubles included: the
-    // parallel merge must not change a single floating-point operation.
-    EXPECT_EQ(MergedTelemetry(parallel.observations()), base);
-  }
 }
 
 TEST(FleetTelemetry, HealthyFleetLeavesFailureCountersAtZero) {
@@ -145,80 +115,6 @@ TEST(AbTelemetry, BenchmarkAbFillsBothArms) {
   EXPECT_FALSE(delta.control_telemetry.samples.empty());
   EXPECT_FALSE(delta.experiment_telemetry.samples.empty());
   EXPECT_NE(delta.control_telemetry.Find("cpu_cache", "hits"), nullptr);
-}
-
-TEST(FleetTimeseries, TimeseriesCaptureIsObserverEffectFree) {
-  // The same fleet with and without interval capture must do the same
-  // simulation work: identical final telemetry, identical totals. The
-  // sampler only reads snapshots at boundaries; it must never perturb
-  // the allocator or the workload.
-  tcmalloc::AllocatorConfig allocator;
-  FleetConfig with_ts = TimeseriesFleet();
-  FleetConfig without_ts = TimeseriesFleet();
-  without_ts.timeseries_interval = 0;
-
-  Fleet observed(with_ts, allocator, 4242);
-  observed.Run(2);
-  Fleet plain(without_ts, allocator, 4242);
-  plain.Run(2);
-
-  EXPECT_EQ(MergedTelemetry(observed.observations()),
-            MergedTelemetry(plain.observations()));
-  ASSERT_EQ(observed.observations().size(), plain.observations().size());
-  for (size_t i = 0; i < observed.observations().size(); ++i) {
-    const ProcessResult& a = observed.observations()[i].result;
-    const ProcessResult& b = plain.observations()[i].result;
-    EXPECT_EQ(a.driver.requests, b.driver.requests);
-    EXPECT_EQ(a.driver.allocations, b.driver.allocations);
-    EXPECT_EQ(a.avg_heap_bytes, b.avg_heap_bytes);
-    // The observed run actually captured something; the plain run didn't.
-    EXPECT_TRUE(b.timeseries.empty());
-    EXPECT_FALSE(a.timeseries.empty());
-  }
-}
-
-TEST(FleetTimeseries, ThreadCountDoesNotChangeResultsOrSeries) {
-  // Bit-identical per-process results, telemetry, and interval series for
-  // --threads=1 and --threads=8, and the fleet-wide merges with them.
-  tcmalloc::AllocatorConfig allocator;
-  Fleet sequential(TimeseriesFleet(), allocator, 31337);
-  sequential.Run(1);
-  Fleet parallel(TimeseriesFleet(), allocator, 31337);
-  parallel.Run(8);
-
-  const auto& a = sequential.observations();
-  const auto& b = parallel.observations();
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_EQ(a[i].binary_rank, b[i].binary_rank);
-    EXPECT_EQ(a[i].result.driver.requests, b[i].result.driver.requests);
-    EXPECT_EQ(a[i].result.driver.failed_allocations,
-              b[i].result.driver.failed_allocations);
-    EXPECT_EQ(a[i].result.driver.cpu_ns, b[i].result.driver.cpu_ns);
-    EXPECT_EQ(a[i].result.avg_heap_bytes, b[i].result.avg_heap_bytes);
-    EXPECT_EQ(a[i].result.telemetry, b[i].result.telemetry);
-    EXPECT_FALSE(a[i].result.timeseries.empty());
-    EXPECT_EQ(a[i].result.timeseries, b[i].result.timeseries);
-  }
-  EXPECT_EQ(MergedTelemetry(a), MergedTelemetry(b));
-  EXPECT_EQ(MergedTimeSeries(a), MergedTimeSeries(b));
-}
-
-TEST(FleetTimeseries, DrainCaptureCoversFullRun) {
-  // Every process's series must telescope to its final telemetry even
-  // with the final partial interval (the drain capture at finalize).
-  tcmalloc::AllocatorConfig allocator;
-  Fleet f(TimeseriesFleet(), allocator, 1234);
-  f.Run(1);
-  for (const FleetObservation& obs : f.observations()) {
-    const telemetry::MetricSample* final_allocs =
-        obs.result.telemetry.Find("allocator", "allocations");
-    ASSERT_NE(final_allocs, nullptr);
-    EXPECT_EQ(obs.result.timeseries.TotalCounter("allocator/allocations"),
-              final_allocs->counter)
-        << "machine " << obs.machine << " rank " << obs.binary_rank;
-  }
 }
 
 }  // namespace

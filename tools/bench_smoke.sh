@@ -72,7 +72,6 @@ done
 MALLOCZ="$(dirname "$0")/mallocz.py"
 fig03="$BENCH_DIR/fig03_fleet_cdf"
 fig04="$BENCH_DIR/fig04_alloc_latency"
-fig_ts="$BENCH_DIR/fig_pressure_reclaim"
 
 # A missing binary fails its smoke instead of silently skipping it.
 require() {
@@ -107,63 +106,18 @@ if require "$fig03"; then
       failures=$((failures + 1))
     fi
   fi
-
-  # --timeseries overhead smoke: the logical-clock capture is a few map
-  # updates per 500ms sim interval (the paper's <2% GWP budget), so it
-  # must not blow the run up. Two plain runs gauge the noise; the run
-  # with capture on must stay within 5x the slower one plus fixed slack,
-  # the loose envelope CI wall-clock noise needs.
-  wall() { grep '"kind":"throughput"' "$1" | head -1 |
-           sed 's/.*"wall_seconds":\([0-9.e+-]*\).*/\1/'; }
-  o1="$TMPDIR_SMOKE/fig03.ts_base1.out"; o2="$TMPDIR_SMOKE/fig03.ts_base2.out"
-  o3="$TMPDIR_SMOKE/fig03.ts_on.out"
-  "$fig03" $FLAGS >"$o1" 2>&1
-  "$fig03" $FLAGS >"$o2" 2>&1
-  "$fig03" $FLAGS --timeseries="$TMPDIR_SMOKE/fig03.ovh.ts.ndjson" >"$o3" 2>&1
-  if ! python3 - "$(wall "$o1")" "$(wall "$o2")" "$(wall "$o3")" <<'EOF'
-import sys
-base1, base2, with_ts = (float(a) for a in sys.argv[1:4])
-budget = 5.0 * max(base1, base2) + 0.5
-ok = with_ts <= budget
-print(f"bench_smoke: timeseries overhead {with_ts:.3f}s vs plain "
-      f"{base1:.3f}/{base2:.3f}s (budget {budget:.3f}s): "
-      f"{'OK' if ok else 'FAILED'}")
-sys.exit(0 if ok else 1)
-EOF
-  then
-    failures=$((failures + 1))
-  fi
 fi
 
 if require "$fig04"; then
-  echo "=== fig04_alloc_latency --profile/--timeseries"
+  echo "=== fig04_alloc_latency --profile/--statsz"
   # Both flags ride along purely as the flag-strip proof: every shared
   # wsc flag must be stripped from argv before benchmark::Initialize
   # rejects it as unrecognized.
   if ! "$fig04" --max-requests=2000 --profile="$TMPDIR_SMOKE/fig04.heap.json" \
-         --timeseries="$TMPDIR_SMOKE/fig04.ts.ndjson" \
+         --statsz="$TMPDIR_SMOKE/fig04.statsz.json" \
          --benchmark_filter='^$' >/dev/null 2>&1; then
-    echo "bench_smoke: fig04 --profile/--timeseries run failed" \
+    echo "bench_smoke: fig04 --profile/--statsz run failed" \
          "(flag leak into google-benchmark?)" >&2
-    failures=$((failures + 1))
-  fi
-fi
-
-# --timeseries smoke: a paired A/B fleet under pressure events writes
-# the NDJSON sidecar (both arms), the validator checks the
-# interval/sketch contract, and mallocz.py must render it.
-if require "$fig_ts"; then
-  echo "=== fig_pressure_reclaim --timeseries"
-  ts="$TMPDIR_SMOKE/fleet.timeseries.ndjson"
-  tso="$TMPDIR_SMOKE/fig_ts.out"
-  if ! "$fig_ts" $FLAGS --timeseries="$ts" >"$tso" 2>&1; then
-    echo "bench_smoke: fig_pressure_reclaim --timeseries run failed" >&2
-    failures=$((failures + 1))
-  elif ! python3 "$CHECKER" --min-lines 3 --timeseries "$ts" "$tso"; then
-    echo "bench_smoke: fig_pressure_reclaim sidecar failed validation" >&2
-    failures=$((failures + 1))
-  elif ! python3 "$MALLOCZ" --timeseries "$ts" >/dev/null; then
-    echo "bench_smoke: mallocz.py failed to render the timeseries" >&2
     failures=$((failures + 1))
   fi
 fi
@@ -173,4 +127,4 @@ if [ "$failures" -ne 0 ]; then
   echo "bench_smoke: FAILED ($failures bench(es))"
   exit 1
 fi
-echo "bench_smoke: all $ran benches passed (+ profile/timeseries smoke)"
+echo "bench_smoke: all $ran benches passed (+ profile smoke)"

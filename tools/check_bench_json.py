@@ -3,24 +3,21 @@
 
 Every bench prints machine-readable `BENCH_JSON {...}` lines through the
 schema-versioned serializer in bench/bench_util.h. CI pipes each bench's
-output through this checker; it also validates --statsz JSON dumps,
---timeseries NDJSON sidecar files and --profile heap-profile JSON files.
+output through this checker; it also validates --statsz JSON dumps and
+--profile heap-profile JSON files.
 
 Usage:
   some_bench | tools/check_bench_json.py [--min-lines N] [--statsz FILE]
   tools/check_bench_json.py --min-lines 2 < bench_output.txt
-  tools/check_bench_json.py --timeseries out/timeseries.ndjson /dev/null
   tools/check_bench_json.py --profile heap.json [--min-attribution 0.95] \
       /dev/null
   tools/check_bench_json.py --min-lines 0 --trajectory BENCH_TRAJECTORY.json \
       /dev/null
 
-Line kinds validated: throughput, telemetry, timeseries (per-interval
-counter deltas, monotone interval index), sketch (quantile-sketch
-summaries), preload and skipped (bench/preload/compare_allocators.sh
-arms). timeseries, sketch, preload and skipped lines carry no "threads"
-field by design — timeseries output is byte-identical for any
---threads, and the preload arms come from a shell driver.
+Line kinds validated: throughput, telemetry, preload and skipped
+(bench/preload/compare_allocators.sh arms). preload and skipped lines
+carry no "threads" field by design: the preload arms come from a shell
+driver.
 
 Heap profiles (--profile=heap.json, read by tools/mallocz.py) are checked
 for their schema version, well-formed callsite rows, and
@@ -77,14 +74,12 @@ EXEC_MODES = ("real-threads",)
 
 THROUGHPUT_FIELDS = ("sim_requests", "wall_seconds", "sim_requests_per_sec")
 
-KNOWN_KINDS = ("throughput", "telemetry", "timeseries", "sketch", "preload",
-               "skipped")
+KNOWN_KINDS = ("throughput", "telemetry", "preload", "skipped")
 
-# Kinds whose lines intentionally omit "threads": timeseries/sketch lines
-# must be byte-identical for any --threads (check_determinism.sh diffs
-# them), preload/skipped lines come from the compare_allocators.sh shell
-# driver which has no thread concept of its own.
-NO_THREADS_KINDS = ("timeseries", "sketch", "preload", "skipped")
+# Kinds whose lines intentionally omit "threads": preload/skipped lines
+# come from the compare_allocators.sh shell driver, which has no thread
+# concept of its own.
+NO_THREADS_KINDS = ("preload", "skipped")
 
 TRAJECTORY_SCHEMA_VERSION = 1
 
@@ -96,12 +91,6 @@ WSCBENCH_END_TO_END = ("setup_s", "ops_per_s", "requests_per_s",
                        "request_p50_us", "request_p99_us", "peak_rss_mb",
                        "steady_rss_mb", "drained_rss_mb")
 BOX_FIELDS = ("nproc", "cpu", "kernel", "glibc", "compiler", "build_type")
-
-# Components that must appear in every full-snapshot timeseries interval
-# (same contract as REQUIRED_TIERS for telemetry lines; the allocator
-# registers all of them at construction, so they are present even when
-# their counters never moved).
-TIMESERIES_REQUIRED_COMPONENTS = ("allocator", "pressure", "failure")
 
 
 def fail(errors, line_no, message):
@@ -154,86 +143,6 @@ def check_telemetry(errors, line_no, obj):
         fail(errors, line_no, "bad 'arm' label")
 
 
-def check_timeseries(errors, line_no, obj, last_intervals):
-    """One kind=timeseries line: a per-interval delta snapshot.
-
-    last_intervals maps (bench, arm) -> previous interval index so the
-    strictly-monotone contract is checked across the whole stream.
-    """
-    interval = obj.get("interval")
-    if not isinstance(interval, int) or interval < 0:
-        fail(errors, line_no, f"bad 'interval': {interval!r}")
-        return
-    key = (obj.get("bench"), obj.get("arm", ""))
-    prev = last_intervals.get(key)
-    if prev is not None and interval <= prev:
-        fail(errors, line_no,
-             f"interval index not monotone: {interval} after {prev}")
-    last_intervals[key] = interval
-    t_seconds = obj.get("t_seconds")
-    if not isinstance(t_seconds, (int, float)) or t_seconds < 0:
-        fail(errors, line_no, f"bad 't_seconds': {t_seconds!r}")
-    counters = obj.get("counters")
-    if not isinstance(counters, dict):
-        fail(errors, line_no, "missing 'counters' object")
-        return
-    for name, delta in counters.items():
-        if "/" not in name:
-            fail(errors, line_no, f"counter key {name!r} is not component/name")
-        if not isinstance(delta, int) or delta < 0:
-            fail(errors, line_no, f"counter {name!r} delta {delta!r} "
-                 "is not a non-negative integer")
-    gauges = obj.get("gauges")
-    if not isinstance(gauges, dict):
-        fail(errors, line_no, "missing 'gauges' object")
-        return
-    for name, value in gauges.items():
-        if not isinstance(value, (int, float)):
-            fail(errors, line_no, f"gauge {name!r} has non-numeric value")
-    components = {k.split("/", 1)[0] for k in counters} | \
-                 {k.split("/", 1)[0] for k in gauges}
-    missing = [c for c in TIMESERIES_REQUIRED_COMPONENTS
-               if c not in components]
-    if missing:
-        fail(errors, line_no,
-             f"timeseries missing components: {', '.join(missing)}")
-    for name, hist in obj.get("histograms", {}).items():
-        if not isinstance(hist.get("count"), int) or hist["count"] < 0:
-            fail(errors, line_no, f"histogram {name!r} bad 'count'")
-        buckets = hist.get("buckets")
-        if not isinstance(buckets, list) or any(
-                not isinstance(b, int) or b < 0 for b in buckets):
-            fail(errors, line_no, f"histogram {name!r} bad 'buckets'")
-
-
-def check_sketch(errors, line_no, obj):
-    if not isinstance(obj.get("name"), str) or not obj["name"]:
-        fail(errors, line_no, "sketch missing 'name'")
-    sketch = obj.get("sketch")
-    if not isinstance(sketch, dict):
-        fail(errors, line_no, "missing 'sketch' object")
-        return
-    count = sketch.get("count")
-    if not isinstance(count, int) or count < 0:
-        fail(errors, line_no, f"sketch bad 'count': {count!r}")
-    quantiles = sketch.get("quantiles")
-    if not isinstance(quantiles, dict):
-        fail(errors, line_no, "sketch missing 'quantiles'")
-    elif count > 0:
-        order = [quantiles.get(q) for q in ("p50", "p90", "p95", "p99")]
-        if any(not isinstance(v, (int, float)) for v in order):
-            fail(errors, line_no, f"sketch quantiles not numeric: {quantiles!r}")
-        elif any(a > b for a, b in zip(order, order[1:])):
-            fail(errors, line_no, f"sketch quantiles not monotone: {order!r}")
-    points = sketch.get("points")
-    if not isinstance(points, list) or any(
-            not (isinstance(p, list) and len(p) == 2 and
-                 isinstance(p[1], int) and p[1] > 0) for p in points):
-        fail(errors, line_no, "sketch 'points' is not a [value,count] list")
-    elif count > 0 and sum(p[1] for p in points) != count:
-        fail(errors, line_no, "sketch point counts do not sum to 'count'")
-
-
 def check_preload(errors, line_no, obj):
     for field in ("arm", "bench_binary", "allocator"):
         if not isinstance(obj.get(field), str) or not obj[field]:
@@ -247,42 +156,6 @@ def check_skipped(errors, line_no, obj):
     for field in ("arm", "reason"):
         if not isinstance(obj.get(field), str) or not obj[field]:
             fail(errors, line_no, f"skipped line missing '{field}'")
-
-
-def check_timeseries_file(errors, path):
-    """--timeseries FILE: a RenderNdjson sidecar (no BENCH_JSON prefix)."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            lines = handle.readlines()
-    except OSError as exc:
-        errors.append(f"timeseries {path}: {exc}")
-        return 0
-    last_intervals = {}
-    file_errors = []
-    kinds = {"timeseries": 0, "sketch": 0}
-    for line_no, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            fail(file_errors, line_no, f"invalid JSON: {exc}")
-            continue
-        check_common(file_errors, line_no, obj)
-        kind = obj.get("kind")
-        if kind == "timeseries":
-            kinds["timeseries"] += 1
-            check_timeseries(file_errors, line_no, obj, last_intervals)
-        elif kind == "sketch":
-            kinds["sketch"] += 1
-            check_sketch(file_errors, line_no, obj)
-        else:
-            fail(file_errors, line_no,
-                 f"unexpected kind {kind!r} in timeseries file")
-    if kinds["timeseries"] == 0:
-        file_errors.append("no timeseries lines in file")
-    errors.extend(f"timeseries {path}: {e}" for e in file_errors)
-    return kinds["timeseries"] + kinds["sketch"]
 
 
 def check_statsz(errors, path):
@@ -493,8 +366,6 @@ def main():
                         help="minimum number of BENCH_JSON lines expected")
     parser.add_argument("--statsz", default=None,
                         help="also validate this statsz JSON dump")
-    parser.add_argument("--timeseries", default=None,
-                        help="also validate this --timeseries NDJSON file")
     parser.add_argument("--profile", default=None,
                         help="also validate this --profile heap-profile "
                         "JSON file")
@@ -513,7 +384,6 @@ def main():
     errors = []
     seen = 0
     kinds = {kind: 0 for kind in KNOWN_KINDS}
-    last_intervals = {}
     with stream:
         for line_no, line in enumerate(stream, start=1):
             if not line.startswith("BENCH_JSON "):
@@ -532,10 +402,6 @@ def main():
                 check_throughput(errors, line_no, obj)
             elif kind == "telemetry":
                 check_telemetry(errors, line_no, obj)
-            elif kind == "timeseries":
-                check_timeseries(errors, line_no, obj, last_intervals)
-            elif kind == "sketch":
-                check_sketch(errors, line_no, obj)
             elif kind == "preload":
                 check_preload(errors, line_no, obj)
             elif kind == "skipped":
@@ -546,9 +412,6 @@ def main():
                       f"{args.min_lines}")
     if args.statsz:
         check_statsz(errors, args.statsz)
-    ts_lines = 0
-    if args.timeseries:
-        ts_lines = check_timeseries_file(errors, args.timeseries)
     if args.profile:
         profile_rows, attribution = check_profile(errors, args.profile,
                                                   args.min_attribution)
@@ -563,8 +426,6 @@ def main():
                         if count > 0) or "none"
     print(f"check_bench_json: OK ({seen} line(s): {summary}"
           + (", statsz valid" if args.statsz else "")
-          + (f", timeseries file valid ({ts_lines} lines)"
-             if args.timeseries else "")
           + (f", profile valid ({profile_rows} callsites, attribution "
              f"{attribution:.1%})" if args.profile else "")
           + (f", trajectory valid ({records} records)"

@@ -10,7 +10,8 @@
 #   - the BENCH_JSON stream, after masking the only legitimately
 #     thread-dependent fields: the echoed "threads" count and the
 #     wall-clock-derived wall_seconds / sim_requests_per_sec;
-#   - the --timeseries NDJSON sidecar, unmasked.
+#   - the --statsz JSON sidecar (the final merged snapshot, histogram
+#     buckets included, which BENCH_JSON flattens to counts), unmasked.
 #
 #   cmake -B build -S . && cmake --build build -j
 #   tools/check_determinism.sh build
@@ -42,20 +43,20 @@ for name in fig03_fleet_cdf fig_pressure_reclaim; do
   fi
   o1="$TMPDIR_DET/$name.t1.out"
   o8="$TMPDIR_DET/$name.t8.out"
-  ts1="$TMPDIR_DET/$name.t1.timeseries.ndjson"
-  ts8="$TMPDIR_DET/$name.t8.timeseries.ndjson"
-  if ! "$bench" $FLAGS --threads=1 --timeseries="$ts1" >"$o1" 2>&1 ||
-     ! "$bench" $FLAGS --threads=8 --timeseries="$ts8" >"$o8" 2>&1; then
+  sz1="$TMPDIR_DET/$name.t1.statsz.json"
+  sz8="$TMPDIR_DET/$name.t8.statsz.json"
+  if ! "$bench" $FLAGS --threads=1 --statsz="$sz1" >"$o1" 2>&1 ||
+     ! "$bench" $FLAGS --threads=8 --statsz="$sz8" >"$o8" 2>&1; then
     echo "check_determinism: $name exited non-zero" >&2
     failures=$((failures + 1))
     continue
   fi
-  # The interval series is captured on the logical clock and merged in
-  # machine-index order: the --timeseries NDJSON sidecar carries no
-  # wall-clock or thread fields, so it is byte-identical, unmasked.
-  if ! cmp -s "$ts1" "$ts8"; then
-    echo "check_determinism: $name --timeseries output differs between" \
-         "--threads=1 and --threads=8" >&2
+  # Snapshots are merged in machine-index order: the --statsz JSON
+  # sidecar carries no wall-clock or thread fields, so it is
+  # byte-identical, unmasked.
+  if [ ! -s "$sz1" ] || ! cmp -s "$sz1" "$sz8"; then
+    echo "check_determinism: $name --statsz output is missing or differs" \
+         "between --threads=1 and --threads=8" >&2
     failures=$((failures + 1))
     continue
   fi

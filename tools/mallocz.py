@@ -1,27 +1,21 @@
 #!/usr/bin/env python3
-"""mallocz: render wsc-tcmalloc heap profiles and time series for humans.
+"""mallocz: render wsc-tcmalloc heap profiles for humans.
 
 Production TCMalloc exposes /mallocz and heapz handlers; this is their
-offline stand-in. It reads the files written by the bench binaries
-(--profile=heap.json, --timeseries=ts.ndjson) and prints pprof-style
-tables.
+offline stand-in for heap profiles. It reads the file a bench binary
+writes with --profile=heap.json and prints pprof-style tables.
 
 Usage:
   tools/mallocz.py heap.json                 # callsite tables
   tools/mallocz.py heap.json --top 10        # only the 10 largest rows
-  tools/mallocz.py --timeseries ts.ndjson    # interval series + sketches
 
-Heap-profile views: live heap by callsite (with attribution coverage),
-peak and cumulative bytes, sampled mean lifetimes, and per-callsite
+Views: live heap by callsite (with attribution coverage), peak and
+cumulative bytes, sampled mean lifetimes, per-callsite
 hugepage-fragmentation attribution (stranded free bytes on hugepages the
-callsite pins). Timeseries view: the --timeseries NDJSON sidecar
-rendered as a per-interval fleet table (footprint spark line,
-allocation/reclaim/failure deltas) plus the merged quantile-sketch
-percentiles — the offline stand-in for a GWP time-series dashboard.
+callsite pins), and sampled lifetimes by size bucket.
 """
 
 import argparse
-import collections
 import json
 import sys
 
@@ -109,102 +103,14 @@ def render_profile(path, top):
         print_table(["size_bucket", "samples", "mean_life_ms"], rows)
 
 
-SPARK_CHARS = " .:-=+*#%@"
-
-
-def spark(value, lo, hi):
-    if hi <= lo:
-        return SPARK_CHARS[-1]
-    frac = (value - lo) / (hi - lo)
-    return SPARK_CHARS[min(len(SPARK_CHARS) - 1,
-                           int(frac * (len(SPARK_CHARS) - 1)))]
-
-
-def render_timeseries(path):
-    intervals = collections.defaultdict(list)  # arm -> [interval obj]
-    sketches = collections.defaultdict(list)   # arm -> [sketch obj]
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            arm = obj.get("arm", "")
-            if obj.get("kind") == "timeseries":
-                intervals[arm].append(obj)
-            elif obj.get("kind") == "sketch":
-                sketches[arm].append(obj)
-    if not intervals:
-        sys.exit(f"mallocz: {path} has no timeseries lines")
-
-    for arm in sorted(intervals):
-        label = f" [{arm}]" if arm else ""
-        series = intervals[arm]
-        bench = series[0].get("bench", "?")
-        print(f"Time series: {bench}{label}, {len(series)} intervals, "
-              f"{series[-1]['t_seconds']:.1f}s of logical time")
-
-        heap = [s.get("gauges", {}).get("allocator/heap_bytes", 0.0)
-                for s in series]
-        lo, hi = min(heap), max(heap)
-        print(f"\n-- Fleet footprint ({human_bytes(int(lo))} .. "
-              f"{human_bytes(int(hi))}) --")
-        print("  " + "".join(spark(v, lo, hi) for v in heap))
-
-        print("\n-- Per-interval deltas --")
-        rows = []
-        for s in series:
-            gauges = s.get("gauges", {})
-            counters = s.get("counters", {})
-            failures = sum(v for k, v in counters.items()
-                           if k.startswith("failure/"))
-            rows.append([
-                f"{s['t_seconds']:.1f}",
-                human_bytes(int(gauges.get("allocator/heap_bytes", 0))),
-                human_bytes(int(gauges.get("allocator/live_bytes", 0))),
-                str(counters.get("allocator/allocations", 0)),
-                str(counters.get("allocator/frees", 0)),
-                human_bytes(counters.get("pressure/reclaimed_bytes", 0)),
-                str(failures),
-            ])
-        print_table(["t(s)", "heap", "live", "allocs", "frees",
-                     "reclaimed", "failures"], rows)
-
-        if sketches.get(arm):
-            print("\n-- Distribution sketches (log-bucket, ~3% rel err) --")
-            rows = []
-            for s in sorted(sketches[arm], key=lambda x: x.get("name", "")):
-                sk = s.get("sketch", {})
-                q = sk.get("quantiles", {})
-                rows.append([
-                    str(sk.get("count", 0)),
-                    f"{q.get('p50', 0):.0f}", f"{q.get('p90', 0):.0f}",
-                    f"{q.get('p95', 0):.0f}", f"{q.get('p99', 0):.0f}",
-                    f"{sk.get('max', 0):.0f}", s.get("name", "?"),
-                ])
-            print_table(["n", "p50", "p90", "p95", "p99", "max", "sketch"],
-                        rows)
-        print()
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("profile", nargs="?", default=None,
+    parser.add_argument("profile",
                         help="heap-profile JSON (--profile=heap.json)")
-    parser.add_argument("--timeseries", default=None,
-                        help="interval-series NDJSON "
-                        "(--timeseries=timeseries.ndjson)")
     parser.add_argument("--top", type=int, default=0,
                         help="show only the N largest callsites (0 = all)")
     args = parser.parse_args()
-    if args.profile is None and args.timeseries is None:
-        parser.error("nothing to render: pass a heap profile and/or "
-                     "--timeseries")
-    if args.profile:
-        render_profile(args.profile, args.top)
-    if args.timeseries:
-        if args.profile:
-            print()
-        render_timeseries(args.timeseries)
+    render_profile(args.profile, args.top)
 
 
 if __name__ == "__main__":
